@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .game_model import Game, Restriction
+from .game_model import Game, Restriction, indices_of
 from .operators import (
     ALL_OPERATORS,
     EliminationEngine,
@@ -27,9 +27,6 @@ from .operators import (
     MLS,
     MLW,
     OperatorKind,
-    indices_of,
-    masks_to_restriction,
-    restriction_masks,
 )
 
 __all__ = [
@@ -141,8 +138,8 @@ class MonotonicityWitness:
         if not self.smaller.issubset(self.larger):
             return False
         player, strategy = self.evidence
-        small = engine.survivors(self.operator, restriction_masks(self.smaller))
-        large = engine.survivors(self.operator, restriction_masks(self.larger))
+        small = engine.survivors(self.operator, self.smaller.masks)
+        large = engine.survivors(self.operator, self.larger.masks)
         bit = 1 << strategy
         return bool(small[player] & bit) and not large[player] & bit
 
@@ -205,8 +202,8 @@ def check_monotonic(
             return None
         return MonotonicityWitness(
             operator=kind,
-            smaller=masks_to_restriction(game, smaller),
-            larger=masks_to_restriction(game, larger),
+            smaller=Restriction.from_masks(game, smaller),
+            larger=Restriction.from_masks(game, larger),
             evidence=excess,
         )
 
@@ -274,7 +271,7 @@ def pointwise_inclusion(
                 player, strategy = excess
                 violations.append(
                     {
-                        "restriction": masks_to_restriction(game, masks).kept_names(),
+                        "restriction": Restriction.from_masks(game, masks).kept_names(),
                         "player": game.players[player],
                         "strategy": game.strategies[player][strategy],
                     }

@@ -3,8 +3,8 @@
 Commands: ``apply`` (one operator application), ``solve`` (iterate to the
 fixpoint), ``compare`` (two fixpoints), ``check-monotonic`` (witness
 mining), ``verify`` (named property suites) and ``paper-examples`` (the
-bundled golden games).  Output is JSON by default, an aligned text table
-with ``--format table``.
+same as ``verify --suite paper``).  Output is JSON by default, an aligned
+text table with ``--format table``.
 
 Exit codes: 0 success, 1 bad input (I/O, parse or usage errors), 2 a verify
 suite found a violated assertion, 3 an exhaustive budget was exceeded.
@@ -27,7 +27,7 @@ from .analysis import (
 from .game_model import Game, GameFormatError, Restriction, game_from_json_dict
 from .operators import apply_operator, iterate, operator_from_name
 from .random_games import GeneratorConfig
-from .suites import SUITE_NAMES, default_seed, paper_suite, run_suite
+from .suites import SUITE_NAMES, default_seed, run_suite
 
 __all__ = ["build_parser", "load_game", "main", "run"]
 
@@ -74,6 +74,13 @@ def _parse_range(text: str) -> tuple[int, int]:
         return (int(lo), int(hi))
     value = int(text)
     return (value, value)
+
+
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _emit(doc: dict, out: TextIO) -> None:
@@ -160,13 +167,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_mono.add_argument("--budget", choices=("exhaustive", "sampled"), default="exhaustive")
     p_mono.add_argument("--cap", type=int, default=Exhaustive().cap,
                         help="largest lattice the exhaustive budget accepts")
-    p_mono.add_argument("--samples", type=int, default=1000)
+    p_mono.add_argument("--samples", type=_count, default=1000)
     p_mono.add_argument("--seed", type=int, default=None)
 
     p_verify = sub.add_parser("verify", help="run a property suite (CI gate: exit 2 on failure)", parents=[shared])
     p_verify.add_argument("--suite", choices=SUITE_NAMES, default="all")
     p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--games", type=int, default=None,
+    p_verify.add_argument("--games", type=_count, default=None,
                           help="random-game count for the chosen suite")
     p_verify.add_argument("--players", type=_parse_range, default=None, metavar="LO..HI")
     p_verify.add_argument("--strategies", type=_parse_range, default=None, metavar="LO..HI")
@@ -176,11 +183,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--config", default=None,
                           help="generator config as a JSON object (overrides the flags)")
 
-    sub.add_parser("paper-examples", help="check the bundled games against their expected results", parents=[shared])
+    sub.add_parser("paper-examples", help="the same as verify --suite paper", parents=[shared])
     return parser
 
 
 def _run_parsed(args: argparse.Namespace, out: TextIO) -> int:
+    code = 0
     if args.command == "apply":
         kind = operator_from_name(args.operator)
         game = load_game(args.game)
@@ -258,25 +266,13 @@ def _run_parsed(args: argparse.Namespace, out: TextIO) -> int:
             theorem_config=theorem_config or None,
         )
         doc = report.to_dict()
-        if args.format == "json":
-            _emit(doc, out)
-        else:
-            _emit_table(doc, out)
-        return 0 if report.passed else 2
-    else:  # paper-examples
-        report = paper_suite()
-        doc = report.to_dict()
-        if args.format == "json":
-            _emit(doc, out)
-        else:
-            _emit_table(doc, out)
-        return 0 if report.passed else 2
+        code = 0 if report.passed else 2
 
     if args.format == "json":
         _emit(doc, out)
     else:
         _emit_table(doc, out)
-    return 0
+    return code
 
 
 def run(argv: list[str], out: TextIO) -> int:
@@ -287,6 +283,8 @@ def run(argv: list[str], out: TextIO) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors; 2 is reserved for verify failures.
         return 0 if exc.code in (0, None) else 1
+    if args.command == "paper-examples":  # an alias of ``verify --suite paper``
+        args = parser.parse_args(["verify", "--suite", "paper", "--format", args.format])
     try:
         return _run_parsed(args, out)
     except BudgetExceededError as exc:

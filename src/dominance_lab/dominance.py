@@ -165,13 +165,12 @@ def _mixed_dominator(
         tuple(a - b for a, b in zip(_column(game, player, s, bases), target_col))
         for s in pool
     ]
-    m = len(pool)
-    witness = _solve_dominance_program(margins, len(bases), mode)
-    if witness is None:
+    result = _solve_dominance_program(margins, len(bases), mode)
+    if result.value is None or result.value <= 0:
         return None
     return MixedStrategy(
         player,
-        tuple((pool[j], w) for j, w in enumerate(witness[:m]) if w),
+        tuple((pool[j], w) for j, w in enumerate(result.assignment[: len(pool)]) if w),
     )
 
 
@@ -179,11 +178,12 @@ def _solve_dominance_program(
     margins: list[tuple[Fraction, ...]],
     profile_count: int,
     mode: Mode,
-) -> tuple[Fraction, ...] | None:
-    """Weight vector strictly/weakly improving on the target, or None.
+) -> LpResult:
+    """Solve the dominance program; a positive optimum means the target is dominated.
 
     ``margins[j][c]`` is the payoff advantage of pool strategy j over the
-    target at opponent profile c.
+    target at opponent profile c.  The first ``len(margins)`` entries of an
+    optimal assignment are the pool weights.
     """
     m = len(margins)
     simplex_row = Constraint((_ONE,) * m + ((_ZERO,) if mode is Mode.STRICT else ()), EQ, _ONE)
@@ -201,9 +201,7 @@ def _solve_dominance_program(
         )
         result = solve_lp(program)
         assert result.status == "optimal", "strict dominance program is always feasible"
-        if result.value is None or result.value <= 0:
-            return None
-        return result.assignment
+        return result
     # Weak: maximize total slack subject to every slack nonnegative.
     constraints = [
         Constraint(tuple(margins[j][c] for j in range(m)), GE, _ZERO)
@@ -214,10 +212,7 @@ def _solve_dominance_program(
         objective=tuple(sum(margins[j], _ZERO) for j in range(m)),
         constraints=tuple(constraints),
     )
-    result = solve_lp(program)
-    if result.status == "infeasible" or result.value is None or result.value <= 0:
-        return None
-    return result.assignment
+    return solve_lp(program)
 
 
 def _pool_indices(restriction: Restriction, player: int, pool: Pool) -> tuple[int, ...]:
@@ -235,6 +230,13 @@ def _check_player_strategy(game: Game, player: int, strategy: int) -> None:
         )
 
 
+def _target_bases(restriction: Restriction, player: int, target: int) -> tuple[Game, tuple[int, ...]]:
+    """Validate ``player`` and ``target``; the game and the restriction's opponent bases."""
+    game = restriction.game
+    _check_player_strategy(game, player, target)
+    return game, _opponent_bases(game, player, opponent_profiles(restriction, player))
+
+
 def dominates(
     candidate: int | MixedStrategy,
     target: int,
@@ -248,17 +250,14 @@ def dominates(
     whose support can lie anywhere in the parent game's strategy set (global
     pools are legal).  Exact arithmetic, no tolerance.
     """
-    game = restriction.game
-    _check_player_strategy(game, player, target)
-    profiles = opponent_profiles(restriction, player)
-    bases = _opponent_bases(game, player, profiles)
+    game, bases = _target_bases(restriction, player, target)
     target_col = _column(game, player, target, bases)
     if isinstance(candidate, MixedStrategy):
         if candidate.player != player:
             raise ValueError(
                 f"candidate belongs to player {candidate.player}, not {player}"
             )
-        for s in candidate.support:
+        for s, _ in candidate.weights:
             _check_player_strategy(game, player, s)
         candidate_col = _mixed_column(game, player, candidate, bases)
     else:
@@ -275,10 +274,7 @@ def find_pure_dominator(
     mode: Mode,
 ) -> int | None:
     """Lowest-index pure strategy in the pool dominating ``target``, if any."""
-    game = restriction.game
-    _check_player_strategy(game, player, target)
-    profiles = opponent_profiles(restriction, player)
-    bases = _opponent_bases(game, player, profiles)
+    game, bases = _target_bases(restriction, player, target)
     return _pure_dominator(game, player, target, _pool_indices(restriction, player, pool), bases, mode)
 
 
@@ -295,10 +291,7 @@ def find_mixed_dominator(
     otherwise the exact dominance program decides, and its optimizer is the
     witness.  Either way the result replays against the restriction.
     """
-    game = restriction.game
-    _check_player_strategy(game, player, target)
-    profiles = opponent_profiles(restriction, player)
-    bases = _opponent_bases(game, player, profiles)
+    game, bases = _target_bases(restriction, player, target)
     return _mixed_dominator(game, player, target, _pool_indices(restriction, player, pool), bases, mode)
 
 

@@ -7,14 +7,16 @@ the JSON loader accepts integers and ``"p/q"`` strings only.
 A :class:`Restriction` is a per-player subset of a fixed parent game's
 strategy indices.  Components may be empty; the set of all restrictions of a
 game, ordered componentwise, is a finite lattice with the full game at the
-top and the all-empty restriction at the bottom.
+top and the all-empty restriction at the bottom.  A restriction carries each
+subset twice: as the sorted index tuple ``kept`` and as the bitmask
+``masks`` by which the elimination engine keys its memo.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from itertools import product
@@ -234,21 +236,38 @@ class Game:
         return cls(tuple(players), tuple(tuple(s) for s in strategies), tuple(tuple(t) for t in flat))
 
 
+def indices_of(mask: int) -> tuple[int, ...]:
+    """Positions of the set bits of ``mask``, ascending."""
+    out = []
+    i = 0
+    while mask:
+        if mask & 1:
+            out.append(i)
+        mask >>= 1
+        i += 1
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class Restriction:
     """Per-player subsets of a parent game's strategy indices (views, not copies).
 
     Components may be empty.  ``kept`` is normalized to sorted index tuples,
     which fixes the deterministic enumeration order used everywhere else.
+    ``masks`` holds the same subsets as bitmasks (bit ``s`` of player ``i``'s
+    mask is set when strategy ``s`` is kept); it is derived from ``kept`` and
+    takes no part in equality, hashing or repr.
     """
 
     game: Game
     kept: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.kept) != self.game.player_count:
             raise InvalidProfileError("one kept-set required per player")
         normalized = []
+        masks = []
         for player, subset in enumerate(self.kept):
             indices = sorted(set(subset))
             count = self.game.shape[player]
@@ -257,11 +276,18 @@ class Restriction:
                     f"kept-set out of range for player {self.game.players[player]!r}"
                 )
             normalized.append(tuple(indices))
+            masks.append(sum(1 << i for i in indices))
         object.__setattr__(self, "kept", tuple(normalized))
+        object.__setattr__(self, "masks", tuple(masks))
 
     @classmethod
     def full(cls, game: Game) -> "Restriction":
         return cls(game, tuple(tuple(range(k)) for k in game.shape))
+
+    @classmethod
+    def from_masks(cls, game: Game, masks: Sequence[int]) -> "Restriction":
+        """The restriction whose per-player kept-sets are the bits of ``masks``."""
+        return cls(game, tuple(indices_of(m) for m in masks))
 
     @property
     def is_full(self) -> bool:
@@ -278,25 +304,19 @@ class Restriction:
     def issubset(self, other: "Restriction") -> bool:
         if self.game != other.game:
             raise ValueError("restrictions of different games are not comparable")
-        return all(set(a) <= set(b) for a, b in zip(self.kept, other.kept))
+        return all(not a & ~b for a, b in zip(self.masks, other.masks))
 
     def meet(self, other: "Restriction") -> "Restriction":
         """Componentwise intersection (lattice meet)."""
         if self.game != other.game:
             raise ValueError("restrictions of different games have no meet")
-        return Restriction(
-            self.game,
-            tuple(tuple(sorted(set(a) & set(b))) for a, b in zip(self.kept, other.kept)),
-        )
+        return Restriction.from_masks(self.game, [a & b for a, b in zip(self.masks, other.masks)])
 
     def join(self, other: "Restriction") -> "Restriction":
         """Componentwise union (lattice join)."""
         if self.game != other.game:
             raise ValueError("restrictions of different games have no join")
-        return Restriction(
-            self.game,
-            tuple(tuple(sorted(set(a) | set(b))) for a, b in zip(self.kept, other.kept)),
-        )
+        return Restriction.from_masks(self.game, [a | b for a, b in zip(self.masks, other.masks)])
 
     def kept_names(self) -> dict[str, list[str]]:
         """Kept strategy labels keyed by player name, in player order."""

@@ -9,9 +9,9 @@ restriction's opponent profiles.  Each removal carries a replayable
 certificate.
 
 :class:`EliminationEngine` memoizes dominance queries per game, keyed by
-kept-set bitmasks, so that repeated applications across a restriction
-lattice stay cheap.  The public functions build a fresh engine per call and
-are therefore pure.
+the kept-set bitmasks that every :class:`Restriction` carries as ``masks``,
+so that repeated applications across a restriction lattice stay cheap.  The
+public functions build a fresh engine per call and are therefore pure.
 """
 
 from __future__ import annotations
@@ -26,12 +26,11 @@ from .dominance import (
     EliminationCertificate,
     Mode,
     Pool,
-    _column,
     _mixed_dominator,
     _opponent_bases,
     _pure_dominator,
 )
-from .game_model import Game, MixedStrategy, Restriction
+from .game_model import Game, MixedStrategy, Restriction, indices_of
 
 __all__ = [
     "ALL_OPERATORS",
@@ -163,32 +162,6 @@ class Seeded:
     seed: int
 
 
-def mask_of(indices: tuple[int, ...]) -> int:
-    mask = 0
-    for i in indices:
-        mask |= 1 << i
-    return mask
-
-
-def indices_of(mask: int) -> tuple[int, ...]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
-
-
-def restriction_masks(restriction: Restriction) -> tuple[int, ...]:
-    return tuple(mask_of(k) for k in restriction.kept)
-
-
-def masks_to_restriction(game: Game, masks: tuple[int, ...]) -> Restriction:
-    return Restriction(game, tuple(indices_of(m) for m in masks))
-
-
 class EliminationEngine:
     """Per-game memo for dominance queries and operator applications.
 
@@ -203,7 +176,6 @@ class EliminationEngine:
         self.full_masks = tuple((1 << k) - 1 for k in game.shape)
         self.empty_opponent_queries = 0
         self._bases: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
-        self._columns: dict[tuple[int, int, tuple[int, ...]], tuple] = {}
         self._queries: dict[tuple, int | MixedStrategy | None] = {}
         self._survivors: dict[tuple[OperatorKind, tuple[int, ...]], tuple[int, ...]] = {}
 
@@ -241,74 +213,60 @@ class EliminationEngine:
         self._queries[key] = found
         return found
 
+    def _pool_and_opponents(
+        self, kind: OperatorKind, masks: tuple[int, ...], player: int
+    ) -> tuple[int, tuple[int, ...]]:
+        """The player's dominator pool mask and the other players' kept masks."""
+        pool_mask = masks[player] if kind.pool is Pool.LOCAL else self.full_masks[player]
+        return pool_mask, masks[:player] + masks[player + 1 :]
+
+    def _sweep(
+        self, kind: OperatorKind, masks: tuple[int, ...], targets: tuple[int, ...]
+    ) -> Iterator[tuple[int, int, int | MixedStrategy]]:
+        """(player, target, dominator) for each target in ``targets`` that ``kind``
+        eliminates at the kept-sets ``masks``; lowest player first, then target.
+        """
+        for player, target_mask in enumerate(targets):
+            pool_mask, opp_masks = self._pool_and_opponents(kind, masks, player)
+            for target in indices_of(target_mask):
+                found = self.dominator(player, target, pool_mask, opp_masks, kind.mode, kind.mixing)
+                if found is not None:
+                    yield player, target, found
+
     def survivors(self, kind: OperatorKind, masks: tuple[int, ...]) -> tuple[int, ...]:
         """Kept-set masks after one application of ``kind``."""
         key = (kind, masks)
         cached = self._survivors.get(key)
         if cached is not None:
             return cached
-        out = []
-        for player, kept_mask in enumerate(masks):
-            if kept_mask == 0:
-                out.append(0)
-                continue
-            pool_mask = kept_mask if kind.pool is Pool.LOCAL else self.full_masks[player]
-            opp_masks = masks[:player] + masks[player + 1 :]
-            surviving = 0
-            for target in indices_of(kept_mask):
-                if (
-                    self.dominator(player, target, pool_mask, opp_masks, kind.mode, kind.mixing)
-                    is None
-                ):
-                    surviving |= 1 << target
-            out.append(surviving)
+        out = list(masks)
+        for player, target, _ in self._sweep(kind, masks, masks):
+            out[player] &= ~(1 << target)
         result = tuple(out)
         self._survivors[key] = result
         return result
 
-    def _certificates(
-        self,
-        kind: OperatorKind,
-        before: Restriction,
-        before_masks: tuple[int, ...],
-        after_masks: tuple[int, ...],
-    ) -> tuple[EliminationCertificate, ...]:
-        certificates = []
-        for player, (b, a) in enumerate(zip(before_masks, after_masks)):
-            removed = b & ~a
-            if not removed:
-                continue
-            pool_mask = b if kind.pool is Pool.LOCAL else self.full_masks[player]
-            opp_masks = before_masks[:player] + before_masks[player + 1 :]
-            for target in indices_of(removed):
-                dominator = self.dominator(
-                    player, target, pool_mask, opp_masks, kind.mode, kind.mixing
-                )
-                assert dominator is not None
-                certificates.append(
-                    EliminationCertificate(
-                        player=player,
-                        eliminated=target,
-                        dominator=dominator,
-                        mode=kind.mode,
-                        pool=kind.pool,
-                        context=before,
-                    )
-                )
-        return tuple(certificates)
-
     def step(self, kind: OperatorKind, restriction: Restriction) -> EliminationStep:
-        before_masks = restriction_masks(restriction)
-        after_masks = self.survivors(kind, before_masks)
-        after = (
-            restriction
-            if after_masks == before_masks
-            else masks_to_restriction(self.game, after_masks)
+        before = restriction.masks
+        after = self.survivors(kind, before)
+        if after == before:
+            return EliminationStep(before=restriction, after=restriction, certificates=())
+        removed = tuple(b & ~a for b, a in zip(before, after))
+        certificates = tuple(
+            EliminationCertificate(
+                player=player,
+                eliminated=target,
+                dominator=dominator,
+                mode=kind.mode,
+                pool=kind.pool,
+                context=restriction,
+            )
+            for player, target, dominator in self._sweep(kind, before, removed)
         )
         return EliminationStep(
             before=restriction,
-            after=after,
-            certificates=self._certificates(kind, restriction, before_masks, after_masks),
+            after=Restriction.from_masks(self.game, after),
+            certificates=certificates,
         )
 
     def iterate(self, kind: OperatorKind) -> IterationTrace:
@@ -323,22 +281,6 @@ class EliminationEngine:
             assert len(steps) <= self.game.total_strategies + 1, "iteration failed to contract"
         return IterationTrace(operator=kind, steps=tuple(steps), fixpoint=steps[-1].after)
 
-    def removable_pairs(
-        self, kind: OperatorKind, masks: tuple[int, ...]
-    ) -> Iterator[tuple[int, int]]:
-        """(player, strategy) pairs with a dominator, lowest player then strategy."""
-        for player, kept_mask in enumerate(masks):
-            pool_mask = kept_mask if kind.pool is Pool.LOCAL else self.full_masks[player]
-            if kept_mask == 0:
-                continue
-            opp_masks = masks[:player] + masks[player + 1 :]
-            for target in indices_of(kept_mask):
-                if (
-                    self.dominator(player, target, pool_mask, opp_masks, kind.mode, kind.mixing)
-                    is not None
-                ):
-                    yield (player, target)
-
     def iterate_one_at_a_time(
         self, kind: OperatorKind, policy: Deterministic | Seeded
     ) -> IterationTrace:
@@ -346,32 +288,16 @@ class EliminationEngine:
         current = Restriction.full(self.game)
         steps = []
         while True:
-            masks = restriction_masks(current)
-            pairs = list(self.removable_pairs(kind, masks))
-            if not pairs:
-                steps.append(EliminationStep(before=current, after=current, certificates=()))
+            step = self.step(kind, current)
+            if not step.changed:
+                steps.append(step)
                 break
-            player, target = pairs[rng.randrange(len(pairs))] if rng else pairs[0]
-            pool_mask = masks[player] if kind.pool is Pool.LOCAL else self.full_masks[player]
-            opp_masks = masks[:player] + masks[player + 1 :]
-            dominator = self.dominator(
-                player, target, pool_mask, opp_masks, kind.mode, kind.mixing
-            )
-            assert dominator is not None
-            after_masks = list(masks)
-            after_masks[player] = masks[player] & ~(1 << target)
-            after = masks_to_restriction(self.game, tuple(after_masks))
-            certificate = EliminationCertificate(
-                player=player,
-                eliminated=target,
-                dominator=dominator,
-                mode=kind.mode,
-                pool=kind.pool,
-                context=current,
-            )
-            steps.append(
-                EliminationStep(before=current, after=after, certificates=(certificate,))
-            )
+            removable = step.certificates
+            chosen = removable[rng.randrange(len(removable))] if rng else removable[0]
+            after_masks = list(current.masks)
+            after_masks[chosen.player] &= ~(1 << chosen.eliminated)
+            after = Restriction.from_masks(self.game, after_masks)
+            steps.append(EliminationStep(before=current, after=after, certificates=(chosen,)))
             current = after
             assert len(steps) <= self.game.total_strategies + 1
         return IterationTrace(operator=kind, steps=tuple(steps), fixpoint=steps[-1].after)

@@ -77,23 +77,38 @@ class GeneratorConfig:
         }
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "GeneratorConfig":
-        def pair(value: object, fallback: tuple[int, int]) -> tuple[int, int]:
+    def from_json_dict(cls, doc: object) -> "GeneratorConfig":
+        """Parse a JSON config object; any malformed field raises ValueError."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"generator config must be a JSON object, got {doc!r}")
+
+        def number(key: str, convert: type, value: object) -> int | float:
+            try:
+                return convert(value)
+            except (TypeError, ValueError, OverflowError):
+                raise ValueError(
+                    f"config field {key!r}: expected {convert.__name__}, got {value!r}"
+                ) from None
+
+        def pair(key: str, fallback: tuple[int, int]) -> tuple[int, int]:
+            value = doc.get(key)
             if value is None:
                 return fallback
             if isinstance(value, int):
                 return (value, value)
             if isinstance(value, (list, tuple)) and len(value) == 2:
-                return (int(value[0]), int(value[1]))
-            raise ValueError(f"expected an integer or a [lo, hi] pair, got {value!r}")
+                return (number(key, int, value[0]), number(key, int, value[1]))
+            raise ValueError(
+                f"config field {key!r}: expected an integer or a [lo, hi] pair, got {value!r}"
+            )
 
         defaults = cls(seed=0)
         return cls(
-            seed=int(doc.get("seed", 0)),
-            players=pair(doc.get("players"), defaults.players),
-            strategies=pair(doc.get("strategies"), defaults.strategies),
-            payoff_range=pair(doc.get("payoffs"), defaults.payoff_range),
-            tie_bias=float(doc.get("tie_bias", defaults.tie_bias)),
+            seed=number("seed", int, doc.get("seed", 0)),
+            players=pair("players", defaults.players),
+            strategies=pair("strategies", defaults.strategies),
+            payoff_range=pair("payoffs", defaults.payoff_range),
+            tie_bias=number("tie_bias", float, doc.get("tie_bias", defaults.tie_bias)),
             distinct_payoffs=bool(doc.get("distinct_payoffs", False)),
         )
 

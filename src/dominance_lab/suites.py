@@ -29,10 +29,8 @@ from .operators import (
     MLS,
     MLW,
     IterationTrace,
-    restriction_masks,
 )
 from .random_games import GeneratorConfig, generate
-from .simplex import EQ, GE, Constraint, LinearProgram, solve_lp
 
 __all__ = [
     "DEFAULT_SEED",
@@ -120,14 +118,6 @@ class SuiteReport:
             "empty_opponent_queries": self.empty_opponent_queries,
             "checks": [c.to_dict() for c in self.checks],
         }
-
-
-def _kept_labels(restriction: Restriction) -> tuple[tuple[str, ...], ...]:
-    game = restriction.game
-    return tuple(
-        tuple(game.strategies[i][s] for s in kept)
-        for i, kept in enumerate(restriction.kept)
-    )
 
 
 def paper_suite(seed: int | None = None) -> SuiteReport:
@@ -241,15 +231,18 @@ def paper_suite(seed: int | None = None) -> SuiteReport:
     )
 
     # Global/local fixpoint equalities.
-    for game_name, game in (("g1", g1), ("g2", g2)):
-        eq = analysis.verify_global_local_equalities(game)
+    equalities = {
+        game_name: analysis.verify_global_local_equalities(game)
+        for game_name, game in (("g1", g1), ("g2", g2))
+    }
+    for game_name, eq in equalities.items():
         report.add(f"global/local fixpoint equalities on {game_name}", eq.all_hold,
                    equalities=eq.equalities)
-    eq2 = analysis.verify_global_local_equalities(g2)
+    g2_traces = equalities["g2"].traces
     report.add(
         "GW and LW fixpoints on g2 equal A x X",
-        eq2.traces["GW"].fixpoint.kept == ((0,), (0,))
-        and eq2.traces["LW"].fixpoint.kept == ((0,), (0,)),
+        g2_traces["GW"].fixpoint.kept == ((0,), (0,))
+        and g2_traces["LW"].fixpoint.kept == ((0,), (0,)),
     )
 
     report.tally_certificates(traces1.values())
@@ -331,8 +324,8 @@ def _check_one_game(game: Game, report_rows: list[str]) -> tuple[bool, Eliminati
     iterates = {}
     for trace in traces.values():
         for step in trace.steps:
-            iterates[restriction_masks(step.before)] = None
-        iterates[restriction_masks(trace.fixpoint)] = None
+            iterates[step.before.masks] = None
+        iterates[trace.fixpoint.masks] = None
     for masks in iterates:
         results = {
             kind.name: engine.survivors(kind, masks)
@@ -396,19 +389,8 @@ def theorem_suite(
 def _hand_lp_checks(report: SuiteReport) -> None:
     """The two hand-derived dominance programs with known optima."""
     # Strict: rows T=(3,0), M=(0,3), B=(1,1); target B; pool T, M, B.
-    margins = ((2, -1), (-1, 2), (0, 0))
-    constraints = [
-        Constraint(tuple(Fraction(margins[j][c]) for j in range(3)) + (Fraction(-1),), GE, Fraction(0))
-        for c in range(2)
-    ]
-    constraints.append(Constraint((Fraction(1),) * 3 + (Fraction(0),), EQ, Fraction(1)))
-    strict = solve_lp(
-        LinearProgram(
-            objective=(Fraction(0),) * 3 + (Fraction(1),),
-            constraints=tuple(constraints),
-            free=frozenset({3}),
-        )
-    )
+    margins = [tuple(map(Fraction, row)) for row in ((2, -1), (-1, 2), (0, 0))]
+    strict = dominance._solve_dominance_program(margins, 2, Mode.STRICT)
     report.add(
         "hand LP: strict 3x2 program has optimum 1/2",
         strict.status == "optimal" and strict.value == Fraction(1, 2),
@@ -417,24 +399,9 @@ def _hand_lp_checks(report: SuiteReport) -> None:
 
     # Weak: example41 rows vs target C; margins per profile X, Y, Z.
     g2 = builtin_game("example41")
-    target_col = [g2.payoffs[0][g2.flat_index((2, c))] for c in range(3)]
-    pool_cols = [
-        [g2.payoffs[0][g2.flat_index((s, c))] for c in range(3)] for s in range(4)
-    ]
-    margins2 = [
-        tuple(pool_cols[s][c] - target_col[c] for c in range(3)) for s in range(4)
-    ]
-    constraints2 = [
-        Constraint(tuple(margins2[s][c] for s in range(4)), GE, Fraction(0))
-        for c in range(3)
-    ]
-    constraints2.append(Constraint((Fraction(1),) * 4, EQ, Fraction(1)))
-    weak = solve_lp(
-        LinearProgram(
-            objective=tuple(sum(margins2[s], Fraction(0)) for s in range(4)),
-            constraints=tuple(constraints2),
-        )
-    )
+    rows = [[g2.payoffs[0][g2.flat_index((s, c))] for c in range(3)] for s in range(4)]
+    margins = [tuple(a - b for a, b in zip(row, rows[2])) for row in rows]
+    weak = dominance._solve_dominance_program(margins, 3, Mode.WEAK)
     report.add(
         "hand LP: weak target-C program has optimum 1",
         weak.status == "optimal" and weak.value == 1,
@@ -531,24 +498,28 @@ def run_suite(
     games: int | None = None,
     theorem_config: dict | None = None,
 ) -> SuiteReport:
-    """Run one named suite (or every suite under ``all``)."""
+    """Run one named suite (or every suite under ``all``).
+
+    ``games`` overrides each suite's own random-game count when it is not None.
+    """
     seed = seed if seed is not None else default_seed()
+    count = {} if games is None else {"games": games}
     if name == "paper":
         return paper_suite(seed)
     if name == "monotonicity":
-        return monotonicity_suite(seed, games=games or 100)
+        return monotonicity_suite(seed, **count)
     if name == "theorems":
-        return theorem_suite(seed, games=games or 500, **(theorem_config or {}))
+        return theorem_suite(seed, **count, **(theorem_config or {}))
     if name == "oracle":
-        return oracle_suite(seed, games=games or 100)
+        return oracle_suite(seed, **count)
     if name == "determinism":
         return determinism_suite(seed)
     if name == "all":
         combined = SuiteReport(suite="all", seed=seed)
         combined.absorb(paper_suite(seed))
-        combined.absorb(monotonicity_suite(seed, games=games or 100))
-        combined.absorb(theorem_suite(seed, games=games or 500, **(theorem_config or {})))
-        combined.absorb(oracle_suite(seed, games=games or 100))
+        combined.absorb(monotonicity_suite(seed, **count))
+        combined.absorb(theorem_suite(seed, **count, **(theorem_config or {})))
+        combined.absorb(oracle_suite(seed, **count))
         combined.absorb(determinism_suite(seed))
         return combined
     raise ValueError(f"unknown suite {name!r} (expected one of {', '.join(SUITE_NAMES)})")

@@ -1,14 +1,19 @@
+import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dominance_lab.cli import load_game, run
 from dominance_lab.game_model import GameFormatError
+from dominance_lab.suites import run_suite
 
 
 @pytest.fixture(scope="session")
@@ -166,6 +171,72 @@ class TestVerifyAndPaperExamples:
         code, text = run_cli("verify", "--suite", "determinism", "--seed", "7")
         assert code == 0
         assert json.loads(text)["seed"] == 7
+
+
+class TestCountFlags:
+    @pytest.mark.parametrize("suite", ["monotonicity", "theorems", "oracle"])
+    @pytest.mark.parametrize("games", ["0", "-1"])
+    def test_games_below_one_exits_1(self, suite, games):
+        assert run_cli("verify", "--suite", suite, "--games", games) == (1, "")
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_samples_below_one_exits_1(self, g1_path, samples):
+        code, text = run_cli(
+            "check-monotonic", "--operator", "ls", g1_path,
+            "--budget", "sampled", "--samples", samples,
+        )
+        assert (code, text) == (1, "")
+
+    def test_run_suite_defaults_only_on_none(self):
+        report = run_suite("theorems", seed=1, games=0)
+        assert report.checks[0].name == "theorem and chain properties on 0 random games"
+
+
+def run_cli_stderr(*argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, text = run_cli(*argv)
+    return code, text, err.getvalue()
+
+
+class TestVerifyConfigErrors:
+    @pytest.mark.parametrize(
+        "config",
+        ['[1]', '"x"', 'null', '{"seed": [1]}', '{"players": [2, null]}',
+         '{"seed": 1e400}', '{"tie_bias": [1]}'],
+    )
+    def test_malformed_config_exits_1(self, config):
+        code, text, err = run_cli_stderr(
+            "verify", "--suite", "theorems", "--games", "1", "--config", config
+        )
+        assert (code, text) == (1, "")
+        assert err.startswith("error: ")
+
+    json_values = st.recursive(
+        st.none()
+        | st.booleans()
+        | st.integers(-2, 4)
+        | st.floats(-2, 4)
+        | st.sampled_from([math.inf, -math.inf, math.nan])
+        | st.text(max_size=3),
+        lambda children: st.lists(children, max_size=3)
+        | st.dictionaries(
+            st.sampled_from(["seed", "players", "strategies", "payoffs", "tie_bias",
+                             "distinct_payoffs"]) | st.text(max_size=3),
+            children,
+            max_size=4,
+        ),
+        max_leaves=8,
+    )
+
+    @settings(max_examples=30, deadline=None)
+    @given(json_values)
+    def test_any_json_config_exits_cleanly(self, config):
+        code, _, err = run_cli_stderr(
+            "verify", "--suite", "theorems", "--games", "1", "--config", json.dumps(config)
+        )
+        assert code in (0, 1)
+        assert "Traceback" not in err
 
 
 class TestLoadGameErrors:

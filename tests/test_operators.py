@@ -27,7 +27,7 @@ from dominance_lab import (
     payoff,
     restriction_of,
 )
-from dominance_lab.operators import EliminationEngine, restriction_masks
+from dominance_lab.operators import EliminationEngine
 from dominance_lab.random_games import GeneratorConfig, generate
 
 
@@ -211,7 +211,7 @@ class TestOperatorProperties:
         iterates = set()
         for kind in ALL_OPERATORS:
             for step in engine.iterate(kind).steps:
-                iterates.add(restriction_masks(step.before))
+                iterates.add(step.before.masks)
         for masks in iterates:
             chain = {k.name: engine.survivors(k, masks) for k in (MLW, LW, LS, MLS)}
             for small, large in (("MLW", "LW"), ("LW", "LS"), ("MLW", "MLS"), ("MLS", "LS")):
