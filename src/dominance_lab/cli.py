@@ -241,6 +241,20 @@ def _run_parsed(args: argparse.Namespace, out: TextIO) -> int:
             "witness": witness.to_dict() if witness else None,
         }
     elif args.command == "verify":
+        generator_flags = {
+            "--players": args.players,
+            "--strategies": args.strategies,
+            "--payoffs": args.payoffs,
+            "--tie-bias": args.tie_bias,
+            "--config": args.config,
+        }
+        unused = [] if args.suite in ("theorems", "all") else [
+            flag for flag, value in generator_flags.items() if value is not None
+        ]
+        if args.games is not None and args.suite in ("paper", "determinism"):
+            unused.append("--games")
+        if unused:
+            raise ValueError(f"--suite {args.suite} does not use {', '.join(unused)}")
         theorem_config = {}
         if args.config:
             base = GeneratorConfig.from_json_dict(json.loads(args.config))

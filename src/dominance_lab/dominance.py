@@ -7,9 +7,28 @@ readings are taken literally, which fixes the edge case of an empty
 opponent-profile set: the universally quantified strict condition is
 vacuously true, while the weak condition fails for lack of a witness.
 
-Mixed dominators are found with an exact linear program (see
-:mod:`dominance_lab.simplex`); ties are semantically meaningful for weak
-dominance, so no float ever participates in a decision.
+A mixed-dominator query works on the margins ``a_jc``: the payoff of pool
+strategy ``j`` minus the target's at opponent profile ``c``, multiplied by
+one least common denominator so that every margin is an int.  It then
+tries, in order:
+
+- a pure dominator (a pool strategy whose margins already dominate);
+- the prefilter: a profile at which every margin is ``<= 0`` (strict) or
+  ``< 0`` (weak) rules out every mixture, and the query ends without an LP;
+- an exact LP over unnormalised pool weights ``v >= 0``, solved by
+  :func:`dominance_lab.simplex.solve_lp`:
+
+  - strict: ``max s``  s.t.  ``s - sum_j a_jc v_j <= 0`` for every ``c``
+    and ``sum v <= 1``;
+  - weak: ``max sum_c sum_j a_jc v_j``  s.t.  ``-sum_j a_jc v_j <= 0``
+    for every ``c`` and ``sum v <= 1``.
+
+  Both programs are homogeneous with a right-hand side of 0 or 1, so the
+  origin is a feasible start.  The target is dominated exactly when the
+  optimum is positive, and then ``sum v = 1`` and ``v`` is the witness.
+
+Ties are semantically meaningful for weak dominance, so no float ever
+participates in a decision.
 """
 
 from __future__ import annotations
@@ -17,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Sequence
 
 from .game_model import (
@@ -27,25 +47,14 @@ from .game_model import (
     format_rational,
     opponent_profiles,
 )
-from .simplex import (
-    EQ,
-    GE,
-    Constraint,
-    LinearProgram,
-    LpResult,
-    UnboundedProgramError,
-    solve_lp,
-)
+from .simplex import LpResult, solve_lp
 
 __all__ = [
-    "Constraint",
     "EliminationCertificate",
-    "LinearProgram",
     "LpResult",
     "Mode",
     "NoCandidatesError",
     "Pool",
-    "UnboundedProgramError",
     "dominates",
     "enumerate_mixtures",
     "find_mixed_dominator",
@@ -55,7 +64,6 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class Mode(Enum):
@@ -142,6 +150,14 @@ def _pure_dominator(
     return None
 
 
+def _scaled(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """The rows times their least common denominator, as ints, and that denominator."""
+    # A set, so that lcm gets one argument per distinct denominator rather
+    # than a tuple as long as the table.
+    scale = lcm(*{a.denominator for row in rows for a in row})
+    return [[a.numerator * (scale // a.denominator) for a in row] for row in rows], scale
+
+
 def _mixed_dominator(
     game: Game,
     player: int,
@@ -157,62 +173,55 @@ def _mixed_dominator(
         if mode is Mode.WEAK:
             return None
         return MixedStrategy.point_mass(player, min(pool))
-    pure = _pure_dominator(game, player, target, pool, bases, mode)
-    if pure is not None:
-        return MixedStrategy.point_mass(player, pure)
-    target_col = _column(game, player, target, bases)
-    margins = [
-        tuple(a - b for a, b in zip(_column(game, player, s, bases), target_col))
-        for s in pool
-    ]
-    result = _solve_dominance_program(margins, len(bases), mode)
-    if result.value is None or result.value <= 0:
-        return None
-    return MixedStrategy(
-        player,
-        tuple((pool[j], w) for j, w in enumerate(result.assignment[: len(pool)]) if w),
+    # Integer margins: the pure scan, the prefilter and the program compare ints.
+    (target_col, *columns), _ = _scaled(
+        [_column(game, player, s, bases) for s in (target, *pool)]
     )
+    margins = [tuple(a - t for a, t in zip(col, target_col)) for col in columns]
+    zero = (0,) * len(bases)
+    for s, row in zip(pool, margins):
+        if _beats(row, zero, mode):
+            return MixedStrategy.point_mass(player, s)
+    # Prefilter: a profile at which every margin is <= 0 (strict) or < 0
+    # (weak) refutes every mixture, so no LP is needed.  For ints, <= 0 is < 1.
+    bound = 1 if mode is Mode.STRICT else 0
+    for c in range(len(bases)):
+        if all(row[c] < bound for row in margins):
+            return None
+    result = _solve_dominance_program(margins, len(bases), mode)
+    if result.value <= 0:
+        return None
+    return MixedStrategy(player, tuple((s, w) for s, w in zip(pool, result.assignment) if w))
 
 
 def _solve_dominance_program(
-    margins: list[tuple[Fraction, ...]],
+    margins: Sequence[Sequence[Fraction]],
     profile_count: int,
     mode: Mode,
 ) -> LpResult:
     """Solve the dominance program; a positive optimum means the target is dominated.
 
     ``margins[j][c]`` is the payoff advantage of pool strategy j over the
-    target at opponent profile c.  The first ``len(margins)`` entries of an
-    optimal assignment are the pool weights.
+    target at opponent profile c.  The value is in the units of the margins.
+    The assignment holds the pool weights ``v``; both programs are
+    homogeneous in ``v``, so at a positive optimum ``sum(v) = 1`` and the
+    weights are a dominating mixture.
     """
-    m = len(margins)
-    simplex_row = Constraint((_ONE,) * m + ((_ZERO,) if mode is Mode.STRICT else ()), EQ, _ONE)
+    columns, scale = _scaled(margins)
+    m = len(columns)
+    rows = [[-col[c] for col in columns] for c in range(profile_count)]
     if mode is Mode.STRICT:
-        # maximize eps subject to (margins . w) - eps >= 0 per profile.
-        constraints = [
-            Constraint(tuple(margins[j][c] for j in range(m)) + (Fraction(-1),), GE, _ZERO)
-            for c in range(profile_count)
-        ]
-        constraints.append(simplex_row)
-        program = LinearProgram(
-            objective=(_ZERO,) * m + (_ONE,),
-            constraints=tuple(constraints),
-            free=frozenset({m}),
-        )
-        result = solve_lp(program)
-        assert result.status == "optimal", "strict dominance program is always feasible"
-        return result
-    # Weak: maximize total slack subject to every slack nonnegative.
-    constraints = [
-        Constraint(tuple(margins[j][c] for j in range(m)), GE, _ZERO)
-        for c in range(profile_count)
-    ]
-    constraints.append(simplex_row)
-    program = LinearProgram(
-        objective=tuple(sum(margins[j], _ZERO) for j in range(m)),
-        constraints=tuple(constraints),
-    )
-    return solve_lp(program)
+        # max s  s.t.  s - sum_j a_jc v_j <= 0 per profile c,  sum v <= 1.
+        for row in rows:
+            row.append(1)
+        rows.append([1] * m + [0])
+        objective = [0] * m + [1]
+    else:
+        # max sum_c sum_j a_jc v_j  s.t.  -sum_j a_jc v_j <= 0 per c,  sum v <= 1.
+        rows.append([1] * m)
+        objective = [sum(col) for col in columns]
+    result = solve_lp(rows, [0] * profile_count + [1], objective)
+    return LpResult(result.value / scale, result.assignment[:m])
 
 
 def _pool_indices(restriction: Restriction, player: int, pool: Pool) -> tuple[int, ...]:
@@ -329,15 +338,20 @@ class EliminationCertificate:
 
 
 def replay_certificate(certificate: EliminationCertificate) -> bool:
-    """Re-verify a certificate exactly: pool membership plus the inequalities."""
+    """Re-verify a certificate exactly: pool membership plus the inequalities.
+
+    A certificate naming a player or strategy outside the game does not replay.
+    """
     restriction = certificate.context
     player = certificate.player
+    if not 0 <= player < restriction.game.player_count:
+        return False
     if certificate.eliminated not in restriction.kept[player]:
         return False
     allowed = set(_pool_indices(restriction, player, certificate.pool))
     dominator = certificate.dominator
     if isinstance(dominator, MixedStrategy):
-        if not set(dominator.support) <= allowed:
+        if dominator.player != player or not set(dominator.support) <= allowed:
             return False
     elif dominator not in allowed:
         return False

@@ -209,31 +209,37 @@ class Game:
         strings).
         """
         shape = tuple(len(s) for s in strategies)
-        n = len(players)
-        flat: list[list[Fraction]] = [[] for _ in range(n)]
-
-        def walk(node: object, depth: int, path: str) -> None:
-            if depth == len(shape):
-                if not isinstance(node, (list, tuple)) or len(node) != n:
-                    raise GameFormatError(
-                        f"payoff tensor shape mismatch at {path}: "
-                        f"expected a list of {n} payoffs"
-                    )
-                for i, entry in enumerate(node):
-                    flat[i].append(
-                        entry if isinstance(entry, Fraction) else parse_rational(entry)
-                    )
-                return
-            if not isinstance(node, (list, tuple)) or len(node) != shape[depth]:
-                raise GameFormatError(
-                    f"payoff tensor shape mismatch at {path}: "
-                    f"expected {shape[depth]} entries"
-                )
-            for j, child in enumerate(node):
-                walk(child, depth + 1, f"{path}[{j}]")
-
-        walk(table, 0, "payoffs")
+        flat: list[list[Fraction]] = [[] for _ in players]
+        _flatten_payoffs(table, shape, flat, "payoffs")
         return cls(tuple(players), tuple(tuple(s) for s in strategies), tuple(tuple(t) for t in flat))
+
+
+def _flatten_payoffs(
+    node: object, shape: tuple[int, ...], flat: list[list[Fraction]], path: str
+) -> None:
+    """Append the leaves of the nested table ``node`` to ``flat``, one list per player.
+
+    A module-level function rather than a recursive closure, which would
+    form a reference cycle that keeps every parsed table alive until a full
+    garbage collection.
+    """
+    n = len(flat)
+    if not shape:
+        if not isinstance(node, (list, tuple)) or len(node) != n:
+            raise GameFormatError(
+                f"payoff tensor shape mismatch at {path}: "
+                f"expected a list of {n} payoffs"
+            )
+        for i, entry in enumerate(node):
+            flat[i].append(entry if isinstance(entry, Fraction) else parse_rational(entry))
+        return
+    if not isinstance(node, (list, tuple)) or len(node) != shape[0]:
+        raise GameFormatError(
+            f"payoff tensor shape mismatch at {path}: "
+            f"expected {shape[0]} entries"
+        )
+    for j, child in enumerate(node):
+        _flatten_payoffs(child, shape[1:], flat, f"{path}[{j}]")
 
 
 def indices_of(mask: int) -> tuple[int, ...]:

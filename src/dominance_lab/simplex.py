@@ -1,15 +1,19 @@
-"""Exact rational linear programming via the two-phase simplex method.
+"""Exact single-phase simplex for ``max c.x  s.t.  A x <= b,  x >= 0``.
 
-Everything is ``fractions.Fraction``; there is no tolerance anywhere.
-Pivoting follows Bland's rule (lowest eligible variable index enters, ratio
-ties broken by lowest basic variable index), which makes the solver both
-deterministic and immune to cycling.
+The dominance programs of :mod:`dominance_lab.dominance` are homogeneous:
+every row is a ``<=`` row whose right-hand side is 0 or 1.  So ``b >= 0``,
+the origin is feasible and the slack basis is a starting vertex; there is
+no phase 1, no artificial variable and no free variable.
 
-The solver targets the small dominance programs built elsewhere in this
-package: a handful of weight variables on a probability simplex plus one
-inequality per opponent profile.  It is general enough for any bounded
-program in the supported form, but no effort is spent on large-scale
-performance.
+``A``, ``b`` and ``c`` are Python ints and the pivoting is fraction-free
+(Bareiss 1968, as in Avis's lrs): the tableau holds integers equal to the
+true tableau times ``d``, the determinant of the current basis, which is
+positive because every pivot is.  A pivot updates each entry by one exact
+integer division by the previous ``d``, and the ratio test compares
+``rhs / entry`` by cross-multiplying, so no rational is built until the
+answer is read out.  Bland's rule (the lowest-indexed improving variable
+enters; ratio ties leave by the lowest basic index) makes the result
+deterministic and rules out cycling.
 """
 
 from __future__ import annotations
@@ -18,270 +22,83 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-__all__ = [
-    "Constraint",
-    "EQ",
-    "GE",
-    "LE",
-    "LinearProgram",
-    "LpResult",
-    "UnboundedProgramError",
-    "solve_lp",
-]
-
-LE = "<="
-GE = ">="
-EQ = "="
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-class UnboundedProgramError(RuntimeError):
-    """The objective is unbounded above; dominance programs never are."""
-
-
-@dataclass(frozen=True)
-class Constraint:
-    coeffs: tuple[Fraction, ...]
-    relation: str
-    rhs: Fraction
-
-    def __post_init__(self) -> None:
-        if self.relation not in (LE, GE, EQ):
-            raise ValueError(f"unknown relation {self.relation!r}")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
-        object.__setattr__(self, "rhs", Fraction(self.rhs))
-
-
-@dataclass(frozen=True)
-class LinearProgram:
-    """Maximize ``objective . x`` subject to the constraints.
-
-    Variables are nonnegative unless their index appears in ``free``.
-    """
-
-    objective: tuple[Fraction, ...]
-    constraints: tuple[Constraint, ...]
-    free: frozenset[int] = frozenset()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "objective", tuple(Fraction(c) for c in self.objective))
-        object.__setattr__(self, "constraints", tuple(self.constraints))
-        object.__setattr__(self, "free", frozenset(self.free))
-        n = len(self.objective)
-        for c in self.constraints:
-            if len(c.coeffs) != n:
-                raise ValueError("constraint length does not match variable count")
-        if any(not 0 <= j < n for j in self.free):
-            raise ValueError("free variable index out of range")
+__all__ = ["LpResult", "solve_lp"]
 
 
 @dataclass(frozen=True)
 class LpResult:
-    status: str  # "optimal" | "infeasible"
-    value: Fraction | None
-    assignment: tuple[Fraction, ...] | None
+    """The optimum and an optimal assignment of a solved program."""
+
+    value: Fraction
+    assignment: tuple[Fraction, ...]
 
 
-def _pivot(
-    rows: list[list[Fraction]],
-    basis: list[int],
-    reduced: list[Fraction],
-    pi: int,
-    pj: int,
-) -> Fraction:
-    """Pivot on (pi, pj); returns the objective gain reduced[pj] * new rhs."""
-    prow = rows[pi]
-    inv = _ONE / prow[pj]
-    if inv != 1:
-        rows[pi] = prow = [x * inv for x in prow]
-    for k, row in enumerate(rows):
-        if k == pi:
+def _pivot(rows: list[list[int]], r: int, k: int, d: int) -> int:
+    """Integer pivot on row ``r``, column ``k`` of a dictionary tableau.
+
+    Columns are the nonbasic variables plus the right-hand side last; the
+    objective row is in ``rows`` too.  After the pivot, column ``k`` holds
+    the leaving variable.  Returns the new determinant, the pivot entry.
+    """
+    prow = rows[r]
+    p = prow[k]
+    for i, row in enumerate(rows):
+        if i == r:
             continue
-        f = row[pj]
+        f = row[k]
         if f:
-            rows[k] = [a - f * b for a, b in zip(row, prow)]
-    gain = _ZERO
-    f = reduced[pj]
-    if f:
-        for j, b in enumerate(prow[:-1]):
-            if b:
-                reduced[j] -= f * b
-        gain = f * prow[-1]
-    basis[pi] = pj
-    return gain
+            new = [(a * p - f * b) // d for a, b in zip(row, prow)]
+        else:
+            new = [a * p // d for a in row]
+        new[k] = -f
+        rows[i] = new
+    prow[k] = d
+    return p
 
 
-def _optimize(
-    rows: list[list[Fraction]],
-    basis: list[int],
-    reduced: list[Fraction],
-    allowed: Sequence[bool],
-) -> tuple[Fraction, bool]:
-    """Run Bland pivots to optimality; returns (total gain, bounded flag)."""
-    gain = _ZERO
+def solve_lp(a: Sequence[Sequence[int]], b: Sequence[int], c: Sequence[int]) -> LpResult:
+    """Maximise ``c.x`` subject to ``a x <= b`` and ``x >= 0``, exactly.
+
+    Raises ``ValueError`` when some ``b`` is negative (the origin is then not
+    a feasible start) or when the objective is unbounded.
+    """
+    if any(x < 0 for x in b):
+        raise ValueError("right-hand side must be nonnegative")
+    n = len(c)
+    m = len(a)
+    rows = [list(row) + [rhs] for row, rhs in zip(a, b)]
+    rows.append([-x for x in c] + [0])
+    basis = list(range(n, n + m))  # the slack of row i is variable n + i
+    cobasis = list(range(n))
+    objective = rows[m]
+    d = 1
     while True:
         enter = -1
-        for j, r in enumerate(reduced):
-            if allowed[j] and r > 0:
+        for j, reduced in enumerate(objective[:-1]):
+            if reduced < 0 and (enter < 0 or cobasis[j] < cobasis[enter]):
                 enter = j
-                break
         if enter < 0:
-            return gain, True
+            break
         leave = -1
-        best_ratio = _ZERO
-        best_var = -1
-        for i, row in enumerate(rows):
-            a = row[enter]
-            if a > 0:
-                ratio = row[-1] / a
-                if leave < 0 or ratio < best_ratio or (
-                    ratio == best_ratio and basis[i] < best_var
-                ):
-                    leave, best_ratio, best_var = i, ratio, basis[i]
+        for i in range(m):
+            row = rows[i]
+            x = row[enter]
+            if x > 0:
+                if leave < 0:
+                    leave = i
+                    continue
+                best = rows[leave]
+                lhs = row[-1] * best[enter]
+                rhs = best[-1] * x
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave = i
         if leave < 0:
-            return gain, False
-        gain += _pivot(rows, basis, reduced, leave, enter)
-
-
-def solve_lp(program: LinearProgram) -> LpResult:
-    """Solve a maximization program exactly.
-
-    Returns an optimal value and assignment, or an infeasibility result.
-    Raises :class:`UnboundedProgramError` when the objective is unbounded,
-    which callers in this package treat as an internal error.
-    """
-    n = len(program.objective)
-
-    # Split free variables into differences of nonnegatives.
-    neg_col: dict[int, int] = {}
-    ncols = n
-    for j in sorted(program.free):
-        neg_col[j] = ncols
-        ncols += 1
-
-    # Normalize rows: nonnegative rhs; ">= 0" rows become "<= 0" so that a
-    # slack can start basic and no artificial is needed.
-    norm: list[tuple[list[Fraction], str, Fraction]] = []
-    for c in program.constraints:
-        coeffs = [_ZERO] * ncols
-        for j, a in enumerate(c.coeffs):
-            coeffs[j] = a
-            if j in neg_col:
-                coeffs[neg_col[j]] = -a
-        rel, rhs = c.relation, c.rhs
-        if rhs < 0 or (rhs == 0 and rel == GE):
-            coeffs = [-a for a in coeffs]
-            rhs = -rhs
-            rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-        norm.append((coeffs, rel, rhs))
-
-    m = len(norm)
-    if m == 0:
-        if any(program.objective[j] > 0 for j in range(n)) or any(
-            program.objective[j] != 0 for j in program.free
-        ):
-            raise UnboundedProgramError("no constraints bound the objective")
-        return LpResult("optimal", _ZERO, tuple([_ZERO] * n))
-
-    slack_col = [-1] * m
-    for i, (_, rel, _) in enumerate(norm):
-        if rel in (LE, GE):
-            slack_col[i] = ncols
-            ncols += 1
-    art_col = [-1] * m
-    for i, (_, rel, _) in enumerate(norm):
-        if rel in (GE, EQ):
-            art_col[i] = ncols
-            ncols += 1
-
-    rows: list[list[Fraction]] = []
-    basis: list[int] = []
-    for i, (coeffs, rel, rhs) in enumerate(norm):
-        row = coeffs + [_ZERO] * (ncols - len(coeffs)) + [rhs]
-        if rel == LE:
-            row[slack_col[i]] = _ONE
-            basis.append(slack_col[i])
-        elif rel == GE:
-            row[slack_col[i]] = Fraction(-1)
-            row[art_col[i]] = _ONE
-            basis.append(art_col[i])
-        else:
-            row[art_col[i]] = _ONE
-            basis.append(art_col[i])
-        rows.append(row)
-
-    is_artificial = [False] * ncols
-    for col in art_col:
-        if col >= 0:
-            is_artificial[col] = True
-
-    # Phase 1: maximize minus the sum of artificials (price out basic ones).
-    if any(col >= 0 for col in art_col):
-        reduced = [_ZERO] * ncols
-        value = _ZERO
-        for i, row in enumerate(rows):
-            if is_artificial[basis[i]]:
-                for j in range(ncols):
-                    reduced[j] += row[j]
-                value -= row[-1]
-        for col in art_col:
-            if col >= 0:
-                reduced[col] -= 1
-        for i in range(len(basis)):
-            reduced[basis[i]] = _ZERO
-        allowed = [True] * ncols
-        gain, bounded = _optimize(rows, basis, reduced, allowed)
-        assert bounded, "phase 1 objective is bounded by construction"
-        if value + gain < 0:
-            return LpResult("infeasible", None, None)
-        # Drive leftover (degenerate) artificials out of the basis.
-        drop: list[int] = []
-        for i in range(len(rows)):
-            if not is_artificial[basis[i]]:
-                continue
-            pivot_j = next(
-                (j for j in range(ncols) if not is_artificial[j] and rows[i][j] != 0),
-                -1,
-            )
-            if pivot_j < 0:
-                drop.append(i)  # redundant constraint
-            else:
-                _pivot(rows, basis, reduced, i, pivot_j)
-        for i in reversed(drop):
-            del rows[i]
-            del basis[i]
-
-    # Phase 2: the real objective over the current basis.
-    cost = [_ZERO] * ncols
-    for j in range(n):
-        cost[j] = program.objective[j]
-        if j in neg_col:
-            cost[neg_col[j]] = -program.objective[j]
-    reduced = list(cost)
-    value = _ZERO
-    for i, row in enumerate(rows):
-        cb = cost[basis[i]]
-        if cb:
-            value += cb * row[-1]
-            for j in range(ncols):
-                reduced[j] -= cb * row[j]
-    allowed = [not a for a in is_artificial]
-    gain, bounded = _optimize(rows, basis, reduced, allowed)
-    if not bounded:
-        raise UnboundedProgramError("objective is unbounded above")
-    value += gain
-
-    extended = [_ZERO] * ncols
-    for i, row in enumerate(rows):
-        extended[basis[i]] = row[-1]
-    assignment = []
-    for j in range(n):
-        x = extended[j]
-        if j in neg_col:
-            x -= extended[neg_col[j]]
-        assignment.append(x)
-    check = sum((c * x for c, x in zip(program.objective, assignment)), _ZERO)
-    assert check == value, "objective value mismatch after extraction"
-    return LpResult("optimal", value, tuple(assignment))
+            raise ValueError("objective is unbounded above")
+        d = _pivot(rows, leave, enter, d)
+        objective = rows[m]
+        basis[leave], cobasis[enter] = cobasis[enter], basis[leave]
+    assignment = [Fraction(0)] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            assignment[var] = Fraction(rows[i][-1], d)
+    return LpResult(Fraction(objective[-1], d), tuple(assignment))

@@ -239,6 +239,34 @@ class TestVerifyConfigErrors:
         assert "Traceback" not in err
 
 
+class TestVerifyUnusedFlags:
+    @pytest.mark.parametrize("suite", ["paper", "monotonicity", "oracle", "determinism"])
+    @pytest.mark.parametrize(
+        "flag",
+        [["--players", "3..3"], ["--strategies", "2..3"], ["--payoffs=-2..2"],
+         ["--tie-bias", "0.5"], ["--config", "{}"]],
+    )
+    def test_generator_flag_outside_theorems_exits_1(self, suite, flag):
+        code, text, err = run_cli_stderr("verify", "--suite", suite, "--games", "1", *flag)
+        if suite in ("paper", "determinism"):
+            assert "--games" in err
+        assert (code, text) == (1, "")
+        assert err.startswith("error: ") and flag[0].split("=")[0] in err
+
+    @pytest.mark.parametrize("suite", ["paper", "determinism"])
+    def test_games_for_a_suite_without_random_games_exits_1(self, suite):
+        code, text, err = run_cli_stderr("verify", "--suite", suite, "--games", "2")
+        assert (code, text) == (1, "")
+        assert err == f"error: --suite {suite} does not use --games\n"
+
+    def test_generator_flags_still_reach_the_theorem_suite(self):
+        code, text = run_cli(
+            "verify", "--suite", "theorems", "--games", "1", "--players", "3..3",
+            "--strategies", "2..2", "--format", "table",
+        )
+        assert code == 0 and "suite theorems: PASS" in text
+
+
 class TestLoadGameErrors:
     def test_missing_file_exits_1(self):
         code, _ = run_cli("solve", "--operator", "ls", "/nonexistent/game.json")

@@ -118,6 +118,20 @@ class TestFindMixedDominator:
         assert witness == MixedStrategy(0, ((0, HALF), (1, HALF)))
         assert dominates(witness, 2, top, 0, Mode.STRICT)
 
+    def test_prefilter_boundary_ties_at_one_profile(self):
+        # At X every margin over A is 0: that refutes strict dominance, but
+        # not weak dominance, which the mixture 2/3 B + 1/3 C achieves.
+        game = Game.from_tables(
+            ["P1", "P2"],
+            [["A", "B", "C"], ["X", "Y", "Z"]],
+            [[[0, 0], [0, 0], [0, 0]], [[0, 0], [2, 0], [-1, 0]], [[0, 0], [-1, 0], [2, 0]]],
+        )
+        top = Restriction.full(game)
+        assert find_mixed_dominator(top, 0, 0, Pool.LOCAL, Mode.STRICT) is None
+        witness = find_mixed_dominator(top, 0, 0, Pool.LOCAL, Mode.WEAK)
+        assert witness == MixedStrategy(0, ((1, F(2, 3)), (2, F(1, 3))))
+        assert dominates(witness, 0, top, 0, Mode.WEAK)
+
     def test_empty_opponents_strict_returns_point_mass(self, g2):
         r = restriction_of(g2, [(0, 1, 2, 3), ()])
         witness = find_mixed_dominator(r, 0, 1, Pool.LOCAL, Mode.STRICT)
@@ -231,6 +245,29 @@ class TestCertificates:
         swapped = replace(certificate, dominator=certificate.eliminated,
                           eliminated=certificate.dominator)
         assert not replay_certificate(swapped)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("player", 5), ("player", -1), ("eliminated", 7), ("eliminated", -1)],
+    )
+    def test_out_of_range_certificate_fails_replay(self, g1, field, value):
+        from dataclasses import replace
+
+        step = apply_operator(ALL_OPERATORS[0], Restriction.full(g1))
+        (certificate,) = step.certificates
+        assert not replay_certificate(replace(certificate, **{field: value}))
+
+    def test_other_players_mixture_fails_replay(self, g2):
+        from dataclasses import replace
+
+        from dominance_lab.operators import MLW
+
+        step = apply_operator(MLW, Restriction.full(g2))
+        certificate = next(
+            c for c in step.certificates if isinstance(c.dominator, MixedStrategy)
+        )
+        foreign = MixedStrategy(1 - certificate.player, certificate.dominator.weights)
+        assert not replay_certificate(replace(certificate, dominator=foreign))
 
     def test_certificate_serialization(self, g2):
         from dominance_lab.operators import MLW

@@ -3,156 +3,90 @@ from fractions import Fraction
 
 import pytest
 
-from dominance_lab.simplex import (
-    EQ,
-    GE,
-    LE,
-    Constraint,
-    LinearProgram,
-    UnboundedProgramError,
-    solve_lp,
-)
+from dominance_lab.dominance import Mode, _solve_dominance_program
+from dominance_lab.simplex import solve_lp
 
 F = Fraction
 
 
-def constraint(coeffs, relation, rhs):
-    return Constraint(tuple(F(c) for c in coeffs), relation, F(rhs))
+def payoff_margins(margins, weights):
+    """Per-profile margin of the mixture ``weights`` over the pool."""
+    return [
+        sum(row[c] * w for row, w in zip(margins, weights)) for c in range(len(margins[0]))
+    ]
 
 
-def assert_feasible(program, result):
-    # The reported assignment must satisfy every constraint exactly.
-    x = result.assignment
-    for c in program.constraints:
-        lhs = sum(a * v for a, v in zip(c.coeffs, x))
-        if c.relation == LE:
-            assert lhs <= c.rhs
-        elif c.relation == GE:
-            assert lhs >= c.rhs
-        else:
-            assert lhs == c.rhs
-    for j, v in enumerate(x):
-        if j not in program.free:
-            assert v >= 0
-    assert sum(a * v for a, v in zip(program.objective, x)) == result.value
+def test_solve_lp_reads_the_optimal_vertex():
+    # max 3x + 2y  s.t.  x + y <= 4,  x + 3y <= 6,  x <= 3.
+    result = solve_lp([[1, 1], [1, 3], [1, 0]], [4, 6, 3], [3, 2])
+    assert result.value == 11
+    assert result.assignment == (3, 1)
+
+
+def test_unbounded_raises():
+    with pytest.raises(ValueError, match="unbounded"):
+        solve_lp([[0, 1]], [1], [1, 0])
+
+
+def test_negative_right_hand_side_is_rejected():
+    with pytest.raises(ValueError, match="nonnegative"):
+        solve_lp([[1]], [-1], [1])
 
 
 def test_binding_constraint_gives_zero():
-    # maximize eps subject to eps <= 0 and two weights on a simplex.
-    program = LinearProgram(
-        objective=(F(1), F(0), F(0)),
-        constraints=(
-            constraint([1, 0, 0], LE, 0),
-            constraint([0, 1, 1], EQ, 1),
-        ),
-        free=frozenset({0}),
-    )
-    result = solve_lp(program)
-    assert result.status == "optimal" and result.value == 0
-    assert_feasible(program, result)
+    # Mixing the two margins evens out at best: max-min is exactly 0.
+    margins = [(F(1), F(-1)), (F(-1), F(1))]
+    assert _solve_dominance_program(margins, 2, Mode.STRICT).value == 0
+    assert _solve_dominance_program(margins, 2, Mode.WEAK).value == 0
 
 
 def test_strict_3x2_program_has_optimum_one_half():
     # Margins of T, M, B over target B at the two columns: (2,-1), (-1,2), (0,0).
-    program = LinearProgram(
-        objective=(F(0), F(0), F(0), F(1)),
-        constraints=(
-            constraint([2, -1, 0, -1], GE, 0),
-            constraint([-1, 2, 0, -1], GE, 0),
-            constraint([1, 1, 1, 0], EQ, 1),
-        ),
-        free=frozenset({3}),
-    )
-    result = solve_lp(program)
-    assert result.status == "optimal"
+    margins = [(F(2), F(-1)), (F(-1), F(2)), (F(0), F(0))]
+    result = _solve_dominance_program(margins, 2, Mode.STRICT)
     assert result.value == F(1, 2)
-    assert result.assignment[:3] == (F(1, 2), F(1, 2), F(0))
-    assert_feasible(program, result)
+    assert result.assignment == (F(1, 2), F(1, 2), F(0))
+
+
+def test_optimum_is_in_payoff_units():
+    # The same program with margins divided by 6 has an optimum divided by 6.
+    margins = [(F(2, 6), F(-1, 6)), (F(-1, 6), F(2, 6)), (F(0), F(0))]
+    result = _solve_dominance_program(margins, 2, Mode.STRICT)
+    assert result.value == F(1, 12)
+    assert result.assignment == (F(1, 2), F(1, 2), F(0))
 
 
 def test_weak_target_c_program_has_optimum_one(g2):
     # Total-slack program for eliminating row C of the 4x3 bundled game.
-    margins = []
-    for s in range(4):
-        margins.append(
-            tuple(
-                g2.payoffs[0][g2.flat_index((s, c))]
-                - g2.payoffs[0][g2.flat_index((2, c))]
-                for c in range(3)
-            )
+    margins = [
+        tuple(
+            g2.payoffs[0][g2.flat_index((s, c))] - g2.payoffs[0][g2.flat_index((2, c))]
+            for c in range(3)
         )
-    constraints = [
-        constraint([margins[s][c] for s in range(4)], GE, 0) for c in range(3)
+        for s in range(4)
     ]
-    constraints.append(constraint([1, 1, 1, 1], EQ, 1))
-    program = LinearProgram(
-        objective=tuple(sum(margins[s], F(0)) for s in range(4)),
-        constraints=tuple(constraints),
-    )
-    result = solve_lp(program)
-    assert result.status == "optimal" and result.value == 1
+    result = _solve_dominance_program(margins, 3, Mode.WEAK)
+    assert result.value == 1
     # Slack sits entirely at the third column.
-    x = result.assignment
-    slacks = [sum(margins[s][c] * x[s] for s in range(4)) for c in range(3)]
-    assert slacks == [0, 0, 1]
+    assert payoff_margins(margins, result.assignment) == [0, 0, 1]
 
 
-def test_infeasible_program_reports_infeasible():
-    program = LinearProgram(
-        objective=(F(1),),
-        constraints=(constraint([1], GE, 1), constraint([1], LE, 0)),
-    )
-    result = solve_lp(program)
-    assert result.status == "infeasible"
-    assert result.value is None and result.assignment is None
-
-
-def test_unbounded_raises():
-    with pytest.raises(UnboundedProgramError):
-        solve_lp(LinearProgram(objective=(F(1),), constraints=()))
-    with pytest.raises(UnboundedProgramError):
-        solve_lp(
-            LinearProgram(
-                objective=(F(1), F(0)),
-                constraints=(constraint([0, 1], LE, 1),),
-            )
-        )
-
-
-def test_free_variable_can_go_negative():
-    program = LinearProgram(
-        objective=(F(1),),
-        constraints=(constraint([1], LE, -3),),
-        free=frozenset({0}),
-    )
-    result = solve_lp(program)
-    assert result.status == "optimal" and result.value == -3
-    assert result.assignment == (F(-3),)
-
-
-def test_equality_only_program():
-    program = LinearProgram(
-        objective=(F(2), F(1)),
-        constraints=(constraint([1, 1], EQ, 4), constraint([1, 0], LE, 3)),
-    )
-    result = solve_lp(program)
-    assert result.status == "optimal" and result.value == 7
-    assert result.assignment == (F(3), F(1))
-
-
-def test_beale_degenerate_example_terminates():
-    # A classic cycling example for naive pivoting; Bland's rule must finish.
-    program = LinearProgram(
-        objective=(F(3, 4), F(-150), F(1, 50), F(-6)),
-        constraints=(
-            constraint([F(1, 4), F(-60), F(-1, 25), F(9)], LE, 0),
-            constraint([F(1, 2), F(-90), F(-1, 50), F(3)], LE, 0),
-            constraint([0, 0, 1, 0], LE, 1),
-        ),
-    )
-    result = solve_lp(program)
-    assert result.status == "optimal" and result.value == F(1, 20)
-    assert_feasible(program, result)
+@pytest.mark.parametrize("mode", [Mode.STRICT, Mode.WEAK])
+def test_degenerate_program_terminates_under_blands_rule(mode):
+    # Every right-hand side but one is 0, so pivots are degenerate: all-zero
+    # margins, duplicate pool columns and ratio ties everywhere.
+    zero = (F(0),) * 6
+    up = (F(1), F(-1)) * 3
+    down = (F(-1), F(1)) * 3
+    margins = [zero, up, up, down, zero, down, up]
+    assert _solve_dominance_program(margins, 6, mode).value == 0
+    assert _solve_dominance_program([zero] * 5, 6, mode).value == 0
+    # Duplicates of the 1/2 program still reach 1/2, as the same mixture.
+    margins = [(F(2), F(-1))] * 3 + [(F(-1), F(2))] * 3 + [(F(0), F(0))] * 2
+    result = _solve_dominance_program(margins, 2, mode)
+    assert result.value == (F(1, 2) if mode is Mode.STRICT else 1)
+    assert sum(result.assignment) == 1
+    assert all(m >= 0 for m in payoff_margins(margins, result.assignment))
 
 
 def _grid_weights(parts, max_denominator):
@@ -174,54 +108,27 @@ def test_random_dominance_shaped_programs_are_sound():
         pool = rng.randint(2, 4)
         profiles = rng.randint(1, 4)
         margins = [
-            [F(rng.randint(-3, 3)) for _ in range(profiles)] for _ in range(pool)
+            tuple(F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(profiles))
+            for _ in range(pool)
         ]
-        strict_rows = [
-            constraint([margins[j][c] for j in range(pool)] + [-1], GE, 0)
-            for c in range(profiles)
-        ]
-        strict_rows.append(constraint([1] * pool + [0], EQ, 1))
-        strict = LinearProgram(
-            objective=tuple([F(0)] * pool + [F(1)]),
-            constraints=tuple(strict_rows),
-            free=frozenset({pool}),
-        )
-        result = solve_lp(strict)
-        assert result.status == "optimal"
-        assert_feasible(strict, result)
-        # No grid point on the simplex does better than the reported max-min.
-        for weights in _grid_weights(pool, 4):
-            floor = min(
-                sum(margins[j][c] * weights[j] for j in range(pool))
-                for c in range(profiles)
-            )
-            assert floor <= result.value
+        grid = list(_grid_weights(pool, 4))
 
-        weak_rows = [
-            constraint([margins[j][c] for j in range(pool)], GE, 0)
-            for c in range(profiles)
-        ]
-        weak_rows.append(constraint([1] * pool, EQ, 1))
-        weak = LinearProgram(
-            objective=tuple(sum(margins[j], F(0)) for j in range(pool)),
-            constraints=tuple(weak_rows),
-        )
-        weak_result = solve_lp(weak)
-        feasible_grid = [
-            weights
-            for weights in _grid_weights(pool, 4)
-            if all(
-                sum(margins[j][c] * weights[j] for j in range(pool)) >= 0
-                for c in range(profiles)
-            )
-        ]
-        if weak_result.status == "infeasible":
-            assert not feasible_grid
-        else:
-            assert_feasible(weak, weak_result)
-            for weights in feasible_grid:
-                total = sum(
-                    sum(margins[j][c] * weights[j] for j in range(pool))
-                    for c in range(profiles)
-                )
-                assert total <= weak_result.value
+        strict = _solve_dominance_program(margins, profiles, Mode.STRICT)
+        assert strict.value >= 0
+        if strict.value > 0:
+            assert sum(strict.assignment) == 1
+            assert min(payoff_margins(margins, strict.assignment)) == strict.value
+        # No grid point on the simplex does better than the reported max-min.
+        for weights in grid:
+            assert min(payoff_margins(margins, weights)) <= strict.value
+
+        weak = _solve_dominance_program(margins, profiles, Mode.WEAK)
+        assert weak.value >= 0
+        if weak.value > 0:
+            assert sum(weak.assignment) == 1
+            slack = payoff_margins(margins, weak.assignment)
+            assert min(slack) >= 0 and sum(slack) == weak.value
+        for weights in grid:
+            slack = payoff_margins(margins, weights)
+            if min(slack) >= 0:
+                assert sum(slack) <= weak.value
