@@ -241,12 +241,15 @@ def _run_parsed(args: argparse.Namespace, out: TextIO) -> int:
             "witness": witness.to_dict() if witness else None,
         }
     elif args.command == "verify":
+        config = json.loads(args.config) if args.config else None
+        base = GeneratorConfig.from_json_dict(config) if args.config else None
         generator_flags = {
             "--players": args.players,
             "--strategies": args.strategies,
             "--payoffs": args.payoffs,
             "--tie-bias": args.tie_bias,
-            "--config": args.config,
+            # The config's seed seeds every suite; only its other fields are theorem-only.
+            "--config": None if base is None or config.keys() <= {"seed"} else args.config,
         }
         unused = [] if args.suite in ("theorems", "all") else [
             flag for flag, value in generator_flags.items() if value is not None
@@ -256,8 +259,7 @@ def _run_parsed(args: argparse.Namespace, out: TextIO) -> int:
         if unused:
             raise ValueError(f"--suite {args.suite} does not use {', '.join(unused)}")
         theorem_config = {}
-        if args.config:
-            base = GeneratorConfig.from_json_dict(json.loads(args.config))
+        if base is not None:
             theorem_config = {
                 "players": base.players,
                 "strategies": base.strategies,

@@ -7,14 +7,19 @@ readings are taken literally, which fixes the edge case of an empty
 opponent-profile set: the universally quantified strict condition is
 vacuously true, while the weak condition fails for lack of a witness.
 
-A mixed-dominator query works on the margins ``a_jc``: the payoff of pool
-strategy ``j`` minus the target's at opponent profile ``c``, multiplied by
-one least common denominator so that every margin is an int.  It then
+Every decision reads :attr:`Game.scaled_payoffs`: each player's payoffs
+times one least common denominator, as ints.  A positive factor changes no
+comparison, so the decisions are those of the rational payoffs.
+
+A mixed-dominator query works on the margins ``a_jc``: the scaled payoff of
+pool strategy ``j`` minus the target's at opponent profile ``c``.  It then
 tries, in order:
 
 - a pure dominator (a pool strategy whose margins already dominate);
-- the prefilter: a profile at which every margin is ``<= 0`` (strict) or
-  ``< 0`` (weak) rules out every mixture, and the query ends without an LP;
+- the prefilter: a profile at which every margin is ``<= 0`` (strict), or
+  every margin is ``< 0`` (weak), rules out every mixture, and the query
+  ends without an LP.  Rows of zero margins, such as the target's own, are
+  left out of the test: weight on them changes no payoff sum;
 - an exact LP over unnormalised pool weights ``v >= 0``, solved by
   :func:`dominance_lab.simplex.solve_lp`:
 
@@ -37,7 +42,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .game_model import (
     Game,
@@ -62,9 +67,6 @@ __all__ = [
     "replay_certificate",
     "solve_lp",
 ]
-
-_ZERO = Fraction(0)
-
 
 class Mode(Enum):
     """Dominance flavor: strict (>) everywhere, or weak (>= plus one >)."""
@@ -103,9 +105,9 @@ def _opponent_bases(game: Game, player: int, profiles: Sequence[tuple[int, ...]]
     return tuple(bases)
 
 
-def _column(game: Game, player: int, strategy: int, bases: Sequence[int]) -> tuple[Fraction, ...]:
-    """Payoffs of a pure strategy against each opponent profile."""
-    table = game.payoffs[player]
+def _column(game: Game, player: int, strategy: int, bases: Sequence[int]) -> tuple[int, ...]:
+    """Scaled payoffs of a pure strategy against each opponent profile."""
+    table = game.scaled_payoffs[player]
     step = strategy * game.strides[player]
     return tuple(table[b + step] for b in bases)
 
@@ -113,9 +115,9 @@ def _column(game: Game, player: int, strategy: int, bases: Sequence[int]) -> tup
 def _mixed_column(
     game: Game, player: int, mixed: MixedStrategy, bases: Sequence[int]
 ) -> tuple[Fraction, ...]:
-    table = game.payoffs[player]
+    table = game.scaled_payoffs[player]
     stride = game.strides[player]
-    out = [_ZERO] * len(bases)
+    out: list[int | Fraction] = [0] * len(bases)
     for strategy, weight in mixed.weights:
         step = strategy * stride
         for c, b in enumerate(bases):
@@ -123,12 +125,26 @@ def _mixed_column(
     return tuple(out)
 
 
-def _beats(candidate: Sequence[Fraction], target: Sequence[Fraction], mode: Mode) -> bool:
+def _beats(candidate: Sequence[int | Fraction], target: Sequence[int], mode: Mode) -> bool:
     if mode is Mode.STRICT:
         return all(a > b for a, b in zip(candidate, target))
     return all(a >= b for a, b in zip(candidate, target)) and any(
         a > b for a, b in zip(candidate, target)
     )
+
+
+def _first_dominator(
+    pool: Sequence[int], columns: Iterable[Sequence[int]], target_col: Sequence[int], mode: Mode
+) -> int | None:
+    """The first pool strategy whose column dominates the target's; ``columns`` may be lazy.
+
+    With no opponent profile every strict comparison holds vacuously and no
+    weak one has a witness.
+    """
+    for strategy, col in zip(pool, columns):
+        if _beats(col, target_col, mode):
+            return strategy
+    return None
 
 
 def _pure_dominator(
@@ -139,23 +155,8 @@ def _pure_dominator(
     bases: Sequence[int],
     mode: Mode,
 ) -> int | None:
-    if not bases:
-        if mode is Mode.WEAK:
-            return None
-        return min(pool) if pool else None
-    target_col = _column(game, player, target, bases)
-    for candidate in pool:
-        if _beats(_column(game, player, candidate, bases), target_col, mode):
-            return candidate
-    return None
-
-
-def _scaled(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """The rows times their least common denominator, as ints, and that denominator."""
-    # A set, so that lcm gets one argument per distinct denominator rather
-    # than a tuple as long as the table.
-    scale = lcm(*{a.denominator for row in rows for a in row})
-    return [[a.numerator * (scale // a.denominator) for a in row] for row in rows], scale
+    columns = (_column(game, player, s, bases) for s in pool)
+    return _first_dominator(pool, columns, _column(game, player, target, bases), mode)
 
 
 def _mixed_dominator(
@@ -168,27 +169,24 @@ def _mixed_dominator(
 ) -> MixedStrategy | None:
     if not pool:
         raise NoCandidatesError(f"no dominator candidates for player {player}")
+    target_col = _column(game, player, target, bases)
+    columns = [_column(game, player, s, bases) for s in pool]
+    pure = _first_dominator(pool, columns, target_col, mode)
+    if pure is not None:
+        return MixedStrategy.point_mass(player, pure)
     if not bases:
-        # Vacuous domination: any distribution works for strict, none for weak.
-        if mode is Mode.WEAK:
-            return None
-        return MixedStrategy.point_mass(player, min(pool))
-    # Integer margins: the pure scan, the prefilter and the program compare ints.
-    (target_col, *columns), _ = _scaled(
-        [_column(game, player, s, bases) for s in (target, *pool)]
-    )
+        return None  # weak: no profile can witness a strict gain
     margins = [tuple(a - t for a, t in zip(col, target_col)) for col in columns]
-    zero = (0,) * len(bases)
-    for s, row in zip(pool, margins):
-        if _beats(row, zero, mode):
-            return MixedStrategy.point_mass(player, s)
     # Prefilter: a profile at which every margin is <= 0 (strict) or < 0
-    # (weak) refutes every mixture, so no LP is needed.  For ints, <= 0 is < 1.
+    # (weak) refutes every mixture, so no LP is needed.  For ints, <= 0 is
+    # < 1.  Weight on an all-zero row changes no sum, so those rows are
+    # left out; when every row is zero, nothing is dominated.
+    live = [row for row in margins if any(row)]
     bound = 1 if mode is Mode.STRICT else 0
     for c in range(len(bases)):
-        if all(row[c] < bound for row in margins):
+        if all(row[c] < bound for row in live):
             return None
-    result = _solve_dominance_program(margins, len(bases), mode)
+    result = _dominance_lp(margins, len(bases), mode)
     if result.value <= 0:
         return None
     return MixedStrategy(player, tuple((s, w) for s, w in zip(pool, result.assignment) if w))
@@ -199,17 +197,31 @@ def _solve_dominance_program(
     profile_count: int,
     mode: Mode,
 ) -> LpResult:
-    """Solve the dominance program; a positive optimum means the target is dominated.
+    """Solve the dominance program over rational margins, value in their units.
 
     ``margins[j][c]`` is the payoff advantage of pool strategy j over the
-    target at opponent profile c.  The value is in the units of the margins.
-    The assignment holds the pool weights ``v``; both programs are
-    homogeneous in ``v``, so at a positive optimum ``sum(v) = 1`` and the
-    weights are a dominating mixture.
+    target at opponent profile c.  They are scaled to ints by one least
+    common denominator for :func:`_dominance_lp`.
     """
-    columns, scale = _scaled(margins)
-    m = len(columns)
-    rows = [[-col[c] for col in columns] for c in range(profile_count)]
+    # A set, so that lcm gets one argument per distinct denominator rather
+    # than a tuple as long as the table.
+    scale = lcm(*{a.denominator for row in margins for a in row})
+    columns = [[a.numerator * (scale // a.denominator) for a in row] for row in margins]
+    result = _dominance_lp(columns, profile_count, mode)
+    return LpResult(result.value / scale, result.assignment)
+
+
+def _dominance_lp(margins: Sequence[Sequence[int]], profile_count: int, mode: Mode) -> LpResult:
+    """Solve the dominance program; a positive optimum means the target is dominated.
+
+    ``margins[j][c]`` is the int payoff advantage of pool strategy j over
+    the target at opponent profile c, and the value is in their units.  The
+    assignment holds the pool weights ``v``; both programs are homogeneous
+    in ``v``, so at a positive optimum ``sum(v) = 1`` and the weights are a
+    dominating mixture.
+    """
+    m = len(margins)
+    rows = [[-col[c] for col in margins] for c in range(profile_count)]
     if mode is Mode.STRICT:
         # max s  s.t.  s - sum_j a_jc v_j <= 0 per profile c,  sum v <= 1.
         for row in rows:
@@ -219,9 +231,9 @@ def _solve_dominance_program(
     else:
         # max sum_c sum_j a_jc v_j  s.t.  -sum_j a_jc v_j <= 0 per c,  sum v <= 1.
         rows.append([1] * m)
-        objective = [sum(col) for col in columns]
+        objective = [sum(col) for col in margins]
     result = solve_lp(rows, [0] * profile_count + [1], objective)
-    return LpResult(result.value / scale, result.assignment[:m])
+    return LpResult(result.value, result.assignment[:m])
 
 
 def _pool_indices(restriction: Restriction, player: int, pool: Pool) -> tuple[int, ...]:

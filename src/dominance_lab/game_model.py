@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from itertools import product
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [
@@ -153,6 +154,12 @@ class Game:
         for k in range(n - 2, -1, -1):
             strides[k] = strides[k + 1] * shape[k + 1]
         object.__setattr__(self, "_strides", tuple(strides))
+        scaled = []
+        for table in self.payoffs:
+            # A set, so that lcm gets one argument per distinct denominator.
+            scale = lcm(*{x.denominator for x in table})
+            scaled.append(tuple(x.numerator * (scale // x.denominator) for x in table))
+        object.__setattr__(self, "_scaled_payoffs", tuple(scaled))
 
     @property
     def player_count(self) -> int:
@@ -162,6 +169,16 @@ class Game:
     def strides(self) -> tuple[int, ...]:
         """Row-major strides of the payoff tensors."""
         return self._strides  # type: ignore[attr-defined]
+
+    @property
+    def scaled_payoffs(self) -> tuple[tuple[int, ...], ...]:
+        """Per player, the payoff tensor times its least common denominator, as ints.
+
+        One positive factor per player keeps every comparison between that
+        player's payoffs, and the sign of every difference, so dominance
+        decisions can compare these ints instead of the Fractions.
+        """
+        return self._scaled_payoffs  # type: ignore[attr-defined]
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -244,7 +244,7 @@ class TestVerifyUnusedFlags:
     @pytest.mark.parametrize(
         "flag",
         [["--players", "3..3"], ["--strategies", "2..3"], ["--payoffs=-2..2"],
-         ["--tie-bias", "0.5"], ["--config", "{}"]],
+         ["--tie-bias", "0.5"], ["--config", '{"seed": 7, "players": [3, 3]}']],
     )
     def test_generator_flag_outside_theorems_exits_1(self, suite, flag):
         code, text, err = run_cli_stderr("verify", "--suite", suite, "--games", "1", *flag)
@@ -258,6 +258,12 @@ class TestVerifyUnusedFlags:
         code, text, err = run_cli_stderr("verify", "--suite", suite, "--games", "2")
         assert (code, text) == (1, "")
         assert err == f"error: --suite {suite} does not use --games\n"
+
+    @pytest.mark.parametrize("suite", ["monotonicity", "oracle", "determinism"])
+    def test_config_seed_seeds_every_suite(self, suite):
+        games = ("--games", "1") if suite != "determinism" else ()
+        code, text = run_cli("verify", "--suite", suite, *games, "--config", '{"seed": 7}')
+        assert code == 0 and json.loads(text)["seed"] == 7
 
     def test_generator_flags_still_reach_the_theorem_suite(self):
         code, text = run_cli(

@@ -132,6 +132,30 @@ class TestFindMixedDominator:
         assert witness == MixedStrategy(0, ((1, F(2, 3)), (2, F(1, 3))))
         assert dominates(witness, 0, top, 0, Mode.WEAK)
 
+    @pytest.mark.parametrize("mode", [Mode.STRICT, Mode.WEAK])
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # Target A; B and C lose at X, so X refutes every mixture.
+            [[1, 1], [0, 2], [0, 3]],
+            # Every row equals the target's: all margins are zero.
+            [[1, 2], [1, 2], [1, 2]],
+        ],
+    )
+    def test_prefilter_answers_with_the_target_in_the_pool(self, monkeypatch, rows, mode):
+        # The local pool holds the target, whose margins are all zero; the
+        # weak prefilter must look past that row instead of calling the LP.
+        def no_lp(*args):
+            raise AssertionError("the prefilter should have answered")
+
+        monkeypatch.setattr("dominance_lab.dominance.solve_lp", no_lp)
+        game = Game.from_tables(
+            ["P1", "P2"],
+            [["A", "B", "C"], ["X", "Y"]],
+            [[[a, 0] for a in row] for row in rows],
+        )
+        assert find_mixed_dominator(Restriction.full(game), 0, 0, Pool.LOCAL, mode) is None
+
     def test_empty_opponents_strict_returns_point_mass(self, g2):
         r = restriction_of(g2, [(0, 1, 2, 3), ()])
         witness = find_mixed_dominator(r, 0, 1, Pool.LOCAL, Mode.STRICT)

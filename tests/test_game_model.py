@@ -52,6 +52,15 @@ class TestPayoff:
     def test_pure_lookup_is_stable(self, g2):
         assert payoff(g2, 1, (3, 1)) == payoff(g2, 1, (3, 1))
 
+    def test_scaled_payoffs_use_one_denominator_per_player(self):
+        game = Game.from_tables(
+            ["P1", "P2"],
+            [["A", "B"], ["X"]],
+            [[["1/2", "-3"]], [["-2/3", "5/4"]]],
+        )
+        # Player 1's payoffs 1/2, -2/3 times 6; player 2's -3, 5/4 times 4.
+        assert game.scaled_payoffs == ((3, -4), (-12, 5))
+
 
 class TestExpectedPayoff:
     def test_half_half_against_x(self, g2):
