@@ -1,17 +1,20 @@
 """Empirical verification over restriction lattices.
 
-Monotonicity checking enumerates comparable restriction pairs of a game's
-lattice exhaustively (up to a configurable size cap) or by seeded sampling.
-Exhaustive enumeration is complete: finding no witness proves monotonicity
-on that game's lattice.  All reports are plain data with stable field
-order, so suites and CI can assert on their JSON form.
+Monotonicity checking tests the covering pairs of a game's lattice, where
+the larger restriction keeps exactly one more strategy, either above every
+restriction (exhaustive, up to a configurable size cap) or above seeded
+random ones.  Any comparable pair is joined by a chain of covering pairs, so
+an operator preserves inclusion on all pairs exactly when it does on the
+covering ones: exhaustive search finding no witness proves monotonicity on
+that game's lattice.  All reports are plain data with stable field order, so
+suites and CI can assert on their JSON form.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .game_model import Game, Restriction, indices_of
 from .operators import (
@@ -57,14 +60,22 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class Exhaustive:
-    """Enumerate every comparable pair; errors out above ``cap`` lattice nodes."""
+    """Scan every restriction of the lattice; errors out above ``cap`` nodes.
+
+    ``check_monotonic`` tests every covering pair, ``pointwise_inclusion``
+    every restriction.
+    """
 
     cap: int = DEFAULT_EXHAUSTIVE_CAP
 
 
 @dataclass(frozen=True)
 class Sampled:
-    """Check ``count`` seeded random comparable pairs (or restrictions)."""
+    """Scan ``count`` seeded random restrictions (repeats possible).
+
+    ``check_monotonic`` tests every covering pair above each sampled
+    restriction, up to one per strategy the restriction leaves out.
+    """
 
     seed: int
     count: int
@@ -93,39 +104,36 @@ def enumerate_restriction_masks(game: Game) -> list[tuple[int, ...]]:
     return sorted(product(*per_player), key=_canonical_key)
 
 
-def _supersets_of(masks: tuple[int, ...], full: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Every componentwise superset of ``masks`` (including itself)."""
-    from itertools import product
-
-    options = []
-    for m, f in zip(masks, full):
-        complement = f & ~m
-        subs = []
-        sub = complement
-        while True:
-            subs.append(m | sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & complement
-        options.append(subs)
-    return product(*options)
-
-
-def _require_within_cap(game: Game, budget: Exhaustive) -> None:
+def _restrictions(game: Game, budget: Budget) -> Iterable[tuple[int, ...]]:
+    """The restrictions a budget scans, as per-player bitmasks."""
+    if isinstance(budget, Sampled):
+        rng = random.Random(budget.seed)
+        return (
+            tuple(rng.randrange(1 << k) for k in game.shape) for _ in range(budget.count)
+        )
     size = lattice_size(game)
     if size > budget.cap:
         raise BudgetExceededError(
             f"lattice has {size} restrictions, above the exhaustive cap "
             f"{budget.cap}; use a Sampled budget"
         )
+    return enumerate_restriction_masks(game)
+
+
+def _covers(masks: tuple[int, ...], full: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Every restriction that keeps exactly one strategy more than ``masks``."""
+    for player, (m, f) in enumerate(zip(masks, full)):
+        for strategy in indices_of(f & ~m):
+            yield masks[:player] + (m | 1 << strategy,) + masks[player + 1 :]
 
 
 @dataclass(frozen=True)
 class MonotonicityWitness:
     """A comparable pair on which the operator fails to preserve inclusion.
 
-    ``evidence`` is a (player, strategy) pair surviving the operator on the
-    smaller restriction but not on the larger one.
+    ``check_monotonic`` returns covering pairs.  ``evidence`` is a (player,
+    strategy) pair surviving the operator on the smaller restriction but not
+    on the larger one.
     """
 
     operator: OperatorKind
@@ -134,10 +142,21 @@ class MonotonicityWitness:
     evidence: tuple[int, int]
 
     def replay(self) -> bool:
-        engine = EliminationEngine(self.smaller.game)
-        if not self.smaller.issubset(self.larger):
-            return False
+        """Recompute both survivor sets.
+
+        A witness whose restrictions belong to different games, or whose
+        evidence names a player or strategy outside the game, does not replay.
+        """
+        game = self.smaller.game
         player, strategy = self.evidence
+        if (
+            game != self.larger.game
+            or not 0 <= player < game.player_count
+            or not 0 <= strategy < game.shape[player]
+            or not self.smaller.issubset(self.larger)
+        ):
+            return False
+        engine = EliminationEngine(game)
         small = engine.survivors(self.operator, self.smaller.masks)
         large = engine.survivors(self.operator, self.larger.masks)
         bit = 1 << strategy
@@ -168,64 +187,26 @@ def _first_excess(
     return None
 
 
-def _sample_comparable(
-    rng: random.Random, shape: Sequence[int]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    smaller = []
-    larger = []
-    for k in shape:
-        sm = lg = 0
-        for bit in range(k):
-            state = rng.randrange(3)  # 0: absent, 1: larger only, 2: both
-            if state >= 1:
-                lg |= 1 << bit
-            if state == 2:
-                sm |= 1 << bit
-        smaller.append(sm)
-        larger.append(lg)
-    return tuple(smaller), tuple(larger)
-
-
 def check_monotonic(
     kind: OperatorKind, game: Game, budget: Budget
 ) -> MonotonicityWitness | None:
-    """Search for a monotonicity violation of the operator on this game's lattice.
+    """Search for a covering pair on which the operator fails to preserve inclusion.
 
-    Exhaustive budgets scan every comparable pair, so ``None`` is a proof of
+    Exhaustive budgets test every covering pair, so ``None`` is a proof of
     monotonicity for this lattice; sampled budgets only report none-found.
     """
     engine = EliminationEngine(game)
-
-    def witness(smaller: tuple[int, ...], larger: tuple[int, ...]) -> MonotonicityWitness | None:
-        excess = _first_excess(engine.survivors(kind, smaller), engine.survivors(kind, larger))
-        if excess is None:
-            return None
-        return MonotonicityWitness(
-            operator=kind,
-            smaller=Restriction.from_masks(game, smaller),
-            larger=Restriction.from_masks(game, larger),
-            evidence=excess,
-        )
-
-    if isinstance(budget, Exhaustive):
-        _require_within_cap(game, budget)
-        all_masks = enumerate_restriction_masks(game)
-        for smaller in all_masks:
-            for larger in sorted(_supersets_of(smaller, engine.full_masks), key=_canonical_key):
-                if larger == smaller:
-                    continue
-                found = witness(smaller, larger)
-                if found is not None:
-                    return found
-        return None
-    rng = random.Random(budget.seed)
-    for _ in range(budget.count):
-        smaller, larger = _sample_comparable(rng, game.shape)
-        if smaller == larger:
-            continue
-        found = witness(smaller, larger)
-        if found is not None:
-            return found
+    for smaller in _restrictions(game, budget):
+        small = engine.survivors(kind, smaller)
+        for larger in _covers(smaller, engine.full_masks):
+            excess = _first_excess(small, engine.survivors(kind, larger))
+            if excess is not None:
+                return MonotonicityWitness(
+                    operator=kind,
+                    smaller=Restriction.from_masks(game, smaller),
+                    larger=Restriction.from_masks(game, larger),
+                    evidence=excess,
+                )
     return None
 
 
@@ -259,33 +240,18 @@ def pointwise_inclusion(
     engine = EliminationEngine(game)
     violations = []
     checked = 0
-
-    def scan(masks_list: Iterator[tuple[int, ...]] | list[tuple[int, ...]]) -> None:
-        nonlocal checked
-        for masks in masks_list:
-            checked += 1
-            excess = _first_excess(
-                engine.survivors(left, masks), engine.survivors(right, masks)
+    for masks in _restrictions(game, budget):
+        checked += 1
+        excess = _first_excess(engine.survivors(left, masks), engine.survivors(right, masks))
+        if excess is not None:
+            player, strategy = excess
+            violations.append(
+                {
+                    "restriction": Restriction.from_masks(game, masks).kept_names(),
+                    "player": game.players[player],
+                    "strategy": game.strategies[player][strategy],
+                }
             )
-            if excess is not None:
-                player, strategy = excess
-                violations.append(
-                    {
-                        "restriction": Restriction.from_masks(game, masks).kept_names(),
-                        "player": game.players[player],
-                        "strategy": game.strategies[player][strategy],
-                    }
-                )
-
-    if isinstance(budget, Exhaustive):
-        _require_within_cap(game, budget)
-        scan(enumerate_restriction_masks(game))
-    else:
-        rng = random.Random(budget.seed)
-        samples = [
-            tuple(rng.randrange(1 << k) for k in game.shape) for _ in range(budget.count)
-        ]
-        scan(samples)
     return PointwiseInclusionReport(
         left=left, right=right, checked=checked, violations=tuple(violations)
     )

@@ -13,6 +13,7 @@ suite found a violated assertion, 3 an exhaustive budget was exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import TextIO
@@ -32,6 +33,7 @@ from .suites import SUITE_NAMES, default_seed, run_suite
 __all__ = ["build_parser", "load_game", "main", "run"]
 
 OPERATOR_CHOICES = ("ls", "mls", "gs", "mgs", "lw", "mlw", "gw", "mgw")
+DEFAULT_SAMPLES = 1000
 
 
 def load_game(path: str) -> Game:
@@ -129,7 +131,9 @@ def _emit_table(doc: dict, out: TextIO) -> None:
         out.write(f"suite {doc['suite']}: {'PASS' if doc['passed'] else 'FAIL'}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every ``run``."""
     parser = argparse.ArgumentParser(
         prog="dominance-lab",
         description="Iterated dominance elimination with exact arithmetic "
@@ -165,9 +169,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_mono.add_argument("--operator", required=True)
     p_mono.add_argument("game")
     p_mono.add_argument("--budget", choices=("exhaustive", "sampled"), default="exhaustive")
-    p_mono.add_argument("--cap", type=int, default=Exhaustive().cap,
-                        help="largest lattice the exhaustive budget accepts")
-    p_mono.add_argument("--samples", type=_count, default=1000)
+    p_mono.add_argument("--cap", type=_count, default=None,
+                        help="largest lattice the exhaustive budget accepts "
+                        f"(default: {Exhaustive().cap})")
+    p_mono.add_argument("--samples", type=_count, default=None,
+                        help="restrictions the sampled budget draws "
+                        f"(default: {DEFAULT_SAMPLES})")
     p_mono.add_argument("--seed", type=int, default=None)
 
     p_verify = sub.add_parser("verify", help="run a property suite (CI gate: exit 2 on failure)", parents=[shared])
@@ -227,12 +234,19 @@ def _run_parsed(args: argparse.Namespace, out: TextIO) -> int:
         kind = operator_from_name(args.operator)
         game = load_game(args.game)
         if args.budget == "exhaustive":
-            budget: Exhaustive | Sampled = Exhaustive(cap=args.cap)
-            budget_doc: dict = {"kind": "exhaustive", "cap": args.cap}
+            unused = {"--samples": args.samples, "--seed": args.seed}
+            cap = args.cap if args.cap is not None else Exhaustive().cap
+            budget: Exhaustive | Sampled = Exhaustive(cap=cap)
+            budget_doc: dict = {"kind": "exhaustive", "cap": cap}
         else:
+            unused = {"--cap": args.cap}
             seed = args.seed if args.seed is not None else default_seed()
-            budget = Sampled(seed=seed, count=args.samples)
-            budget_doc = {"kind": "sampled", "seed": seed, "count": args.samples}
+            count = args.samples if args.samples is not None else DEFAULT_SAMPLES
+            budget = Sampled(seed=seed, count=count)
+            budget_doc = {"kind": "sampled", "seed": seed, "count": count}
+        unused_flags = [flag for flag, value in unused.items() if value is not None]
+        if unused_flags:
+            raise ValueError(f"--budget {args.budget} does not use {', '.join(unused_flags)}")
         witness = check_monotonic(kind, game, budget)
         doc = {
             "command": "check-monotonic",

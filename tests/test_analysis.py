@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from itertools import product
 
 import pytest
 
@@ -15,6 +17,7 @@ from dominance_lab import (
     BudgetExceededError,
     Exhaustive,
     Game,
+    Restriction,
     Sampled,
     check_monotonic,
     compare_fixpoints,
@@ -24,6 +27,7 @@ from dominance_lab import (
     verify_lemma_inc,
 )
 from dominance_lab.analysis import enumerate_restriction_masks
+from dominance_lab.operators import EliminationEngine
 from dominance_lab.random_games import GeneratorConfig, generate
 
 
@@ -87,6 +91,72 @@ class TestCheckMonotonic:
         assert (a is None) == (b is None)
         if a is not None:
             assert a.to_dict() == b.to_dict()
+
+
+class TestWitnessReplay:
+    @pytest.fixture
+    def witness(self, g1):
+        witness = check_monotonic(LS, g1, Exhaustive())
+        assert witness.replay()
+        return witness
+
+    @pytest.mark.parametrize("evidence", [(5, 0), (-1, 0), (-2, 1), (0, -1), (0, 2)])
+    def test_evidence_outside_the_game_does_not_replay(self, witness, evidence):
+        assert not dataclasses.replace(witness, evidence=evidence).replay()
+
+    def test_larger_from_another_game_does_not_replay(self, witness, g2):
+        assert not dataclasses.replace(witness, larger=Restriction.full(g2)).replay()
+
+
+def _reference_witness(kind, game):
+    """A pair S < L, found over every comparable pair, with kind(S) not within kind(L)."""
+    engine = EliminationEngine(game)
+    nodes = list(product(*(range(1 << k) for k in game.shape)))
+    survivors = {masks: engine.survivors(kind, masks) for masks in nodes}
+    for small in nodes:
+        for large in nodes:
+            comparable = small != large and all(not s & ~l for s, l in zip(small, large))
+            if comparable and any(
+                a & ~b for a, b in zip(survivors[small], survivors[large])
+            ):
+                return small, large
+    return None
+
+
+def _is_covering_pair(witness):
+    added = [l & ~s for s, l in zip(witness.smaller.masks, witness.larger.masks)]
+    return witness.smaller.issubset(witness.larger) and sum(bin(a).count("1") for a in added) == 1
+
+
+def _small_random_games(count):
+    """Seeded games with 2 or 3 players and at most 7 strategies in total."""
+    games = []
+    seed = 0
+    while len(games) < count:
+        config = GeneratorConfig(seed=seed, players=(2, 3), strategies=(2, 3), tie_bias=0.4)
+        game = generate(config)
+        if sum(game.shape) <= 7:
+            games.append(game)
+        seed += 1
+    return games
+
+
+class TestCoveringPairs:
+    @pytest.mark.parametrize("game", _small_random_games(20), ids=lambda g: "x".join(map(str, g.shape)))
+    def test_verdicts_match_a_search_over_every_comparable_pair(self, game):
+        for kind in ALL_OPERATORS:
+            witness = check_monotonic(kind, game, Exhaustive())
+            assert (witness is None) == (_reference_witness(kind, game) is None), kind.name
+            sampled = check_monotonic(kind, game, Sampled(seed=3, count=40))
+            for found in (witness, sampled):
+                assert found is None or (_is_covering_pair(found) and found.replay())
+
+    @pytest.mark.parametrize("kind", ALL_OPERATORS, ids=lambda k: k.name)
+    def test_bundled_game_witnesses_are_replaying_covering_pairs(self, kind, g1, g2):
+        for game in (g1, g2):
+            for budget in (Exhaustive(), Sampled(seed=11, count=1000)):
+                witness = check_monotonic(kind, game, budget)
+                assert witness is None or (_is_covering_pair(witness) and witness.replay())
 
 
 class TestPointwiseInclusion:

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import math
@@ -271,6 +272,54 @@ class TestVerifyUnusedFlags:
             "--strategies", "2..2", "--format", "table",
         )
         assert code == 0 and "suite theorems: PASS" in text
+
+
+class TestCheckMonotonicFlags:
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_cap_below_one_exits_1(self, g1_path, cap):
+        code, text, err = run_cli_stderr("check-monotonic", "--operator", "ls", g1_path, "--cap", cap)
+        assert (code, text) == (1, "")
+        assert "--cap: must be at least 1" in err
+
+    @pytest.mark.parametrize(
+        "budget, flags, named",
+        [
+            ("exhaustive", ["--seed", "3"], "--seed"),
+            ("exhaustive", ["--samples", "5"], "--samples"),
+            ("exhaustive", ["--seed", "3", "--samples", "5"], "--samples, --seed"),
+            ("sampled", ["--cap", "10"], "--cap"),
+        ],
+    )
+    def test_flags_the_budget_ignores_exit_1(self, g1_path, budget, flags, named):
+        code, text, err = run_cli_stderr(
+            "check-monotonic", "--operator", "ls", g1_path, "--budget", budget, *flags
+        )
+        assert (code, text) == (1, "")
+        assert err == f"error: --budget {budget} does not use {named}\n"
+
+    def test_default_budgets(self, g1_path):
+        _, text = run_cli("check-monotonic", "--operator", "ls", g1_path)
+        assert json.loads(text)["budget"] == {"kind": "exhaustive", "cap": 4096}
+        _, text = run_cli(
+            "check-monotonic", "--operator", "ls", g1_path, "--budget", "sampled", "--seed", "2"
+        )
+        assert json.loads(text)["budget"] == {"kind": "sampled", "seed": 2, "count": 1000}
+
+
+class TestParserReuse:
+    def test_second_run_leaves_no_argparse_garbage(self, g1_path):
+        argv = ("solve", "--operator", "ls", g1_path)
+        run_cli(*argv)
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            run_cli(*argv)
+            gc.collect()
+            leaked = [type(o).__name__ for o in gc.garbage if type(o).__module__ == "argparse"]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert leaked == []
 
 
 class TestLoadGameErrors:
