@@ -29,7 +29,6 @@ from .dominance import (
     NoCandidatesError,
     Pool,
     dominates,
-    enumerate_mixtures,
     find_mixed_dominator,
     find_pure_dominator,
     replay_certificate,
@@ -44,7 +43,6 @@ from .game_model import (
     MixedStrategy,
     Restriction,
     builtin_game,
-    expected_payoff,
     game_from_json_dict,
     game_to_json_dict,
     opponent_profiles,
@@ -61,17 +59,14 @@ from .operators import (
     MGW,
     MLS,
     MLW,
-    Deterministic,
     EliminationEngine,
     EliminationStep,
     IterationTrace,
     Mixing,
     OperatorKind,
-    Seeded,
     apply_operator,
     fixpoint,
     iterate,
-    iterate_one_at_a_time,
     operator_from_name,
 )
 from .random_games import GeneratorConfig, generate

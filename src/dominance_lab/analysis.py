@@ -148,21 +148,28 @@ class MonotonicityWitness:
         evidence names a player or strategy outside the game, does not replay.
         """
         game = self.smaller.game
-        player, strategy = self.evidence
         if (
             game != self.larger.game
-            or not 0 <= player < game.player_count
-            or not 0 <= strategy < game.shape[player]
+            or not self._evidence_in_game()
             or not self.smaller.issubset(self.larger)
         ):
             return False
+        player, strategy = self.evidence
         engine = EliminationEngine(game)
         small = engine.survivors(self.operator, self.smaller.masks)
         large = engine.survivors(self.operator, self.larger.masks)
         bit = 1 << strategy
         return bool(small[player] & bit) and not large[player] & bit
 
+    def _evidence_in_game(self) -> bool:
+        game = self.smaller.game
+        player, strategy = self.evidence
+        return 0 <= player < game.player_count and 0 <= strategy < game.shape[player]
+
     def to_dict(self) -> dict:
+        """The witness with labels; raises ValueError for evidence outside the game."""
+        if not self._evidence_in_game():
+            raise ValueError(f"evidence {self.evidence} names no strategy of the game")
         game = self.smaller.game
         player, strategy = self.evidence
         return {

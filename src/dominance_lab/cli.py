@@ -36,24 +36,27 @@ OPERATOR_CHOICES = ("ls", "mls", "gs", "mgs", "lw", "mlw", "gw", "mgw")
 DEFAULT_SAMPLES = 1000
 
 
+def _parse_json(text: str, source: str) -> object:
+    """Decode one JSON input of the CLI; any failure is a GameFormatError naming ``source``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise GameFormatError(
+            f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
+    except RecursionError:
+        raise GameFormatError(f"{source}: JSON nested too deeply") from None
+
+
 def load_game(path: str) -> Game:
     """Load and validate a game file; raises GameFormatError or OSError."""
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GameFormatError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
-    return game_from_json_dict(doc)
+    return game_from_json_dict(_parse_json(text, path))
 
 
 def _parse_restriction(game: Game, text: str) -> Restriction:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GameFormatError(f"invalid restriction JSON: {exc.msg}") from None
+    doc = _parse_json(text, "--restriction")
     if not isinstance(doc, dict):
         raise GameFormatError("restriction must be an object keyed by player name")
     kept: list[tuple[int, ...]] = []
@@ -255,7 +258,7 @@ def _run_parsed(args: argparse.Namespace, out: TextIO) -> int:
             "witness": witness.to_dict() if witness else None,
         }
     elif args.command == "verify":
-        config = json.loads(args.config) if args.config else None
+        config = _parse_json(args.config, "--config") if args.config else None
         base = GeneratorConfig.from_json_dict(config) if args.config else None
         generator_flags = {
             "--players": args.players,

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .game_model import (
     Game,
@@ -61,7 +61,6 @@ __all__ = [
     "NoCandidatesError",
     "Pool",
     "dominates",
-    "enumerate_mixtures",
     "find_mixed_dominator",
     "find_pure_dominator",
     "replay_certificate",
@@ -332,9 +331,22 @@ class EliminationCertificate:
     context: Restriction
 
     def to_dict(self) -> dict:
+        """The certificate with labels in place of indices.
+
+        Raises ValueError for a player or strategy outside the game, or a
+        mixture of another player: indices no label can name.
+        """
         game = self.context.game
+        mixed = isinstance(self.dominator, MixedStrategy)
+        if mixed and self.dominator.player != self.player:
+            raise ValueError(
+                f"dominator belongs to player {self.dominator.player}, not {self.player}"
+            )
+        support = self.dominator.support if mixed else (self.dominator,)
+        for strategy in (self.eliminated, *support):
+            _check_player_strategy(game, self.player, strategy)
         labels = game.strategies[self.player]
-        if isinstance(self.dominator, MixedStrategy):
+        if mixed:
             dominator: object = {
                 labels[s]: format_rational(w) for s, w in self.dominator.weights
             }
@@ -368,34 +380,3 @@ def replay_certificate(certificate: EliminationCertificate) -> bool:
     elif dominator not in allowed:
         return False
     return dominates(dominator, certificate.eliminated, restriction, player, certificate.mode)
-
-
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def enumerate_mixtures(
-    player: int,
-    pool: Sequence[int],
-    max_denominator: int,
-) -> Iterator[MixedStrategy]:
-    """All distributions over ``pool`` with denominator at most the bound.
-
-    A search oracle: it can confirm that a dominator exists, never that none
-    does (a true witness may need a larger denominator).
-    """
-    seen: set[tuple[tuple[int, Fraction], ...]] = set()
-    for den in range(1, max_denominator + 1):
-        for combo in _compositions(den, len(pool)):
-            weights = tuple(
-                (s, Fraction(c, den)) for s, c in zip(pool, combo) if c
-            )
-            if weights in seen:
-                continue
-            seen.add(weights)
-            yield MixedStrategy(player, weights)

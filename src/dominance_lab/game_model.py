@@ -21,7 +21,7 @@ from fractions import Fraction
 from importlib import resources
 from itertools import product
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "Fraction",
@@ -32,7 +32,6 @@ __all__ = [
     "MixedStrategy",
     "Restriction",
     "builtin_game",
-    "expected_payoff",
     "format_rational",
     "game_from_json_dict",
     "game_to_json_dict",
@@ -329,18 +328,6 @@ class Restriction:
             raise ValueError("restrictions of different games are not comparable")
         return all(not a & ~b for a, b in zip(self.masks, other.masks))
 
-    def meet(self, other: "Restriction") -> "Restriction":
-        """Componentwise intersection (lattice meet)."""
-        if self.game != other.game:
-            raise ValueError("restrictions of different games have no meet")
-        return Restriction.from_masks(self.game, [a & b for a, b in zip(self.masks, other.masks)])
-
-    def join(self, other: "Restriction") -> "Restriction":
-        """Componentwise union (lattice join)."""
-        if self.game != other.game:
-            raise ValueError("restrictions of different games have no join")
-        return Restriction.from_masks(self.game, [a | b for a, b in zip(self.masks, other.masks)])
-
     def kept_names(self) -> dict[str, list[str]]:
         """Kept strategy labels keyed by player name, in player order."""
         return {
@@ -383,23 +370,9 @@ class MixedStrategy:
     def point_mass(cls, player: int, strategy: int) -> "MixedStrategy":
         return cls(player, ((strategy, Fraction(1)),))
 
-    @classmethod
-    def from_weights(cls, player: int, weights: Mapping[int, Fraction]) -> "MixedStrategy":
-        return cls(player, tuple(weights.items()))
-
     @property
     def support(self) -> tuple[int, ...]:
         return tuple(s for s, _ in self.weights)
-
-    @property
-    def is_point_mass(self) -> bool:
-        return len(self.weights) == 1
-
-    def weight(self, strategy: int) -> Fraction:
-        for s, w in self.weights:
-            if s == strategy:
-                return w
-        return Fraction(0)
 
 
 def payoff(game: Game, player: int, profile: Sequence[int]) -> Fraction:
@@ -407,33 +380,6 @@ def payoff(game: Game, player: int, profile: Sequence[int]) -> Fraction:
     if not 0 <= player < game.player_count:
         raise InvalidProfileError(f"player index {player} out of range")
     return game.payoffs[player][game.flat_index(profile)]
-
-
-def expected_payoff(
-    game: Game,
-    player: int,
-    mixed: MixedStrategy,
-    opponents: Sequence[int],
-) -> Fraction:
-    """Exact expected payoff of a mixed strategy against a fixed opponent profile.
-
-    ``opponents`` lists one strategy index per other player, in player order
-    with ``player`` skipped.
-    """
-    if mixed.player != player:
-        raise ValueError(
-            f"mixed strategy belongs to player {mixed.player}, not {player}"
-        )
-    if len(opponents) != game.player_count - 1:
-        raise InvalidProfileError(
-            f"opponent profile needs {game.player_count - 1} entries, got {len(opponents)}"
-        )
-    prefix = tuple(opponents[:player])
-    suffix = tuple(opponents[player:])
-    total = Fraction(0)
-    for strategy, weight in mixed.weights:
-        total += weight * payoff(game, player, prefix + (strategy,) + suffix)
-    return total
 
 
 def restriction_of(game: Game, kept: Iterable[Iterable[int]]) -> Restriction:

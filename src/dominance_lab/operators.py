@@ -16,7 +16,6 @@ public functions build a fresh engine per call and are therefore pure.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
@@ -34,7 +33,6 @@ from .game_model import Game, MixedStrategy, Restriction, indices_of
 
 __all__ = [
     "ALL_OPERATORS",
-    "Deterministic",
     "EliminationEngine",
     "EliminationStep",
     "GS",
@@ -48,11 +46,9 @@ __all__ = [
     "MLW",
     "Mixing",
     "OperatorKind",
-    "Seeded",
     "apply_operator",
     "fixpoint",
     "iterate",
-    "iterate_one_at_a_time",
     "operator_from_name",
 ]
 
@@ -148,18 +144,6 @@ class IterationTrace:
             "steps": [s.to_dict() for s in self.steps],
             "fixpoint": self.fixpoint.kept_names(),
         }
-
-
-@dataclass(frozen=True)
-class Deterministic:
-    """One-at-a-time policy: lowest player index, then lowest strategy index."""
-
-
-@dataclass(frozen=True)
-class Seeded:
-    """One-at-a-time policy: uniform choice among removable pairs, seeded."""
-
-    seed: int
 
 
 class EliminationEngine:
@@ -281,27 +265,6 @@ class EliminationEngine:
             assert len(steps) <= self.game.total_strategies + 1, "iteration failed to contract"
         return IterationTrace(operator=kind, steps=tuple(steps), fixpoint=steps[-1].after)
 
-    def iterate_one_at_a_time(
-        self, kind: OperatorKind, policy: Deterministic | Seeded
-    ) -> IterationTrace:
-        rng = random.Random(policy.seed) if isinstance(policy, Seeded) else None
-        current = Restriction.full(self.game)
-        steps = []
-        while True:
-            step = self.step(kind, current)
-            if not step.changed:
-                steps.append(step)
-                break
-            removable = step.certificates
-            chosen = removable[rng.randrange(len(removable))] if rng else removable[0]
-            after_masks = list(current.masks)
-            after_masks[chosen.player] &= ~(1 << chosen.eliminated)
-            after = Restriction.from_masks(self.game, after_masks)
-            steps.append(EliminationStep(before=current, after=after, certificates=(chosen,)))
-            current = after
-            assert len(steps) <= self.game.total_strategies + 1
-        return IterationTrace(operator=kind, steps=tuple(steps), fixpoint=steps[-1].after)
-
 
 def apply_operator(kind: OperatorKind, restriction: Restriction) -> EliminationStep:
     """One synchronized application of the operator to a restriction."""
@@ -311,17 +274,6 @@ def apply_operator(kind: OperatorKind, restriction: Restriction) -> EliminationS
 def iterate(kind: OperatorKind, game: Game) -> IterationTrace:
     """Iterate the operator from the full game until nothing changes."""
     return EliminationEngine(game).iterate(kind)
-
-
-def iterate_one_at_a_time(
-    kind: OperatorKind, game: Game, policy: Deterministic | Seeded = Deterministic()
-) -> IterationTrace:
-    """Remove a single dominated strategy per step, chosen by the policy.
-
-    An experimental mode for order-dependence studies; the operator family's
-    own definition is the simultaneous sweep of :func:`apply_operator`.
-    """
-    return EliminationEngine(game).iterate_one_at_a_time(kind, policy)
 
 
 def fixpoint(kind: OperatorKind, game: Game) -> Restriction:

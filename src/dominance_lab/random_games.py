@@ -1,4 +1,4 @@
-"""Seeded generation of small games for property suites and witness mining.
+"""Small random games from a seed, for property suites and witness mining.
 
 Payoffs come from a small integer grid so that found counterexamples stay
 hand-auditable and LP tableaux stay tiny.  ``tie_bias`` deliberately reuses
@@ -12,7 +12,6 @@ import random
 import string
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import product
 
 from .game_model import Game
 
@@ -26,14 +25,14 @@ def strategy_label(index: int) -> str:
     return f"S{index + 1}"
 
 
+_CONFIG_FIELDS = ("seed", "players", "strategies", "payoffs", "tie_bias")
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Shape, payoff grid and tie behavior of one random game.
 
     ``players`` and ``strategies`` are inclusive ranges sampled per game.
-    With ``distinct_payoffs`` every payoff column a dominance test compares
-    (one player, one opponent profile) is drawn without replacement, so weak
-    and strict pure dominance coincide.
     """
 
     seed: int
@@ -41,7 +40,6 @@ class GeneratorConfig:
     strategies: tuple[int, int] = (2, 4)
     payoff_range: tuple[int, int] = (-5, 5)
     tie_bias: float = 0.25
-    distinct_payoffs: bool = False
 
     def __post_init__(self) -> None:
         lo, hi = self.players
@@ -55,32 +53,21 @@ class GeneratorConfig:
             raise ValueError(f"payoff range {self.payoff_range} is empty")
         if not 0 <= self.tie_bias <= 1:
             raise ValueError(f"tie_bias {self.tie_bias} must lie in [0, 1]")
-        if self.distinct_payoffs:
-            grid = self.payoff_range[1] - self.payoff_range[0] + 1
-            if grid < self.strategies[1]:
-                raise ValueError(
-                    "distinct_payoffs needs a payoff grid at least as large as "
-                    "the largest strategy count"
-                )
 
     def with_seed(self, seed: int) -> "GeneratorConfig":
         return replace(self, seed=seed)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "players": list(self.players),
-            "strategies": list(self.strategies),
-            "payoffs": list(self.payoff_range),
-            "tie_bias": self.tie_bias,
-            "distinct_payoffs": self.distinct_payoffs,
-        }
-
     @classmethod
     def from_json_dict(cls, doc: object) -> "GeneratorConfig":
-        """Parse a JSON config object; any malformed field raises ValueError."""
+        """Parse a JSON config object; an unknown or malformed field raises ValueError."""
         if not isinstance(doc, dict):
             raise ValueError(f"generator config must be a JSON object, got {doc!r}")
+        unknown = [key for key in doc if key not in _CONFIG_FIELDS]
+        if unknown:
+            raise ValueError(
+                f"unknown config field {', '.join(map(repr, unknown))} "
+                f"(expected some of {', '.join(_CONFIG_FIELDS)})"
+            )
 
         def number(key: str, convert: type, value: object) -> int | float:
             try:
@@ -109,7 +96,6 @@ class GeneratorConfig:
             strategies=pair("strategies", defaults.strategies),
             payoff_range=pair("payoffs", defaults.payoff_range),
             tie_bias=number("tie_bias", float, doc.get("tie_bias", defaults.tie_bias)),
-            distinct_payoffs=bool(doc.get("distinct_payoffs", False)),
         )
 
 
@@ -126,31 +112,16 @@ def generate(config: GeneratorConfig) -> Game:
         size *= c
 
     tables: list[list[Fraction]] = []
-    if config.distinct_payoffs:
-        strides = [1] * n
-        for k in range(n - 2, -1, -1):
-            strides[k] = strides[k + 1] * counts[k + 1]
-        for i in range(n):
-            table = [Fraction(0)] * size
-            other_axes = [range(counts[k]) for k in range(n) if k != i]
-            other_strides = [strides[k] for k in range(n) if k != i]
-            for opponents in product(*other_axes):
-                base = sum(s * c for s, c in zip(other_strides, opponents))
-                values = rng.sample(range(lo, hi + 1), counts[i])
-                for j, value in enumerate(values):
-                    table[base + j * strides[i]] = Fraction(value)
-            tables.append(table)
-    else:
-        for _ in range(n):
-            drawn: list[int] = []
-            table = []
-            for _ in range(size):
-                if drawn and rng.random() < config.tie_bias:
-                    value = drawn[rng.randrange(len(drawn))]
-                else:
-                    value = rng.randint(lo, hi)
-                drawn.append(value)
-                table.append(Fraction(value))
-            tables.append(table)
+    for _ in range(n):
+        drawn: list[int] = []
+        table = []
+        for _ in range(size):
+            if drawn and rng.random() < config.tie_bias:
+                value = drawn[rng.randrange(len(drawn))]
+            else:
+                value = rng.randint(lo, hi)
+            drawn.append(value)
+            table.append(Fraction(value))
+        tables.append(table)
 
     return Game(players, strategies, tuple(tuple(t) for t in tables))

@@ -11,12 +11,20 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 from . import analysis, dominance, operators
-from .analysis import Exhaustive, Sampled
-from .dominance import Mode, Pool, enumerate_mixtures, find_mixed_dominator, replay_certificate
-from .game_model import Game, Restriction, builtin_game
+from .analysis import _EQUALITY_PAIRS, Exhaustive, Sampled
+from .dominance import (
+    Mode,
+    Pool,
+    _beats,
+    _column,
+    _opponent_bases,
+    find_mixed_dominator,
+    replay_certificate,
+)
+from .game_model import Game, Restriction, builtin_game, opponent_profiles
 from .operators import (
     ALL_OPERATORS,
     EliminationEngine,
@@ -311,7 +319,7 @@ def _check_one_game(game: Game, report_rows: list[str]) -> tuple[bool, Eliminati
         if not traces[left.name].fixpoint.issubset(traces[right.name].fixpoint):
             ok = False
             report_rows.append(f"{left.name} fixpoint not within {right.name} fixpoint")
-    for global_kind, local_kind in ((GS, LS), (MGS, MLS), (GW, LW), (MGW, MLW)):
+    for global_kind, local_kind in _EQUALITY_PAIRS:
         if (
             traces[global_kind.name].fixpoint.kept
             != traces[local_kind.name].fixpoint.kept
@@ -329,7 +337,7 @@ def _check_one_game(game: Game, report_rows: list[str]) -> tuple[bool, Eliminati
     for masks in iterates:
         results = {
             kind.name: engine.survivors(kind, masks)
-            for kind in (MLW, LW, LS, MLS, MGW, GW, GS, MGS)
+            for kind in ALL_OPERATORS
         }
         for first, second, third in _CHAIN_TRIPLES:
             a, b, c = results[first.name], results[second.name], results[third.name]
@@ -409,6 +417,37 @@ def _hand_lp_checks(report: SuiteReport) -> None:
     )
 
 
+def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Every tuple of ``parts`` nonnegative ints summing to ``total``, in lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _grid_dominated(
+    columns: Sequence[Sequence[int]], target_col: Sequence[int], mode: Mode, max_denominator: int
+) -> bool:
+    """Whether a mixture of the pure ``columns``, each weight a multiple of
+    ``1/den`` for some ``den <= max_denominator``, dominates ``target_col``.
+
+    A search oracle: it can confirm that a dominator exists, never that none
+    does (a true witness may need a larger denominator).  The mixture with
+    counts ``k`` over ``den`` dominates exactly when ``sum_j k_j col_j``
+    beats ``den`` times the target's column, so every comparison is on ints.
+    """
+    profiles = range(len(target_col))
+    for den in range(1, max_denominator + 1):
+        scaled_target = [den * t for t in target_col]
+        for counts in _compositions(den, len(columns)):
+            mixed = [sum(k * col[c] for k, col in zip(counts, columns)) for c in profiles]
+            if _beats(mixed, scaled_target, mode):
+                return True
+    return False
+
+
 def oracle_suite(
     seed: int | None = None, games: int = 100, max_denominator: int = 6
 ) -> SuiteReport:
@@ -432,13 +471,11 @@ def oracle_suite(
         game = generate(config.with_seed(seed * 31 + i))
         top = Restriction.full(game)
         for player in range(game.player_count):
-            pool = tuple(range(game.shape[player]))
-            for target in pool:
+            bases = _opponent_bases(game, player, opponent_profiles(top, player))
+            columns = [_column(game, player, s, bases) for s in range(game.shape[player])]
+            for target, target_col in enumerate(columns):
                 for mode in (Mode.STRICT, Mode.WEAK):
-                    grid_found = any(
-                        dominance.dominates(mix, target, top, player, mode)
-                        for mix in enumerate_mixtures(player, pool, max_denominator)
-                    )
+                    grid_found = _grid_dominated(columns, target_col, mode, max_denominator)
                     lp_witness = find_mixed_dominator(top, player, target, Pool.GLOBAL, mode)
                     grid_hits += grid_found
                     lp_hits += lp_witness is not None

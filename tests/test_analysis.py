@@ -107,6 +107,11 @@ class TestWitnessReplay:
     def test_larger_from_another_game_does_not_replay(self, witness, g2):
         assert not dataclasses.replace(witness, larger=Restriction.full(g2)).replay()
 
+    @pytest.mark.parametrize("evidence", [(5, 0), (-1, 0), (-2, 1), (0, -1), (0, 2)])
+    def test_evidence_outside_the_game_has_no_dict(self, witness, evidence):
+        with pytest.raises(ValueError, match="evidence"):
+            dataclasses.replace(witness, evidence=evidence).to_dict()
+
 
 def _reference_witness(kind, game):
     """A pair S < L, found over every comparable pair, with kind(S) not within kind(L)."""

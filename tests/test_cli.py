@@ -9,7 +9,7 @@ from fractions import Fraction
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dominance_lab.cli import load_game, run
@@ -204,7 +204,8 @@ class TestVerifyConfigErrors:
     @pytest.mark.parametrize(
         "config",
         ['[1]', '"x"', 'null', '{"seed": [1]}', '{"players": [2, null]}',
-         '{"seed": 1e400}', '{"tie_bias": [1]}'],
+         '{"seed": 1e400}', '{"tie_bias": [1]}',
+         '{"seed": 5, "distinct_payoffs": true}', '{"seed": 5, "playrs": [3, 3]}'],
     )
     def test_malformed_config_exits_1(self, config):
         code, text, err = run_cli_stderr(
@@ -238,6 +239,110 @@ class TestVerifyConfigErrors:
         )
         assert code in (0, 1)
         assert "Traceback" not in err
+
+
+DEEP = "[" * 30_000
+
+
+@st.composite
+def game_documents(draw):
+    """Game documents with 2 or 3 players and small shapes; one in four has
+    payoff leaves that may be malformed or of the wrong length."""
+    shape = draw(st.sampled_from([(1, 2), (2, 2), (2, 3), (3, 3), (3, 2), (2, 2, 2), (1, 2, 2)]))
+    n = len(shape)
+    names = ["Row", "Column", "Third"][:n]
+    leaf = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    if draw(st.integers(0, 3)) == 0:
+        entry = st.integers(-3, 3) | st.sampled_from(["1/2", "-2/3", "x", "1/0", 1.5, None, True])
+        leaf = leaf | st.lists(entry, min_size=n - 1, max_size=n + 1)
+
+    def table(depth):
+        if depth == n:
+            return draw(leaf)
+        return [table(depth + 1) for _ in range(shape[depth])]
+
+    return {
+        "players": [
+            {"name": name, "strategies": ["ABC"[j] for j in range(count)]}
+            for name, count in zip(names, shape)
+        ],
+        "payoffs": table(0),
+    }
+
+
+NOT_GAMES = TestVerifyConfigErrors.json_values.map(json.dumps) | st.text(max_size=12)
+
+
+class TestCliFuzz:
+    """Whatever the command line and the game file, ``run`` returns an exit
+    code in {0, 1, 2, 3}, and no exception or traceback escapes it."""
+
+    # A command that would run as given, then options drawn at random; a
+    # repeated flag overrides the earlier one, so the options reach every path.
+    heads = st.sampled_from([
+        ["solve", "--operator", "mlw", "GAME"],
+        ["apply", "--operator", "ls", "GAME"],
+        ["compare", "--left", "mlw", "--right", "lw", "GAME"],
+        ["check-monotonic", "--operator", "mgw", "GAME"],
+        ["verify", "--suite", "theorems"],
+        ["verify", "--suite", "oracle"],
+        ["paper-examples"],
+        [],
+    ])
+    flags = st.sampled_from([
+        "--operator", "--restriction", "--left", "--right", "--budget", "--cap", "--samples",
+        "--seed", "--suite", "--games", "--players", "--strategies", "--payoffs",
+        "--tie-bias", "--config", "--format", "solve", "GAME",
+    ])
+    values = st.sampled_from([
+        "ls", "mgw", "x", "table", "json", "sampled", "exhaustive", "paper", "determinism",
+        "all", "0", "1", "2", "-1", "2..3", "0.5", "nan", "{}", "[]", '{"seed": 3}',
+        '{"Row": ["A"], "Column": []}', "GAME", "/nonexistent.json",
+    ]) | st.text(max_size=4)
+    options = st.lists(
+        st.tuples(flags, values).map(list) | st.just(["--trace"]), max_size=3
+    ).map(lambda pairs: [token for pair in pairs for token in pair])
+    argvs = st.tuples(heads, options).map(lambda parts: parts[0] + parts[1])
+    game_texts = st.integers(0, 3).flatmap(
+        lambda i: game_documents().map(json.dumps) if i else NOT_GAMES
+    )
+
+    @pytest.fixture(scope="class")
+    def game_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz") / "game.json"
+
+    @settings(max_examples=150, deadline=None)
+    @given(argv=argvs, game=game_texts)
+    @example(argv=["solve", "--operator", "ls", "GAME"], game=DEEP)
+    @example(argv=["apply", "--operator", "ls", "GAME", "--restriction", DEEP],
+             game='{"players": [{"name": "Row", "strategies": ["A"]}, '
+                  '{"name": "Column", "strategies": ["X"]}], "payoffs": [[[0, 0]]]}')
+    @example(argv=["verify", "--suite", "theorems", "--config", DEEP], game="{}")
+    def test_run_returns_an_exit_code(self, game_path, argv, game):
+        game_path.write_text(game, encoding="utf-8")
+        argv = [str(game_path) if token == "GAME" else token for token in argv]
+        if "verify" in argv:
+            argv += ["--games", "1"]  # keeps every suite that runs small
+        try:
+            code, _, err = run_cli_stderr(*argv)
+        finally:
+            # A new file per example: truncating one in place is slow on some file systems.
+            game_path.unlink()
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--operator", "ls", "GAME"],
+        ["apply", "--operator", "ls", "SECTION3", "--restriction", DEEP],
+        ["verify", "--suite", "theorems", "--games", "1", "--config", DEEP],
+    ])
+    def test_deeply_nested_json_is_an_input_error(self, tmp_path, g1_path, argv):
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP, encoding="utf-8")
+        replace = {"GAME": str(path), "SECTION3": g1_path}
+        code, text, err = run_cli_stderr(*(replace.get(token, token) for token in argv))
+        assert (code, text) == (1, "")
+        assert err.startswith("error: ") and err.rstrip().endswith("JSON nested too deeply")
 
 
 class TestVerifyUnusedFlags:

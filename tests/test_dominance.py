@@ -14,15 +14,16 @@ from dominance_lab import (
     Restriction,
     apply_operator,
     dominates,
-    enumerate_mixtures,
     find_mixed_dominator,
     find_pure_dominator,
+    opponent_profiles,
     replay_certificate,
     restriction_of,
 )
-from dominance_lab.dominance import _mixed_dominator, _opponent_bases
+from dominance_lab.dominance import _column, _mixed_dominator, _opponent_bases
 from dominance_lab.operators import ALL_OPERATORS
 from dominance_lab.random_games import GeneratorConfig, generate
+from dominance_lab.suites import _grid_dominated
 
 F = Fraction
 HALF = F(1, 2)
@@ -98,10 +99,9 @@ class TestFindMixedDominator:
         assert witness is not None
         assert dominates(witness, 2, top, 0, Mode.WEAK)
         # The grid oracle confirms some dominator exists over this pool.
-        assert any(
-            dominates(mix, 2, top, 0, Mode.WEAK)
-            for mix in enumerate_mixtures(0, (0, 1, 2, 3), 6)
-        )
+        bases = _opponent_bases(g2, 0, opponent_profiles(top, 0))
+        columns = [_column(g2, 0, s, bases) for s in range(4)]
+        assert _grid_dominated(columns, columns[2], Mode.WEAK, 6)
 
     def test_single_strategy_pool_cannot_dominate_itself(self, g1):
         frozen = restriction_of(g1, [(1,), (0,)])
@@ -281,6 +281,32 @@ class TestCertificates:
         (certificate,) = step.certificates
         assert not replay_certificate(replace(certificate, **{field: value}))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("player", 5), ("player", -1), ("eliminated", 7), ("eliminated", -1),
+         ("dominator", 2), ("dominator", -1)],
+    )
+    def test_out_of_range_certificate_has_no_dict(self, g1, field, value):
+        from dataclasses import replace
+
+        step = apply_operator(ALL_OPERATORS[0], Restriction.full(g1))
+        (certificate,) = step.certificates
+        with pytest.raises(ValueError, match="out of range"):
+            replace(certificate, **{field: value}).to_dict()
+
+    def test_other_players_mixture_has_no_dict(self, g2):
+        from dataclasses import replace
+
+        from dominance_lab.operators import MLW
+
+        step = apply_operator(MLW, Restriction.full(g2))
+        certificate = next(
+            c for c in step.certificates if isinstance(c.dominator, MixedStrategy)
+        )
+        foreign = MixedStrategy(1 - certificate.player, certificate.dominator.weights)
+        with pytest.raises(ValueError, match="belongs to player"):
+            replace(certificate, dominator=foreign).to_dict()
+
     def test_other_players_mixture_fails_replay(self, g2):
         from dataclasses import replace
 
@@ -306,16 +332,3 @@ class TestCertificates:
         for doc in mixed_docs:
             for weight in doc["dominator"].values():
                 F(weight)  # "p/q" strings parse back to exact rationals
-
-
-class TestGridOracle:
-    def test_mixture_enumeration_is_deduplicated(self):
-        mixtures = list(enumerate_mixtures(0, (0, 1), 3))
-        weights = [m.weights for m in mixtures]
-        assert len(weights) == len(set(weights)) == 5
-        assert MixedStrategy(0, ((0, HALF), (1, HALF))).weights in weights
-
-    def test_supports_stay_inside_the_pool(self):
-        for mix in enumerate_mixtures(1, (0, 2), 4):
-            assert set(mix.support) <= {0, 2}
-            assert sum((w for _, w in mix.weights), F(0)) == 1

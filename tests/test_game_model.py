@@ -1,5 +1,4 @@
 from fractions import Fraction
-from itertools import product
 
 import pytest
 
@@ -10,7 +9,6 @@ from dominance_lab import (
     InvalidProfileError,
     MixedStrategy,
     Restriction,
-    expected_payoff,
     game_from_json_dict,
     game_to_json_dict,
     opponent_profiles,
@@ -21,16 +19,6 @@ from dominance_lab.game_model import parse_rational
 from dominance_lab.random_games import GeneratorConfig, generate
 
 HALF = Fraction(1, 2)
-
-
-def brute_expected(game, player, mixed, opponents):
-    # Independent oracle: expand the sum over the support by hand.
-    total = Fraction(0)
-    for strategy, weight in mixed.weights:
-        profile = list(opponents)
-        profile.insert(player, strategy)
-        total += weight * payoff(game, player, tuple(profile))
-    return total
 
 
 class TestPayoff:
@@ -62,48 +50,6 @@ class TestPayoff:
         assert game.scaled_payoffs == ((3, -4), (-12, 5))
 
 
-class TestExpectedPayoff:
-    def test_half_half_against_x(self, g2):
-        mix = MixedStrategy(0, ((0, HALF), (1, HALF)))
-        value = expected_payoff(g2, 0, mix, (0,))
-        assert value == 1  # 1/2 * 2 + 1/2 * 0
-        assert value == brute_expected(g2, 0, mix, (0,))
-
-    def test_half_half_against_z(self, g2):
-        mix = MixedStrategy(0, ((0, HALF), (1, HALF)))
-        value = expected_payoff(g2, 0, mix, (2,))
-        assert value == 1  # 1/2 * 1 + 1/2 * 1
-        assert value == brute_expected(g2, 0, mix, (2,))
-
-    def test_point_mass_matches_pure_payoff_everywhere(self):
-        # Every profile of a few generated games up to 3x3x3.
-        configs = [
-            GeneratorConfig(seed=s, players=(2, 3), strategies=(1, 3))
-            for s in (11, 12, 13, 14)
-        ]
-        for config in configs:
-            game = generate(config)
-            for player in range(game.player_count):
-                for profile in product(*(range(k) for k in game.shape)):
-                    opponents = tuple(
-                        c for i, c in enumerate(profile) if i != player
-                    )
-                    mass = MixedStrategy.point_mass(player, profile[player])
-                    assert expected_payoff(game, player, mass, opponents) == payoff(
-                        game, player, profile
-                    )
-
-    def test_wrong_player_rejected(self, g2):
-        mix = MixedStrategy.point_mass(1, 0)
-        with pytest.raises(ValueError):
-            expected_payoff(g2, 0, mix, (0,))
-
-    def test_wrong_opponent_count_rejected(self, g2):
-        mix = MixedStrategy.point_mass(0, 0)
-        with pytest.raises(InvalidProfileError):
-            expected_payoff(g2, 0, mix, (0, 1))
-
-
 class TestMixedStrategy:
     def test_negative_weight_rejected(self):
         with pytest.raises(InvalidDistributionError):
@@ -119,7 +65,7 @@ class TestMixedStrategy:
 
     def test_point_mass(self):
         mass = MixedStrategy.point_mass(2, 1)
-        assert mass.is_point_mass and mass.weight(1) == 1 and mass.weight(0) == 0
+        assert mass.player == 2 and mass.weights == ((1, Fraction(1)),)
 
 
 class TestRestriction:
@@ -163,34 +109,6 @@ class TestOpponentProfiles:
         game = generate(GeneratorConfig(seed=3, players=(3, 3), strategies=(2, 2)))
         top = Restriction.full(game)
         assert opponent_profiles(top, 1) == ((0, 0), (0, 1), (1, 0), (1, 1))
-
-
-class TestRestrictionLattice:
-    def all_restrictions(self, game):
-        subsets_per_player = [
-            [tuple(i for i in range(k) if mask >> i & 1) for mask in range(1 << k)]
-            for k in game.shape
-        ]
-        return [
-            Restriction(game, combo) for combo in product(*subsets_per_player)
-        ]
-
-    def test_lattice_laws_on_a_2x2_game(self):
-        game = generate(GeneratorConfig(seed=5, players=(2, 2), strategies=(2, 2)))
-        nodes = self.all_restrictions(game)
-        top = Restriction.full(game)
-        bottom = restriction_of(game, [(), ()])
-        for a in nodes:
-            assert a.meet(a) == a and a.join(a) == a
-            assert a.meet(top) == a and a.join(bottom) == a
-            assert a.issubset(top) and bottom.issubset(a)
-        for a in nodes:
-            for b in nodes:
-                assert a.meet(b) == b.meet(a)
-                assert a.join(b) == b.join(a)
-                assert a.meet(b).issubset(a) and a.issubset(a.join(b))
-                assert a.join(a.meet(b)) == a  # absorption
-                assert a.meet(a.join(b)) == a
 
 
 class TestGameConstruction:

@@ -16,13 +16,10 @@ from dominance_lab import (
     MGW,
     MLS,
     MLW,
-    Deterministic,
     Restriction,
-    Seeded,
     apply_operator,
     fixpoint,
     iterate,
-    iterate_one_at_a_time,
     operator_from_name,
     payoff,
     restriction_of,
@@ -148,30 +145,6 @@ class TestIterate:
 
     def test_fixpoint_convenience(self, g2):
         assert fixpoint(GW, g2).kept == iterate(GW, g2).fixpoint.kept
-
-
-class TestOneAtATime:
-    def test_gs_on_g1_is_order_independent_across_seeds(self, g1):
-        for seed in range(10):
-            trace = iterate_one_at_a_time(GS, g1, Seeded(seed))
-            assert trace.fixpoint.kept == ((0,), (0,))
-
-    def test_deterministic_ls_matches_simultaneous_fixpoint_on_g1(self, g1):
-        assert (
-            iterate_one_at_a_time(LS, g1, Deterministic()).fixpoint.kept
-            == iterate(LS, g1).fixpoint.kept
-        )
-
-    def test_nothing_to_remove_gives_a_single_step(self):
-        flat = generate(GeneratorConfig(seed=0, strategies=(2, 2), payoff_range=(1, 1)))
-        trace = iterate_one_at_a_time(LS, flat, Deterministic())
-        assert len(trace.steps) == 1 and trace.fixpoint.is_full
-
-    def test_each_step_removes_exactly_one_strategy(self, g2):
-        trace = iterate_one_at_a_time(LW, g2, Deterministic())
-        for step in trace.steps[:-1]:
-            assert step.before.total_kept - step.after.total_kept == 1
-            assert len(step.certificates) == 1
 
 
 class TestOperatorProperties:

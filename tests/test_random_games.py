@@ -1,8 +1,6 @@
-from itertools import product
-
 import pytest
 
-from dominance_lab import ALL_OPERATORS, LS, LW, iterate
+from dominance_lab import ALL_OPERATORS, iterate
 from dominance_lab.random_games import GeneratorConfig, generate, strategy_label
 
 
@@ -21,15 +19,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             GeneratorConfig(seed=1, payoff_range=(3, -3))
 
-    def test_distinct_mode_needs_a_wide_enough_grid(self):
-        with pytest.raises(ValueError):
-            GeneratorConfig(seed=1, strategies=(2, 4), payoff_range=(0, 2),
-                            distinct_payoffs=True)
-
     def test_json_round_trip(self):
         config = GeneratorConfig(seed=9, players=(2, 3), strategies=(2, 4),
                                  payoff_range=(-5, 5), tie_bias=0.4)
-        assert GeneratorConfig.from_json_dict(config.to_json_dict()) == config
+        doc = {"seed": 9, "players": [2, 3], "strategies": [2, 4], "payoffs": [-5, 5],
+               "tie_bias": 0.4}
+        assert GeneratorConfig.from_json_dict(doc) == config
+
+    @pytest.mark.parametrize("field", ["distinct_payoffs", "playrs", ""])
+    def test_json_rejects_unknown_fields(self, field):
+        with pytest.raises(ValueError, match="unknown config field"):
+            GeneratorConfig.from_json_dict({"seed": 2, field: 1})
 
     def test_json_accepts_scalars_for_ranges(self):
         config = GeneratorConfig.from_json_dict({"seed": 2, "players": 3, "strategies": 2})
@@ -60,38 +60,6 @@ class TestGeneration:
 
     def test_strategy_labels(self):
         assert [strategy_label(i) for i in (0, 1, 25, 26)] == ["A", "B", "Z", "S27"]
-
-
-class TestDistinctPayoffs:
-    def columns(self, game, player):
-        others = [range(k) for i, k in enumerate(game.shape) if i != player]
-        for opponents in product(*others):
-            column = []
-            for s in range(game.shape[player]):
-                profile = list(opponents)
-                profile.insert(player, s)
-                column.append(game.payoffs[player][game.flat_index(tuple(profile))])
-            yield column
-
-    def test_no_ties_within_any_compared_column(self):
-        for seed in range(15):
-            game = generate(
-                GeneratorConfig(seed=seed, players=(2, 3), strategies=(2, 4),
-                                distinct_payoffs=True)
-            )
-            for player in range(game.player_count):
-                for column in self.columns(game, player):
-                    assert len(set(column)) == len(column)
-
-    def test_weak_and_strict_pure_local_iterations_coincide(self):
-        # With all compared payoffs distinct, >=-with-one-> collapses to >.
-        for seed in range(20):
-            game = generate(
-                GeneratorConfig(seed=seed, strategies=(2, 4), distinct_payoffs=True)
-            )
-            lw = iterate(LW, game)
-            ls = iterate(LS, game)
-            assert [s.after.kept for s in lw.steps] == [s.after.kept for s in ls.steps]
 
 
 class TestDegenerateShapes:
