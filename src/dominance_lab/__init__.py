@@ -11,8 +11,6 @@ from .analysis import (
     BudgetExceededError,
     Exhaustive,
     FixpointRelationReport,
-    GlobalLocalEqualityReport,
-    LemmaIncReport,
     MonotonicityWitness,
     PointwiseInclusionReport,
     Sampled,
@@ -20,8 +18,6 @@ from .analysis import (
     compare_fixpoints,
     lattice_size,
     pointwise_inclusion,
-    verify_global_local_equalities,
-    verify_lemma_inc,
 )
 from .dominance import (
     EliminationCertificate,

@@ -13,31 +13,16 @@ suites and CI can assert on their JSON form.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .game_model import Game, Restriction, indices_of
-from .operators import (
-    ALL_OPERATORS,
-    EliminationEngine,
-    GS,
-    GW,
-    IterationTrace,
-    LS,
-    LW,
-    MGS,
-    MGW,
-    MLS,
-    MLW,
-    OperatorKind,
-)
+from .operators import EliminationEngine, OperatorKind
 
 __all__ = [
     "BudgetExceededError",
     "Exhaustive",
     "FixpointRelationReport",
-    "GlobalLocalEqualityReport",
-    "LemmaIncReport",
     "MonotonicityWitness",
     "PointwiseInclusionReport",
     "Sampled",
@@ -47,8 +32,6 @@ __all__ = [
     "lattice_size",
     "pointwise_inclusion",
     "relation_of",
-    "verify_global_local_equalities",
-    "verify_lemma_inc",
 ]
 
 DEFAULT_EXHAUSTIVE_CAP = 4096
@@ -230,15 +213,6 @@ class PointwiseInclusionReport:
     def holds(self) -> bool:
         return not self.violations
 
-    def to_dict(self) -> dict:
-        return {
-            "left": self.left.name,
-            "right": self.right.name,
-            "checked": self.checked,
-            "holds": self.holds,
-            "violations": list(self.violations),
-        }
-
 
 def pointwise_inclusion(
     left: OperatorKind, right: OperatorKind, game: Game, budget: Budget
@@ -307,126 +281,3 @@ def compare_fixpoints(
         left_fixpoint=lfix,
         right_fixpoint=rfix,
     )
-
-
-@dataclass(frozen=True)
-class LemmaIncReport:
-    """Hypotheses and conclusion of the inclusion lemma, each checked separately.
-
-    The lemma: if T(G) is included in U(G) for all G and at least one of T, U
-    is monotonic, then the fixpoint of T is included in the fixpoint of U.
-    Hypothesis failure with conclusion failure is a meaningful outcome and
-    stays visible.
-    """
-
-    t: OperatorKind
-    u: OperatorKind
-    pointwise_holds: bool
-    t_monotonic: bool
-    u_monotonic: bool
-    t_witness: MonotonicityWitness | None
-    u_witness: MonotonicityWitness | None
-    conclusion_holds: bool
-    t_fixpoint: Restriction
-    u_fixpoint: Restriction
-
-    @property
-    def hypotheses_hold(self) -> bool:
-        return self.pointwise_holds and (self.t_monotonic or self.u_monotonic)
-
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t.name,
-            "u": self.u.name,
-            "pointwise_holds": self.pointwise_holds,
-            "t_monotonic": self.t_monotonic,
-            "u_monotonic": self.u_monotonic,
-            "t_witness": self.t_witness.to_dict() if self.t_witness else None,
-            "u_witness": self.u_witness.to_dict() if self.u_witness else None,
-            "hypotheses_hold": self.hypotheses_hold,
-            "conclusion_holds": self.conclusion_holds,
-            "t_fixpoint": self.t_fixpoint.kept_names(),
-            "u_fixpoint": self.u_fixpoint.kept_names(),
-        }
-
-
-def verify_lemma_inc(
-    t: OperatorKind, u: OperatorKind, game: Game, budget: Exhaustive = Exhaustive()
-) -> LemmaIncReport:
-    """Check the inclusion lemma's hypotheses and conclusion on one game's lattice."""
-    pointwise = pointwise_inclusion(t, u, game, budget)
-    t_witness = check_monotonic(t, game, budget)
-    u_witness = check_monotonic(u, game, budget)
-    engine = EliminationEngine(game)
-    t_fix = engine.iterate(t).fixpoint
-    u_fix = engine.iterate(u).fixpoint
-    return LemmaIncReport(
-        t=t,
-        u=u,
-        pointwise_holds=pointwise.holds,
-        t_monotonic=t_witness is None,
-        u_monotonic=u_witness is None,
-        t_witness=t_witness,
-        u_witness=u_witness,
-        conclusion_holds=t_fix.issubset(u_fix),
-        t_fixpoint=t_fix,
-        u_fixpoint=u_fix,
-    )
-
-
-_EQUALITY_PAIRS: tuple[tuple[OperatorKind, OperatorKind], ...] = (
-    (GS, LS),
-    (MGS, MLS),
-    (GW, LW),
-    (MGW, MLW),
-)
-
-
-@dataclass(frozen=True)
-class GlobalLocalEqualityReport:
-    """The four global-vs-local fixpoint equalities on one game.
-
-    An inequality would point at an implementation fault, so failures carry
-    the full traces of both sides.
-    """
-
-    game: Game
-    traces: dict[str, IterationTrace] = field(repr=False)
-
-    @property
-    def equalities(self) -> dict[str, bool]:
-        return {
-            f"{g.name}={l.name}": self.traces[g.name].fixpoint.kept
-            == self.traces[l.name].fixpoint.kept
-            for g, l in _EQUALITY_PAIRS
-        }
-
-    @property
-    def all_hold(self) -> bool:
-        return all(self.equalities.values())
-
-    def to_dict(self) -> dict:
-        out = {
-            "fixpoints": {
-                kind.name: self.traces[kind.name].fixpoint.kept_names()
-                for kind in ALL_OPERATORS
-            },
-            "equalities": self.equalities,
-            "all_hold": self.all_hold,
-        }
-        failing = [name for name, ok in self.equalities.items() if not ok]
-        if failing:
-            out["failing_traces"] = {
-                name: {
-                    side: self.traces[side].to_dict() for side in name.split("=")
-                }
-                for name in failing
-            }
-        return out
-
-
-def verify_global_local_equalities(game: Game) -> GlobalLocalEqualityReport:
-    """Compute all eight fixpoints and compare each global/local pair."""
-    engine = EliminationEngine(game)
-    traces = {kind.name: engine.iterate(kind) for kind in ALL_OPERATORS}
-    return GlobalLocalEqualityReport(game=game, traces=traces)

@@ -258,15 +258,15 @@ def _run_parsed(args: argparse.Namespace, out: TextIO) -> int:
             "witness": witness.to_dict() if witness else None,
         }
     elif args.command == "verify":
-        config = _parse_json(args.config, "--config") if args.config else None
-        base = GeneratorConfig.from_json_dict(config) if args.config else None
+        config = _parse_json(args.config, "--config") if args.config else {}
+        base = GeneratorConfig.from_json_dict(config)
         generator_flags = {
             "--players": args.players,
             "--strategies": args.strategies,
             "--payoffs": args.payoffs,
             "--tie-bias": args.tie_bias,
             # The config's seed seeds every suite; only its other fields are theorem-only.
-            "--config": None if base is None or config.keys() <= {"seed"} else args.config,
+            "--config": args.config if config.keys() - {"seed"} else None,
         }
         unused = [] if args.suite in ("theorems", "all") else [
             flag for flag, value in generator_flags.items() if value is not None
@@ -275,25 +275,19 @@ def _run_parsed(args: argparse.Namespace, out: TextIO) -> int:
             unused.append("--games")
         if unused:
             raise ValueError(f"--suite {args.suite} does not use {', '.join(unused)}")
+        # The theorem suite's defaults, then the flags, then the fields the config names.
         theorem_config = {}
-        if base is not None:
-            theorem_config = {
-                "players": base.players,
-                "strategies": base.strategies,
-                "payoff_range": base.payoff_range,
-                "tie_bias": base.tie_bias,
-            }
-            seed = args.seed if args.seed is not None else base.seed
-        else:
-            if args.players:
-                theorem_config["players"] = args.players
-            if args.strategies:
-                theorem_config["strategies"] = args.strategies
-            if args.payoffs:
-                theorem_config["payoff_range"] = args.payoffs
-            if args.tie_bias is not None:
-                theorem_config["tie_bias"] = args.tie_bias
-            seed = args.seed
+        for key, name, flag in (
+            ("players", "players", args.players),
+            ("strategies", "strategies", args.strategies),
+            ("payoff_range", "payoffs", args.payoffs),
+            ("tie_bias", "tie_bias", args.tie_bias),
+        ):
+            if config.get(name) is not None:
+                theorem_config[key] = getattr(base, key)
+            elif flag is not None:
+                theorem_config[key] = flag
+        seed = args.seed if args.seed is not None else config.get("seed")
         report = run_suite(
             args.suite, seed=seed, games=args.games,
             theorem_config=theorem_config or None,

@@ -69,33 +69,31 @@ class GeneratorConfig:
                 f"(expected some of {', '.join(_CONFIG_FIELDS)})"
             )
 
-        def number(key: str, convert: type, value: object) -> int | float:
-            try:
-                return convert(value)
-            except (TypeError, ValueError, OverflowError):
-                raise ValueError(
-                    f"config field {key!r}: expected {convert.__name__}, got {value!r}"
-                ) from None
+        def checked(
+            key: str, value: object, kinds: tuple[type, ...], expected: str
+        ) -> int | float:
+            # bool is an int subclass, but true and false are no numbers here.
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ValueError(f"config field {key!r}: expected {expected}, got {value!r}")
+            return value
 
         def pair(key: str, fallback: tuple[int, int]) -> tuple[int, int]:
             value = doc.get(key)
             if value is None:
                 return fallback
-            if isinstance(value, int):
-                return (value, value)
             if isinstance(value, (list, tuple)) and len(value) == 2:
-                return (number(key, int, value[0]), number(key, int, value[1]))
-            raise ValueError(
-                f"config field {key!r}: expected an integer or a [lo, hi] pair, got {value!r}"
-            )
+                return tuple(checked(key, v, (int,), "an integer") for v in value)
+            lo = checked(key, value, (int,), "an integer or a [lo, hi] pair")
+            return (lo, lo)
 
         defaults = cls(seed=0)
         return cls(
-            seed=number("seed", int, doc.get("seed", 0)),
+            seed=checked("seed", doc.get("seed", 0), (int,), "an integer"),
             players=pair("players", defaults.players),
             strategies=pair("strategies", defaults.strategies),
             payoff_range=pair("payoffs", defaults.payoff_range),
-            tie_bias=number("tie_bias", float, doc.get("tie_bias", defaults.tie_bias)),
+            tie_bias=checked("tie_bias", doc.get("tie_bias", defaults.tie_bias), (int, float),
+                             "a number"),
         )
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from . import analysis, dominance, operators
-from .analysis import _EQUALITY_PAIRS, Exhaustive, Sampled
+from .analysis import Exhaustive, Sampled
 from .dominance import (
     Mode,
     Pool,
@@ -206,10 +206,11 @@ def paper_suite(seed: int | None = None) -> SuiteReport:
             and witness.replay(),
             witness=witness.to_dict() if witness else None,
         )
+    monotonic = {}
     for game_name, game in (("g1", g1), ("g2", g2)):
         for kind in (GS, MGS):
-            witness = analysis.check_monotonic(kind, game, Exhaustive())
-            report.add(f"{kind.name} monotonic on {game_name}", witness is None)
+            monotonic[game_name, kind] = analysis.check_monotonic(kind, game, Exhaustive()) is None
+            report.add(f"{kind.name} monotonic on {game_name}", monotonic[game_name, kind])
 
     # Pointwise inclusion and the fixpoint reversal on g2.
     pw = analysis.pointwise_inclusion(MLW, LW, g2, Exhaustive())
@@ -223,34 +224,31 @@ def paper_suite(seed: int | None = None) -> SuiteReport:
         report=rel.to_dict(),
     )
 
-    # Inclusion lemma harness.
-    lemma_good = analysis.verify_lemma_inc(MGS, GS, g1)
+    # Inclusion lemma: T(G) within U(G) on every G, and T or U monotonic,
+    # give fix T within fix U.
     report.add(
         "lemma hypotheses and conclusion hold for (MGS, GS) on g1",
-        lemma_good.hypotheses_hold and lemma_good.conclusion_holds,
+        analysis.pointwise_inclusion(MGS, GS, g1, Exhaustive()).holds
+        and (monotonic["g1", MGS] or monotonic["g1", GS])
+        and traces1["MGS"].fixpoint.issubset(traces1["GS"].fixpoint),
     )
-    lemma_bad = analysis.verify_lemma_inc(MLW, LW, g2)
     report.add(
         "lemma hypotheses fail and conclusion fails for (MLW, LW) on g2",
-        lemma_bad.pointwise_holds
-        and not lemma_bad.t_monotonic
-        and not lemma_bad.u_monotonic
-        and not lemma_bad.conclusion_holds,
+        pw.holds
+        and analysis.check_monotonic(MLW, g2, Exhaustive()) is not None
+        and analysis.check_monotonic(LW, g2, Exhaustive()) is not None
+        and not traces2["MLW"].fixpoint.issubset(traces2["LW"].fixpoint),
     )
 
     # Global/local fixpoint equalities.
-    equalities = {
-        game_name: analysis.verify_global_local_equalities(game)
-        for game_name, game in (("g1", g1), ("g2", g2))
-    }
-    for game_name, eq in equalities.items():
-        report.add(f"global/local fixpoint equalities on {game_name}", eq.all_hold,
-                   equalities=eq.equalities)
-    g2_traces = equalities["g2"].traces
+    for game_name, traces in (("g1", traces1), ("g2", traces2)):
+        equalities = _global_local_equalities(traces)
+        report.add(f"global/local fixpoint equalities on {game_name}",
+                   all(equalities.values()), equalities=equalities)
     report.add(
         "GW and LW fixpoints on g2 equal A x X",
-        g2_traces["GW"].fixpoint.kept == ((0,), (0,))
-        and g2_traces["LW"].fixpoint.kept == ((0,), (0,)),
+        traces2["GW"].fixpoint.kept == ((0,), (0,))
+        and traces2["LW"].fixpoint.kept == ((0,), (0,)),
     )
 
     report.tally_certificates(traces1.values())
@@ -308,6 +306,16 @@ _CHAIN_TRIPLES = (
 
 _FIXPOINT_INCLUSIONS = ((MLS, LS), (LW, LS), (MLW, MLS))
 
+_EQUALITY_PAIRS = ((GS, LS), (MGS, MLS), (GW, LW), (MGW, MLW))
+
+
+def _global_local_equalities(traces: dict[str, IterationTrace]) -> dict[str, bool]:
+    """Whether each global operator reaches its local twin's fixpoint, keyed ``"GS=LS"``."""
+    return {
+        f"{g.name}={l.name}": traces[g.name].fixpoint.kept == traces[l.name].fixpoint.kept
+        for g, l in _EQUALITY_PAIRS
+    }
+
 
 def _check_one_game(game: Game, report_rows: list[str]) -> tuple[bool, EliminationEngine, dict[str, IterationTrace]]:
     """Theorem checks for a single game; appends failure descriptions."""
@@ -319,15 +327,11 @@ def _check_one_game(game: Game, report_rows: list[str]) -> tuple[bool, Eliminati
         if not traces[left.name].fixpoint.issubset(traces[right.name].fixpoint):
             ok = False
             report_rows.append(f"{left.name} fixpoint not within {right.name} fixpoint")
-    for global_kind, local_kind in _EQUALITY_PAIRS:
-        if (
-            traces[global_kind.name].fixpoint.kept
-            != traces[local_kind.name].fixpoint.kept
-        ):
+    for name, equal in _global_local_equalities(traces).items():
+        if not equal:
             ok = False
-            report_rows.append(
-                f"{global_kind.name} fixpoint differs from {local_kind.name}"
-            )
+            global_name, local_name = name.split("=")
+            report_rows.append(f"{global_name} fixpoint differs from {local_name}")
 
     iterates = {}
     for trace in traces.values():

@@ -23,8 +23,6 @@ from dominance_lab import (
     compare_fixpoints,
     lattice_size,
     pointwise_inclusion,
-    verify_global_local_equalities,
-    verify_lemma_inc,
 )
 from dominance_lab.analysis import enumerate_restriction_masks
 from dominance_lab.operators import EliminationEngine
@@ -219,57 +217,6 @@ class TestCompareFixpoints:
         doc = compare_fixpoints(MLW, LW, g2).to_dict()
         assert list(doc) == ["left", "right", "relation", "left_fixpoint", "right_fixpoint"]
         json.dumps(doc)
-
-
-class TestVerifyLemmaInc:
-    def test_hypotheses_and_conclusion_hold_for_global_strict_pair(self, g1):
-        report = verify_lemma_inc(MGS, GS, g1)
-        assert report.pointwise_holds
-        assert report.t_monotonic and report.u_monotonic
-        assert report.hypotheses_hold and report.conclusion_holds
-
-    def test_weak_pair_fails_hypotheses_and_conclusion_on_g2(self, g2):
-        report = verify_lemma_inc(MLW, LW, g2)
-        assert report.pointwise_holds
-        assert not report.t_monotonic and not report.u_monotonic
-        assert not report.hypotheses_hold
-        assert not report.conclusion_holds
-        assert report.t_witness is not None and report.u_witness is not None
-
-    def test_reflexive_pair_conclusion_is_trivial(self, g2):
-        report = verify_lemma_inc(LW, LW, g2)
-        assert report.pointwise_holds and report.conclusion_holds
-
-    def test_report_serialization(self, g1):
-        doc = verify_lemma_inc(MGS, GS, g1).to_dict()
-        assert doc["hypotheses_hold"] and doc["conclusion_holds"]
-        json.dumps(doc)
-
-
-class TestGlobalLocalEqualities:
-    def test_g2_equalities_and_the_shared_weak_fixpoint(self, g2):
-        report = verify_global_local_equalities(g2)
-        assert report.all_hold
-        assert report.traces["GW"].fixpoint.kept == ((0,), (0,))
-        assert report.traces["LW"].fixpoint.kept == ((0,), (0,))
-
-    def test_g1_all_fixpoints_collapse_to_a_x(self, g1):
-        report = verify_global_local_equalities(g1)
-        assert report.all_hold
-        for kind in ALL_OPERATORS:
-            assert report.traces[kind.name].fixpoint.kept == ((0,), (0,))
-
-    def test_flat_game_fixes_everything(self):
-        flat = generate(GeneratorConfig(seed=0, strategies=(2, 2), payoff_range=(3, 3)))
-        report = verify_global_local_equalities(flat)
-        assert report.all_hold
-        for kind in ALL_OPERATORS:
-            assert report.traces[kind.name].fixpoint.is_full
-
-    def test_equalities_hold_on_random_games(self):
-        for seed in range(20):
-            game = generate(GeneratorConfig(seed=seed, strategies=(2, 4), tie_bias=0.3))
-            assert verify_global_local_equalities(game).all_hold
 
 
 class TestLatticeEnumeration:

@@ -205,7 +205,9 @@ class TestVerifyConfigErrors:
         "config",
         ['[1]', '"x"', 'null', '{"seed": [1]}', '{"players": [2, null]}',
          '{"seed": 1e400}', '{"tie_bias": [1]}',
-         '{"seed": 5, "distinct_payoffs": true}', '{"seed": 5, "playrs": [3, 3]}'],
+         '{"seed": 5, "distinct_payoffs": true}', '{"seed": 5, "playrs": [3, 3]}',
+         '{"seed": 2.7}', '{"seed": true}', '{"seed": "12"}', '{"players": [2.9, 3.2]}',
+         '{"tie_bias": true}'],
     )
     def test_malformed_config_exits_1(self, config):
         code, text, err = run_cli_stderr(
@@ -377,6 +379,21 @@ class TestVerifyUnusedFlags:
             "--strategies", "2..2", "--format", "table",
         )
         assert code == 0 and "suite theorems: PASS" in text
+
+    @pytest.mark.parametrize(
+        "config, flags",
+        [
+            (["--config", '{"seed": 7}'], ["--seed", "7"]),
+            (["--config", '{"seed": 7}', "--players", "3..3"],
+             ["--seed", "7", "--players", "3..3"]),
+            (["--config", '{"players": [3, 3]}'], ["--players", "3..3"]),
+        ],
+    )
+    def test_config_fields_layer_over_the_suite_defaults_and_flags(self, config, flags):
+        # Fields the config leaves out keep the flag's value or the suite's default.
+        with_config = run_cli("verify", "--suite", "theorems", "--games", "5", *config)
+        with_flags = run_cli("verify", "--suite", "theorems", "--games", "5", *flags)
+        assert with_config == with_flags and with_config[0] == 0
 
 
 class TestCheckMonotonicFlags:

@@ -18,6 +18,7 @@ from dominance_lab import (
     MLW,
     Restriction,
     apply_operator,
+    builtin_game,
     fixpoint,
     iterate,
     operator_from_name,
@@ -142,6 +143,20 @@ class TestIterate:
                 assert first.after == second.before
             last = trace.steps[-1]
             assert last.after == last.before == trace.fixpoint
+
+    @pytest.mark.parametrize(
+        "game, kept",
+        [
+            (builtin_game("section3"), ((0,), (0,))),
+            # Constant payoffs: nothing dominates, so every fixpoint is the full 2x2 game.
+            (generate(GeneratorConfig(seed=0, strategies=(2, 2), payoff_range=(3, 3))),
+             ((0, 1), (0, 1))),
+        ],
+        ids=["section3", "constant-payoffs"],
+    )
+    def test_all_eight_fixpoints(self, game, kept):
+        for kind in ALL_OPERATORS:
+            assert iterate(kind, game).fixpoint.kept == kept
 
     def test_fixpoint_convenience(self, g2):
         assert fixpoint(GW, g2).kept == iterate(GW, g2).fixpoint.kept
