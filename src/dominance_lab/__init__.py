@@ -26,7 +26,6 @@ from .dominance import (
     Pool,
     dominates,
     find_mixed_dominator,
-    find_pure_dominator,
     replay_certificate,
     solve_lp,
 )
@@ -41,7 +40,6 @@ from .game_model import (
     builtin_game,
     game_from_json_dict,
     game_to_json_dict,
-    opponent_profiles,
     payoff,
     restriction_of,
 )

@@ -191,7 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="payoff grid; write --payoffs=-5..5 for negative bounds")
     p_verify.add_argument("--tie-bias", type=float, default=None)
     p_verify.add_argument("--config", default=None,
-                          help="generator config as a JSON object (overrides the flags)")
+                          help="generator config as a JSON object; a field it sets "
+                          "may not also be set by its flag")
 
     sub.add_parser("paper-examples", help="the same as verify --suite paper", parents=[shared])
     return parser
@@ -260,14 +261,20 @@ def _run_parsed(args: argparse.Namespace, out: TextIO) -> int:
     elif args.command == "verify":
         config = _parse_json(args.config, "--config") if args.config else {}
         base = GeneratorConfig.from_json_dict(config)
-        generator_flags = {
-            "--players": args.players,
-            "--strategies": args.strategies,
-            "--payoffs": args.payoffs,
-            "--tie-bias": args.tie_bias,
-            # The config's seed seeds every suite; only its other fields are theorem-only.
-            "--config": args.config if config.keys() - {"seed"} else None,
-        }
+        # (config field, flag, flag value, theorem_suite keyword); one source each.
+        settings = (
+            ("seed", "--seed", args.seed, "seed"),
+            ("players", "--players", args.players, "players"),
+            ("strategies", "--strategies", args.strategies, "strategies"),
+            ("payoffs", "--payoffs", args.payoffs, "payoff_range"),
+            ("tie_bias", "--tie-bias", args.tie_bias, "tie_bias"),
+        )
+        for name, flag, value, _ in settings:
+            if value is not None and config.get(name) is not None:
+                raise ValueError(f"{flag} and --config both set {name}")
+        generator_flags = {flag: value for _, flag, value, _ in settings[1:]}
+        # The config's seed seeds every suite; only its other fields are theorem-only.
+        generator_flags["--config"] = args.config if config.keys() - {"seed"} else None
         unused = [] if args.suite in ("theorems", "all") else [
             flag for flag, value in generator_flags.items() if value is not None
         ]
@@ -275,18 +282,13 @@ def _run_parsed(args: argparse.Namespace, out: TextIO) -> int:
             unused.append("--games")
         if unused:
             raise ValueError(f"--suite {args.suite} does not use {', '.join(unused)}")
-        # The theorem suite's defaults, then the flags, then the fields the config names.
+        # Each generator setting from its flag or its config field, else the suite's default.
         theorem_config = {}
-        for key, name, flag in (
-            ("players", "players", args.players),
-            ("strategies", "strategies", args.strategies),
-            ("payoff_range", "payoffs", args.payoffs),
-            ("tie_bias", "tie_bias", args.tie_bias),
-        ):
-            if config.get(name) is not None:
+        for name, _, value, key in settings[1:]:
+            if value is not None:
+                theorem_config[key] = value
+            elif config.get(name) is not None:
                 theorem_config[key] = getattr(base, key)
-            elif flag is not None:
-                theorem_config[key] = flag
         seed = args.seed if args.seed is not None else config.get("seed")
         report = run_suite(
             args.suite, seed=seed, games=args.games,

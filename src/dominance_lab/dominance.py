@@ -7,6 +7,14 @@ readings are taken literally, which fixes the edge case of an empty
 opponent-profile set: the universally quantified strict condition is
 vacuously true, while the weak condition fails for lack of a witness.
 
+Every query reads its restriction as kept-set bitmasks, through two rules
+kept here once: :func:`_pool_mask` gives the dominator candidates (the
+player's kept set for a local pool, all of its strategies for a global
+one), and :func:`_opponent_bases` gives the opponent profiles the other
+players' masks allow, as flat payoff-tensor offsets in lexicographic
+order.  The elimination engine, the one-off queries, certificate replay
+and the oracle suite all call these two.
+
 Every decision reads :attr:`Game.scaled_payoffs`: each player's payoffs
 times one least common denominator, as ints.  A positive factor changes no
 comparison, so the decisions are those of the rational payoffs.
@@ -44,14 +52,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .game_model import (
-    Game,
-    InvalidProfileError,
-    MixedStrategy,
-    Restriction,
-    format_rational,
-    opponent_profiles,
-)
+from .game_model import Game, InvalidProfileError, MixedStrategy, Restriction, indices_of
 from .simplex import LpResult, solve_lp
 
 __all__ = [
@@ -62,7 +63,6 @@ __all__ = [
     "Pool",
     "dominates",
     "find_mixed_dominator",
-    "find_pure_dominator",
     "replay_certificate",
     "solve_lp",
 ]
@@ -90,18 +90,26 @@ class NoCandidatesError(ValueError):
     """Raised when a dominator is requested from an empty pool."""
 
 
-def _opponent_bases(game: Game, player: int, profiles: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
-    """Flat tensor offsets contributed by each opponent profile."""
-    strides = game.strides
-    n = game.player_count
-    others = [k for k in range(n) if k != player]
-    bases = []
-    for opp in profiles:
-        base = 0
-        for k, choice in zip(others, opp):
-            base += choice * strides[k]
-        bases.append(base)
+def _opponent_bases(game: Game, player: int, opp_masks: Sequence[int]) -> tuple[int, ...]:
+    """Flat tensor offsets of the opponent profiles that ``opp_masks`` keep.
+
+    ``opp_masks`` holds the kept-set masks of the players other than
+    ``player``, in player order.  The offsets run in lexicographic profile
+    order, the last opponent's index varying fastest; the LP's pivoting
+    rule sees its rows in this order.  Empty when some opponent keeps
+    nothing.
+    """
+    strides = game.strides[:player] + game.strides[player + 1 :]
+    bases = [0]
+    for mask, stride in zip(opp_masks, strides):
+        steps = [s * stride for s in indices_of(mask)]
+        bases = [b + step for b in bases for step in steps]
     return tuple(bases)
+
+
+def _pool_mask(game: Game, masks: Sequence[int], player: int, pool: Pool) -> int:
+    """The mask of ``player``'s dominator candidates at the kept-set ``masks``."""
+    return masks[player] if pool is Pool.LOCAL else (1 << game.shape[player]) - 1
 
 
 def _column(game: Game, player: int, strategy: int, bases: Sequence[int]) -> tuple[int, ...]:
@@ -235,12 +243,6 @@ def _dominance_lp(margins: Sequence[Sequence[int]], profile_count: int, mode: Mo
     return LpResult(result.value, result.assignment[:m])
 
 
-def _pool_indices(restriction: Restriction, player: int, pool: Pool) -> tuple[int, ...]:
-    if pool is Pool.LOCAL:
-        return restriction.kept[player]
-    return tuple(range(restriction.game.shape[player]))
-
-
 def _check_player_strategy(game: Game, player: int, strategy: int) -> None:
     if not 0 <= player < game.player_count:
         raise InvalidProfileError(f"player index {player} out of range")
@@ -254,7 +256,8 @@ def _target_bases(restriction: Restriction, player: int, target: int) -> tuple[G
     """Validate ``player`` and ``target``; the game and the restriction's opponent bases."""
     game = restriction.game
     _check_player_strategy(game, player, target)
-    return game, _opponent_bases(game, player, opponent_profiles(restriction, player))
+    masks = restriction.masks
+    return game, _opponent_bases(game, player, masks[:player] + masks[player + 1 :])
 
 
 def dominates(
@@ -286,18 +289,6 @@ def dominates(
     return _beats(candidate_col, target_col, mode)
 
 
-def find_pure_dominator(
-    restriction: Restriction,
-    player: int,
-    target: int,
-    pool: Pool,
-    mode: Mode,
-) -> int | None:
-    """Lowest-index pure strategy in the pool dominating ``target``, if any."""
-    game, bases = _target_bases(restriction, player, target)
-    return _pure_dominator(game, player, target, _pool_indices(restriction, player, pool), bases, mode)
-
-
 def find_mixed_dominator(
     restriction: Restriction,
     player: int,
@@ -312,7 +303,8 @@ def find_mixed_dominator(
     witness.  Either way the result replays against the restriction.
     """
     game, bases = _target_bases(restriction, player, target)
-    return _mixed_dominator(game, player, target, _pool_indices(restriction, player, pool), bases, mode)
+    candidates = indices_of(_pool_mask(game, restriction.masks, player, pool))
+    return _mixed_dominator(game, player, target, candidates, bases, mode)
 
 
 @dataclass(frozen=True)
@@ -348,7 +340,7 @@ class EliminationCertificate:
         labels = game.strategies[self.player]
         if mixed:
             dominator: object = {
-                labels[s]: format_rational(w) for s, w in self.dominator.weights
+                labels[s]: str(w) for s, w in self.dominator.weights
             }
         else:
             dominator = labels[self.dominator]
@@ -372,7 +364,8 @@ def replay_certificate(certificate: EliminationCertificate) -> bool:
         return False
     if certificate.eliminated not in restriction.kept[player]:
         return False
-    allowed = set(_pool_indices(restriction, player, certificate.pool))
+    pool_mask = _pool_mask(restriction.game, restriction.masks, player, certificate.pool)
+    allowed = set(indices_of(pool_mask))
     dominator = certificate.dominator
     if isinstance(dominator, MixedStrategy):
         if dominator.player != player or not set(dominator.support) <= allowed:

@@ -8,8 +8,10 @@ A :class:`Restriction` is a per-player subset of a fixed parent game's
 strategy indices.  Components may be empty; the set of all restrictions of a
 game, ordered componentwise, is a finite lattice with the full game at the
 top and the all-empty restriction at the bottom.  A restriction carries each
-subset twice: as the sorted index tuple ``kept`` and as the bitmask
-``masks`` by which the elimination engine keys its memo.
+subset twice: as the sorted index tuple ``kept``, for labels and output,
+and as the bitmask ``masks``, from which every dominance query takes its
+dominator pool and its opponent profiles, and by which the elimination
+engine keys its memo.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
-from itertools import product
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -32,10 +33,8 @@ __all__ = [
     "MixedStrategy",
     "Restriction",
     "builtin_game",
-    "format_rational",
     "game_from_json_dict",
     "game_to_json_dict",
-    "opponent_profiles",
     "parse_rational",
     "payoff",
     "restriction_of",
@@ -83,11 +82,6 @@ def parse_rational(value: int | str) -> Fraction:
             return Fraction(int(num), int(den))
         return Fraction(int(value))
     raise GameFormatError(f"malformed rational: {value!r}")
-
-
-def format_rational(value: Fraction) -> str:
-    """Render a Fraction as ``"p/q"``, or ``"p"`` when the denominator is 1."""
-    return str(value)
 
 
 def _coerce_payoff(value: object) -> Fraction:
@@ -319,10 +313,6 @@ class Restriction:
     def is_subgame(self) -> bool:
         return all(self.kept)
 
-    @property
-    def total_kept(self) -> int:
-        return sum(len(k) for k in self.kept)
-
     def issubset(self, other: "Restriction") -> bool:
         if self.game != other.game:
             raise ValueError("restrictions of different games are not comparable")
@@ -387,15 +377,6 @@ def restriction_of(game: Game, kept: Iterable[Iterable[int]]) -> Restriction:
     return Restriction(game, tuple(tuple(k) for k in kept))
 
 
-def opponent_profiles(restriction: Restriction, player: int) -> tuple[tuple[int, ...], ...]:
-    """All joint choices of the other players, in lexicographic index order.
-
-    Empty when some opponent's kept-set is empty.
-    """
-    others = [k for i, k in enumerate(restriction.kept) if i != player]
-    return tuple(product(*others))
-
-
 def game_from_json_dict(doc: object) -> Game:
     """Parse the JSON game document format.
 
@@ -437,7 +418,7 @@ def game_to_json_dict(game: Game) -> dict:
             return [
                 int(game.payoffs[i][idx])
                 if game.payoffs[i][idx].denominator == 1
-                else format_rational(game.payoffs[i][idx])
+                else str(game.payoffs[i][idx])
                 for i in range(n)
             ]
         return [build(depth + 1, prefix + (j,)) for j in range(game.shape[depth])]

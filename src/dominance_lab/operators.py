@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
 from typing import Iterator
 
 from .dominance import (
@@ -27,6 +26,7 @@ from .dominance import (
     Pool,
     _mixed_dominator,
     _opponent_bases,
+    _pool_mask,
     _pure_dominator,
 )
 from .game_model import Game, MixedStrategy, Restriction, indices_of
@@ -167,8 +167,7 @@ class EliminationEngine:
         key = (player, opp_masks)
         bases = self._bases.get(key)
         if bases is None:
-            profiles = tuple(product(*(indices_of(m) for m in opp_masks)))
-            bases = _opponent_bases(self.game, player, profiles)
+            bases = _opponent_bases(self.game, player, opp_masks)
             self._bases[key] = bases
         return bases
 
@@ -197,13 +196,6 @@ class EliminationEngine:
         self._queries[key] = found
         return found
 
-    def _pool_and_opponents(
-        self, kind: OperatorKind, masks: tuple[int, ...], player: int
-    ) -> tuple[int, tuple[int, ...]]:
-        """The player's dominator pool mask and the other players' kept masks."""
-        pool_mask = masks[player] if kind.pool is Pool.LOCAL else self.full_masks[player]
-        return pool_mask, masks[:player] + masks[player + 1 :]
-
     def _sweep(
         self, kind: OperatorKind, masks: tuple[int, ...], targets: tuple[int, ...]
     ) -> Iterator[tuple[int, int, int | MixedStrategy]]:
@@ -211,7 +203,8 @@ class EliminationEngine:
         eliminates at the kept-sets ``masks``; lowest player first, then target.
         """
         for player, target_mask in enumerate(targets):
-            pool_mask, opp_masks = self._pool_and_opponents(kind, masks, player)
+            pool_mask = _pool_mask(self.game, masks, player, kind.pool)
+            opp_masks = masks[:player] + masks[player + 1 :]
             for target in indices_of(target_mask):
                 found = self.dominator(player, target, pool_mask, opp_masks, kind.mode, kind.mixing)
                 if found is not None:

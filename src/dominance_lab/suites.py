@@ -24,7 +24,7 @@ from .dominance import (
     find_mixed_dominator,
     replay_certificate,
 )
-from .game_model import Game, Restriction, builtin_game, opponent_profiles
+from .game_model import Game, Restriction, builtin_game
 from .operators import (
     ALL_OPERATORS,
     EliminationEngine,
@@ -475,7 +475,7 @@ def oracle_suite(
         game = generate(config.with_seed(seed * 31 + i))
         top = Restriction.full(game)
         for player in range(game.player_count):
-            bases = _opponent_bases(game, player, opponent_profiles(top, player))
+            bases = _opponent_bases(game, player, top.masks[:player] + top.masks[player + 1 :])
             columns = [_column(game, player, s, bases) for s in range(game.shape[player])]
             for target, target_col in enumerate(columns):
                 for mode in (Mode.STRICT, Mode.WEAK):

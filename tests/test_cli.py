@@ -216,6 +216,22 @@ class TestVerifyConfigErrors:
         assert (code, text) == (1, "")
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "flag, config, setting",
+        [
+            (["--seed", "3"], '{"seed": 7}', "--seed and --config both set seed"),
+            (["--tie-bias", "5"], '{"tie_bias": 0.5}', "--tie-bias and --config both set tie_bias"),
+            (["--players", "3..3"], '{"players": [2, 2]}',
+             "--players and --config both set players"),
+        ],
+        ids=["seed", "tie_bias", "players"],
+    )
+    def test_a_setting_from_both_a_flag_and_the_config_exits_1(self, flag, config, setting):
+        code, text, err = run_cli_stderr(
+            "verify", "--suite", "theorems", "--games", "1", *flag, "--config", config
+        )
+        assert (code, text, err) == (1, "", f"error: {setting}\n")
+
     json_values = st.recursive(
         st.none()
         | st.booleans()

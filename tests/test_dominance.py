@@ -15,13 +15,11 @@ from dominance_lab import (
     apply_operator,
     dominates,
     find_mixed_dominator,
-    find_pure_dominator,
-    opponent_profiles,
     replay_certificate,
     restriction_of,
 )
 from dominance_lab.dominance import _column, _mixed_dominator, _opponent_bases
-from dominance_lab.operators import ALL_OPERATORS
+from dominance_lab.operators import ALL_OPERATORS, GS, LS
 from dominance_lab.random_games import GeneratorConfig, generate
 from dominance_lab.suites import _grid_dominated
 
@@ -69,18 +67,47 @@ class TestDominates:
             dominates(MixedStrategy.point_mass(1, 0), 0, Restriction.full(g2), 0, Mode.WEAK)
 
 
-class TestFindPureDominator:
+class TestOpponentBases:
+    def test_single_opponent_full_set(self, g2):
+        # Column's strategies X, Y, Z sit at offsets 0, 1, 2 of Row's row.
+        assert _opponent_bases(g2, 0, Restriction.full(g2).masks[1:]) == (0, 1, 2)
+
+    def test_column_view(self, g2):
+        r = restriction_of(g2, [(0, 1), (0, 1)])
+        # Row's A and B, one row of three columns apart.
+        assert _opponent_bases(g2, 1, r.masks[:1]) == (0, 3)
+
+    def test_empty_opponent_set(self, g1):
+        r = restriction_of(g1, [(0,), ()])
+        assert _opponent_bases(g1, 0, r.masks[1:]) == ()
+
+    def test_lexicographic_order_three_players_middle_target(self):
+        game = generate(GeneratorConfig(seed=3, players=(3, 3), strategies=(2, 2)))
+        masks = Restriction.full(game).masks
+        profiles = ((0, 0), (0, 1), (1, 0), (1, 1))
+        assert _opponent_bases(game, 1, masks[:1] + masks[2:]) == tuple(
+            game.flat_index((a, 0, c)) for a, c in profiles
+        )
+
+
+def certificate_triples(step):
+    return tuple((c.player, c.eliminated, c.dominator) for c in step.certificates)
+
+
+class TestPureDominatorCertificates:
     def test_g1_local_strict(self, g1):
-        top = Restriction.full(g1)
-        assert find_pure_dominator(top, 0, 1, Pool.LOCAL, Mode.STRICT) == 0
+        step = apply_operator(LS, Restriction.full(g1))
+        assert certificate_triples(step) == ((0, 1, 0),)  # A eliminates B
 
     def test_g1_frozen_subgame_has_no_local_dominator(self, g1):
         frozen = restriction_of(g1, [(1,), (0,)])
-        assert find_pure_dominator(frozen, 0, 1, Pool.LOCAL, Mode.STRICT) is None
+        step = apply_operator(LS, frozen)
+        assert not step.changed and step.certificates == ()
 
     def test_g1_frozen_subgame_has_global_dominator(self, g1):
         frozen = restriction_of(g1, [(1,), (0,)])
-        assert find_pure_dominator(frozen, 0, 1, Pool.GLOBAL, Mode.STRICT) == 0
+        step = apply_operator(GS, frozen)
+        assert certificate_triples(step) == ((0, 1, 0),)  # A, from outside the kept set
 
     def test_lowest_index_wins(self):
         game = Game.from_tables(
@@ -88,8 +115,8 @@ class TestFindPureDominator:
             [["A", "B", "C"], ["X"]],
             [[[5, 0]], [[5, 0]], [[0, 0]]],
         )
-        top = Restriction.full(game)
-        assert find_pure_dominator(top, 0, 2, Pool.LOCAL, Mode.STRICT) == 0
+        step = apply_operator(LS, Restriction.full(game))
+        assert certificate_triples(step) == ((0, 2, 0),)  # A and B both dominate C
 
 
 class TestFindMixedDominator:
@@ -99,7 +126,7 @@ class TestFindMixedDominator:
         assert witness is not None
         assert dominates(witness, 2, top, 0, Mode.WEAK)
         # The grid oracle confirms some dominator exists over this pool.
-        bases = _opponent_bases(g2, 0, opponent_profiles(top, 0))
+        bases = _opponent_bases(g2, 0, top.masks[1:])
         columns = [_column(g2, 0, s, bases) for s in range(4)]
         assert _grid_dominated(columns, columns[2], Mode.WEAK, 6)
 
@@ -168,7 +195,7 @@ class TestFindMixedDominator:
     def test_empty_pool_raises(self, g2):
         r = restriction_of(g2, [(), (0, 1, 2)])
         with pytest.raises(NoCandidatesError):
-            _mixed_dominator(g2, 0, 0, (), _opponent_bases(g2, 0, ((0,),)), Mode.STRICT)
+            _mixed_dominator(g2, 0, 0, (), _opponent_bases(g2, 0, (0b1,)), Mode.STRICT)
         # Public path: a local pool is empty only when the kept-set is.
         with pytest.raises(NoCandidatesError):
             find_mixed_dominator(r, 0, 0, Pool.LOCAL, Mode.STRICT)
@@ -193,9 +220,9 @@ class TestDominanceProperties:
         game = small_game(seed)
         top = Restriction.full(game)
         for player in range(game.player_count):
-            for target in range(game.shape[player]):
-                pure = find_pure_dominator(top, player, target, Pool.LOCAL, mode)
-                if pure is not None:
+            pool = range(game.shape[player])
+            for target in pool:
+                if any(dominates(s, target, top, player, mode) for s in pool):
                     assert find_mixed_dominator(top, player, target, Pool.LOCAL, mode) is not None
 
     def test_strict_dominance_is_antitone_in_the_opponent_set(self):
@@ -225,11 +252,7 @@ class TestDominanceProperties:
         game = small_game(seed, strategies=(2, 4))
         top = Restriction.full(game)
         bases_by_player = {
-            player: _opponent_bases(
-                game,
-                player,
-                tuple(product(*(range(k) for i, k in enumerate(game.shape) if i != player))),
-            )
+            player: _opponent_bases(game, player, top.masks[:player] + top.masks[player + 1 :])
             for player in range(game.player_count)
         }
         for player in range(game.player_count):

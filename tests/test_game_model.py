@@ -11,7 +11,6 @@ from dominance_lab import (
     Restriction,
     game_from_json_dict,
     game_to_json_dict,
-    opponent_profiles,
     payoff,
     restriction_of,
 )
@@ -90,25 +89,6 @@ class TestRestriction:
     def test_kept_sets_are_normalized(self, g2):
         r = restriction_of(g2, [(3, 1, 1), (2, 0)])
         assert r.kept == ((1, 3), (0, 2))
-
-
-class TestOpponentProfiles:
-    def test_single_opponent_full_set(self, g2):
-        top = Restriction.full(g2)
-        assert opponent_profiles(top, 0) == ((0,), (1,), (2,))
-
-    def test_column_view(self, g2):
-        r = restriction_of(g2, [(0, 1), (0, 1)])
-        assert opponent_profiles(r, 1) == ((0,), (1,))
-
-    def test_empty_opponent_set(self, g1):
-        r = restriction_of(g1, [(0,), ()])
-        assert opponent_profiles(r, 0) == ()
-
-    def test_lexicographic_order_three_players(self):
-        game = generate(GeneratorConfig(seed=3, players=(3, 3), strategies=(2, 2)))
-        top = Restriction.full(game)
-        assert opponent_profiles(top, 1) == ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 class TestGameConstruction:
