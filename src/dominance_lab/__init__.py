@@ -41,7 +41,6 @@ from .game_model import (
     game_from_json_dict,
     game_to_json_dict,
     payoff,
-    restriction_of,
 )
 from .operators import (
     ALL_OPERATORS,
@@ -59,7 +58,6 @@ from .operators import (
     Mixing,
     OperatorKind,
     apply_operator,
-    fixpoint,
     iterate,
     operator_from_name,
 )

@@ -27,7 +27,6 @@ from .analysis import (
 )
 from .game_model import Game, GameFormatError, Restriction, game_from_json_dict
 from .operators import apply_operator, iterate, operator_from_name
-from .random_games import GeneratorConfig
 from .suites import SUITE_NAMES, default_seed, run_suite
 
 __all__ = ["build_parser", "load_game", "main", "run"]
@@ -70,6 +69,9 @@ def _parse_restriction(game: Game, text: str) -> Restriction:
             kept.append(tuple(game.strategy_index(player, label) for label in labels))
         except KeyError as exc:
             raise GameFormatError(str(exc.args[0])) from None
+    for name in doc:
+        if name not in game.players:
+            raise GameFormatError(f"restriction names no player {name!r}")
     return Restriction(game, tuple(kept))
 
 
@@ -190,9 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--payoffs", type=_parse_range, default=None, metavar="LO..HI",
                           help="payoff grid; write --payoffs=-5..5 for negative bounds")
     p_verify.add_argument("--tie-bias", type=float, default=None)
-    p_verify.add_argument("--config", default=None,
-                          help="generator config as a JSON object; a field it sets "
-                          "may not also be set by its flag")
 
     sub.add_parser("paper-examples", help="the same as verify --suite paper", parents=[shared])
     return parser
@@ -259,40 +258,23 @@ def _run_parsed(args: argparse.Namespace, out: TextIO) -> int:
             "witness": witness.to_dict() if witness else None,
         }
     elif args.command == "verify":
-        config = _parse_json(args.config, "--config") if args.config else {}
-        base = GeneratorConfig.from_json_dict(config)
-        # (config field, flag, flag value, theorem_suite keyword); one source each.
+        # (flag, value, theorem_suite keyword) of each random-game setting.
         settings = (
-            ("seed", "--seed", args.seed, "seed"),
-            ("players", "--players", args.players, "players"),
-            ("strategies", "--strategies", args.strategies, "strategies"),
-            ("payoffs", "--payoffs", args.payoffs, "payoff_range"),
-            ("tie_bias", "--tie-bias", args.tie_bias, "tie_bias"),
+            ("--players", args.players, "players"),
+            ("--strategies", args.strategies, "strategies"),
+            ("--payoffs", args.payoffs, "payoff_range"),
+            ("--tie-bias", args.tie_bias, "tie_bias"),
         )
-        for name, flag, value, _ in settings:
-            if value is not None and config.get(name) is not None:
-                raise ValueError(f"{flag} and --config both set {name}")
-        generator_flags = {flag: value for _, flag, value, _ in settings[1:]}
-        # The config's seed seeds every suite; only its other fields are theorem-only.
-        generator_flags["--config"] = args.config if config.keys() - {"seed"} else None
         unused = [] if args.suite in ("theorems", "all") else [
-            flag for flag, value in generator_flags.items() if value is not None
+            flag for flag, value, _ in settings if value is not None
         ]
         if args.games is not None and args.suite in ("paper", "determinism"):
             unused.append("--games")
         if unused:
             raise ValueError(f"--suite {args.suite} does not use {', '.join(unused)}")
-        # Each generator setting from its flag or its config field, else the suite's default.
-        theorem_config = {}
-        for name, _, value, key in settings[1:]:
-            if value is not None:
-                theorem_config[key] = value
-            elif config.get(name) is not None:
-                theorem_config[key] = getattr(base, key)
-        seed = args.seed if args.seed is not None else config.get("seed")
+        theorem_config = {key: value for _, value, key in settings if value is not None}
         report = run_suite(
-            args.suite, seed=seed, games=args.games,
-            theorem_config=theorem_config or None,
+            args.suite, seed=args.seed, games=args.games, theorem_config=theorem_config
         )
         doc = report.to_dict()
         code = 0 if report.passed else 2

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = [
     "Fraction",
@@ -37,7 +37,6 @@ __all__ = [
     "game_to_json_dict",
     "parse_rational",
     "payoff",
-    "restriction_of",
 ]
 
 
@@ -306,10 +305,6 @@ class Restriction:
         return cls(game, tuple(indices_of(m) for m in masks))
 
     @property
-    def is_full(self) -> bool:
-        return all(len(k) == c for k, c in zip(self.kept, self.game.shape))
-
-    @property
     def is_subgame(self) -> bool:
         return all(self.kept)
 
@@ -370,11 +365,6 @@ def payoff(game: Game, player: int, profile: Sequence[int]) -> Fraction:
     if not 0 <= player < game.player_count:
         raise InvalidProfileError(f"player index {player} out of range")
     return game.payoffs[player][game.flat_index(profile)]
-
-
-def restriction_of(game: Game, kept: Iterable[Iterable[int]]) -> Restriction:
-    """Build the restriction of ``game`` keeping the given per-player index sets."""
-    return Restriction(game, tuple(tuple(k) for k in kept))
 
 
 def game_from_json_dict(doc: object) -> Game:

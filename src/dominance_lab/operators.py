@@ -47,7 +47,6 @@ __all__ = [
     "Mixing",
     "OperatorKind",
     "apply_operator",
-    "fixpoint",
     "iterate",
     "operator_from_name",
 ]
@@ -267,8 +266,3 @@ def apply_operator(kind: OperatorKind, restriction: Restriction) -> EliminationS
 def iterate(kind: OperatorKind, game: Game) -> IterationTrace:
     """Iterate the operator from the full game until nothing changes."""
     return EliminationEngine(game).iterate(kind)
-
-
-def fixpoint(kind: OperatorKind, game: Game) -> Restriction:
-    """The operator's fixpoint reached from the full game."""
-    return iterate(kind, game).fixpoint

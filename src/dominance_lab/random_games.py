@@ -25,9 +25,6 @@ def strategy_label(index: int) -> str:
     return f"S{index + 1}"
 
 
-_CONFIG_FIELDS = ("seed", "players", "strategies", "payoffs", "tie_bias")
-
-
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Shape, payoff grid and tie behavior of one random game.
@@ -56,45 +53,6 @@ class GeneratorConfig:
 
     def with_seed(self, seed: int) -> "GeneratorConfig":
         return replace(self, seed=seed)
-
-    @classmethod
-    def from_json_dict(cls, doc: object) -> "GeneratorConfig":
-        """Parse a JSON config object; an unknown or malformed field raises ValueError."""
-        if not isinstance(doc, dict):
-            raise ValueError(f"generator config must be a JSON object, got {doc!r}")
-        unknown = [key for key in doc if key not in _CONFIG_FIELDS]
-        if unknown:
-            raise ValueError(
-                f"unknown config field {', '.join(map(repr, unknown))} "
-                f"(expected some of {', '.join(_CONFIG_FIELDS)})"
-            )
-
-        def checked(
-            key: str, value: object, kinds: tuple[type, ...], expected: str
-        ) -> int | float:
-            # bool is an int subclass, but true and false are no numbers here.
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                raise ValueError(f"config field {key!r}: expected {expected}, got {value!r}")
-            return value
-
-        def pair(key: str, fallback: tuple[int, int]) -> tuple[int, int]:
-            value = doc.get(key)
-            if value is None:
-                return fallback
-            if isinstance(value, (list, tuple)) and len(value) == 2:
-                return tuple(checked(key, v, (int,), "an integer") for v in value)
-            lo = checked(key, value, (int,), "an integer or a [lo, hi] pair")
-            return (lo, lo)
-
-        defaults = cls(seed=0)
-        return cls(
-            seed=checked("seed", doc.get("seed", 0), (int,), "an integer"),
-            players=pair("players", defaults.players),
-            strategies=pair("strategies", defaults.strategies),
-            payoff_range=pair("payoffs", defaults.payoff_range),
-            tie_bias=checked("tie_bias", doc.get("tie_bias", defaults.tie_bias), (int, float),
-                             "a number"),
-        )
 
 
 def generate(config: GeneratorConfig) -> Game:

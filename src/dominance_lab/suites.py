@@ -317,21 +317,19 @@ def _global_local_equalities(traces: dict[str, IterationTrace]) -> dict[str, boo
     }
 
 
-def _check_one_game(game: Game, report_rows: list[str]) -> tuple[bool, EliminationEngine, dict[str, IterationTrace]]:
-    """Theorem checks for a single game; appends failure descriptions."""
+def _check_one_game(game: Game) -> tuple[list[str], EliminationEngine, dict[str, IterationTrace]]:
+    """Theorem checks for a single game: its failure descriptions, engine and traces."""
     engine = EliminationEngine(game)
     traces = {kind.name: engine.iterate(kind) for kind in ALL_OPERATORS}
-    ok = True
+    failures = []
 
     for left, right in _FIXPOINT_INCLUSIONS:
         if not traces[left.name].fixpoint.issubset(traces[right.name].fixpoint):
-            ok = False
-            report_rows.append(f"{left.name} fixpoint not within {right.name} fixpoint")
+            failures.append(f"{left.name} fixpoint not within {right.name} fixpoint")
     for name, equal in _global_local_equalities(traces).items():
         if not equal:
-            ok = False
             global_name, local_name = name.split("=")
-            report_rows.append(f"{global_name} fixpoint differs from {local_name}")
+            failures.append(f"{global_name} fixpoint differs from {local_name}")
 
     iterates = {}
     for trace in traces.values():
@@ -346,17 +344,15 @@ def _check_one_game(game: Game, report_rows: list[str]) -> tuple[bool, Eliminati
         for first, second, third in _CHAIN_TRIPLES:
             a, b, c = results[first.name], results[second.name], results[third.name]
             if any(x & ~y for x, y in zip(a, b)) or any(x & ~y for x, y in zip(b, c)):
-                ok = False
-                report_rows.append(
+                failures.append(
                     f"chain {first.name} <= {second.name} <= {third.name} fails at {masks}"
                 )
 
     for kind in (LS, MLS):
         for step in traces[kind.name].steps:
             if not step.after.is_subgame:
-                ok = False
-                report_rows.append(f"{kind.name} emptied a component")
-    return ok, engine, traces
+                failures.append(f"{kind.name} emptied a component")
+    return failures, engine, traces
 
 
 def theorem_suite(
@@ -382,9 +378,8 @@ def theorem_suite(
     for i in range(games):
         game = generate(config.with_seed(seed + i))
         seen.add(game)
-        rows: list[str] = []
-        ok, engine, traces = _check_one_game(game, rows)
-        if not ok:
+        rows, engine, traces = _check_one_game(game)
+        if rows:
             failures.append(f"seed {seed + i}: " + "; ".join(rows))
         report.tally_certificates(traces.values())
         report.empty_opponent_queries += engine.empty_opponent_queries

@@ -79,6 +79,13 @@ class TestApply:
         )
         assert code == 1
 
+    def test_unknown_player_name_in_restriction(self, g1_path):
+        code, text, err = run_cli_stderr(
+            "apply", "--operator", "ls", g1_path,
+            "--restriction", '{"Row": ["A"], "Column": ["X"], "Colum": ["Y"]}',
+        )
+        assert (code, text, err) == (1, "", "error: restriction names no player 'Colum'\n")
+
 
 class TestCompare:
     def test_mlw_vs_lw(self, g2_path):
@@ -148,14 +155,6 @@ class TestVerifyAndPaperExamples:
         doc = json.loads(text)
         assert code == 0 and doc["passed"]
 
-    def test_verify_config_block(self):
-        code, text = run_cli(
-            "verify", "--suite", "theorems", "--games", "5",
-            "--config", '{"seed": 3, "players": 2, "strategies": [2, 3], "tie_bias": 0.5}',
-        )
-        doc = json.loads(text)
-        assert code == 0 and doc["seed"] == 3
-
     def test_verify_table_output(self):
         code, text = run_cli("verify", "--suite", "determinism", "--format", "table")
         assert code == 0
@@ -200,63 +199,93 @@ def run_cli_stderr(*argv):
     return code, text, err.getvalue()
 
 
-class TestVerifyConfigErrors:
+class TestVerifyFlagValues:
     @pytest.mark.parametrize(
-        "config",
-        ['[1]', '"x"', 'null', '{"seed": [1]}', '{"players": [2, null]}',
-         '{"seed": 1e400}', '{"tie_bias": [1]}',
-         '{"seed": 5, "distinct_payoffs": true}', '{"seed": 5, "playrs": [3, 3]}',
-         '{"seed": 2.7}', '{"seed": true}', '{"seed": "12"}', '{"players": [2.9, 3.2]}',
-         '{"tie_bias": true}'],
-    )
-    def test_malformed_config_exits_1(self, config):
-        code, text, err = run_cli_stderr(
-            "verify", "--suite", "theorems", "--games", "1", "--config", config
-        )
-        assert (code, text) == (1, "")
-        assert err.startswith("error: ")
-
-    @pytest.mark.parametrize(
-        "flag, config, setting",
+        "flag, message",
         [
-            (["--seed", "3"], '{"seed": 7}', "--seed and --config both set seed"),
-            (["--tie-bias", "5"], '{"tie_bias": 0.5}', "--tie-bias and --config both set tie_bias"),
-            (["--players", "3..3"], '{"players": [2, 2]}',
-             "--players and --config both set players"),
+            (["--tie-bias", "5"], "tie_bias 5.0 must lie in [0, 1]"),
+            (["--players", "1..2"], "players range (1, 2) must lie within 2..4"),
+            (["--strategies", "3..2"], "strategies range (3, 2) is empty or invalid"),
+            (["--payoffs=3..-3"], "payoff range (3, -3) is empty"),
+            (["--tie-bias", "-0.1"], "tie_bias -0.1 must lie in [0, 1]"),
+            (["--tie-bias", "nan"], "tie_bias nan must lie in [0, 1]"),
+            (["--tie-bias", "inf"], "tie_bias inf must lie in [0, 1]"),
+            (["--players", "2..5"], "players range (2, 5) must lie within 2..4"),
+            (["--strategies", "0..2"], "strategies range (0, 2) is empty or invalid"),
         ],
-        ids=["seed", "tie_bias", "players"],
+        ids=["tie_bias", "players", "strategies", "payoffs", "tie_bias_negative",
+             "tie_bias_nan", "tie_bias_inf", "players_above_4", "strategies_zero"],
     )
-    def test_a_setting_from_both_a_flag_and_the_config_exits_1(self, flag, config, setting):
-        code, text, err = run_cli_stderr(
-            "verify", "--suite", "theorems", "--games", "1", *flag, "--config", config
-        )
-        assert (code, text, err) == (1, "", f"error: {setting}\n")
+    def test_invalid_generator_flag_value_exits_1(self, flag, message):
+        code, text, err = run_cli_stderr("verify", "--suite", "theorems", "--games", "1", *flag)
+        assert (code, text, err) == (1, "", f"error: {message}\n")
 
-    json_values = st.recursive(
-        st.none()
-        | st.booleans()
-        | st.integers(-2, 4)
-        | st.floats(-2, 4)
-        | st.sampled_from([math.inf, -math.inf, math.nan])
-        | st.text(max_size=3),
-        lambda children: st.lists(children, max_size=3)
-        | st.dictionaries(
-            st.sampled_from(["seed", "players", "strategies", "payoffs", "tie_bias",
-                             "distinct_payoffs"]) | st.text(max_size=3),
-            children,
-            max_size=4,
-        ),
-        max_leaves=8,
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            (["--seed", "2.7"], "argument --seed: invalid int value: '2.7'"),
+            (["--seed", "1e400"], "argument --seed: invalid int value: '1e400'"),
+            (["--seed", "x"], "argument --seed: invalid int value: 'x'"),
+            (["--players", "2.9..3.2"], "argument --players: invalid _parse_range value: '2.9..3.2'"),
+            (["--players", "2.."], "argument --players: invalid _parse_range value: '2..'"),
+            (["--players", "..3"], "argument --players: invalid _parse_range value: '..3'"),
+            (["--players", "2..3..4"], "argument --players: invalid _parse_range value: '2..3..4'"),
+            (["--strategies", "2..x"], "argument --strategies: invalid _parse_range value: '2..x'"),
+            (["--payoffs=a..b"], "argument --payoffs: invalid _parse_range value: 'a..b'"),
+            (["--tie-bias", "x"], "argument --tie-bias: invalid float value: 'x'"),
+            (["--games", "0"], "argument --games: must be at least 1, got 0"),
+            (["--games", "x"], "argument --games: invalid _count value: 'x'"),
+        ],
+        ids=["seed_fraction", "seed_overflow", "seed_word", "players_fractions",
+             "players_no_hi", "players_no_lo", "players_three_bounds", "strategies_word",
+             "payoffs_words", "tie_bias_word", "games_zero", "games_word"],
     )
-
-    @settings(max_examples=30, deadline=None)
-    @given(json_values)
-    def test_any_json_config_exits_cleanly(self, config):
-        code, _, err = run_cli_stderr(
-            "verify", "--suite", "theorems", "--games", "1", "--config", json.dumps(config)
-        )
-        assert code in (0, 1)
+    def test_unparsable_flag_value_is_a_usage_error(self, flag, message):
+        # argparse rejects the value before any suite runs; run maps its exit to 1.
+        code, text, err = run_cli_stderr("verify", "--suite", "theorems", "--games", "1", *flag)
+        assert (code, text) == (1, "")
+        assert err.rstrip().endswith(f"dominance-lab verify: error: {message}")
         assert "Traceback" not in err
+
+    generator_flags = st.sampled_from(["--seed", "--players", "--strategies", "--payoffs",
+                                       "--tie-bias"])
+    flag_values = st.sampled_from(["0", "1", "3", "-1", "2..3", "3..2", "1..4", "0.5", "nan",
+                                   "inf", "1e400", "..", ""])
+    # Free text holds no digits, so no drawn range can ask for a huge game.
+    flag_values |= st.text(st.characters(blacklist_categories=("Nd",)), max_size=5)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(generator_flags, flag_values), max_size=4))
+    def test_any_generator_flag_values_exit_cleanly(self, pairs):
+        argv = [f"{flag}={value}" for flag, value in pairs]
+        code, text, err = run_cli_stderr("verify", "--suite", "theorems", "--games", "1", *argv)
+        # A value the generator accepts runs a suite that passes; any other is an input error.
+        assert code in (0, 1)
+        assert (code == 1) == (text == "")
+        assert "Traceback" not in err
+
+    def test_config_option_is_unknown(self):
+        code, text, err = run_cli_stderr("verify", "--suite", "theorems", "--config", "{}")
+        assert (code, text) == (1, "")
+        assert err.rstrip().endswith("error: unrecognized arguments: --config {}")
+        assert "Traceback" not in err
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 4)
+    | st.floats(-2, 4)
+    | st.sampled_from([math.inf, -math.inf, math.nan])
+    | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(
+        st.sampled_from(["players", "name", "strategies", "payoffs"]) | st.text(max_size=3),
+        children,
+        max_size=4,
+    ),
+    max_leaves=8,
+)
 
 
 DEEP = "[" * 30_000
@@ -288,7 +317,7 @@ def game_documents(draw):
     }
 
 
-NOT_GAMES = TestVerifyConfigErrors.json_values.map(json.dumps) | st.text(max_size=12)
+NOT_GAMES = JSON_VALUES.map(json.dumps) | st.text(max_size=12)
 
 
 class TestCliFuzz:
@@ -310,7 +339,7 @@ class TestCliFuzz:
     flags = st.sampled_from([
         "--operator", "--restriction", "--left", "--right", "--budget", "--cap", "--samples",
         "--seed", "--suite", "--games", "--players", "--strategies", "--payoffs",
-        "--tie-bias", "--config", "--format", "solve", "GAME",
+        "--tie-bias", "--format", "solve", "GAME",
     ])
     values = st.sampled_from([
         "ls", "mgw", "x", "table", "json", "sampled", "exhaustive", "paper", "determinism",
@@ -335,7 +364,6 @@ class TestCliFuzz:
     @example(argv=["apply", "--operator", "ls", "GAME", "--restriction", DEEP],
              game='{"players": [{"name": "Row", "strategies": ["A"]}, '
                   '{"name": "Column", "strategies": ["X"]}], "payoffs": [[[0, 0]]]}')
-    @example(argv=["verify", "--suite", "theorems", "--config", DEEP], game="{}")
     def test_run_returns_an_exit_code(self, game_path, argv, game):
         game_path.write_text(game, encoding="utf-8")
         argv = [str(game_path) if token == "GAME" else token for token in argv]
@@ -352,7 +380,8 @@ class TestCliFuzz:
     @pytest.mark.parametrize("argv", [
         ["solve", "--operator", "ls", "GAME"],
         ["apply", "--operator", "ls", "SECTION3", "--restriction", DEEP],
-        ["verify", "--suite", "theorems", "--games", "1", "--config", DEEP],
+        ["compare", "--left", "mlw", "--right", "lw", "GAME"],
+        ["check-monotonic", "--operator", "mgw", "GAME"],
     ])
     def test_deeply_nested_json_is_an_input_error(self, tmp_path, g1_path, argv):
         path = tmp_path / "deep.json"
@@ -368,7 +397,7 @@ class TestVerifyUnusedFlags:
     @pytest.mark.parametrize(
         "flag",
         [["--players", "3..3"], ["--strategies", "2..3"], ["--payoffs=-2..2"],
-         ["--tie-bias", "0.5"], ["--config", '{"seed": 7, "players": [3, 3]}']],
+         ["--tie-bias", "0.5"], ["--players", "3..3", "--seed", "7"]],
     )
     def test_generator_flag_outside_theorems_exits_1(self, suite, flag):
         code, text, err = run_cli_stderr("verify", "--suite", suite, "--games", "1", *flag)
@@ -384,9 +413,9 @@ class TestVerifyUnusedFlags:
         assert err == f"error: --suite {suite} does not use --games\n"
 
     @pytest.mark.parametrize("suite", ["monotonicity", "oracle", "determinism"])
-    def test_config_seed_seeds_every_suite(self, suite):
+    def test_seed_seeds_every_suite(self, suite):
         games = ("--games", "1") if suite != "determinism" else ()
-        code, text = run_cli("verify", "--suite", suite, *games, "--config", '{"seed": 7}')
+        code, text = run_cli("verify", "--suite", suite, *games, "--seed", "7")
         assert code == 0 and json.loads(text)["seed"] == 7
 
     def test_generator_flags_still_reach_the_theorem_suite(self):
@@ -396,20 +425,13 @@ class TestVerifyUnusedFlags:
         )
         assert code == 0 and "suite theorems: PASS" in text
 
-    @pytest.mark.parametrize(
-        "config, flags",
-        [
-            (["--config", '{"seed": 7}'], ["--seed", "7"]),
-            (["--config", '{"seed": 7}', "--players", "3..3"],
-             ["--seed", "7", "--players", "3..3"]),
-            (["--config", '{"players": [3, 3]}'], ["--players", "3..3"]),
-        ],
-    )
-    def test_config_fields_layer_over_the_suite_defaults_and_flags(self, config, flags):
-        # Fields the config leaves out keep the flag's value or the suite's default.
-        with_config = run_cli("verify", "--suite", "theorems", "--games", "5", *config)
-        with_flags = run_cli("verify", "--suite", "theorems", "--games", "5", *flags)
-        assert with_config == with_flags and with_config[0] == 0
+    def test_omitted_generator_flags_keep_the_suite_defaults(self):
+        head = ("verify", "--suite", "theorems", "--games", "5", "--seed", "7")
+        defaults = run_cli(*head)
+        assert defaults[0] == 0
+        assert run_cli(*head, "--players", "2..3", "--strategies", "2..4",
+                       "--payoffs=-5..5", "--tie-bias", "0.25") == defaults
+        assert run_cli(*head, "--players", "3..3") != defaults
 
 
 class TestCheckMonotonicFlags:

@@ -16,7 +16,6 @@ from dominance_lab import (
     dominates,
     find_mixed_dominator,
     replay_certificate,
-    restriction_of,
 )
 from dominance_lab.dominance import _column, _mixed_dominator, _opponent_bases
 from dominance_lab.operators import ALL_OPERATORS, GS, LS
@@ -58,7 +57,7 @@ class TestDominates:
         assert not dominates(mix, 2, top, 0, Mode.STRICT)
 
     def test_empty_opponent_set_semantics(self, g1):
-        r = restriction_of(g1, [(0, 1), ()])
+        r = Restriction(g1, ((0, 1), ()))
         assert dominates(1, 0, r, 0, Mode.STRICT)  # vacuously true
         assert not dominates(1, 0, r, 0, Mode.WEAK)  # no strict witness exists
 
@@ -73,12 +72,12 @@ class TestOpponentBases:
         assert _opponent_bases(g2, 0, Restriction.full(g2).masks[1:]) == (0, 1, 2)
 
     def test_column_view(self, g2):
-        r = restriction_of(g2, [(0, 1), (0, 1)])
+        r = Restriction(g2, ((0, 1), (0, 1)))
         # Row's A and B, one row of three columns apart.
         assert _opponent_bases(g2, 1, r.masks[:1]) == (0, 3)
 
     def test_empty_opponent_set(self, g1):
-        r = restriction_of(g1, [(0,), ()])
+        r = Restriction(g1, ((0,), ()))
         assert _opponent_bases(g1, 0, r.masks[1:]) == ()
 
     def test_lexicographic_order_three_players_middle_target(self):
@@ -100,12 +99,12 @@ class TestPureDominatorCertificates:
         assert certificate_triples(step) == ((0, 1, 0),)  # A eliminates B
 
     def test_g1_frozen_subgame_has_no_local_dominator(self, g1):
-        frozen = restriction_of(g1, [(1,), (0,)])
+        frozen = Restriction(g1, ((1,), (0,)))
         step = apply_operator(LS, frozen)
         assert not step.changed and step.certificates == ()
 
     def test_g1_frozen_subgame_has_global_dominator(self, g1):
-        frozen = restriction_of(g1, [(1,), (0,)])
+        frozen = Restriction(g1, ((1,), (0,)))
         step = apply_operator(GS, frozen)
         assert certificate_triples(step) == ((0, 1, 0),)  # A, from outside the kept set
 
@@ -131,7 +130,7 @@ class TestFindMixedDominator:
         assert _grid_dominated(columns, columns[2], Mode.WEAK, 6)
 
     def test_single_strategy_pool_cannot_dominate_itself(self, g1):
-        frozen = restriction_of(g1, [(1,), (0,)])
+        frozen = Restriction(g1, ((1,), (0,)))
         assert find_mixed_dominator(frozen, 0, 1, Pool.LOCAL, Mode.STRICT) is None
 
     def test_3x2_strict_witness_is_half_half(self):
@@ -184,16 +183,16 @@ class TestFindMixedDominator:
         assert find_mixed_dominator(Restriction.full(game), 0, 0, Pool.LOCAL, mode) is None
 
     def test_empty_opponents_strict_returns_point_mass(self, g2):
-        r = restriction_of(g2, [(0, 1, 2, 3), ()])
+        r = Restriction(g2, ((0, 1, 2, 3), ()))
         witness = find_mixed_dominator(r, 0, 1, Pool.LOCAL, Mode.STRICT)
         assert witness == MixedStrategy.point_mass(0, 0)
 
     def test_empty_opponents_weak_returns_none(self, g2):
-        r = restriction_of(g2, [(0, 1, 2, 3), ()])
+        r = Restriction(g2, ((0, 1, 2, 3), ()))
         assert find_mixed_dominator(r, 0, 1, Pool.LOCAL, Mode.WEAK) is None
 
     def test_empty_pool_raises(self, g2):
-        r = restriction_of(g2, [(), (0, 1, 2)])
+        r = Restriction(g2, ((), (0, 1, 2)))
         with pytest.raises(NoCandidatesError):
             _mixed_dominator(g2, 0, 0, (), _opponent_bases(g2, 0, (0b1,)), Mode.STRICT)
         # Public path: a local pool is empty only when the kept-set is.
@@ -233,7 +232,7 @@ class TestDominanceProperties:
             [tuple(i for i in range(k) if m >> i & 1) for m in range(1 << k)]
             for k in shape
         ]
-        nodes = [restriction_of(game, combo) for combo in product(*subsets)]
+        nodes = [Restriction(game, combo) for combo in product(*subsets)]
         for larger in nodes:
             for smaller in nodes:
                 if not smaller.issubset(larger):

@@ -30,3 +30,10 @@ def test_package_imports_only_listed_names():
         listed = importlib.import_module(f"dominance_lab.{node.module}").__all__
         unlisted = [alias.name for alias in node.names if alias.name not in listed]
         assert not unlisted, f"{node.module} does not list {unlisted} in __all__"
+
+
+def test_readme_library_example_runs(capsys):
+    readme = Path(__file__).resolve().parents[1].joinpath("README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[1] == "superset"

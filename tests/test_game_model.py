@@ -12,7 +12,6 @@ from dominance_lab import (
     game_from_json_dict,
     game_to_json_dict,
     payoff,
-    restriction_of,
 )
 from dominance_lab.game_model import parse_rational
 from dominance_lab.random_games import GeneratorConfig, generate
@@ -70,24 +69,24 @@ class TestMixedStrategy:
 class TestRestriction:
     def test_full_restriction_is_the_game_itself(self, g1):
         top = Restriction.full(g1)
-        assert top.is_full and top.is_subgame
-        assert top == restriction_of(g1, [range(2), range(1)])
+        assert top.kept == ((0, 1), (0,)) and top.is_subgame
+        assert top == Restriction(g1, (range(2), range(1)))
 
     def test_valid_subgame(self, g1):
-        sub = restriction_of(g1, [(1,), (0,)])
-        assert sub.is_subgame and not sub.is_full
+        sub = Restriction(g1, ((1,), (0,)))
+        assert sub.is_subgame and sub != Restriction.full(g1)
         assert sub.kept == ((1,), (0,))
 
     def test_empty_component_is_allowed(self, g1):
-        r = restriction_of(g1, [(), (0,)])
+        r = Restriction(g1, ((), (0,)))
         assert not r.is_subgame and r.kept == ((), (0,))
 
     def test_out_of_range_rejected(self, g1):
         with pytest.raises(InvalidProfileError):
-            restriction_of(g1, [(2,), (0,)])
+            Restriction(g1, ((2,), (0,)))
 
     def test_kept_sets_are_normalized(self, g2):
-        r = restriction_of(g2, [(3, 1, 1), (2, 0)])
+        r = Restriction(g2, ((3, 1, 1), (2, 0)))
         assert r.kept == ((1, 3), (0, 2))
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dominance_lab import Game, Mode, Pool, dominates, find_mixed_dominator, restriction_of
+from dominance_lab import Game, Mode, Pool, Restriction, dominates, find_mixed_dominator
 from dominance_lab.dominance import _solve_dominance_program
 
 sympy = pytest.importorskip("sympy")
@@ -58,7 +58,7 @@ def test_mixed_dominator_agrees_with_sympy(data):
     target = data.draw(st.integers(0, rows - 1), label="target")
     kept_rows = data.draw(st.sets(st.integers(0, rows - 1)), label="kept rows") | {target}
     kept_cols = data.draw(st.sets(st.integers(0, cols - 1), min_size=1), label="kept cols")
-    restriction = restriction_of(game, (sorted(kept_rows), sorted(kept_cols)))
+    restriction = Restriction(game, (sorted(kept_rows), sorted(kept_cols)))
     pool_kind = data.draw(st.sampled_from(Pool), label="pool")
     mode = data.draw(st.sampled_from(Mode), label="mode")
 

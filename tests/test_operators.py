@@ -19,11 +19,9 @@ from dominance_lab import (
     Restriction,
     apply_operator,
     builtin_game,
-    fixpoint,
     iterate,
     operator_from_name,
     payoff,
-    restriction_of,
 )
 from dominance_lab.operators import EliminationEngine
 from dominance_lab.random_games import GeneratorConfig, generate
@@ -95,7 +93,7 @@ class TestApplyOperator:
         ]
 
     def test_ls_fixes_the_frozen_subgame(self, g1):
-        frozen = restriction_of(g1, [(1,), (0,)])
+        frozen = Restriction(g1, ((1,), (0,)))
         step = apply_operator(LS, frozen)
         assert step.after == frozen and not step.changed
 
@@ -138,7 +136,7 @@ class TestIterate:
     def test_trace_invariants(self, g2):
         for kind in ALL_OPERATORS:
             trace = iterate(kind, g2)
-            assert trace.steps[0].before.is_full
+            assert trace.steps[0].before == Restriction.full(g2)
             for first, second in zip(trace.steps, trace.steps[1:]):
                 assert first.after == second.before
             last = trace.steps[-1]
@@ -157,9 +155,6 @@ class TestIterate:
     def test_all_eight_fixpoints(self, game, kept):
         for kind in ALL_OPERATORS:
             assert iterate(kind, game).fixpoint.kept == kept
-
-    def test_fixpoint_convenience(self, g2):
-        assert fixpoint(GW, g2).kept == iterate(GW, g2).fixpoint.kept
 
 
 class TestOperatorProperties:
@@ -211,7 +206,7 @@ class TestOperatorProperties:
     @given(st.integers(0, 10_000), st.sampled_from(ALL_OPERATORS))
     def test_idempotence_at_the_fixpoint(self, seed, kind):
         game = generate(GeneratorConfig(seed=seed, strategies=(2, 3), tie_bias=0.3))
-        fix = fixpoint(kind, game)
+        fix = iterate(kind, game).fixpoint
         assert apply_operator(kind, fix).after == fix
 
     @settings(max_examples=20, deadline=None)

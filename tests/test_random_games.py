@@ -1,6 +1,6 @@
 import pytest
 
-from dominance_lab import ALL_OPERATORS, iterate
+from dominance_lab import ALL_OPERATORS, Restriction, iterate
 from dominance_lab.random_games import GeneratorConfig, generate, strategy_label
 
 
@@ -19,21 +19,28 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             GeneratorConfig(seed=1, payoff_range=(3, -3))
 
-    def test_json_round_trip(self):
-        config = GeneratorConfig(seed=9, players=(2, 3), strategies=(2, 4),
-                                 payoff_range=(-5, 5), tie_bias=0.4)
-        doc = {"seed": 9, "players": [2, 3], "strategies": [2, 4], "payoffs": [-5, 5],
-               "tie_bias": 0.4}
-        assert GeneratorConfig.from_json_dict(doc) == config
+    @pytest.mark.parametrize(
+        "fields",
+        [{"strategies": (0, 2)}, {"strategies": (3, 2)}, {"players": (3, 2)},
+         {"tie_bias": -0.1}, {"tie_bias": float("nan")}],
+        ids=["strategies_zero", "strategies_reversed", "players_reversed",
+             "tie_bias_negative", "tie_bias_nan"],
+    )
+    def test_other_invalid_settings_rejected(self, fields):
+        with pytest.raises(ValueError):
+            GeneratorConfig(seed=1, **fields)
 
-    @pytest.mark.parametrize("field", ["distinct_payoffs", "playrs", ""])
-    def test_json_rejects_unknown_fields(self, field):
-        with pytest.raises(ValueError, match="unknown config field"):
-            GeneratorConfig.from_json_dict({"seed": 2, field: 1})
-
-    def test_json_accepts_scalars_for_ranges(self):
-        config = GeneratorConfig.from_json_dict({"seed": 2, "players": 3, "strategies": 2})
-        assert config.players == (3, 3) and config.strategies == (2, 2)
+    @pytest.mark.parametrize(
+        "fields",
+        [{"players": (2, 4)}, {"players": (4, 4)}, {"strategies": (1, 1)},
+         {"payoff_range": (0, 0)}, {"tie_bias": 0.0}, {"tie_bias": 1.0}],
+        ids=["players_2_to_4", "players_4", "strategies_1", "payoffs_single_value",
+             "tie_bias_0", "tie_bias_1"],
+    )
+    def test_boundary_settings_accepted(self, fields):
+        config = GeneratorConfig(seed=1, **fields)
+        game = generate(config)
+        assert config.players[0] <= len(game.players) <= config.players[1]
 
 
 class TestGeneration:
@@ -67,4 +74,4 @@ class TestDegenerateShapes:
         game = generate(GeneratorConfig(seed=3, strategies=(1, 1)))
         for kind in ALL_OPERATORS:
             trace = iterate(kind, game)
-            assert len(trace.steps) == 1 and trace.fixpoint.is_full
+            assert len(trace.steps) == 1 and trace.fixpoint == Restriction.full(game)
