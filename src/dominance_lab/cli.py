@@ -27,7 +27,7 @@ from .analysis import (
 )
 from .game_model import Game, GameFormatError, Restriction, game_from_json_dict
 from .operators import apply_operator, iterate, operator_from_name
-from .suites import SUITE_NAMES, default_seed, run_suite
+from .suites import DEFAULT_SEED, SUITE_NAMES, run_suite
 
 __all__ = ["build_parser", "load_game", "main", "run"]
 
@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a property suite (CI gate: exit 2 on failure)", parents=[shared])
     p_verify.add_argument("--suite", choices=SUITE_NAMES, default="all")
-    p_verify.add_argument("--seed", type=int, default=None)
+    p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_verify.add_argument("--games", type=_count, default=None,
                           help="random-game count for the chosen suite")
     p_verify.add_argument("--players", type=_parse_range, default=None, metavar="LO..HI")
@@ -243,7 +243,7 @@ def _run_parsed(args: argparse.Namespace, out: TextIO) -> int:
             budget_doc: dict = {"kind": "exhaustive", "cap": cap}
         else:
             unused = {"--cap": args.cap}
-            seed = args.seed if args.seed is not None else default_seed()
+            seed = args.seed if args.seed is not None else DEFAULT_SEED
             count = args.samples if args.samples is not None else DEFAULT_SAMPLES
             budget = Sampled(seed=seed, count=count)
             budget_doc = {"kind": "sampled", "seed": seed, "count": count}

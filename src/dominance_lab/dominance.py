@@ -28,17 +28,10 @@ tries, in order:
   every margin is ``< 0`` (weak), rules out every mixture, and the query
   ends without an LP.  Rows of zero margins, such as the target's own, are
   left out of the test: weight on them changes no payoff sum;
-- an exact LP over unnormalised pool weights ``v >= 0``, solved by
-  :func:`dominance_lab.simplex.solve_lp`:
-
-  - strict: ``max s``  s.t.  ``s - sum_j a_jc v_j <= 0`` for every ``c``
-    and ``sum v <= 1``;
-  - weak: ``max sum_c sum_j a_jc v_j``  s.t.  ``-sum_j a_jc v_j <= 0``
-    for every ``c`` and ``sum v <= 1``.
-
-  Both programs are homogeneous with a right-hand side of 0 or 1, so the
-  origin is a feasible start.  The target is dominated exactly when the
-  optimum is positive, and then ``sum v = 1`` and ``v`` is the witness.
+- an exact LP over the pool weights, :func:`dominance_lab.simplex.solve_lp`,
+  which states the strict and the weak program.  The target is dominated
+  exactly when the optimum is positive, and the optimal weights are then
+  the witness.
 
 Ties are semantically meaningful for weak dominance, so no float ever
 participates in a decision.
@@ -49,15 +42,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Sequence
 
 from .game_model import Game, InvalidProfileError, MixedStrategy, Restriction, indices_of
-from .simplex import LpResult, solve_lp
+from .simplex import solve_lp
 
 __all__ = [
     "EliminationCertificate",
-    "LpResult",
     "Mode",
     "NoCandidatesError",
     "Pool",
@@ -193,54 +184,10 @@ def _mixed_dominator(
     for c in range(len(bases)):
         if all(row[c] < bound for row in live):
             return None
-    result = _dominance_lp(margins, len(bases), mode)
+    result = solve_lp(margins, mode is Mode.STRICT)
     if result.value <= 0:
         return None
-    return MixedStrategy(player, tuple((s, w) for s, w in zip(pool, result.assignment) if w))
-
-
-def _solve_dominance_program(
-    margins: Sequence[Sequence[Fraction]],
-    profile_count: int,
-    mode: Mode,
-) -> LpResult:
-    """Solve the dominance program over rational margins, value in their units.
-
-    ``margins[j][c]`` is the payoff advantage of pool strategy j over the
-    target at opponent profile c.  They are scaled to ints by one least
-    common denominator for :func:`_dominance_lp`.
-    """
-    # A set, so that lcm gets one argument per distinct denominator rather
-    # than a tuple as long as the table.
-    scale = lcm(*{a.denominator for row in margins for a in row})
-    columns = [[a.numerator * (scale // a.denominator) for a in row] for row in margins]
-    result = _dominance_lp(columns, profile_count, mode)
-    return LpResult(result.value / scale, result.assignment)
-
-
-def _dominance_lp(margins: Sequence[Sequence[int]], profile_count: int, mode: Mode) -> LpResult:
-    """Solve the dominance program; a positive optimum means the target is dominated.
-
-    ``margins[j][c]`` is the int payoff advantage of pool strategy j over
-    the target at opponent profile c, and the value is in their units.  The
-    assignment holds the pool weights ``v``; both programs are homogeneous
-    in ``v``, so at a positive optimum ``sum(v) = 1`` and the weights are a
-    dominating mixture.
-    """
-    m = len(margins)
-    rows = [[-col[c] for col in margins] for c in range(profile_count)]
-    if mode is Mode.STRICT:
-        # max s  s.t.  s - sum_j a_jc v_j <= 0 per profile c,  sum v <= 1.
-        for row in rows:
-            row.append(1)
-        rows.append([1] * m + [0])
-        objective = [0] * m + [1]
-    else:
-        # max sum_c sum_j a_jc v_j  s.t.  -sum_j a_jc v_j <= 0 per c,  sum v <= 1.
-        rows.append([1] * m)
-        objective = [sum(col) for col in margins]
-    result = solve_lp(rows, [0] * profile_count + [1], objective)
-    return LpResult(result.value, result.assignment[:m])
+    return MixedStrategy(player, tuple((s, w) for s, w in zip(pool, result.weights) if w))
 
 
 def _check_player_strategy(game: Game, player: int, strategy: int) -> None:

@@ -1,15 +1,16 @@
-"""Exact single-phase simplex for ``max c.x  s.t.  A x <= b,  x >= 0``.
+"""Exact single-phase simplex for the two dominance programs.
 
-The dominance programs of :mod:`dominance_lab.dominance` are homogeneous:
-every row is a ``<=`` row whose right-hand side is 0 or 1.  So ``b >= 0``,
-the origin is feasible and the slack basis is a starting vertex; there is
-no phase 1, no artificial variable and no free variable.
+:func:`solve_lp` states the strict and the weak program of
+:mod:`dominance_lab.dominance`.  Every row of both is a ``<=`` row whose
+right-hand side is 0 or 1, so the origin is feasible and the slack basis is
+a starting vertex; there is no phase 1, no artificial variable and no free
+variable.
 
-``A``, ``b`` and ``c`` are Python ints and the pivoting is fraction-free
-(Bareiss 1968, as in Avis's lrs): the tableau holds integers equal to the
-true tableau times ``d``, the determinant of the current basis, which is
-positive because every pivot is.  A pivot updates each entry by one exact
-integer division by the previous ``d``, and the ratio test compares
+The tableau is built straight from the int margins and the pivoting is
+fraction-free (Bareiss 1968, as in Avis's lrs): the tableau holds integers
+equal to the true tableau times ``d``, the determinant of the current basis,
+which is positive because every pivot is.  A pivot updates each entry by one
+exact integer division by the previous ``d``, and the ratio test compares
 ``rhs / entry`` by cross-multiplying, so no rational is built until the
 answer is read out.  Bland's rule (the lowest-indexed improving variable
 enters; ratio ties leave by the lowest basic index) makes the result
@@ -27,10 +28,10 @@ __all__ = ["LpResult", "solve_lp"]
 
 @dataclass(frozen=True)
 class LpResult:
-    """The optimum and an optimal assignment of a solved program."""
+    """The optimum of a dominance program and optimal pool weights."""
 
     value: Fraction
-    assignment: tuple[Fraction, ...]
+    weights: tuple[Fraction, ...]
 
 
 def _pivot(rows: list[list[int]], r: int, k: int, d: int) -> int:
@@ -56,18 +57,35 @@ def _pivot(rows: list[list[int]], r: int, k: int, d: int) -> int:
     return p
 
 
-def solve_lp(a: Sequence[Sequence[int]], b: Sequence[int], c: Sequence[int]) -> LpResult:
-    """Maximise ``c.x`` subject to ``a x <= b`` and ``x >= 0``, exactly.
+def solve_lp(margins: Sequence[Sequence[int]], strict: bool) -> LpResult:
+    """Solve the strict or the weak dominance program over int ``margins``, exactly.
 
-    Raises ``ValueError`` when some ``b`` is negative (the origin is then not
-    a feasible start) or when the objective is unbounded.
+    ``margins[j][c]`` is the payoff advantage ``a_jc`` of pool strategy
+    ``j`` over the target at opponent profile ``c``.  Over unnormalised pool
+    weights ``v >= 0``:
+
+    - strict: ``max s``  s.t.  ``s - sum_j a_jc v_j <= 0`` for every ``c``
+      and ``sum v <= 1``;
+    - weak: ``max sum_c sum_j a_jc v_j``  s.t.  ``-sum_j a_jc v_j <= 0``
+      for every ``c`` and ``sum v <= 1``.
+
+    The variables are ``v`` in pool order, then ``s``; the rows are the
+    profiles in order, then ``sum v <= 1``.  Both programs are homogeneous
+    in ``v``, so the target is dominated exactly when the optimum is
+    positive, and then ``sum v = 1`` and the weights are a dominating
+    mixture.  The value is in the margins' units.
+
+    Raises ``ValueError`` when the objective is unbounded, which happens for
+    the strict program with no profile.
     """
-    if any(x < 0 for x in b):
-        raise ValueError("right-hand side must be nonnegative")
-    n = len(c)
-    m = len(a)
-    rows = [list(row) + [rhs] for row, rhs in zip(a, b)]
-    rows.append([-x for x in c] + [0])
+    pool = len(margins)
+    n = pool + strict
+    # Dictionary rows [coefficients of v (and s), right-hand side]; the
+    # objective row holds the negated objective.
+    rows = [[-a for a in profile] + [1] * strict + [0] for profile in zip(*margins)]
+    rows.append([1] * pool + [0] * strict + [1])
+    rows.append(([0] * pool + [-1] if strict else [-sum(row) for row in margins]) + [0])
+    m = len(rows) - 1
     basis = list(range(n, n + m))  # the slack of row i is variable n + i
     cobasis = list(range(n))
     objective = rows[m]
@@ -97,8 +115,8 @@ def solve_lp(a: Sequence[Sequence[int]], b: Sequence[int], c: Sequence[int]) -> 
         d = _pivot(rows, leave, enter, d)
         objective = rows[m]
         basis[leave], cobasis[enter] = cobasis[enter], basis[leave]
-    assignment = [Fraction(0)] * n
+    weights = [Fraction(0)] * pool
     for i, var in enumerate(basis):
-        if var < n:
-            assignment[var] = Fraction(rows[i][-1], d)
-    return LpResult(Fraction(objective[-1], d), tuple(assignment))
+        if var < pool:
+            weights[var] = Fraction(rows[i][-1], d)
+    return LpResult(Fraction(objective[-1], d), tuple(weights))

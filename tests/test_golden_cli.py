@@ -70,11 +70,6 @@ def golden():
     return {" ".join(r["argv"]): r for r in json.loads(GOLDEN.read_text(encoding="utf-8"))}
 
 
-@pytest.fixture(autouse=True)
-def _default_seed(monkeypatch):
-    monkeypatch.delenv("DOMINANCE_LAB_SEED", raising=False)
-
-
 def test_every_command_is_recorded(golden):
     assert sorted(golden) == sorted(" ".join(argv) for argv in COMMANDS)
 

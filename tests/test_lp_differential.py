@@ -7,13 +7,14 @@ decision, the same positive optimum, and a witness that replays.
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dominance_lab import Game, Mode, Pool, Restriction, dominates, find_mixed_dominator
-from dominance_lab.dominance import _solve_dominance_program
+from dominance_lab.simplex import solve_lp
 
 sympy = pytest.importorskip("sympy")
 from sympy.solvers.simplex import InfeasibleLPError, lpmax  # noqa: E402
@@ -75,4 +76,6 @@ def test_mixed_dominator_agrees_with_sympy(data):
     if dominated:
         assert set(witness.support) <= set(pool)
         assert dominates(witness, target, restriction, 0, mode)
-        assert _solve_dominance_program(margins, len(kept_cols), mode).value == expected
+        scale = lcm(*(a.denominator for row in margins for a in row))
+        scaled = [tuple(int(a * scale) for a in row) for row in margins]
+        assert solve_lp(scaled, mode is Mode.STRICT).value / scale == expected
