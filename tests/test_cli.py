@@ -166,6 +166,12 @@ class TestVerifyAndPaperExamples:
         assert code == 0
         assert json.loads(text)["seed"] == 1729
 
+    def test_explicit_seed_beats_the_env_var(self, monkeypatch):
+        monkeypatch.setenv("DOMINANCE_LAB_SEED", "4242")
+        code, text = run_cli("verify", "--suite", "determinism", "--seed", "7")
+        assert code == 0
+        assert json.loads(text)["seed"] == 7
+
 
 class TestCountFlags:
     @pytest.mark.parametrize("suite", ["monotonicity", "theorems", "oracle"])

@@ -16,10 +16,39 @@ def payoff_margins(margins, weights):
     ]
 
 
+def test_solve_lp_reads_the_optimal_vertex():
+    # Margins (3, -1) and (-1, 1): the strict max-min 4w - 1 = 1 - 2w meets at
+    # w = 1/3; the weak total slack 2w is held to w <= 1/2 by the second profile.
+    margins = [(3, -1), (-1, 1)]
+    strict = solve_lp(margins, True)
+    assert strict.value == F(1, 3)
+    assert strict.weights == (F(1, 3), F(2, 3))
+    weak = solve_lp(margins, False)
+    assert weak.value == 1
+    assert weak.weights == (F(1, 2), F(1, 2))
+
+
 def test_unbounded_raises():
     # The strict program with no profile: s is bounded by nothing.
     with pytest.raises(ValueError, match="unbounded"):
         solve_lp([(), ()], True)
+
+
+def test_weak_program_without_profiles_has_optimum_zero():
+    # Only the strict program is unbounded with no profile; the weak one has
+    # an all-zero objective and stays at the origin.
+    result = solve_lp([(), ()], False)
+    assert result.value == 0
+    assert result.weights == (0, 0)
+
+
+def test_single_strategy_pool_reads_its_own_margin():
+    for strict in (True, False):
+        result = solve_lp([(2,)], strict)
+        assert result.value == 2
+        assert result.weights == (1,)
+        # A pool that loses to the target stays at the origin.
+        assert solve_lp([(-2,)], strict).value == 0
 
 
 def test_binding_constraint_gives_zero():
