@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
+from operator import getitem
 from typing import Iterable, Iterator
 
 from .game_model import Game, Restriction, indices_of
@@ -41,15 +43,23 @@ class BudgetExceededError(RuntimeError):
     """The lattice is too large for exhaustive search; use a Sampled budget."""
 
 
+def _at_least_one(name: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 @dataclass(frozen=True)
 class Exhaustive:
     """Scan every restriction of the lattice; errors out above ``cap`` nodes.
 
     ``check_monotonic`` tests every covering pair, ``pointwise_inclusion``
-    every restriction.
+    every restriction.  Raises ValueError for a cap below 1.
     """
 
     cap: int = DEFAULT_EXHAUSTIVE_CAP
+
+    def __post_init__(self) -> None:
+        _at_least_one("cap", self.cap)
 
 
 @dataclass(frozen=True)
@@ -58,10 +68,15 @@ class Sampled:
 
     ``check_monotonic`` tests every covering pair above each sampled
     restriction, up to one per strategy the restriction leaves out.
+    Raises ValueError for a count below 1: a budget that scans nothing
+    would report a vacuous pass.
     """
 
     seed: int
     count: int
+
+    def __post_init__(self) -> None:
+        _at_least_one("count", self.count)
 
 
 Budget = Exhaustive | Sampled
@@ -74,17 +89,28 @@ def lattice_size(game: Game) -> int:
     return size
 
 
-def _canonical_key(masks: tuple[int, ...]) -> tuple:
-    kept = tuple(indices_of(m) for m in masks)
-    return (sum(len(k) for k in kept), kept)
-
-
 def enumerate_restriction_masks(game: Game) -> list[tuple[int, ...]]:
-    """All restrictions as per-player bitmasks, by lattice rank then kept-sets."""
-    from itertools import product
+    """All restrictions as per-player bitmasks, by lattice rank then kept-sets.
 
-    per_player = [range(1 << k) for k in game.shape]
-    return sorted(product(*per_player), key=_canonical_key)
+    Within a rank, restrictions run in lexicographic order of the players'
+    kept index tuples, player 0's first.  The sort key is one int: the
+    rank times the lattice size, plus a mixed-radix number whose digit for
+    each player is the position of its mask in ``indices_of`` order.
+    """
+    size = lattice_size(game)
+    tables = []
+    radix = 1
+    for k in reversed(game.shape):
+        table = [0] * (1 << k)
+        for position, mask in enumerate(sorted(range(1 << k), key=indices_of)):
+            table[mask] = mask.bit_count() * size + position * radix
+        tables.append(table)
+        radix <<= k
+    tables.reverse()
+    return sorted(
+        product(*(range(len(t)) for t in tables)),
+        key=lambda masks: sum(map(getitem, tables, masks)),
+    )
 
 
 def _restrictions(game: Game, budget: Budget) -> Iterable[tuple[int, ...]]:

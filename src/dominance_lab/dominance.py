@@ -12,12 +12,15 @@ kept here once: :func:`_pool_mask` gives the dominator candidates (the
 player's kept set for a local pool, all of its strategies for a global
 one), and :func:`_opponent_bases` gives the opponent profiles the other
 players' masks allow, as flat payoff-tensor offsets in lexicographic
-order.  The elimination engine, the one-off queries, certificate replay
-and the oracle suite all call these two.
+order.  The one-off queries and certificate replay call both; the
+elimination engine and the oracle suite call :func:`_opponent_bases`, and
+the engine reads a global pool from the full masks it computes once.
 
 Every decision reads :attr:`Game.scaled_payoffs`: each player's payoffs
 times one least common denominator, as ints.  A positive factor changes no
-comparison, so the decisions are those of the rational payoffs.
+comparison, so the decisions are those of the rational payoffs.  A mixed
+candidate's weights are scaled the same way, by their common denominator,
+and compared against that multiple of the target's payoffs.
 
 A mixed-dominator query works on the margins ``a_jc``: the scaled payoff of
 pool strategy ``j`` minus the target's at opponent profile ``c``.  It then
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .game_model import Game, InvalidProfileError, MixedStrategy, Restriction, indices_of
@@ -112,18 +115,25 @@ def _column(game: Game, player: int, strategy: int, bases: Sequence[int]) -> tup
 
 def _mixed_column(
     game: Game, player: int, mixed: MixedStrategy, bases: Sequence[int]
-) -> tuple[Fraction, ...]:
+) -> tuple[int, tuple[int, ...]]:
+    """``(D, column)``: the mixture's scaled payoffs times ``D``, as ints.
+
+    ``D`` is the common denominator of the weights, so the column compares
+    with ``D`` times a pure column exactly as the mixture's payoffs do.
+    """
+    scale = lcm(*(w.denominator for _, w in mixed.weights))
     table = game.scaled_payoffs[player]
     stride = game.strides[player]
-    out: list[int | Fraction] = [0] * len(bases)
+    out = [0] * len(bases)
     for strategy, weight in mixed.weights:
         step = strategy * stride
+        factor = weight.numerator * (scale // weight.denominator)
         for c, b in enumerate(bases):
-            out[c] += weight * table[b + step]
-    return tuple(out)
+            out[c] += factor * table[b + step]
+    return scale, tuple(out)
 
 
-def _beats(candidate: Sequence[int | Fraction], target: Sequence[int], mode: Mode) -> bool:
+def _beats(candidate: Sequence[int], target: Sequence[int], mode: Mode) -> bool:
     if mode is Mode.STRICT:
         return all(a > b for a, b in zip(candidate, target))
     return all(a >= b for a, b in zip(candidate, target)) and any(
@@ -229,7 +239,8 @@ def dominates(
             )
         for s, _ in candidate.weights:
             _check_player_strategy(game, player, s)
-        candidate_col = _mixed_column(game, player, candidate, bases)
+        scale, candidate_col = _mixed_column(game, player, candidate, bases)
+        target_col = tuple(scale * t for t in target_col)
     else:
         _check_player_strategy(game, player, candidate)
         candidate_col = _column(game, player, candidate, bases)

@@ -16,7 +16,7 @@ public functions build a fresh engine per call and are therefore pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator
 
@@ -26,7 +26,6 @@ from .dominance import (
     Pool,
     _mixed_dominator,
     _opponent_bases,
-    _pool_mask,
     _pure_dominator,
 )
 from .game_model import Game, MixedStrategy, Restriction, indices_of
@@ -64,6 +63,13 @@ class OperatorKind:
     mode: Mode
     pool: Pool
     mixing: Mixing
+    # The kind's index among the eight (bits: weak, global, mixed), so that
+    # per-kind caches are found without hashing three enums.
+    slot: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        slot = (self.mode is Mode.WEAK) << 2 | (self.pool is Pool.GLOBAL) << 1
+        object.__setattr__(self, "slot", slot | (self.mixing is Mixing.MIXED))
 
     @property
     def name(self) -> str:
@@ -148,10 +154,17 @@ class IterationTrace:
 class EliminationEngine:
     """Per-game memo for dominance queries and operator applications.
 
-    Queries are keyed by (player, target, pool mask, opponent masks, mode,
-    mixing); local and global pools share cache entries whenever the pools
-    coincide.  All answers are deterministic, so caching never changes a
-    result, only its cost.
+    ``survivors`` keeps one dict per operator kind, keyed by the kept-set
+    masks.  ``dominator`` keeps one dict per (mode, mixing) pair, keyed by
+    (player, target, pool mask, opponent masks), so local and global pools
+    share entries whenever the pools coincide.  Both are found by list
+    index, not by hashing the enums.  GS and GW also keep, per (player,
+    opponent masks), the mask of targets decided so far and the mask of
+    those found dominated: their pool is the full strategy set, so the
+    answer does not depend on the player's own kept set.  Every target is
+    decided at most once per context, and only when some kept set asks.
+    All answers are deterministic, so caching never changes a result, only
+    its cost.
     """
 
     def __init__(self, game: Game) -> None:
@@ -159,8 +172,15 @@ class EliminationEngine:
         self.full_masks = tuple((1 << k) - 1 for k in game.shape)
         self.empty_opponent_queries = 0
         self._bases: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
-        self._queries: dict[tuple, int | MixedStrategy | None] = {}
-        self._survivors: dict[tuple[OperatorKind, tuple[int, ...]], tuple[int, ...]] = {}
+        # Indexed [mode is WEAK][mixing is MIXED].
+        self._queries: list[list[dict[tuple, int | MixedStrategy | None]]] = [
+            [{}, {}],
+            [{}, {}],
+        ]
+        # Indexed [kind.slot].
+        self._survivors: list[dict[tuple[int, ...], tuple[int, ...]]] = [{} for _ in range(8)]
+        # GS and GW only, indexed [mode is WEAK]: (decided, dominated) masks.
+        self._dominated: tuple[dict[tuple[int, tuple[int, ...]], tuple[int, int]], ...] = ({}, {})
 
     def opponent_bases(self, player: int, opp_masks: tuple[int, ...]) -> tuple[int, ...]:
         key = (player, opp_masks)
@@ -179,9 +199,10 @@ class EliminationEngine:
         mode: Mode,
         mixing: Mixing,
     ) -> int | MixedStrategy | None:
-        key = (player, target, pool_mask, opp_masks, mode, mixing)
-        if key in self._queries:
-            return self._queries[key]
+        queries = self._queries[mode is Mode.WEAK][mixing is Mixing.MIXED]
+        key = (player, target, pool_mask, opp_masks)
+        if key in queries:
+            return queries[key]
         bases = self.opponent_bases(player, opp_masks)
         if not bases:
             self.empty_opponent_queries += 1
@@ -192,7 +213,7 @@ class EliminationEngine:
             )
         else:
             found = _mixed_dominator(self.game, player, target, pool, bases, mode)
-        self._queries[key] = found
+        queries[key] = found
         return found
 
     def _sweep(
@@ -201,25 +222,50 @@ class EliminationEngine:
         """(player, target, dominator) for each target in ``targets`` that ``kind``
         eliminates at the kept-sets ``masks``; lowest player first, then target.
         """
+        pools = masks if kind.pool is Pool.LOCAL else self.full_masks
         for player, target_mask in enumerate(targets):
-            pool_mask = _pool_mask(self.game, masks, player, kind.pool)
             opp_masks = masks[:player] + masks[player + 1 :]
             for target in indices_of(target_mask):
-                found = self.dominator(player, target, pool_mask, opp_masks, kind.mode, kind.mixing)
+                found = self.dominator(
+                    player, target, pools[player], opp_masks, kind.mode, kind.mixing
+                )
                 if found is not None:
                     yield player, target, found
 
+    def _global_pure_survivors(self, kind: OperatorKind, masks: tuple[int, ...]) -> tuple[int, ...]:
+        """``survivors`` for GS and GW, through the per-context dominated sets."""
+        contexts = self._dominated[kind.mode is Mode.WEAK]
+        out = []
+        for player, kept in enumerate(masks):
+            opp_masks = masks[:player] + masks[player + 1 :]
+            key = (player, opp_masks)
+            decided, dominated = contexts.get(key, (0, 0))
+            undecided = kept & ~decided
+            if undecided:
+                pool_mask = self.full_masks[player]
+                for target in indices_of(undecided):
+                    if self.dominator(
+                        player, target, pool_mask, opp_masks, kind.mode, kind.mixing
+                    ) is not None:
+                        dominated |= 1 << target
+                contexts[key] = (decided | undecided, dominated)
+            out.append(kept & ~dominated)
+        return tuple(out)
+
     def survivors(self, kind: OperatorKind, masks: tuple[int, ...]) -> tuple[int, ...]:
         """Kept-set masks after one application of ``kind``."""
-        key = (kind, masks)
-        cached = self._survivors.get(key)
+        cache = self._survivors[kind.slot]
+        cached = cache.get(masks)
         if cached is not None:
             return cached
-        out = list(masks)
-        for player, target, _ in self._sweep(kind, masks, masks):
-            out[player] &= ~(1 << target)
-        result = tuple(out)
-        self._survivors[key] = result
+        if kind.pool is Pool.GLOBAL and kind.mixing is Mixing.PURE:
+            result = self._global_pure_survivors(kind, masks)
+        else:
+            out = list(masks)
+            for player, target, _ in self._sweep(kind, masks, masks):
+                out[player] &= ~(1 << target)
+            result = tuple(out)
+        cache[masks] = result
         return result
 
     def step(self, kind: OperatorKind, restriction: Restriction) -> EliminationStep:

@@ -1,6 +1,8 @@
 import dataclasses
 import json
+from collections import Counter
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,7 +26,9 @@ from dominance_lab import (
     lattice_size,
     pointwise_inclusion,
 )
+from dominance_lab import operators
 from dominance_lab.analysis import enumerate_restriction_masks
+from dominance_lab.game_model import indices_of
 from dominance_lab.operators import EliminationEngine
 from dominance_lab.random_games import GeneratorConfig, generate
 
@@ -89,6 +93,50 @@ class TestCheckMonotonic:
         assert (a is None) == (b is None)
         if a is not None:
             assert a.to_dict() == b.to_dict()
+
+
+class TestBudgets:
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_sampled_budget_needs_a_positive_count(self, count):
+        with pytest.raises(ValueError, match="count must be at least 1"):
+            Sampled(seed=1, count=count)
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_exhaustive_budget_needs_a_positive_cap(self, cap):
+        with pytest.raises(ValueError, match="cap must be at least 1"):
+            Exhaustive(cap=cap)
+
+    def test_the_smallest_budgets_still_scan(self, g1):
+        assert pointwise_inclusion(MLW, LW, g1, Sampled(seed=1, count=1)).checked == 1
+        with pytest.raises(BudgetExceededError):
+            check_monotonic(GS, g1, Exhaustive(cap=1))
+
+
+class TestGlobalPureScans:
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_each_target_is_scanned_once_per_opponent_context(self, seed, monkeypatch):
+        game = generate(GeneratorConfig(seed=seed, strategies=(5, 5), tie_bias=0.3))
+        assert game.shape == (5, 5)
+        scans, queries = Counter(), Counter()
+        scan, query = operators._pure_dominator, EliminationEngine.dominator
+
+        def counted_scan(game, player, target, pool, bases, mode):
+            # With two players the bases name the one opponent mask exactly.
+            scans[player, bases, target] += 1
+            return scan(game, player, target, pool, bases, mode)
+
+        def counted_query(engine, player, target, pool_mask, opp_masks, mode, mixing):
+            queries[player, opp_masks, target] += 1
+            return query(engine, player, target, pool_mask, opp_masks, mode, mixing)
+
+        monkeypatch.setattr(operators, "_pure_dominator", counted_scan)
+        monkeypatch.setattr(EliminationEngine, "dominator", counted_query)
+        assert check_monotonic(GS, game, Exhaustive()) is None
+        # Every (player, opponent mask, target) of the lattice is asked about
+        # and scanned exactly once.
+        for counts in (scans, queries):
+            assert len(counts) == 2 * (1 << 5) * 5
+            assert set(counts.values()) == {1}
 
 
 class TestWitnessReplay:
@@ -227,3 +275,13 @@ class TestLatticeEnumeration:
         assert masks[-1] == (3, 1)
         ranks = [bin(a).count("1") + bin(b).count("1") for a, b in masks]
         assert ranks == sorted(ranks)
+
+    @pytest.mark.parametrize("shape", [(1,), (2, 3), (4, 4), (3, 3, 3), (6, 1, 3)])
+    def test_order_is_the_canonical_key_sort(self, shape):
+        def canonical_key(masks):
+            kept = tuple(indices_of(m) for m in masks)
+            return (sum(len(k) for k in kept), kept)
+
+        reference = sorted(product(*(range(1 << k) for k in shape)), key=canonical_key)
+        # Only the shape is read, so a stand-in covers one-player shapes too.
+        assert enumerate_restriction_masks(SimpleNamespace(shape=shape)) == reference

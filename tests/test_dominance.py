@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -15,6 +16,7 @@ from dominance_lab import (
     apply_operator,
     dominates,
     find_mixed_dominator,
+    payoff,
     replay_certificate,
 )
 from dominance_lab.dominance import _column, _mixed_dominator, _opponent_bases
@@ -64,6 +66,78 @@ class TestDominates:
     def test_player_mismatch_rejected(self, g2):
         with pytest.raises(ValueError):
             dominates(MixedStrategy.point_mass(1, 0), 0, Restriction.full(g2), 0, Mode.WEAK)
+
+
+def fraction_dominates(mixed, target, restriction, player, mode):
+    """Reference for ``dominates`` with a mixture: Fraction payoffs, no scaling."""
+    game = restriction.game
+    others = [kept for j, kept in enumerate(restriction.kept) if j != player]
+
+    def value(strategy, opponents):
+        profile = list(opponents)
+        profile.insert(player, strategy)
+        return payoff(game, player, tuple(profile))
+
+    gains = [
+        sum(w * value(s, opponents) for s, w in mixed.weights) - value(target, opponents)
+        for opponents in product(*others)
+    ]
+    if mode is Mode.STRICT:
+        return all(g > 0 for g in gains)
+    return all(g >= 0 for g in gains) and any(g > 0 for g in gains)
+
+
+class TestMixedCandidates:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_random_mixtures_match_the_fraction_reference(self, seed):
+        rng = random.Random(seed)
+        game = small_game(seed, players=(2, 3), strategies=(1, 4), tie_bias=0.5)
+        restriction = Restriction.from_masks(
+            game, tuple(rng.randrange(1 << k) for k in game.shape)
+        )
+        for player in range(game.player_count):
+            k = game.shape[player]
+            for _ in range(4):
+                support = rng.sample(range(k), rng.randint(1, k))
+                counts = [rng.randint(1, 6) for _ in support]
+                mixed = MixedStrategy(
+                    player, tuple((s, F(c, sum(counts))) for s, c in zip(support, counts))
+                )
+                target = rng.randrange(k)
+                for mode in Mode:
+                    assert dominates(mixed, target, restriction, player, mode) == (
+                        fraction_dominates(mixed, target, restriction, player, mode)
+                    )
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_exact_ties_in_weak_mode(self, seed):
+        # The target's payoffs are the mixture's, less a gap of 0 or 1/7 at
+        # each column: a zero gap is an exact tie between rationals.
+        rng = random.Random(seed)
+        rows, cols = rng.randint(2, 4), rng.randint(1, 4)
+        pool = [[F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(cols)] for _ in range(rows)]
+        counts = [rng.randint(0, 4) for _ in range(rows)]
+        counts[rng.randrange(rows)] += 1
+        weights = [F(c, sum(counts)) for c in counts]
+        gaps = [rng.choice((0, 0, F(1, 7))) for _ in range(cols)]
+        target = [
+            sum(w * row[c] for w, row in zip(weights, pool)) - gaps[c] for c in range(cols)
+        ]
+        game = Game.from_tables(
+            ["Row", "Column"],
+            [[f"R{i}" for i in range(rows + 1)], [f"C{j}" for j in range(cols)]],
+            [[[v, 0] for v in row] for row in (*pool, target)],
+        )
+        mixed = MixedStrategy(0, tuple(enumerate(weights)))
+        column_mask = rng.randrange(1 << cols)
+        restriction = Restriction.from_masks(game, ((1 << (rows + 1)) - 1, column_mask))
+        kept_gaps = [gaps[c] for c in range(cols) if column_mask >> c & 1]
+        expected = {Mode.STRICT: all(kept_gaps), Mode.WEAK: any(kept_gaps)}
+        for mode in Mode:
+            assert dominates(mixed, rows, restriction, 0, mode) == expected[mode]
+            assert fraction_dominates(mixed, rows, restriction, 0, mode) == expected[mode]
 
 
 class TestOpponentBases:

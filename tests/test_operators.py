@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -23,7 +24,9 @@ from dominance_lab import (
     operator_from_name,
     payoff,
 )
-from dominance_lab.operators import EliminationEngine
+from dominance_lab.dominance import _mixed_dominator, _opponent_bases, _pool_mask, _pure_dominator
+from dominance_lab.game_model import indices_of
+from dominance_lab.operators import EliminationEngine, Mixing
 from dominance_lab.random_games import GeneratorConfig, generate
 
 
@@ -66,6 +69,21 @@ def brute_lw_sequence(game):
         if after == kept:
             return sequence
         kept = after
+
+
+def fresh_survivors(kind, game, masks):
+    """One sweep of ``kind`` at ``masks`` with no engine and no cache: one
+    dominator query per kept target, straight from the dominance module."""
+    find = _pure_dominator if kind.mixing is Mixing.PURE else _mixed_dominator
+    out = []
+    for player, kept in enumerate(masks):
+        bases = _opponent_bases(game, player, masks[:player] + masks[player + 1 :])
+        pool = indices_of(_pool_mask(game, masks, player, kind.pool))
+        for target in indices_of(kept):
+            if find(game, player, target, pool, bases, kind.mode) is not None:
+                kept &= ~(1 << target)
+        out.append(kept)
+    return tuple(out)
 
 
 class TestOperatorKinds:
@@ -216,6 +234,44 @@ class TestOperatorProperties:
         for kind in (LS, MLS):
             for step in iterate(kind, game).steps:
                 assert step.after.is_subgame
+
+
+class TestEngineCaches:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_survivors_match_a_fresh_sweep_in_either_query_order(self, seed):
+        game = generate(
+            GeneratorConfig(seed=seed, players=(2, 3), strategies=(1, 3), tie_bias=0.4)
+        )
+        rng = random.Random(seed)
+        # Kept sets that share opponent contexts: each base restriction and
+        # variants of it that change one player's own kept set only.
+        queries = []
+        for _ in range(4):
+            base = tuple(rng.randrange(1 << k) for k in game.shape)
+            queries.append(base)
+            player = rng.randrange(game.player_count)
+            for own in rng.sample(range(1 << game.shape[player]), min(3, 1 << game.shape[player])):
+                queries.append(base[:player] + (own,) + base[player + 1 :])
+        expected = {
+            kind: [fresh_survivors(kind, game, masks) for masks in queries]
+            for kind in ALL_OPERATORS
+        }
+        for order in (queries, queries[::-1]):
+            engine = EliminationEngine(game)
+            for kind in ALL_OPERATORS:
+                got = [engine.survivors(kind, masks) for masks in order]
+                want = expected[kind] if order is queries else expected[kind][::-1]
+                assert got == want, kind.name
+
+    def test_kinds_built_anew_share_the_caches_of_the_constants(self, g2):
+        engine = EliminationEngine(g2)
+        masks = Restriction.full(g2).masks
+        for kind in ALL_OPERATORS:
+            twin = type(kind)(kind.mode, kind.pool, kind.mixing)
+            assert twin == kind and twin.slot == kind.slot
+            assert engine.survivors(twin, masks) is engine.survivors(kind, masks)
+        assert sorted(kind.slot for kind in ALL_OPERATORS) == list(range(8))
 
 
 class TestDeterminism:
