@@ -266,7 +266,7 @@ def pointwise_inclusion(
 
 def relation_of(left: Restriction, right: Restriction) -> str:
     """Classify two restrictions: equal, subset, superset or incomparable."""
-    if left.kept == right.kept:
+    if left == right:
         return "equal"
     if left.issubset(right):
         return "subset"

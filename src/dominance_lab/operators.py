@@ -8,17 +8,17 @@ that has a dominator of the required flavor, evaluated against the current
 restriction's opponent profiles.  Each removal carries a replayable
 certificate.
 
-:class:`EliminationEngine` memoizes dominance queries per game, keyed by
-the kept-set bitmasks that every :class:`Restriction` carries as ``masks``,
-so that repeated applications across a restriction lattice stay cheap.  The
-public functions build a fresh engine per call and are therefore pure.
+:class:`EliminationEngine` decides each target at most once per context
+(player, pool mask, and the opponents' kept-set bitmasks that every
+:class:`Restriction` carries as ``masks``), for all eight kinds, so that
+repeated applications across a restriction lattice stay cheap.  The public
+functions build a fresh engine per call and are therefore pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator
 
 from .dominance import (
     EliminationCertificate,
@@ -152,19 +152,18 @@ class IterationTrace:
 
 
 class EliminationEngine:
-    """Per-game memo for dominance queries and operator applications.
+    """Per-game memo for dominance decisions and operator applications.
 
-    ``survivors`` keeps one dict per operator kind, keyed by the kept-set
-    masks.  ``dominator`` keeps one dict per (mode, mixing) pair, keyed by
-    (player, target, pool mask, opponent masks), so local and global pools
-    share entries whenever the pools coincide.  Both are found by list
-    index, not by hashing the enums.  GS and GW also keep, per (player,
-    opponent masks), the mask of targets decided so far and the mask of
-    those found dominated: their pool is the full strategy set, so the
-    answer does not depend on the player's own kept set.  Every target is
-    decided at most once per context, and only when some kept set asks.
-    All answers are deterministic, so caching never changes a result, only
-    its cost.
+    The engine keeps one dict per (mode, mixing) pair, keyed by the context
+    ``(player, pool_mask, opp_masks)`` on which a decision depends.  Each
+    record holds the mask of targets decided there, the mask of those found
+    dominated, and their dominators; a global kind shares records with its
+    local twin wherever their pools coincide.  ``survivors`` decides only
+    the kept targets its contexts have not decided and keeps one dict of
+    answers per kind (both found by list index, not by hashing the enums);
+    ``step`` reads its certificates' dominators from the records.  Every
+    target is decided at most once per context, and only when some kept set
+    asks.  Answers are deterministic, so caching changes only their cost.
     """
 
     def __init__(self, game: Game) -> None:
@@ -172,15 +171,11 @@ class EliminationEngine:
         self.full_masks = tuple((1 << k) - 1 for k in game.shape)
         self.empty_opponent_queries = 0
         self._bases: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
-        # Indexed [mode is WEAK][mixing is MIXED].
-        self._queries: list[list[dict[tuple, int | MixedStrategy | None]]] = [
-            [{}, {}],
-            [{}, {}],
-        ]
+        # Indexed [mode is WEAK][mixing is MIXED]; each record is
+        # [decided mask, dominated mask, {target: dominator}].
+        self._contexts: list[list[dict[tuple, list]]] = [[{}, {}], [{}, {}]]
         # Indexed [kind.slot].
         self._survivors: list[dict[tuple[int, ...], tuple[int, ...]]] = [{} for _ in range(8)]
-        # GS and GW only, indexed [mode is WEAK]: (decided, dominated) masks.
-        self._dominated: tuple[dict[tuple[int, tuple[int, ...]], tuple[int, int]], ...] = ({}, {})
 
     def opponent_bases(self, player: int, opp_masks: tuple[int, ...]) -> tuple[int, ...]:
         key = (player, opp_masks)
@@ -199,58 +194,14 @@ class EliminationEngine:
         mode: Mode,
         mixing: Mixing,
     ) -> int | MixedStrategy | None:
-        queries = self._queries[mode is Mode.WEAK][mixing is Mixing.MIXED]
-        key = (player, target, pool_mask, opp_masks)
-        if key in queries:
-            return queries[key]
+        """The dominator of ``target`` in the pool, or None; uncached."""
         bases = self.opponent_bases(player, opp_masks)
         if not bases:
             self.empty_opponent_queries += 1
         pool = indices_of(pool_mask)
         if mixing is Mixing.PURE:
-            found: int | MixedStrategy | None = _pure_dominator(
-                self.game, player, target, pool, bases, mode
-            )
-        else:
-            found = _mixed_dominator(self.game, player, target, pool, bases, mode)
-        queries[key] = found
-        return found
-
-    def _sweep(
-        self, kind: OperatorKind, masks: tuple[int, ...], targets: tuple[int, ...]
-    ) -> Iterator[tuple[int, int, int | MixedStrategy]]:
-        """(player, target, dominator) for each target in ``targets`` that ``kind``
-        eliminates at the kept-sets ``masks``; lowest player first, then target.
-        """
-        pools = masks if kind.pool is Pool.LOCAL else self.full_masks
-        for player, target_mask in enumerate(targets):
-            opp_masks = masks[:player] + masks[player + 1 :]
-            for target in indices_of(target_mask):
-                found = self.dominator(
-                    player, target, pools[player], opp_masks, kind.mode, kind.mixing
-                )
-                if found is not None:
-                    yield player, target, found
-
-    def _global_pure_survivors(self, kind: OperatorKind, masks: tuple[int, ...]) -> tuple[int, ...]:
-        """``survivors`` for GS and GW, through the per-context dominated sets."""
-        contexts = self._dominated[kind.mode is Mode.WEAK]
-        out = []
-        for player, kept in enumerate(masks):
-            opp_masks = masks[:player] + masks[player + 1 :]
-            key = (player, opp_masks)
-            decided, dominated = contexts.get(key, (0, 0))
-            undecided = kept & ~decided
-            if undecided:
-                pool_mask = self.full_masks[player]
-                for target in indices_of(undecided):
-                    if self.dominator(
-                        player, target, pool_mask, opp_masks, kind.mode, kind.mixing
-                    ) is not None:
-                        dominated |= 1 << target
-                contexts[key] = (decided | undecided, dominated)
-            out.append(kept & ~dominated)
-        return tuple(out)
+            return _pure_dominator(self.game, player, target, pool, bases, mode)
+        return _mixed_dominator(self.game, player, target, pool, bases, mode)
 
     def survivors(self, kind: OperatorKind, masks: tuple[int, ...]) -> tuple[int, ...]:
         """Kept-set masks after one application of ``kind``."""
@@ -258,37 +209,58 @@ class EliminationEngine:
         cached = cache.get(masks)
         if cached is not None:
             return cached
-        if kind.pool is Pool.GLOBAL and kind.mixing is Mixing.PURE:
-            result = self._global_pure_survivors(kind, masks)
-        else:
-            out = list(masks)
-            for player, target, _ in self._sweep(kind, masks, masks):
-                out[player] &= ~(1 << target)
-            result = tuple(out)
+        pools = masks if kind.pool is Pool.LOCAL else self.full_masks
+        contexts = self._contexts[kind.mode is Mode.WEAK][kind.mixing is Mixing.MIXED]
+        out = []
+        for player, kept in enumerate(masks):
+            opp_masks = masks[:player] + masks[player + 1 :]
+            key = (player, pools[player], opp_masks)
+            record = contexts.get(key)
+            if record is None:
+                record = contexts[key] = [0, 0, {}]
+            undecided = kept & ~record[0]
+            if undecided:
+                for target in indices_of(undecided):
+                    found = self.dominator(
+                        player, target, pools[player], opp_masks, kind.mode, kind.mixing
+                    )
+                    if found is not None:
+                        record[1] |= 1 << target
+                        record[2][target] = found
+                record[0] |= undecided
+            out.append(kept & ~record[1])
+        result = tuple(out)
         cache[masks] = result
         return result
 
     def step(self, kind: OperatorKind, restriction: Restriction) -> EliminationStep:
+        if restriction.game != self.game:
+            raise ValueError("restrictions of different games are not comparable")
         before = restriction.masks
         after = self.survivors(kind, before)
         if after == before:
             return EliminationStep(before=restriction, after=restriction, certificates=())
-        removed = tuple(b & ~a for b, a in zip(before, after))
-        certificates = tuple(
-            EliminationCertificate(
-                player=player,
-                eliminated=target,
-                dominator=dominator,
-                mode=kind.mode,
-                pool=kind.pool,
-                context=restriction,
+        # Each removed target's dominator is in the record survivors filled.
+        pools = before if kind.pool is Pool.LOCAL else self.full_masks
+        contexts = self._contexts[kind.mode is Mode.WEAK][kind.mixing is Mixing.MIXED]
+        certificates = []
+        for player, (kept, left) in enumerate(zip(before, after)):
+            dominators = contexts[player, pools[player], before[:player] + before[player + 1 :]][2]
+            certificates.extend(
+                EliminationCertificate(
+                    player=player,
+                    eliminated=target,
+                    dominator=dominators[target],
+                    mode=kind.mode,
+                    pool=kind.pool,
+                    context=restriction,
+                )
+                for target in indices_of(kept & ~left)
             )
-            for player, target, dominator in self._sweep(kind, before, removed)
-        )
         return EliminationStep(
             before=restriction,
             after=Restriction.from_masks(self.game, after),
-            certificates=certificates,
+            certificates=tuple(certificates),
         )
 
     def iterate(self, kind: OperatorKind) -> IterationTrace:

@@ -27,7 +27,8 @@ from dominance_lab import (
     pointwise_inclusion,
 )
 from dominance_lab import operators
-from dominance_lab.analysis import enumerate_restriction_masks
+from dominance_lab.analysis import enumerate_restriction_masks, relation_of
+from dominance_lab.dominance import Pool
 from dominance_lab.game_model import indices_of
 from dominance_lab.operators import EliminationEngine
 from dominance_lab.random_games import GeneratorConfig, generate
@@ -112,31 +113,38 @@ class TestBudgets:
             check_monotonic(GS, g1, Exhaustive(cap=1))
 
 
-class TestGlobalPureScans:
+class TestOneDecisionPerContext:
+    @pytest.mark.parametrize("kind", ALL_OPERATORS, ids=str)
     @pytest.mark.parametrize("seed", [0, 5])
-    def test_each_target_is_scanned_once_per_opponent_context(self, seed, monkeypatch):
-        game = generate(GeneratorConfig(seed=seed, strategies=(5, 5), tie_bias=0.3))
-        assert game.shape == (5, 5)
+    def test_each_target_is_scanned_once_per_opponent_context(self, seed, kind, monkeypatch):
+        game = generate(GeneratorConfig(seed=seed, strategies=(4, 4), tie_bias=0.3))
+        assert game.shape == (4, 4)
         scans, queries = Counter(), Counter()
-        scan, query = operators._pure_dominator, EliminationEngine.dominator
+        query = EliminationEngine.dominator
 
-        def counted_scan(game, player, target, pool, bases, mode):
-            # With two players the bases name the one opponent mask exactly.
-            scans[player, bases, target] += 1
-            return scan(game, player, target, pool, bases, mode)
+        def counting(kernel):
+            def counted_scan(game, player, target, pool, bases, mode):
+                # With two players the bases name the one opponent mask exactly.
+                scans[player, sum(1 << s for s in pool), bases, target] += 1
+                return kernel(game, player, target, pool, bases, mode)
+
+            return counted_scan
 
         def counted_query(engine, player, target, pool_mask, opp_masks, mode, mixing):
-            queries[player, opp_masks, target] += 1
+            queries[player, pool_mask, opp_masks, target] += 1
             return query(engine, player, target, pool_mask, opp_masks, mode, mixing)
 
-        monkeypatch.setattr(operators, "_pure_dominator", counted_scan)
+        for name in ("_pure_dominator", "_mixed_dominator"):
+            monkeypatch.setattr(operators, name, counting(getattr(operators, name)))
         monkeypatch.setattr(EliminationEngine, "dominator", counted_query)
-        assert check_monotonic(GS, game, Exhaustive()) is None
-        # Every (player, opponent mask, target) of the lattice is asked about
-        # and scanned exactly once.
-        for counts in (scans, queries):
-            assert len(counts) == 2 * (1 << 5) * 5
-            assert set(counts.values()) == {1}
+        witness = check_monotonic(kind, game, Exhaustive())
+        # Every (player, pool mask, opponent mask, target) that some kept set
+        # asks about is decided, and scanned, exactly once.
+        assert queries and len(scans) == len(queries)
+        assert set(scans.values()) == set(queries.values()) == {1}
+        if kind.pool is Pool.GLOBAL and witness is None:
+            # A full scan with the one global pool asks about every context.
+            assert len(queries) == 2 * (1 << 4) * 4
 
 
 class TestWitnessReplay:
@@ -260,6 +268,16 @@ class TestCompareFixpoints:
         for seed in range(25):
             game = generate(GeneratorConfig(seed=seed, strategies=(2, 4), tie_bias=0.3))
             assert compare_fixpoints(GS, LS, game).relation == "equal"
+
+    def test_restrictions_of_two_games_have_no_relation(self, g2):
+        # A 4x3 game like g2: the two full restrictions keep the same indices.
+        other = generate(GeneratorConfig(seed=0, players=(2, 2), strategies=(3, 4)))
+        assert other.shape == g2.shape
+        left, right = Restriction.full(g2), Restriction.full(other)
+        assert relation_of(left, left) == "equal"
+        for pair in ((left, right), (right, left), (left, Restriction(other, ((0,), (0,))))):
+            with pytest.raises(ValueError, match="different games"):
+                relation_of(*pair)
 
     def test_report_serialization(self, g2):
         doc = compare_fixpoints(MLW, LW, g2).to_dict()

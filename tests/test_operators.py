@@ -125,6 +125,19 @@ class TestApplyOperator:
         assert again.after == once and not again.changed
 
 
+class TestStepGameCheck:
+    @pytest.mark.parametrize("name, strategies", [("example41", (3, 4)), ("section3", (2, 2))])
+    def test_restriction_of_another_game_is_rejected(self, name, strategies):
+        # The 4x3 game has the shape of example41; the 2x2 one is larger
+        # than section3.
+        other = generate(GeneratorConfig(seed=0, players=(2, 2), strategies=strategies))
+        engine = EliminationEngine(builtin_game(name))
+        message = "^restrictions of different games are not comparable$"
+        for kind in (LW, MGS):
+            with pytest.raises(ValueError, match=message):
+                engine.step(kind, Restriction.full(other))
+
+
 class TestIterate:
     def test_lw_on_g2_matches_the_brute_force_sequence(self, g2):
         trace = iterate(LW, g2)
@@ -257,11 +270,21 @@ class TestEngineCaches:
             kind: [fresh_survivors(kind, game, masks) for masks in queries]
             for kind in ALL_OPERATORS
         }
+        restrictions = {masks: Restriction.from_masks(game, masks) for masks in queries}
+        cold = {
+            kind: [apply_operator(kind, restrictions[masks]).certificates for masks in queries]
+            for kind in ALL_OPERATORS
+        }
         for order in (queries, queries[::-1]):
             engine = EliminationEngine(game)
             for kind in ALL_OPERATORS:
                 got = [engine.survivors(kind, masks) for masks in order]
                 want = expected[kind] if order is queries else expected[kind][::-1]
+                assert got == want, kind.name
+                # Witnesses read from records that other kept sets filled
+                # equal those of a cold engine.
+                got = [engine.step(kind, restrictions[masks]).certificates for masks in order]
+                want = cold[kind] if order is queries else cold[kind][::-1]
                 assert got == want, kind.name
 
     def test_kinds_built_anew_share_the_caches_of_the_constants(self, g2):
