@@ -28,7 +28,6 @@ from dominance_lab import (
 )
 from dominance_lab import operators
 from dominance_lab.analysis import enumerate_restriction_masks, relation_of
-from dominance_lab.dominance import Pool
 from dominance_lab.game_model import indices_of
 from dominance_lab.operators import EliminationEngine
 from dominance_lab.random_games import GeneratorConfig, generate
@@ -142,9 +141,15 @@ class TestOneDecisionPerContext:
         # asks about is decided, and scanned, exactly once.
         assert queries and len(scans) == len(queries)
         assert set(scans.values()) == set(queries.values()) == {1}
-        if kind.pool is Pool.GLOBAL and witness is None:
-            # A full scan with the one global pool asks about every context.
+        if kind in (GS, MGS):
+            # Both are monotone on these games, so the scan runs to the end
+            # and, with the one global pool, asks about every context.
+            assert witness is None
             assert len(queries) == 2 * (1 << 4) * 4
+        elif kind in (GW, MGW):
+            # Both fail monotonicity on these games: the scan stops at a
+            # witness, which a fresh engine must replay.
+            assert witness is not None and witness.replay()
 
 
 class TestWitnessReplay:
