@@ -16,6 +16,15 @@ order.  The one-off queries and certificate replay call both; the
 elimination engine and the oracle suite call :func:`_opponent_bases`, and
 the engine reads a global pool from the full masks it computes once.
 
+The two kernels, :func:`_pure_dominator` and :func:`_mixed_dominator`,
+read a context's columns: the scaled payoffs of each of the player's
+strategies against its opponent profiles, indexed by strategy
+(:func:`_columns`).  The elimination engine builds them once per (player,
+opponent masks) and hands the same columns to every target it decides
+there; :func:`find_mixed_dominator` builds its own per query, and
+:func:`dominates` (and so certificate replay) reads only the columns it
+compares, so that no check depends on the engine's cache.
+
 Every decision reads :attr:`Game.scaled_payoffs`: each player's payoffs
 times one least common denominator, as ints.  A positive factor changes no
 comparison, so the decisions are those of the rational payoffs.  A mixed
@@ -45,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .game_model import Game, InvalidProfileError, MixedStrategy, Restriction, indices_of
 from .simplex import solve_lp
@@ -113,6 +122,11 @@ def _column(game: Game, player: int, strategy: int, bases: Sequence[int]) -> tup
     return tuple(table[b + step] for b in bases)
 
 
+def _columns(game: Game, player: int, bases: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The :func:`_column` of each of ``player``'s strategies, indexed by strategy."""
+    return tuple(_column(game, player, s, bases) for s in range(game.shape[player]))
+
+
 def _mixed_column(
     game: Game, player: int, mixed: MixedStrategy, bases: Sequence[int]
 ) -> tuple[int, tuple[int, ...]]:
@@ -141,57 +155,50 @@ def _beats(candidate: Sequence[int], target: Sequence[int], mode: Mode) -> bool:
     )
 
 
-def _first_dominator(
-    pool: Sequence[int], columns: Iterable[Sequence[int]], target_col: Sequence[int], mode: Mode
+def _pure_dominator(
+    player: int,
+    target: int,
+    pool: Sequence[int],
+    columns: Sequence[Sequence[int]],
+    mode: Mode,
 ) -> int | None:
-    """The first pool strategy whose column dominates the target's; ``columns`` may be lazy.
+    """The first pool strategy whose column dominates ``target``'s, or None.
 
+    ``columns`` holds each of the player's columns, as :func:`_columns`.
     With no opponent profile every strict comparison holds vacuously and no
     weak one has a witness.
     """
-    for strategy, col in zip(pool, columns):
-        if _beats(col, target_col, mode):
+    target_col = columns[target]
+    for strategy in pool:
+        if _beats(columns[strategy], target_col, mode):
             return strategy
     return None
 
 
-def _pure_dominator(
-    game: Game,
-    player: int,
-    target: int,
-    pool: Sequence[int],
-    bases: Sequence[int],
-    mode: Mode,
-) -> int | None:
-    columns = (_column(game, player, s, bases) for s in pool)
-    return _first_dominator(pool, columns, _column(game, player, target, bases), mode)
-
-
 def _mixed_dominator(
-    game: Game,
     player: int,
     target: int,
     pool: Sequence[int],
-    bases: Sequence[int],
+    columns: Sequence[Sequence[int]],
     mode: Mode,
 ) -> MixedStrategy | None:
+    """A pool mixture that dominates ``target``, or None; ``columns`` as :func:`_columns`."""
     if not pool:
         raise NoCandidatesError(f"no dominator candidates for player {player}")
-    target_col = _column(game, player, target, bases)
-    columns = [_column(game, player, s, bases) for s in pool]
-    pure = _first_dominator(pool, columns, target_col, mode)
+    pure = _pure_dominator(player, target, pool, columns, mode)
     if pure is not None:
         return MixedStrategy.point_mass(player, pure)
-    if not bases:
+    target_col = columns[target]
+    if not target_col:
         return None  # weak: no profile can witness a strict gain
-    margins = [tuple(a - t for a, t in zip(col, target_col)) for col in columns]
+    margins = [tuple(a - t for a, t in zip(columns[s], target_col)) for s in pool]
     # Prefilter: a profile at which every margin is <= 0 (strict) or < 0
     # (weak) refutes every mixture, so no LP is needed.  For ints, <= 0 is
     # < 1.  Weight on an all-zero row changes no sum, so those rows are
     # left out; when every row is zero, nothing is dominated.
     live = [row for row in margins if any(row)]
     bound = 1 if mode is Mode.STRICT else 0
-    for c in range(len(bases)):
+    for c in range(len(target_col)):
         if all(row[c] < bound for row in live):
             return None
     result = solve_lp(margins, mode is Mode.STRICT)
@@ -262,7 +269,7 @@ def find_mixed_dominator(
     """
     game, bases = _target_bases(restriction, player, target)
     candidates = indices_of(_pool_mask(game, restriction.masks, player, pool))
-    return _mixed_dominator(game, player, target, candidates, bases, mode)
+    return _mixed_dominator(player, target, candidates, _columns(game, player, bases), mode)
 
 
 @dataclass(frozen=True)

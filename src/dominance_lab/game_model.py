@@ -20,6 +20,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from importlib import resources
 from math import lcm
 from typing import Sequence
@@ -141,7 +142,8 @@ class Game:
                     f"payoff tensor shape mismatch for player {name!r}: "
                     f"expected {size} entries, got {len(table)}"
                 )
-        shape = self.shape
+        shape = tuple(len(labels) for labels in self.strategies)
+        object.__setattr__(self, "_shape", shape)
         strides = [1] * n
         for k in range(n - 2, -1, -1):
             strides[k] = strides[k + 1] * shape[k + 1]
@@ -174,7 +176,8 @@ class Game:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.strategies)
+        """Per player, the number of strategies."""
+        return self._shape  # type: ignore[attr-defined]
 
     @property
     def total_strategies(self) -> int:
@@ -422,8 +425,13 @@ def game_to_json_dict(game: Game) -> dict:
     }
 
 
+@cache
 def builtin_game(name: str) -> Game:
-    """Load one of the games bundled with the package (``section3``, ``example41``)."""
+    """Load one of the games bundled with the package (``section3``, ``example41``).
+
+    Each game is read and parsed once per process; a :class:`Game` is
+    immutable, so every caller can share it.
+    """
     path = resources.files("dominance_lab").joinpath(f"games/{name}.json")
     try:
         text = path.read_text(encoding="utf-8")

@@ -10,9 +10,10 @@ certificate.
 
 :class:`EliminationEngine` decides each target at most once per context
 (player, pool mask, and the opponents' kept-set bitmasks that every
-:class:`Restriction` carries as ``masks``), for all eight kinds, so that
-repeated applications across a restriction lattice stay cheap.  The public
-functions build a fresh engine per call and are therefore pure.
+:class:`Restriction` carries as ``masks``), for all eight kinds, and builds
+the payoff columns those decisions read once per (player, opponent masks),
+so that repeated applications across a restriction lattice stay cheap.
+The public functions build a fresh engine per call and are therefore pure.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .dominance import (
     EliminationCertificate,
     Mode,
     Pool,
+    _columns,
     _mixed_dominator,
     _opponent_bases,
     _pure_dominator,
@@ -163,14 +165,20 @@ class EliminationEngine:
     answers per kind (both found by list index, not by hashing the enums);
     ``step`` reads its certificates' dominators from the records.  Every
     target is decided at most once per context, and only when some kept set
-    asks.  Answers are deterministic, so caching changes only their cost.
+    asks.
+
+    Beneath the records, ``columns`` keeps each player's scaled payoff
+    columns per ``(player, opp_masks)``, built on the first query there
+    from ``opponent_bases``.  Every decision at those opponent masks, for
+    any target, pool or kind, reads the same columns.  Answers are
+    deterministic, so caching changes only their cost.
     """
 
     def __init__(self, game: Game) -> None:
         self.game = game
         self.full_masks = tuple((1 << k) - 1 for k in game.shape)
         self.empty_opponent_queries = 0
-        self._bases: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
+        self._columns: dict[tuple[int, tuple[int, ...]], tuple[tuple[int, ...], ...]] = {}
         # Indexed [mode is WEAK][mixing is MIXED]; each record is
         # [decided mask, dominated mask, {target: dominator}].
         self._contexts: list[list[dict[tuple, list]]] = [[{}, {}], [{}, {}]]
@@ -178,12 +186,21 @@ class EliminationEngine:
         self._survivors: list[dict[tuple[int, ...], tuple[int, ...]]] = [{} for _ in range(8)]
 
     def opponent_bases(self, player: int, opp_masks: tuple[int, ...]) -> tuple[int, ...]:
+        """Flat offsets of the opponent profiles ``opp_masks`` keep; uncached.
+
+        Called once per ``columns`` miss, so that per-layer tracing can count
+        the column sets built.
+        """
+        return _opponent_bases(self.game, player, opp_masks)
+
+    def columns(self, player: int, opp_masks: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        """Each of ``player``'s scaled payoff columns at ``opp_masks``, by strategy; cached."""
         key = (player, opp_masks)
-        bases = self._bases.get(key)
-        if bases is None:
-            bases = _opponent_bases(self.game, player, opp_masks)
-            self._bases[key] = bases
-        return bases
+        columns = self._columns.get(key)
+        if columns is None:
+            columns = _columns(self.game, player, self.opponent_bases(player, opp_masks))
+            self._columns[key] = columns
+        return columns
 
     def dominator(
         self,
@@ -195,13 +212,11 @@ class EliminationEngine:
         mixing: Mixing,
     ) -> int | MixedStrategy | None:
         """The dominator of ``target`` in the pool, or None; uncached."""
-        bases = self.opponent_bases(player, opp_masks)
-        if not bases:
+        columns = self.columns(player, opp_masks)
+        if not columns[target]:
             self.empty_opponent_queries += 1
-        pool = indices_of(pool_mask)
-        if mixing is Mixing.PURE:
-            return _pure_dominator(self.game, player, target, pool, bases, mode)
-        return _mixed_dominator(self.game, player, target, pool, bases, mode)
+        kernel = _pure_dominator if mixing is Mixing.PURE else _mixed_dominator
+        return kernel(player, target, indices_of(pool_mask), columns, mode)
 
     def survivors(self, kind: OperatorKind, masks: tuple[int, ...]) -> tuple[int, ...]:
         """Kept-set masks after one application of ``kind``."""

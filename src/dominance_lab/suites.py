@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from math import gcd
+from typing import Iterable, Sequence
 
 from . import analysis, dominance, operators
 from .analysis import Exhaustive, Sampled
@@ -18,7 +19,7 @@ from .dominance import (
     Mode,
     Pool,
     _beats,
-    _column,
+    _columns,
     _opponent_bases,
     find_mixed_dominator,
     replay_certificate,
@@ -403,34 +404,55 @@ def _hand_lp_checks(report: SuiteReport) -> None:
     )
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Every tuple of ``parts`` nonnegative ints summing to ``total``, in lexicographic order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _grid_mixtures(
+    columns: Sequence[Sequence[int]], max_denominator: int
+) -> list[tuple[int, list[tuple[int, ...]]]]:
+    """The grid of mixtures of the pure ``columns``, as ``(den, mixed columns)`` per ``den``.
+
+    A mixture gives column ``j`` a weight ``k_j / den`` for some ``den <=
+    max_denominator``; its mixed column is ``sum_j k_j col_j``, which
+    compares with ``den`` times a target's column exactly as the mixture's
+    payoffs compare with the target's.  Each distinct payoff vector (mixed
+    column over ``den``) is listed once, at the smallest ``den`` that
+    reaches it: counts with a common factor, and mixtures of equal columns,
+    repeat a vector already listed and would decide nothing new.
+    """
+    seen = set()
+    grid = []
+    # (index of the last column added, mixed column) for each count vector
+    # summing to den: adding columns in nondecreasing index order reaches
+    # every count vector exactly once.
+    level = [(0, (0,) * len(columns[0]))]
+    for den in range(1, max_denominator + 1):
+        level = [
+            (j, tuple(m + x for m, x in zip(mixed, columns[j])))
+            for last, mixed in level
+            for j in range(last, len(columns))
+        ]
+        mixtures = []
+        for _, mixed in level:
+            # The payoff vector mixed / den in lowest terms.
+            common = gcd(den, *mixed)
+            key = (den // common, tuple(x // common for x in mixed))
+            if key not in seen:
+                seen.add(key)
+                mixtures.append(mixed)
+        grid.append((den, mixtures))
+    return grid
 
 
 def _grid_dominated(
-    columns: Sequence[Sequence[int]], target_col: Sequence[int], mode: Mode, max_denominator: int
+    grid: Sequence[tuple[int, Sequence[Sequence[int]]]], target_col: Sequence[int], mode: Mode
 ) -> bool:
-    """Whether a mixture of the pure ``columns``, each weight a multiple of
-    ``1/den`` for some ``den <= max_denominator``, dominates ``target_col``.
+    """Whether some mixture of ``grid`` (see :func:`_grid_mixtures`) dominates ``target_col``.
 
     A search oracle: it can confirm that a dominator exists, never that none
-    does (a true witness may need a larger denominator).  The mixture with
-    counts ``k`` over ``den`` dominates exactly when ``sum_j k_j col_j``
-    beats ``den`` times the target's column, so every comparison is on ints.
+    does (a true witness may need a larger denominator).
     """
-    profiles = range(len(target_col))
-    for den in range(1, max_denominator + 1):
+    for den, mixtures in grid:
         scaled_target = [den * t for t in target_col]
-        for counts in _compositions(den, len(columns)):
-            mixed = [sum(k * col[c] for k, col in zip(counts, columns)) for c in profiles]
-            if _beats(mixed, scaled_target, mode):
-                return True
+        if any(_beats(mixed, scaled_target, mode) for mixed in mixtures):
+            return True
     return False
 
 
@@ -457,10 +479,11 @@ def oracle_suite(
         top = Restriction.full(game)
         for player in range(game.player_count):
             bases = _opponent_bases(game, player, top.masks[:player] + top.masks[player + 1 :])
-            columns = [_column(game, player, s, bases) for s in range(game.shape[player])]
+            columns = _columns(game, player, bases)
+            grid = _grid_mixtures(columns, max_denominator)
             for target, target_col in enumerate(columns):
                 for mode in (Mode.STRICT, Mode.WEAK):
-                    grid_found = _grid_dominated(columns, target_col, mode, max_denominator)
+                    grid_found = _grid_dominated(grid, target_col, mode)
                     lp_witness = find_mixed_dominator(top, player, target, Pool.GLOBAL, mode)
                     grid_hits += grid_found
                     lp_hits += lp_witness is not None

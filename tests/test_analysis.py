@@ -118,29 +118,49 @@ class TestOneDecisionPerContext:
     def test_each_target_is_scanned_once_per_opponent_context(self, seed, kind, monkeypatch):
         game = generate(GeneratorConfig(seed=seed, strategies=(4, 4), tie_bias=0.3))
         assert game.shape == (4, 4)
-        scans, queries = Counter(), Counter()
+        scans, queries, builds = Counter(), Counter(), Counter()
+        # id of a column set -> (the set, its (player, opponent masks)); the
+        # set is held here, so its id is never reused for another.
+        contexts = {}
         query = EliminationEngine.dominator
+        columns = EliminationEngine.columns
+        bases = EliminationEngine.opponent_bases
 
         def counting(kernel):
-            def counted_scan(game, player, target, pool, bases, mode):
-                # With two players the bases name the one opponent mask exactly.
-                scans[player, sum(1 << s for s in pool), bases, target] += 1
-                return kernel(game, player, target, pool, bases, mode)
+            def counted_scan(player, target, pool, cols, mode):
+                scans[contexts[id(cols)][1], sum(1 << s for s in pool), target] += 1
+                return kernel(player, target, pool, cols, mode)
 
             return counted_scan
 
         def counted_query(engine, player, target, pool_mask, opp_masks, mode, mixing):
-            queries[player, pool_mask, opp_masks, target] += 1
+            queries[(player, opp_masks), pool_mask, target] += 1
             return query(engine, player, target, pool_mask, opp_masks, mode, mixing)
+
+        def noted_columns(engine, player, opp_masks):
+            found = columns(engine, player, opp_masks)
+            held = contexts.setdefault(id(found), (found, (player, opp_masks)))
+            assert held[1] == (player, opp_masks)
+            return found
+
+        def counted_bases(engine, player, opp_masks):
+            builds[player, opp_masks] += 1
+            return bases(engine, player, opp_masks)
 
         for name in ("_pure_dominator", "_mixed_dominator"):
             monkeypatch.setattr(operators, name, counting(getattr(operators, name)))
         monkeypatch.setattr(EliminationEngine, "dominator", counted_query)
+        monkeypatch.setattr(EliminationEngine, "columns", noted_columns)
+        monkeypatch.setattr(EliminationEngine, "opponent_bases", counted_bases)
         witness = check_monotonic(kind, game, Exhaustive())
         # Every (player, pool mask, opponent mask, target) that some kept set
         # asks about is decided, and scanned, exactly once.
-        assert queries and len(scans) == len(queries)
-        assert set(scans.values()) == set(queries.values()) == {1}
+        assert queries and scans == queries
+        assert set(queries.values()) == {1}
+        # Each (player, opponent masks) column set is built exactly once, and
+        # only where some target is decided.
+        assert set(builds.values()) == {1}
+        assert set(builds) == {context for context, _, _ in queries}
         if kind in (GS, MGS):
             # Both are monotone on these games, so the scan runs to the end
             # and, with the one global pool, asks about every context.

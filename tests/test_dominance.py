@@ -19,10 +19,10 @@ from dominance_lab import (
     payoff,
     replay_certificate,
 )
-from dominance_lab.dominance import _column, _mixed_dominator, _opponent_bases
-from dominance_lab.operators import ALL_OPERATORS, GS, LS
+from dominance_lab.dominance import _column, _columns, _mixed_dominator, _opponent_bases
+from dominance_lab.operators import ALL_OPERATORS, GS, LS, EliminationEngine
 from dominance_lab.random_games import GeneratorConfig, generate
-from dominance_lab.suites import _grid_dominated
+from dominance_lab.suites import _grid_dominated, _grid_mixtures
 
 F = Fraction
 HALF = F(1, 2)
@@ -200,8 +200,8 @@ class TestFindMixedDominator:
         assert dominates(witness, 2, top, 0, Mode.WEAK)
         # The grid oracle confirms some dominator exists over this pool.
         bases = _opponent_bases(g2, 0, top.masks[1:])
-        columns = [_column(g2, 0, s, bases) for s in range(4)]
-        assert _grid_dominated(columns, columns[2], Mode.WEAK, 6)
+        columns = _columns(g2, 0, bases)
+        assert _grid_dominated(_grid_mixtures(columns, 6), columns[2], Mode.WEAK)
 
     def test_single_strategy_pool_cannot_dominate_itself(self, g1):
         frozen = Restriction(g1, ((1,), (0,)))
@@ -268,10 +268,100 @@ class TestFindMixedDominator:
     def test_empty_pool_raises(self, g2):
         r = Restriction(g2, ((), (0, 1, 2)))
         with pytest.raises(NoCandidatesError):
-            _mixed_dominator(g2, 0, 0, (), _opponent_bases(g2, 0, (0b1,)), Mode.STRICT)
+            columns = _columns(g2, 0, _opponent_bases(g2, 0, (0b1,)))
+            _mixed_dominator(0, 0, (), columns, Mode.STRICT)
         # Public path: a local pool is empty only when the kept-set is.
         with pytest.raises(NoCandidatesError):
             find_mixed_dominator(r, 0, 0, Pool.LOCAL, Mode.STRICT)
+
+
+def every_composition_dominated(columns, target_col, mode, max_denominator):
+    """The grid search as one loop: every count vector at every denominator,
+    common factors and repeats included, each mixed column built afresh."""
+    profiles = range(len(target_col))
+    for den in range(1, max_denominator + 1):
+        scaled_target = [den * t for t in target_col]
+        for counts in product(range(den + 1), repeat=len(columns)):
+            if sum(counts) != den:
+                continue
+            mixed = [sum(k * col[c] for k, col in zip(counts, columns)) for c in profiles]
+            pairs = list(zip(mixed, scaled_target))
+            strict = all(a > b for a, b in pairs)
+            weak = all(a >= b for a, b in pairs) and any(a > b for a, b in pairs)
+            if strict if mode is Mode.STRICT else weak:
+                return True
+    return False
+
+
+class TestGridOracle:
+    def random_case(self, rng):
+        """Int columns for a pool of 1 to 4 strategies, with ties and repeated
+        columns; the target is a pool column or the floor of an even mix of
+        two, perhaps lowered at one profile."""
+        size, profiles = rng.randint(1, 4), rng.randint(0, 3)
+        columns = [tuple(rng.randint(-2, 2) for _ in range(profiles)) for _ in range(size)]
+        if size > 1 and rng.random() < 0.3:
+            columns[rng.randrange(size)] = columns[rng.randrange(size)]
+        a, b = rng.choice(columns), rng.choice(columns)
+        target = [x if rng.random() < 0.5 else (x + y) // 2 for x, y in zip(a, b)]
+        if target and rng.random() < 0.5:
+            target[rng.randrange(profiles)] -= rng.randint(1, 2)
+        return columns, tuple(target)
+
+    def test_grid_agrees_with_every_composition(self):
+        rng = random.Random(2024)
+        outcomes = {}
+        for _ in range(400):
+            columns, target = self.random_case(rng)
+            for max_denominator in range(1, 7):
+                grid = _grid_mixtures(columns, max_denominator)
+                for mode in (Mode.STRICT, Mode.WEAK):
+                    found = _grid_dominated(grid, target, mode)
+                    assert found == every_composition_dominated(
+                        columns, target, mode, max_denominator
+                    ), (columns, target, mode, max_denominator)
+                    outcomes[mode, found] = outcomes.get((mode, found), 0) + 1
+        # Both modes both find and miss dominators on these cases.
+        assert len(outcomes) == 4
+
+    def test_each_mixture_is_listed_once_at_its_smallest_denominator(self):
+        # Unit columns: each mixed column is its count vector, so the grid
+        # lists the weight vectors whose counts have no common factor.
+        columns = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        grid = _grid_mixtures(columns, 4)
+        assert [den for den, _ in grid] == [1, 2, 3, 4]
+        assert [len(mixtures) for _, mixtures in grid] == [3, 3, 7, 9]
+        vectors = [tuple(F(x, den) for x in mixed) for den, mixtures in grid for mixed in mixtures]
+        assert len(set(vectors)) == len(vectors) == 22
+        # A repeated column adds no payoff vector.
+        repeated = _grid_mixtures(columns + [columns[0]], 4)
+        assert [(den, set(mixed)) for den, mixed in repeated] == [
+            (den, set(mixed)) for den, mixed in grid
+        ]
+        assert _grid_mixtures([columns[0]] * 2, 3) == [(1, [columns[0]]), (2, []), (3, [])]
+        # One mixed column at two denominators is two payoff vectors, and
+        # here only the half-half mixture strictly dominates the target.
+        grid = _grid_mixtures([(1, -1), (0, 0)], 2)
+        assert grid == [(1, [(1, -1), (0, 0)]), (2, [(1, -1)])]
+        assert _grid_dominated(grid, (0, -1), Mode.STRICT)
+        assert not _grid_dominated(grid[:1], (0, -1), Mode.STRICT)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cached_columns_equal_each_strategys_column(self, seed):
+        game = small_game(seed, players=(2, 3), strategies=(1, 3))
+        engine = EliminationEngine(game)
+        rng = random.Random(seed)
+        for player in range(game.player_count):
+            others = [k for q, k in enumerate(game.shape) if q != player]
+            for opp_masks in product(*(range(1 << k) for k in others)):
+                if rng.random() < 0.5:
+                    continue
+                columns = engine.columns(player, opp_masks)
+                bases = _opponent_bases(game, player, opp_masks)
+                assert columns == tuple(
+                    _column(game, player, s, bases) for s in range(game.shape[player])
+                )
+                assert engine.columns(player, opp_masks) is columns
 
 
 class TestDominanceProperties:
@@ -324,23 +414,14 @@ class TestDominanceProperties:
     def test_excluding_target_from_strict_pool_changes_nothing(self, seed):
         game = small_game(seed, strategies=(2, 4))
         top = Restriction.full(game)
-        bases_by_player = {
-            player: _opponent_bases(game, player, top.masks[:player] + top.masks[player + 1 :])
-            for player in range(game.player_count)
-        }
         for player in range(game.player_count):
+            bases = _opponent_bases(game, player, top.masks[:player] + top.masks[player + 1 :])
+            columns = _columns(game, player, bases)
             pool = tuple(range(game.shape[player]))
             for target in pool:
-                with_target = _mixed_dominator(
-                    game, player, target, pool, bases_by_player[player], Mode.STRICT
-                )
+                with_target = _mixed_dominator(player, target, pool, columns, Mode.STRICT)
                 without_target = _mixed_dominator(
-                    game,
-                    player,
-                    target,
-                    tuple(s for s in pool if s != target),
-                    bases_by_player[player],
-                    Mode.STRICT,
+                    player, target, tuple(s for s in pool if s != target), columns, Mode.STRICT
                 )
                 assert (with_target is None) == (without_target is None)
 

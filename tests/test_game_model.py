@@ -9,6 +9,7 @@ from dominance_lab import (
     InvalidProfileError,
     MixedStrategy,
     Restriction,
+    builtin_game,
     game_from_json_dict,
     game_to_json_dict,
     payoff,
@@ -106,6 +107,17 @@ class TestGameConstruction:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(GameFormatError, match="shape mismatch"):
             Game.from_tables(["P1", "P2"], [["A", "B"], ["X"]], [[[1, 0]]])
+
+    def test_shape_is_computed_once(self):
+        game = Game.from_tables(["P1", "P2"], [["A", "B", "C"], ["X"]], [[[0, 0]]] * 3)
+        assert game.shape == (3, 1)
+        assert game.shape is game.shape
+
+    def test_builtin_games_are_parsed_once(self):
+        assert builtin_game("example41") is builtin_game("example41")
+        assert builtin_game("section3").shape == (2, 1)
+        with pytest.raises(KeyError, match="no bundled game"):
+            builtin_game("nonesuch")
 
     def test_missing_leaf_rejected(self):
         with pytest.raises(GameFormatError, match="shape mismatch"):

@@ -24,7 +24,13 @@ from dominance_lab import (
     operator_from_name,
     payoff,
 )
-from dominance_lab.dominance import _mixed_dominator, _opponent_bases, _pool_mask, _pure_dominator
+from dominance_lab.dominance import (
+    _columns,
+    _mixed_dominator,
+    _opponent_bases,
+    _pool_mask,
+    _pure_dominator,
+)
 from dominance_lab.game_model import indices_of
 from dominance_lab.operators import EliminationEngine, Mixing
 from dominance_lab.random_games import GeneratorConfig, generate
@@ -78,9 +84,10 @@ def fresh_survivors(kind, game, masks):
     out = []
     for player, kept in enumerate(masks):
         bases = _opponent_bases(game, player, masks[:player] + masks[player + 1 :])
+        columns = _columns(game, player, bases)
         pool = indices_of(_pool_mask(game, masks, player, kind.pool))
         for target in indices_of(kept):
-            if find(game, player, target, pool, bases, kind.mode) is not None:
+            if find(player, target, pool, columns, kind.mode) is not None:
                 kept &= ~(1 << target)
         out.append(kept)
     return tuple(out)
