@@ -210,12 +210,21 @@ def check_monotonic(
 
     Exhaustive budgets test every covering pair, so ``None`` is a proof of
     monotonicity for this lattice; sampled budgets only report none-found.
+
+    A memo holds each cover's survivors until the scan reaches that node as
+    the smaller restriction, which drops its entry: in the exhaustive (rank,
+    kept) order no later pair asks for it, so the memo spans at most two
+    ranks.  A sampled node drawn again is answered anew from the engine.
     """
     engine = EliminationEngine(game)
+    memo: dict[tuple[int, ...], tuple[int, ...]] = {}
     for smaller in _restrictions(game, budget):
-        small = engine.survivors(kind, smaller)
+        small = memo.pop(smaller, None) or engine.survivors(kind, smaller)
         for larger in _covers(smaller, engine.full_masks):
-            excess = _first_excess(small, engine.survivors(kind, larger))
+            large = memo.get(larger)
+            if large is None:
+                large = memo[larger] = engine.survivors(kind, larger)
+            excess = _first_excess(small, large)
             if excess is not None:
                 return MonotonicityWitness(
                     operator=kind,

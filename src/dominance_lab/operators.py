@@ -8,18 +8,20 @@ that has a dominator of the required flavor, evaluated against the current
 restriction's opponent profiles.  Each removal carries a replayable
 certificate.
 
-:class:`EliminationEngine` decides each target at most once per context
+:class:`EliminationEngine` keeps two caches, so that repeated applications
+across a restriction lattice stay cheap: a decision record per context
 (player, pool mask, and the opponents' kept-set bitmasks that every
-:class:`Restriction` carries as ``masks``), for all eight kinds, and builds
-the payoff columns those decisions read once per (player, opponent masks),
-so that repeated applications across a restriction lattice stay cheap.
-The public functions build a fresh engine per call and are therefore pure.
+:class:`Restriction` carries as ``masks``), shared by all eight kinds, so
+that each target is decided at most once there; and the payoff columns
+those decisions read, built once per (player, opponent masks).  The public
+functions build a fresh engine per call and are therefore pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .dominance import (
     EliminationCertificate,
@@ -65,15 +67,8 @@ class OperatorKind:
     mode: Mode
     pool: Pool
     mixing: Mixing
-    # The kind's index among the eight (bits: weak, global, mixed), so that
-    # per-kind caches are found without hashing three enums.
-    slot: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        slot = (self.mode is Mode.WEAK) << 2 | (self.pool is Pool.GLOBAL) << 1
-        object.__setattr__(self, "slot", slot | (self.mixing is Mixing.MIXED))
-
-    @property
+    @cached_property
     def name(self) -> str:
         return (
             ("M" if self.mixing is Mixing.MIXED else "")
@@ -154,23 +149,23 @@ class IterationTrace:
 
 
 class EliminationEngine:
-    """Per-game memo for dominance decisions and operator applications.
+    """Per-game memo for dominance decisions, with two caches.
 
-    The engine keeps one dict per (mode, mixing) pair, keyed by the context
-    ``(player, pool_mask, opp_masks)`` on which a decision depends.  Each
-    record holds the mask of targets decided there, the mask of those found
-    dominated, and their dominators; a global kind shares records with its
-    local twin wherever their pools coincide.  ``survivors`` decides only
-    the kept targets its contexts have not decided and keeps one dict of
-    answers per kind (both found by list index, not by hashing the enums);
-    ``step`` reads its certificates' dominators from the records.  Every
-    target is decided at most once per context, and only when some kept set
-    asks.
+    Decision records: one dict per (mode, mixing) pair, found by list index
+    rather than by hashing the enums, keyed by the context ``(player,
+    pool_mask, opp_masks)`` on which a decision depends.  Each record holds
+    the mask of targets decided there, the mask of those found dominated,
+    and their dominators; a global kind shares records with its local twin
+    wherever their pools coincide.  ``survivors`` walks the records of its
+    kept set's contexts and decides only the kept targets they have not
+    decided; ``step`` reads its certificates' dominators from the same
+    records.  Every target is decided at most once per context, and only
+    when some kept set asks.
 
-    Beneath the records, ``columns`` keeps each player's scaled payoff
-    columns per ``(player, opp_masks)``, built on the first query there
-    from ``opponent_bases``.  Every decision at those opponent masks, for
-    any target, pool or kind, reads the same columns.  Answers are
+    Columns: ``columns`` keeps each player's scaled payoff columns per
+    ``(player, opp_masks)``, built on the first query there from
+    ``opponent_bases``.  Every decision at those opponent masks, for any
+    target, pool or kind, reads the same columns.  Answers are
     deterministic, so caching changes only their cost.
     """
 
@@ -182,8 +177,6 @@ class EliminationEngine:
         # Indexed [mode is WEAK][mixing is MIXED]; each record is
         # [decided mask, dominated mask, {target: dominator}].
         self._contexts: list[list[dict[tuple, list]]] = [[{}, {}], [{}, {}]]
-        # Indexed [kind.slot].
-        self._survivors: list[dict[tuple[int, ...], tuple[int, ...]]] = [{} for _ in range(8)]
 
     def opponent_bases(self, player: int, opp_masks: tuple[int, ...]) -> tuple[int, ...]:
         """Flat offsets of the opponent profiles ``opp_masks`` keep; uncached.
@@ -220,10 +213,6 @@ class EliminationEngine:
 
     def survivors(self, kind: OperatorKind, masks: tuple[int, ...]) -> tuple[int, ...]:
         """Kept-set masks after one application of ``kind``."""
-        cache = self._survivors[kind.slot]
-        cached = cache.get(masks)
-        if cached is not None:
-            return cached
         pools = masks if kind.pool is Pool.LOCAL else self.full_masks
         contexts = self._contexts[kind.mode is Mode.WEAK][kind.mixing is Mixing.MIXED]
         out = []
@@ -244,9 +233,7 @@ class EliminationEngine:
                         record[2][target] = found
                 record[0] |= undecided
             out.append(kept & ~record[1])
-        result = tuple(out)
-        cache[masks] = result
-        return result
+        return tuple(out)
 
     def step(self, kind: OperatorKind, restriction: Restriction) -> EliminationStep:
         if restriction.game != self.game:

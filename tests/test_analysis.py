@@ -27,7 +27,14 @@ from dominance_lab import (
     pointwise_inclusion,
 )
 from dominance_lab import operators
-from dominance_lab.analysis import enumerate_restriction_masks, relation_of
+from dominance_lab.analysis import (
+    MonotonicityWitness,
+    _covers,
+    _first_excess,
+    _restrictions,
+    enumerate_restriction_masks,
+    relation_of,
+)
 from dominance_lab.game_model import indices_of
 from dominance_lab.operators import EliminationEngine
 from dominance_lab.random_games import GeneratorConfig, generate
@@ -170,6 +177,55 @@ class TestOneDecisionPerContext:
             # Both fail monotonicity on these games: the scan stops at a
             # witness, which a fresh engine must replay.
             assert witness is not None and witness.replay()
+
+    @pytest.mark.parametrize("kind", [GS, MGS], ids=str)
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_a_full_scan_asks_for_each_node_once(self, seed, kind, monkeypatch):
+        game = generate(GeneratorConfig(seed=seed, strategies=(4, 4), tie_bias=0.3))
+        asked = Counter()
+        survivors = EliminationEngine.survivors
+
+        def counted_survivors(engine, operator, masks):
+            asked[masks] += 1
+            return survivors(engine, operator, masks)
+
+        monkeypatch.setattr(EliminationEngine, "survivors", counted_survivors)
+        assert check_monotonic(kind, game, Exhaustive()) is None
+        assert sum(asked.values()) == len(asked) == lattice_size(game)
+
+
+def _memo_free_witness(kind, game, budget):
+    """``check_monotonic`` with each pair's survivors asked of the engine afresh."""
+    engine = EliminationEngine(game)
+    for smaller in _restrictions(game, budget):
+        for larger in _covers(smaller, engine.full_masks):
+            excess = _first_excess(
+                engine.survivors(kind, smaller), engine.survivors(kind, larger)
+            )
+            if excess is not None:
+                return MonotonicityWitness(
+                    operator=kind,
+                    smaller=Restriction.from_masks(game, smaller),
+                    larger=Restriction.from_masks(game, larger),
+                    evidence=excess,
+                )
+    return None
+
+
+class TestScanMemo:
+    @pytest.mark.parametrize("kind", ALL_OPERATORS, ids=str)
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 2, 2)], ids=lambda s: "x".join(map(str, s)))
+    def test_witnesses_match_a_memo_free_scan(self, shape, kind):
+        for seed in range(6):
+            config = GeneratorConfig(
+                seed=seed, players=(len(shape),) * 2, strategies=(shape[0],) * 2, tie_bias=0.4
+            )
+            game = generate(config)
+            assert game.shape == shape
+            # A sampled count above the lattice size draws some nodes again.
+            for budget in (Exhaustive(), Sampled(seed=seed, count=2 * lattice_size(game))):
+                expected = _memo_free_witness(kind, game, budget)
+                assert check_monotonic(kind, game, budget) == expected, (seed, budget)
 
 
 class TestWitnessReplay:

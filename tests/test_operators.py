@@ -103,6 +103,11 @@ class TestOperatorKinds:
     def test_round_trip_by_name(self, name):
         assert operator_from_name(name).name.lower() == name.lower()
 
+    def test_name_is_computed_once_per_kind(self):
+        assert LS.name is LS.name
+        for kind in ALL_OPERATORS:
+            assert type(kind)(kind.mode, kind.pool, kind.mixing).name == kind.name
+
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown operator"):
             operator_from_name("xyz")
@@ -294,15 +299,25 @@ class TestEngineCaches:
                 want = cold[kind] if order is queries else cold[kind][::-1]
                 assert got == want, kind.name
 
-    def test_kinds_built_anew_share_the_caches_of_the_constants(self, g2):
-        engine = EliminationEngine(g2)
-        masks = Restriction.full(g2).masks
+    def test_kinds_built_anew_share_the_caches_of_the_constants(self, g2, monkeypatch):
+        calls = []
+        query = EliminationEngine.dominator
+
+        def counted_query(engine, *args):
+            calls.append(args)
+            return query(engine, *args)
+
+        monkeypatch.setattr(EliminationEngine, "dominator", counted_query)
         for kind in ALL_OPERATORS:
             twin = type(kind)(kind.mode, kind.pool, kind.mixing)
-            assert twin == kind and twin.slot == kind.slot
-            assert engine.survivors(twin, masks) is engine.survivors(kind, masks)
-        assert sorted(kind.slot for kind in ALL_OPERATORS) == list(range(8))
-
+            assert twin == kind
+            engine = EliminationEngine(g2)
+            warm = engine.iterate(kind)
+            assert calls
+            calls.clear()
+            # Every kept set of the twin's iteration was decided by the constant's.
+            assert engine.iterate(twin) == warm
+            assert calls == [], kind.name
 
 class TestDeterminism:
     def test_repeated_iteration_is_structurally_identical(self, g2):
