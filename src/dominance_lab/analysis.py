@@ -15,7 +15,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
-from operator import getitem
 from typing import Iterable, Iterator
 
 from .game_model import Game, Restriction, indices_of
@@ -83,34 +82,26 @@ Budget = Exhaustive | Sampled
 
 
 def lattice_size(game: Game) -> int:
-    size = 1
-    for k in game.shape:
-        size *= 1 << k
-    return size
+    return 1 << sum(game.shape)
 
 
-def enumerate_restriction_masks(game: Game) -> list[tuple[int, ...]]:
-    """All restrictions as per-player bitmasks, by lattice rank then kept-sets.
+def enumerate_restriction_masks(game: Game) -> Iterator[tuple[int, ...]]:
+    """Lazily yield every restriction as per-player bitmasks, by rank then kept-sets.
 
-    Within a rank, restrictions run in lexicographic order of the players'
-    kept index tuples, player 0's first.  The sort key is one int: the
-    rank times the lattice size, plus a mixed-radix number whose digit for
-    each player is the position of its mask in ``indices_of`` order.
+    The rank is the number of kept strategies.  Within a rank, restrictions
+    run in lexicographic order of the players' kept index tuples, player 0's
+    first.  ``product`` over each player's masks in ``indices_of`` order
+    runs in that order, so each rank walks the other players' masks and,
+    after each head, the last player's masks of the size the rank leaves.
     """
-    size = lattice_size(game)
-    tables = []
-    radix = 1
-    for k in reversed(game.shape):
-        table = [0] * (1 << k)
-        for position, mask in enumerate(sorted(range(1 << k), key=indices_of)):
-            table[mask] = mask.bit_count() * size + position * radix
-        tables.append(table)
-        radix <<= k
-    tables.reverse()
-    return sorted(
-        product(*(range(len(t)) for t in tables)),
-        key=lambda masks: sum(map(getitem, tables, masks)),
-    )
+    orders = [sorted(range(1 << k), key=indices_of) for k in game.shape]
+    by_size: dict[int, list[int]] = {}
+    for mask in orders[-1]:
+        by_size.setdefault(mask.bit_count(), []).append(mask)
+    for rank in range(sum(game.shape) + 1):
+        for head in product(*orders[:-1]):
+            for last in by_size.get(rank - sum(map(int.bit_count, head)), ()):
+                yield head + (last,)
 
 
 def _restrictions(game: Game, budget: Budget) -> Iterable[tuple[int, ...]]:

@@ -26,12 +26,12 @@ from .analysis import (
     compare_fixpoints,
 )
 from .game_model import Game, GameFormatError, Restriction, game_from_json_dict
-from .operators import apply_operator, iterate, operator_from_name
+from .operators import ALL_OPERATORS, apply_operator, iterate, operator_from_name
 from .suites import DEFAULT_SEED, SUITE_NAMES, run_suite
 
 __all__ = ["build_parser", "load_game", "main", "run"]
 
-OPERATOR_CHOICES = ("ls", "mls", "gs", "mgs", "lw", "mlw", "gw", "mgw")
+OPERATOR_CHOICES = tuple(kind.name.lower() for kind in ALL_OPERATORS)
 DEFAULT_SAMPLES = 1000
 
 
@@ -208,13 +208,7 @@ def _run_parsed(args: argparse.Namespace, out: TextIO) -> int:
             else Restriction.full(game)
         )
         step = apply_operator(kind, restriction)
-        doc = {
-            "command": "apply",
-            "operator": kind.name,
-            "before": step.before.kept_names(),
-            "after": step.after.kept_names(),
-            "certificates": [c.to_dict() for c in step.certificates],
-        }
+        doc = {"command": "apply", "operator": kind.name, **step.to_dict()}
     elif args.command == "solve":
         kind = operator_from_name(args.operator)
         game = load_game(args.game)

@@ -402,26 +402,24 @@ def game_from_json_dict(doc: object) -> Game:
 
 
 def game_to_json_dict(game: Game) -> dict:
-    """Inverse of :func:`game_from_json_dict`, with "p/q" strings for payoffs."""
-    n = game.player_count
+    """Inverse of :func:`game_from_json_dict`, with "p/q" strings for payoffs.
 
-    def build(depth: int, prefix: tuple[int, ...]) -> object:
-        if depth == n:
-            idx = game.flat_index(prefix)
-            return [
-                int(game.payoffs[i][idx])
-                if game.payoffs[i][idx].denominator == 1
-                else str(game.payoffs[i][idx])
-                for i in range(n)
-            ]
-        return [build(depth + 1, prefix + (j,)) for j in range(game.shape[depth])]
-
+    The row-major leaves are grouped into nested lists one axis at a time,
+    the last player's first.  Unlike a recursive closure, this leaves no
+    reference cycle that would keep ``game`` alive until a full collection.
+    """
+    nodes: list = [
+        [int(x) if x.denominator == 1 else str(x) for x in leaf]
+        for leaf in zip(*game.payoffs)
+    ]
+    for k in reversed(game.shape):
+        nodes = [nodes[j : j + k] for j in range(0, len(nodes), k)]
     return {
         "players": [
-            {"name": game.players[i], "strategies": list(game.strategies[i])}
-            for i in range(n)
+            {"name": name, "strategies": list(labels)}
+            for name, labels in zip(game.players, game.strategies)
         ],
-        "payoffs": build(0, ()),
+        "payoffs": nodes[0],
     }
 
 

@@ -559,10 +559,8 @@ def run_suite(
         return determinism_suite(seed)
     if name == "all":
         combined = SuiteReport(suite="all", seed=seed)
-        combined.absorb(paper_suite(seed))
-        combined.absorb(monotonicity_suite(seed, **count))
-        combined.absorb(theorem_suite(seed, **count, **(theorem_config or {})))
-        combined.absorb(oracle_suite(seed, **count))
-        combined.absorb(determinism_suite(seed))
+        for part in SUITE_NAMES:
+            if part != "all":
+                combined.absorb(run_suite(part, seed, games, theorem_config))
         return combined
     raise ValueError(f"unknown suite {name!r} (expected one of {', '.join(SUITE_NAMES)})")

@@ -367,15 +367,19 @@ class TestCompareFixpoints:
 
 
 class TestLatticeEnumeration:
-    def test_order_is_rank_then_lexicographic(self, g1):
+    def test_enumeration_is_lazy(self, g1):
         masks = enumerate_restriction_masks(g1)
+        assert iter(masks) is masks
+
+    def test_order_is_rank_then_lexicographic(self, g1):
+        masks = list(enumerate_restriction_masks(g1))
         assert len(masks) == 8
         assert masks[0] == (0, 0)
         assert masks[-1] == (3, 1)
         ranks = [bin(a).count("1") + bin(b).count("1") for a, b in masks]
         assert ranks == sorted(ranks)
 
-    @pytest.mark.parametrize("shape", [(1,), (2, 3), (4, 4), (3, 3, 3), (6, 1, 3)])
+    @pytest.mark.parametrize("shape", [(1,), (2, 3), (3, 1), (4, 4), (3, 3, 3), (6, 1, 3), (2, 2, 2, 2)])
     def test_order_is_the_canonical_key_sort(self, shape):
         def canonical_key(masks):
             kept = tuple(indices_of(m) for m in masks)
@@ -383,4 +387,4 @@ class TestLatticeEnumeration:
 
         reference = sorted(product(*(range(1 << k) for k in shape)), key=canonical_key)
         # Only the shape is read, so a stand-in covers one-player shapes too.
-        assert enumerate_restriction_masks(SimpleNamespace(shape=shape)) == reference
+        assert list(enumerate_restriction_masks(SimpleNamespace(shape=shape))) == reference

@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import pytest
@@ -149,7 +150,34 @@ class TestRationalParsing:
 
 class TestJsonFormat:
     def test_round_trip(self, g2):
-        assert game_from_json_dict(game_to_json_dict(g2)) == g2
+        three_players = {
+            "players": [
+                {"name": "P1", "strategies": ["A", "B"]},
+                {"name": "P2", "strategies": ["X"]},
+                {"name": "P3", "strategies": ["L", "M", "R"]},
+            ],
+            "payoffs": [
+                [[[1, 0, -2], ["1/3", 2, 0], [0, "-5/2", 1]]],
+                [[[4, 4, 4], [0, 0, "7/9"], [-1, 3, 2]]],
+            ],
+        }
+        three = game_from_json_dict(three_players)
+        assert game_to_json_dict(three) == three_players
+        for game in (g2, three):
+            assert game_from_json_dict(game_to_json_dict(game)) == game
+
+    def test_to_json_dict_leaves_no_garbage(self, g2):
+        game_to_json_dict(g2)
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            game_to_json_dict(g2)
+            gc.collect()
+            leaked = [type(o).__name__ for o in gc.garbage]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert leaked == []
 
     def test_fractional_payoff(self):
         doc = {
