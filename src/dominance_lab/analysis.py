@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 from typing import Iterable, Iterator
 
 from .game_model import Game, Restriction, indices_of
@@ -120,13 +120,6 @@ def _restrictions(game: Game, budget: Budget) -> Iterable[tuple[int, ...]]:
     return enumerate_restriction_masks(game)
 
 
-def _covers(masks: tuple[int, ...], full: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Every restriction that keeps exactly one strategy more than ``masks``."""
-    for player, (m, f) in enumerate(zip(masks, full)):
-        for strategy in indices_of(f & ~m):
-            yield masks[:player] + (m | 1 << strategy,) + masks[player + 1 :]
-
-
 @dataclass(frozen=True)
 class MonotonicityWitness:
     """A comparable pair on which the operator fails to preserve inclusion.
@@ -202,26 +195,53 @@ def check_monotonic(
     Exhaustive budgets test every covering pair, so ``None`` is a proof of
     monotonicity for this lattice; sampled budgets only report none-found.
 
+    The scan holds each node and each survivor set as one int, player
+    ``p``'s mask at bit offset ``sum(game.shape[:p])``.  A node's covers
+    add the lowest missing bit first, so they run player-major, strategies
+    ascending, and a pair fails when ``small & ~large`` is nonzero.  Nodes
+    are unpacked to per-player masks only to ask the engine for survivors
+    and to build the witness, whose evidence is :func:`_first_excess` of
+    the two unpacked survivor sets.
+
     A memo holds each cover's survivors until the scan reaches that node as
     the smaller restriction, which drops its entry: in the exhaustive (rank,
     kept) order no later pair asks for it, so the memo spans at most two
     ranks.  A sampled node drawn again is answered anew from the engine.
     """
     engine = EliminationEngine(game)
-    memo: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for smaller in _restrictions(game, budget):
-        small = memo.pop(smaller, None) or engine.survivors(kind, smaller)
-        for larger in _covers(smaller, engine.full_masks):
+    offsets = tuple(accumulate(game.shape[:-1], initial=0))
+    layout = tuple(zip(offsets, engine.full_masks))
+
+    def pack(masks: tuple[int, ...]) -> int:
+        packed = 0
+        for offset, mask in zip(offsets, masks):
+            packed |= mask << offset
+        return packed
+
+    def unpack(packed: int) -> tuple[int, ...]:
+        return tuple([packed >> offset & full for offset, full in layout])
+
+    top = lattice_size(game) - 1
+    memo: dict[int, int] = {}
+    for masks in _restrictions(game, budget):
+        node = pack(masks)
+        small = memo.pop(node, None)
+        if small is None:
+            small = pack(engine.survivors(kind, masks))
+        missing = top & ~node
+        while missing:
+            bit = missing & -missing
+            missing ^= bit
+            larger = node | bit
             large = memo.get(larger)
             if large is None:
-                large = memo[larger] = engine.survivors(kind, larger)
-            excess = _first_excess(small, large)
-            if excess is not None:
+                large = memo[larger] = pack(engine.survivors(kind, unpack(larger)))
+            if small & ~large:
                 return MonotonicityWitness(
                     operator=kind,
-                    smaller=Restriction.from_masks(game, smaller),
-                    larger=Restriction.from_masks(game, larger),
-                    evidence=excess,
+                    smaller=Restriction.from_masks(game, masks),
+                    larger=Restriction.from_masks(game, unpack(larger)),
+                    evidence=_first_excess(unpack(small), unpack(large)),
                 )
     return None
 

@@ -54,6 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import lcm
+from operator import ge, gt
 from typing import Sequence
 
 from .game_model import Game, InvalidProfileError, MixedStrategy, Restriction, indices_of
@@ -147,19 +148,23 @@ def _mixed_column(
     return scale, tuple(out)
 
 
-def _beats(candidate: Sequence[int], target: Sequence[int], mode: Mode) -> bool:
+def _beats(candidate: tuple[int, ...], target: tuple[int, ...], mode: Mode) -> bool:
+    """Whether column ``candidate`` dominates column ``target`` entrywise in ``mode``.
+
+    Both are int tuples of one length.  Weak: once every entry is ``>=``,
+    some entry is ``>`` exactly when the tuples differ, a test that needs
+    both to be tuples (a list never equals a tuple).
+    """
     if mode is Mode.STRICT:
-        return all(a > b for a, b in zip(candidate, target))
-    return all(a >= b for a, b in zip(candidate, target)) and any(
-        a > b for a, b in zip(candidate, target)
-    )
+        return all(map(gt, candidate, target))
+    return candidate != target and all(map(ge, candidate, target))
 
 
 def _pure_dominator(
     player: int,
     target: int,
     pool: Sequence[int],
-    columns: Sequence[Sequence[int]],
+    columns: Sequence[tuple[int, ...]],
     mode: Mode,
 ) -> int | None:
     """The first pool strategy whose column dominates ``target``'s, or None.
@@ -179,7 +184,7 @@ def _mixed_dominator(
     player: int,
     target: int,
     pool: Sequence[int],
-    columns: Sequence[Sequence[int]],
+    columns: Sequence[tuple[int, ...]],
     mode: Mode,
 ) -> MixedStrategy | None:
     """A pool mixture that dominates ``target``, or None; ``columns`` as :func:`_columns`."""

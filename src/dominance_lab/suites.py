@@ -442,7 +442,7 @@ def _grid_mixtures(
 
 
 def _grid_dominated(
-    grid: Sequence[tuple[int, Sequence[Sequence[int]]]], target_col: Sequence[int], mode: Mode
+    grid: Sequence[tuple[int, Sequence[tuple[int, ...]]]], target_col: Sequence[int], mode: Mode
 ) -> bool:
     """Whether some mixture of ``grid`` (see :func:`_grid_mixtures`) dominates ``target_col``.
 
@@ -450,7 +450,7 @@ def _grid_dominated(
     does (a true witness may need a larger denominator).
     """
     for den, mixtures in grid:
-        scaled_target = [den * t for t in target_col]
+        scaled_target = tuple(den * t for t in target_col)
         if any(_beats(mixed, scaled_target, mode) for mixed in mixtures):
             return True
     return False

@@ -19,7 +19,13 @@ from dominance_lab import (
     payoff,
     replay_certificate,
 )
-from dominance_lab.dominance import _column, _columns, _mixed_dominator, _opponent_bases
+from dominance_lab.dominance import (
+    _beats,
+    _column,
+    _columns,
+    _mixed_dominator,
+    _opponent_bases,
+)
 from dominance_lab.operators import ALL_OPERATORS, GS, LS, EliminationEngine
 from dominance_lab.random_games import GeneratorConfig, generate
 from dominance_lab.suites import _grid_dominated, _grid_mixtures
@@ -66,6 +72,34 @@ class TestDominates:
     def test_player_mismatch_rejected(self, g2):
         with pytest.raises(ValueError):
             dominates(MixedStrategy.point_mass(1, 0), 0, Restriction.full(g2), 0, Mode.WEAK)
+
+
+# Pairs of equal-length int columns; the narrow range makes ties and equal
+# columns common.
+column_pairs = st.integers(0, 6).flatmap(
+    lambda n: st.tuples(*[st.tuples(*[st.integers(-2, 2)] * n)] * 2)
+)
+
+
+class TestBeatsKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(column_pairs)
+    def test_matches_the_literal_quantifiers(self, pair):
+        candidate, target = pair
+        entries = list(zip(candidate, target))
+        strict = all(a > b for a, b in entries)
+        weak = all(a >= b for a, b in entries) and any(a > b for a, b in entries)
+        assert _beats(candidate, target, Mode.STRICT) == strict
+        assert _beats(candidate, target, Mode.WEAK) == weak
+
+    def test_empty_and_equal_columns(self):
+        assert _beats((), (), Mode.STRICT)
+        assert not _beats((), (), Mode.WEAK)
+        # A local pool holds the target, so its column meets itself.
+        column = (3, -1, 0)
+        assert not _beats(column, column, Mode.WEAK)
+        assert not _beats(column, column, Mode.STRICT)
+        assert _beats((3, 0, 0), column, Mode.WEAK)
 
 
 def fraction_dominates(mixed, target, restriction, player, mode):
