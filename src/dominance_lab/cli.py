@@ -204,7 +204,7 @@ def _run_parsed(args: argparse.Namespace, out: TextIO) -> int:
         game = load_game(args.game)
         restriction = (
             _parse_restriction(game, args.restriction)
-            if args.restriction
+            if args.restriction is not None
             else Restriction.full(game)
         )
         step = apply_operator(kind, restriction)
@@ -295,10 +295,7 @@ def run(argv: list[str], out: TextIO) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (GameFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

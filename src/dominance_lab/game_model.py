@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from importlib import resources
-from math import lcm
+from math import lcm, prod
 from typing import Sequence
 
 __all__ = [
@@ -105,11 +105,26 @@ class Game:
         payoffs: Per player, a flat payoff tensor over full profiles,
             row-major in player order (the last player's index varies
             fastest).
+        shape: Per player, the number of strategies.
+        strides: Row-major strides of the payoff tensors.
+        scaled_payoffs: Per player, the payoff tensor times its least
+            common denominator, as ints.  One positive factor per player
+            keeps every comparison between that player's payoffs, and the
+            sign of every difference, so dominance decisions can compare
+            these ints instead of the Fractions.
+
+    ``__post_init__`` normalizes the three inputs to tuples (payoffs to
+    ``Fraction``) and derives ``shape``, ``strides`` and ``scaled_payoffs``
+    from them at construction; the derived fields take no part in ``==``,
+    ``hash`` or ``repr``.
     """
 
     players: tuple[str, ...]
     strategies: tuple[tuple[str, ...], ...]
     payoffs: tuple[tuple[Fraction, ...], ...]
+    shape: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    strides: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    scaled_payoffs: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "players", tuple(self.players))
@@ -131,9 +146,8 @@ class Game:
                 raise GameFormatError(f"player {name!r} has no strategies")
             if len(set(labels)) != len(labels):
                 raise GameFormatError(f"duplicate strategy name for player {name!r}")
-        size = 1
-        for labels in self.strategies:
-            size *= len(labels)
+        shape = tuple(len(labels) for labels in self.strategies)
+        size = prod(shape)
         if len(self.payoffs) != n:
             raise GameFormatError("one payoff tensor required per player")
         for name, table in zip(self.players, self.payoffs):
@@ -142,46 +156,25 @@ class Game:
                     f"payoff tensor shape mismatch for player {name!r}: "
                     f"expected {size} entries, got {len(table)}"
                 )
-        shape = tuple(len(labels) for labels in self.strategies)
-        object.__setattr__(self, "_shape", shape)
         strides = [1] * n
         for k in range(n - 2, -1, -1):
             strides[k] = strides[k + 1] * shape[k + 1]
-        object.__setattr__(self, "_strides", tuple(strides))
         scaled = []
         for table in self.payoffs:
             # A set, so that lcm gets one argument per distinct denominator.
             scale = lcm(*{x.denominator for x in table})
             scaled.append(tuple(x.numerator * (scale // x.denominator) for x in table))
-        object.__setattr__(self, "_scaled_payoffs", tuple(scaled))
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "strides", tuple(strides))
+        object.__setattr__(self, "scaled_payoffs", tuple(scaled))
 
     @property
     def player_count(self) -> int:
         return len(self.players)
 
     @property
-    def strides(self) -> tuple[int, ...]:
-        """Row-major strides of the payoff tensors."""
-        return self._strides  # type: ignore[attr-defined]
-
-    @property
-    def scaled_payoffs(self) -> tuple[tuple[int, ...], ...]:
-        """Per player, the payoff tensor times its least common denominator, as ints.
-
-        One positive factor per player keeps every comparison between that
-        player's payoffs, and the sign of every difference, so dominance
-        decisions can compare these ints instead of the Fractions.
-        """
-        return self._scaled_payoffs  # type: ignore[attr-defined]
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        """Per player, the number of strategies."""
-        return self._shape  # type: ignore[attr-defined]
-
-    @property
     def total_strategies(self) -> int:
-        return sum(len(s) for s in self.strategies)
+        return sum(self.shape)
 
     def flat_index(self, profile: Sequence[int]) -> int:
         """Row-major index of a full profile into a payoff tensor."""
@@ -220,10 +213,9 @@ class Game:
         sequence of one payoff per player (ints, Fractions, or "p/q"
         strings).
         """
-        shape = tuple(len(s) for s in strategies)
         flat: list[list[Fraction]] = [[] for _ in players]
-        _flatten_payoffs(table, shape, flat, "payoffs")
-        return cls(tuple(players), tuple(tuple(s) for s in strategies), tuple(tuple(t) for t in flat))
+        _flatten_payoffs(table, tuple(len(s) for s in strategies), flat, "payoffs")
+        return cls(players, strategies, flat)
 
 
 def _flatten_payoffs(

@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 import string
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .game_model import Game
 
@@ -67,17 +66,15 @@ def generate(config: GeneratorConfig) -> Game:
     for c in counts:
         size *= c
 
-    tables: list[list[Fraction]] = []
+    tables: list[list[int]] = []
     for _ in range(n):
         drawn: list[int] = []
-        table = []
         for _ in range(size):
             if drawn and rng.random() < config.tie_bias:
                 value = drawn[rng.randrange(len(drawn))]
             else:
                 value = rng.randint(lo, hi)
             drawn.append(value)
-            table.append(Fraction(value))
-        tables.append(table)
+        tables.append(drawn)
 
-    return Game(players, strategies, tuple(tuple(t) for t in tables))
+    return Game(players, strategies, tables)

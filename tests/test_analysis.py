@@ -386,6 +386,11 @@ class TestCompareFixpoints:
             with pytest.raises(ValueError, match="different games"):
                 relation_of(*pair)
 
+    def test_crossing_restrictions_are_incomparable(self, g2):
+        left = Restriction(g2, ((0,), (0, 1)))
+        right = Restriction(g2, ((0, 1), (0,)))
+        assert relation_of(left, right) == relation_of(right, left) == "incomparable"
+
     def test_report_serialization(self, g2):
         doc = compare_fixpoints(MLW, LW, g2).to_dict()
         assert list(doc) == ["left", "right", "relation", "left_fixpoint", "right_fixpoint"]

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from dominance_lab.cli import load_game, run
 from dominance_lab.game_model import GameFormatError
-from dominance_lab.suites import run_suite
+from dominance_lab.suites import SUITE_NAMES, run_suite
 
 
 @pytest.fixture(scope="session")
@@ -85,6 +85,23 @@ class TestApply:
             "--restriction", '{"Row": ["A"], "Column": ["X"], "Colum": ["Y"]}',
         )
         assert (code, text, err) == (1, "", "error: restriction names no player 'Colum'\n")
+
+    @pytest.mark.parametrize(
+        "restriction, message",
+        [
+            # Only an omitted flag means the full game.
+            ("", "--restriction: invalid JSON at line 1, column 1: Expecting value"),
+            ('["A"]', "restriction must be an object keyed by player name"),
+            ('{"Row": ["A"]}', "restriction is missing player 'Column'"),
+            ('{"Row": "A", "Column": ["X"]}', "kept strategies of 'Row' must be a list"),
+        ],
+        ids=["empty", "not-an-object", "missing-player", "kept-not-a-list"],
+    )
+    def test_rejected_restriction_exits_1(self, g1_path, restriction, message):
+        code, text, err = run_cli_stderr(
+            "apply", "--operator", "ls", g1_path, "--restriction", restriction
+        )
+        assert (code, text, err) == (1, "", f"error: {message}\n")
 
 
 class TestCompare:
@@ -190,6 +207,26 @@ class TestCountFlags:
     def test_run_suite_defaults_only_on_none(self):
         report = run_suite("theorems", seed=1, games=0)
         assert report.checks[0].name == "theorem and chain properties on 0 random games"
+
+
+class TestRunSuite:
+    def test_all_concatenates_every_suite_in_order(self):
+        combined = run_suite("all", seed=1729, games=2)
+        parts = [run_suite(name, seed=1729, games=2) for name in SUITE_NAMES if name != "all"]
+        assert combined.checks == [check for part in parts for check in part.checks]
+        assert len(combined.checks) == 39
+        assert combined.certificates_emitted == sum(p.certificates_emitted for p in parts) == 56
+        assert combined.certificates_failed == sum(p.certificates_failed for p in parts) == 0
+        assert combined.empty_opponent_queries == sum(p.empty_opponent_queries for p in parts)
+        assert combined.passed
+
+    def test_unknown_suite_names_the_suites(self):
+        with pytest.raises(ValueError) as info:
+            run_suite("nonesuch")
+        assert str(info.value) == (
+            "unknown suite 'nonesuch' (expected one of "
+            "paper, monotonicity, theorems, oracle, determinism, all)"
+        )
 
 
 def run_cli_stderr(*argv):

@@ -530,6 +530,19 @@ class TestCertificates:
         foreign = MixedStrategy(1 - certificate.player, certificate.dominator.weights)
         assert not replay_certificate(replace(certificate, dominator=foreign))
 
+    def test_pure_dominator_outside_the_local_pool_fails_replay(self, g1):
+        from dataclasses import replace
+
+        step = apply_operator(LS, Restriction.full(g1))
+        (certificate,) = step.certificates
+        assert (certificate.pool, certificate.dominator, certificate.eliminated) == (
+            Pool.LOCAL, 0, 1,
+        )
+        # At B x X the inequalities still hold, but A is no longer kept.
+        narrowed = Restriction(g1, ((1,), (0,)))
+        assert dominates(0, 1, narrowed, 0, certificate.mode)
+        assert not replay_certificate(replace(certificate, context=narrowed))
+
     def test_certificate_serialization(self, g2):
         from dominance_lab.operators import MLW
 

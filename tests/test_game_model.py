@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 from fractions import Fraction
 
@@ -59,6 +60,10 @@ class TestMixedStrategy:
         with pytest.raises(InvalidDistributionError):
             MixedStrategy(0, ((0, HALF),))
 
+    def test_duplicate_weight_rejected(self):
+        with pytest.raises(InvalidDistributionError, match="duplicate weight for strategy 0"):
+            MixedStrategy(0, ((0, HALF), (0, HALF)))
+
     def test_zero_weights_dropped(self):
         mix = MixedStrategy(0, ((0, HALF), (1, Fraction(0)), (2, HALF)))
         assert mix.support == (0, 2)
@@ -108,6 +113,34 @@ class TestGameConstruction:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(GameFormatError, match="shape mismatch"):
             Game.from_tables(["P1", "P2"], [["A", "B"], ["X"]], [[[1, 0]]])
+
+    @pytest.mark.parametrize(
+        "strategies, payoffs, message",
+        [
+            ((("A",),), ((0,), (0,)), "one strategy list required per player"),
+            ((("A",), ("X",)), ((0,),), "one payoff tensor required per player"),
+            ((("A", "B"), ("X",)), ((0, 0), (0,)), "'P2': expected 2 entries, got 1"),
+        ],
+    )
+    def test_direct_construction_checks(self, strategies, payoffs, message):
+        with pytest.raises(GameFormatError, match=message):
+            Game(("P1", "P2"), strategies, payoffs)
+
+    def test_derived_tables_are_fields_outside_eq_hash_and_repr(self, g1):
+        fields = {f.name: f for f in dataclasses.fields(Game)}
+        for name in ("shape", "strides", "scaled_payoffs"):
+            assert (fields[name].init, fields[name].compare, fields[name].repr) == (
+                False, False, False,
+            )
+            assert name not in repr(g1)
+        twin = Game(g1.players, g1.strategies, g1.payoffs)
+        object.__setattr__(twin, "scaled_payoffs", ())
+        assert twin == g1 and hash(twin) == hash(g1) and repr(twin) == repr(g1)
+        replaced = dataclasses.replace(
+            g1, payoffs=((HALF, Fraction(1, 3)), (Fraction(2), Fraction(0)))
+        )
+        assert (replaced.shape, replaced.strides) == ((2, 1), (1, 1))
+        assert replaced.scaled_payoffs == ((3, 2), (2, 0))
 
     def test_shape_is_computed_once(self):
         game = Game.from_tables(["P1", "P2"], [["A", "B", "C"], ["X"]], [[[0, 0]]] * 3)
@@ -200,6 +233,24 @@ class TestJsonFormat:
             "payoffs": [[[0, 0]]],
         }
         with pytest.raises(GameFormatError, match="duplicate player name"):
+            game_from_json_dict(doc)
+
+    @pytest.mark.parametrize(
+        "first, message",
+        [
+            ({"name": "P1"}, "each player needs 'name' and 'strategies'"),
+            ({"strategies": ["A"]}, "each player needs 'name' and 'strategies'"),
+            ({"name": 1, "strategies": ["A"]}, "player 'name' must be a string"),
+            ({"name": "P1", "strategies": ["A", 2]},
+             "strategies of player 'P1' must be a list of strings"),
+        ],
+    )
+    def test_malformed_player_entry_rejected(self, first, message):
+        doc = {
+            "players": [first, {"name": "P2", "strategies": ["X"]}],
+            "payoffs": [[[0, 0]]],
+        }
+        with pytest.raises(GameFormatError, match=message):
             game_from_json_dict(doc)
 
     def test_missing_payoffs_rejected(self):

@@ -42,6 +42,9 @@ COMMANDS = (
         ["verify", "--suite", "oracle", "--games", "10"],
         ["verify", "--suite", "monotonicity", "--games", "10"],
         ["paper-examples"],
+        ["compare", "--left", "mlw", "--right", "lw", "--format", "table", "example41"],
+        ["check-monotonic", "--operator", "ls", "--format", "table", "section3"],
+        ["check-monotonic", "--operator", "gs", "--format", "table", "section3"],
     ]
 )
 
