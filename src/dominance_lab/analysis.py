@@ -8,15 +8,24 @@ an operator preserves inclusion on all pairs exactly when it does on the
 covering ones: exhaustive search finding no witness proves monotonicity on
 that game's lattice.  All reports are plain data with stable field order, so
 suites and CI can assert on their JSON form.
+
+An exhaustive check of a global kind (GS, MGS, GW, MGW) walks each player's
+opponent lattice instead of the nodes.  A global pool is the player's full
+strategy set, so what a player loses at a node depends only on the other
+players' masks: the check decides ``sum_k 2^(N - n_k)`` contexts of ``n_k``
+targets, for ``N`` strategies in all, not ``2^N`` nodes and their covers.
+It finds the node scan's first failing node and runs the node scan there,
+so both return the same witness.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import accumulate, chain, product
 from typing import Iterable, Iterator
 
+from .dominance import Pool
 from .game_model import Game, Restriction, indices_of
 from .operators import EliminationEngine, OperatorKind
 
@@ -43,6 +52,8 @@ class BudgetExceededError(RuntimeError):
 
 
 def _at_least_one(name: str, value: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
     if value < 1:
         raise ValueError(f"{name} must be at least 1, got {value}")
 
@@ -52,7 +63,8 @@ class Exhaustive:
     """Scan every restriction of the lattice; errors out above ``cap`` nodes.
 
     ``check_monotonic`` tests every covering pair, ``pointwise_inclusion``
-    every restriction.  Raises ValueError for a cap below 1.
+    every restriction.  Raises ValueError for a cap that is not an int of at
+    least 1.
     """
 
     cap: int = DEFAULT_EXHAUSTIVE_CAP
@@ -67,8 +79,8 @@ class Sampled:
 
     ``check_monotonic`` tests every covering pair above each sampled
     restriction, up to one per strategy the restriction leaves out.
-    Raises ValueError for a count below 1: a budget that scans nothing
-    would report a vacuous pass.
+    Raises ValueError for a count that is not an int of at least 1: a
+    budget that scans nothing would report a vacuous pass.
     """
 
     seed: int
@@ -85,23 +97,45 @@ def lattice_size(game: Game) -> int:
     return 1 << sum(game.shape)
 
 
-def enumerate_restriction_masks(game: Game) -> Iterator[tuple[int, ...]]:
-    """Lazily yield every restriction as per-player bitmasks, by rank then kept-sets.
+def _masks_in_order(count: int) -> list[int]:
+    """Every mask of ``count`` bits, in lexicographic order of their ``indices_of``.
 
-    The rank is the number of kept strategies.  Within a rank, restrictions
+    The masks over bits ``i`` and up are the empty one, then bit ``i`` with
+    each mask over bits ``i + 1`` and up, then the nonempty masks over bits
+    ``i + 1`` and up.
+    """
+    order = [0]
+    for bit in (1 << i for i in reversed(range(count))):
+        order = [0, *(mask | bit for mask in order), *order[1:]]
+    return order
+
+
+def _ranks(shape: tuple[int, ...]) -> Iterator[Iterator[tuple[int, ...]]]:
+    """Per rank, ascending, a lazy iterator over the mask tuples of that rank.
+
+    The rank is the number of kept strategies.  Within a rank, mask tuples
     run in lexicographic order of the players' kept index tuples, player 0's
     first.  ``product`` over each player's masks in ``indices_of`` order
     runs in that order, so each rank walks the other players' masks and,
     after each head, the last player's masks of the size the rank leaves.
     """
-    orders = [sorted(range(1 << k), key=indices_of) for k in game.shape]
+    orders = [_masks_in_order(k) for k in shape]
     by_size: dict[int, list[int]] = {}
     for mask in orders[-1]:
         by_size.setdefault(mask.bit_count(), []).append(mask)
-    for rank in range(sum(game.shape) + 1):
+
+    def of_rank(rank: int) -> Iterator[tuple[int, ...]]:
         for head in product(*orders[:-1]):
             for last in by_size.get(rank - sum(map(int.bit_count, head)), ()):
                 yield head + (last,)
+
+    for rank in range(sum(shape) + 1):
+        yield of_rank(rank)
+
+
+def enumerate_restriction_masks(game: Game) -> Iterator[tuple[int, ...]]:
+    """Lazily yield every restriction as per-player bitmasks, by rank then kept-sets."""
+    return chain.from_iterable(_ranks(game.shape))
 
 
 def _restrictions(game: Game, budget: Budget) -> Iterable[tuple[int, ...]]:
@@ -187,6 +221,53 @@ def _first_excess(
     return None
 
 
+def _order_in_rank(masks: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The order of a node among the nodes of its rank."""
+    return tuple(map(indices_of, masks))
+
+
+def _first_global_violation(
+    engine: EliminationEngine, kind: OperatorKind
+) -> tuple[int, ...] | None:
+    """The first node in (rank, kept) order with a cover that the global ``kind`` fails.
+
+    A global pool is the player's full strategy set, so player ``k``'s
+    survivors at a node are ``kept_k & ~D_k(O)``, where ``D_k(O)`` is what
+    is dominated at the other players' masks ``O``.  A cover that adds to
+    ``k`` leaves ``D_k`` as it is, and one that grows ``O`` to ``O'`` fails
+    exactly when ``kept_k`` meets ``D_k(O')`` outside ``D_k(O)``.  Such a
+    node still fails when ``kept_k`` shrinks to one such strategy ``b``,
+    and that lowers its rank unless ``kept_k`` is ``{b}`` already.
+    So the first failing node keeps some ``O`` and one ``b`` for some
+    ``k``, and ``b`` is :meth:`EliminationEngine.least_newly_dominated` at
+    ``(k, O)``: within a rank, a node with a lower ``b`` comes first.
+
+    The opponent lattices are walked rank by rank, every player's at one
+    rank before any at the next, and the least candidate of the first
+    opponent rank that has one is the answer.  A ``(k, O)`` whose least
+    possible node (``b = 0``) is not below the best candidate so far is
+    skipped, and so are ``k``'s later ``O`` of that rank, whose nodes come
+    later still.
+    """
+    shape = engine.game.shape
+    walks = [(k, _ranks(shape[:k] + shape[k + 1 :])) for k in range(len(shape))]
+    for _ in range(sum(shape) - min(shape) + 1):
+        best = best_order = None
+        for k, ranks in walks:
+            for opp in next(ranks, ()):
+                if best is not None and _order_in_rank(opp[:k] + (1,) + opp[k:]) >= best_order:
+                    break
+                strategy = engine.least_newly_dominated(kind, k, opp)
+                if strategy is not None:
+                    node = opp[:k] + (1 << strategy,) + opp[k:]
+                    order = _order_in_rank(node)
+                    if best is None or order < best_order:
+                        best, best_order = node, order
+        if best is not None:
+            return best
+    return None
+
+
 def check_monotonic(
     kind: OperatorKind, game: Game, budget: Budget
 ) -> MonotonicityWitness | None:
@@ -207,6 +288,13 @@ def check_monotonic(
     the smaller restriction, which drops its entry: in the exhaustive (rank,
     kept) order no later pair asks for it, so the memo spans at most two
     ranks.  A sampled node drawn again is answered anew from the engine.
+
+    With an exhaustive budget, a global kind scans one node at most: the
+    first node that fails, found on the opponent lattices by
+    :func:`_first_global_violation`.  The scan at that node asks its covers
+    in the same order as the full scan and compares the same survivor
+    sets, so it returns the same pair and evidence; no node means that no
+    covering pair fails.  The cap still bounds the number of nodes.
     """
     engine = EliminationEngine(game)
     offsets = tuple(accumulate(game.shape[:-1], initial=0))
@@ -221,9 +309,13 @@ def check_monotonic(
     def unpack(packed: int) -> tuple[int, ...]:
         return tuple([packed >> offset & full for offset, full in layout])
 
+    nodes = _restrictions(game, budget)  # raises above an exhaustive cap
+    if isinstance(budget, Exhaustive) and kind.pool is Pool.GLOBAL:
+        first = _first_global_violation(engine, kind)
+        nodes = () if first is None else (first,)
     top = lattice_size(game) - 1
     memo: dict[int, int] = {}
-    for masks in _restrictions(game, budget):
+    for masks in nodes:
         node = pack(masks)
         small = memo.pop(node, None)
         if small is None:

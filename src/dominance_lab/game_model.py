@@ -127,8 +127,14 @@ class Game:
     scaled_payoffs: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        strategies = tuple(self.strategies)
+        # A string is a sequence of characters, not of labels.
+        if isinstance(self.players, str) or any(isinstance(s, str) for s in strategies):
+            raise GameFormatError(
+                "players and each strategy list must be sequences of labels, not strings"
+            )
         object.__setattr__(self, "players", tuple(self.players))
-        object.__setattr__(self, "strategies", tuple(tuple(s) for s in self.strategies))
+        object.__setattr__(self, "strategies", tuple(tuple(s) for s in strategies))
         object.__setattr__(
             self,
             "payoffs",

@@ -156,11 +156,12 @@ class EliminationEngine:
     pool_mask, opp_masks)`` on which a decision depends.  Each record holds
     the mask of targets decided there, the mask of those found dominated,
     and their dominators; a global kind shares records with its local twin
-    wherever their pools coincide.  ``survivors`` walks the records of its
-    kept set's contexts and decides only the kept targets they have not
-    decided; ``step`` reads its certificates' dominators from the same
-    records.  Every target is decided at most once per context, and only
-    when some kept set asks.
+    wherever their pools coincide.  ``survivors``, for a kept set's
+    contexts, and ``least_newly_dominated``, for one target at a time, read
+    and fill the records through ``_record``, which decides only the
+    targets a record has not decided; ``step`` reads its certificates'
+    dominators from the same records.  Every target is decided at most once
+    per context, and only when some query asks.
 
     Columns: ``columns`` keeps each player's scaled payoff columns per
     ``(player, opp_masks)``, built on the first query there from
@@ -211,29 +212,76 @@ class EliminationEngine:
         kernel = _pure_dominator if mixing is Mixing.PURE else _mixed_dominator
         return kernel(player, target, indices_of(pool_mask), columns, mode)
 
+    def _record(
+        self,
+        contexts: dict[tuple, list],
+        context: tuple[int, int, tuple[int, ...]],
+        targets: int,
+        mode: Mode,
+        mixing: Mixing,
+    ) -> list:
+        """The record of ``context`` once it has decided every target in ``targets``.
+
+        ``context`` is ``(player, pool_mask, opp_masks)`` and ``contexts``
+        the records of ``mode`` and ``mixing``.  Only the targets the record
+        has not decided are decided, each once.
+        """
+        record = contexts.get(context)
+        if record is None:
+            record = contexts[context] = [0, 0, {}]
+        undecided = targets & ~record[0]
+        if undecided:
+            player, pool_mask, opp_masks = context
+            for target in indices_of(undecided):
+                found = self.dominator(player, target, pool_mask, opp_masks, mode, mixing)
+                if found is not None:
+                    record[1] |= 1 << target
+                    record[2][target] = found
+            record[0] |= undecided
+        return record
+
     def survivors(self, kind: OperatorKind, masks: tuple[int, ...]) -> tuple[int, ...]:
         """Kept-set masks after one application of ``kind``."""
         pools = masks if kind.pool is Pool.LOCAL else self.full_masks
         contexts = self._contexts[kind.mode is Mode.WEAK][kind.mixing is Mixing.MIXED]
+        mode, mixing = kind.mode, kind.mixing
         out = []
         for player, kept in enumerate(masks):
-            opp_masks = masks[:player] + masks[player + 1 :]
-            key = (player, pools[player], opp_masks)
-            record = contexts.get(key)
-            if record is None:
-                record = contexts[key] = [0, 0, {}]
-            undecided = kept & ~record[0]
-            if undecided:
-                for target in indices_of(undecided):
-                    found = self.dominator(
-                        player, target, pools[player], opp_masks, kind.mode, kind.mixing
-                    )
-                    if found is not None:
-                        record[1] |= 1 << target
-                        record[2][target] = found
-                record[0] |= undecided
-            out.append(kept & ~record[1])
+            context = (player, pools[player], masks[:player] + masks[player + 1 :])
+            out.append(kept & ~self._record(contexts, context, kept, mode, mixing)[1])
         return tuple(out)
+
+    def least_newly_dominated(
+        self, kind: OperatorKind, player: int, opp_masks: tuple[int, ...]
+    ) -> int | None:
+        """The least strategy of ``player`` that a global ``kind`` does not
+        eliminate at ``opp_masks`` but does at a cover of them, or None.
+
+        A cover keeps one opponent strategy more.  The pool is the player's
+        full strategy set at both.  Strategies are decided one at a time,
+        least first, and a cover is asked only about the strategies that
+        ``opp_masks`` leaves undominated.  Raises ValueError for a local kind.
+        """
+        if kind.pool is not Pool.GLOBAL:
+            raise ValueError(f"{kind.name} is not a global kind")
+        full = self.full_masks
+        pool = full[player]
+        covers = [
+            (player, pool, opp_masks[:i] + (mask | 1 << s,) + opp_masks[i + 1 :])
+            for i, (mask, top) in enumerate(zip(opp_masks, full[:player] + full[player + 1 :]))
+            for s in indices_of(top & ~mask)
+        ]
+        contexts = self._contexts[kind.mode is Mode.WEAK][kind.mixing is Mixing.MIXED]
+        mode, mixing = kind.mode, kind.mixing
+        record = self._record
+        context = (player, pool, opp_masks)
+        for strategy in range(self.game.shape[player]):
+            bit = 1 << strategy
+            if not record(contexts, context, bit, mode, mixing)[1] & bit and any(
+                record(contexts, cover, bit, mode, mixing)[1] & bit for cover in covers
+            ):
+                return strategy
+        return None
 
     def step(self, kind: OperatorKind, restriction: Restriction) -> EliminationStep:
         if restriction.game != self.game:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 from collections import Counter
 from itertools import product
 from types import SimpleNamespace
@@ -37,6 +38,16 @@ from dominance_lab.analysis import (
 from dominance_lab.game_model import indices_of
 from dominance_lab.operators import EliminationEngine
 from dominance_lab.random_games import GeneratorConfig, generate
+
+
+GLOBAL_KINDS = (GS, MGS, GW, MGW)
+
+
+def zero_game(shape):
+    """A game of ``shape`` whose payoffs are all zero."""
+    strategies = [[f"S{j}" for j in range(count)] for count in shape]
+    size = math.prod(shape)
+    return Game([f"P{i + 1}" for i in range(len(shape))], strategies, [[0] * size for _ in shape])
 
 
 def big_flat_game():
@@ -112,6 +123,15 @@ class TestBudgets:
         with pytest.raises(ValueError, match="cap must be at least 1"):
             Exhaustive(cap=cap)
 
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, False, "3", None])
+    def test_budgets_need_an_int(self, value):
+        # A float cap would be printed in the exceeded message, and a float
+        # count would fail later in ``range``; a bool is not a count.
+        with pytest.raises(ValueError, match="cap must be an int"):
+            Exhaustive(cap=value)
+        with pytest.raises(ValueError, match="count must be an int"):
+            Sampled(seed=0, count=value)
+
     def test_the_smallest_budgets_still_scan(self, g1):
         assert pointwise_inclusion(MLW, LW, g1, Sampled(seed=1, count=1)).checked == 1
         with pytest.raises(BudgetExceededError):
@@ -177,10 +197,11 @@ class TestOneDecisionPerContext:
             # witness, which a fresh engine must replay.
             assert witness is not None and witness.replay()
 
-    @pytest.mark.parametrize("kind", [GS, MGS], ids=str)
-    @pytest.mark.parametrize("seed", [0, 5])
-    def test_a_full_scan_asks_for_each_node_once(self, seed, kind, monkeypatch):
-        game = generate(GeneratorConfig(seed=seed, strategies=(4, 4), tie_bias=0.3))
+    @pytest.mark.parametrize("kind", [LS, MLS], ids=str)
+    def test_a_full_scan_asks_for_each_node_once(self, kind, monkeypatch):
+        # The local kinds keep the node scan, and both strict ones are
+        # monotone on a game without dominance, so the scan runs to the end.
+        game = zero_game((4, 4))
         asked = Counter()
         survivors = EliminationEngine.survivors
 
@@ -193,22 +214,23 @@ class TestOneDecisionPerContext:
         assert sum(asked.values()) == len(asked) == lattice_size(game)
 
 
+def _covers(masks, full):
+    """Every restriction that keeps exactly one strategy more than ``masks``, in scan order."""
+    for player, (m, f) in enumerate(zip(masks, full)):
+        for strategy in indices_of(f & ~m):
+            yield masks[:player] + (m | 1 << strategy,) + masks[player + 1 :]
+
+
 def _memo_free_witness(kind, game, budget):
-    """``check_monotonic`` with each pair's survivors asked of the engine afresh.
+    """The node scan, with each pair's survivors asked of the engine afresh.
 
-    It walks the covers on per-player mask tuples, so it shares no packing
-    with the scan under test.
+    It walks every node of the budget and the covers above it on per-player
+    mask tuples, so it shares neither the packing of ``check_monotonic``'s
+    node scan nor the opponent-lattice walk of its exhaustive global path.
     """
-
-    def covers(masks, full):
-        """Every restriction that keeps exactly one strategy more than ``masks``."""
-        for player, (m, f) in enumerate(zip(masks, full)):
-            for strategy in indices_of(f & ~m):
-                yield masks[:player] + (m | 1 << strategy,) + masks[player + 1 :]
-
     engine = EliminationEngine(game)
     for smaller in _restrictions(game, budget):
-        for larger in covers(smaller, engine.full_masks):
+        for larger in _covers(smaller, engine.full_masks):
             excess = _first_excess(
                 engine.survivors(kind, smaller), engine.survivors(kind, larger)
             )
@@ -252,6 +274,114 @@ class TestScanMemo:
             for budget in (Exhaustive(), Sampled(seed=seed, count=2 * lattice_size(game))):
                 expected = _memo_free_witness(kind, game, budget)
                 assert check_monotonic(kind, game, budget) == expected, (seed, budget)
+
+
+class TestOpponentLatticeScan:
+    """The exhaustive path of the global kinds: each player's opponent lattice."""
+
+    @pytest.mark.parametrize("kind", GLOBAL_KINDS, ids=str)
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3, 2)], ids=lambda s: "x".join(map(str, s)))
+    def test_each_context_and_target_is_decided_at_most_once(self, shape, kind, monkeypatch):
+        decided = Counter()
+        dominator = EliminationEngine.dominator
+
+        def counted(engine, player, target, pool_mask, opp_masks, mode, mixing):
+            decided[player, pool_mask, opp_masks, target] += 1
+            return dominator(engine, player, target, pool_mask, opp_masks, mode, mixing)
+
+        monkeypatch.setattr(EliminationEngine, "dominator", counted)
+        for _, game in _seeded_games_of_shape(shape, 6):
+            decided.clear()
+            check_monotonic(kind, game, Exhaustive())
+            assert decided and set(decided.values()) == {1}
+
+    @pytest.mark.parametrize("kind", GLOBAL_KINDS, ids=str)
+    def test_survivors_are_asked_only_at_the_witness_node_and_its_covers(self, kind, monkeypatch):
+        asked = []
+        survivors = EliminationEngine.survivors
+
+        def noted(engine, operator, masks):
+            asked.append(masks)
+            return survivors(engine, operator, masks)
+
+        monkeypatch.setattr(EliminationEngine, "survivors", noted)
+        games = _seeded_games_of_shape((3, 3), 6) + _seeded_games_of_shape((2, 3, 2), 6)
+        for seed, game in games:
+            asked.clear()
+            witness = check_monotonic(kind, game, Exhaustive())
+            if witness is None:
+                assert asked == [], seed
+                continue
+            # The node, then its covers in scan order up to the failing one.
+            node, larger = witness.smaller.masks, witness.larger.masks
+            covers = list(_covers(node, EliminationEngine(game).full_masks))
+            assert asked == [node] + covers[: covers.index(larger) + 1], seed
+
+    @pytest.mark.parametrize("kind", [LS, MLS, LW, MLW], ids=str)
+    def test_only_a_global_kind_has_one_pool_per_player(self, kind, g2):
+        with pytest.raises(ValueError, match="not a global kind"):
+            EliminationEngine(g2).least_newly_dominated(kind, 0, (1,))
+
+    def test_an_8x8_gs_scan_is_bounded_by_its_opponent_contexts(self, monkeypatch):
+        game = generate(GeneratorConfig(seed=0, players=(2, 2), strategies=(8, 8)))
+        assert game.shape == (8, 8)
+        calls = Counter()
+        dominator = EliminationEngine.dominator
+
+        def counted(engine, *args):
+            calls["dominator"] += 1
+            return dominator(engine, *args)
+
+        monkeypatch.setattr(EliminationEngine, "dominator", counted)
+        # GS is monotone, so the walk visits every opponent context: player
+        # k's 2^(N - n_k) opponent masks times its n_k targets, at most.
+        assert check_monotonic(GS, game, Exhaustive(cap=1 << 16)) is None
+        total = sum(game.shape)
+        assert 0 < calls["dominator"] <= sum((1 << (total - n)) * n for n in game.shape)
+        with pytest.raises(BudgetExceededError):
+            check_monotonic(GS, game, Exhaustive(cap=(1 << 16) - 1))
+
+
+class TestOpponentLatticeMatchesTheNodeScan:
+    """The exhaustive global path returns the node scan's first witness."""
+
+    @pytest.mark.parametrize("kind", GLOBAL_KINDS, ids=str)
+    @pytest.mark.parametrize(
+        "players, strategies", [(2, 4), (3, 3), (2, 5)], ids=["4x4", "3x3x3", "5x5"]
+    )
+    def test_bench_lattice_games(self, players, strategies, kind):
+        for seed in range(16):
+            config = GeneratorConfig(
+                seed=seed,
+                players=(players, players),
+                strategies=(strategies, strategies),
+                payoff_range=(-5, 5),
+                tie_bias=0.25,
+            )
+            game = generate(config)
+            expected = _memo_free_witness(kind, game, Exhaustive())
+            assert check_monotonic(kind, game, Exhaustive()) == expected, seed
+
+    @pytest.mark.parametrize("kind", GLOBAL_KINDS, ids=str)
+    @pytest.mark.parametrize(
+        "shape",
+        [(1, 1), (1, 4), (4, 1), (1, 2, 3), (2, 2, 2, 2), (1, 2, 2, 2), (2, 2, 1, 2)],
+        ids=lambda s: "x".join(map(str, s)),
+    )
+    def test_one_strategy_players_and_four_players(self, shape, kind):
+        for seed, game in _seeded_games_of_shape(shape, 4):
+            expected = _memo_free_witness(kind, game, Exhaustive())
+            assert check_monotonic(kind, game, Exhaustive()) == expected, seed
+
+    @pytest.mark.parametrize("kind", GLOBAL_KINDS, ids=str)
+    @pytest.mark.parametrize(
+        "shape", [(1, 3), (3, 3), (2, 2, 2), (2, 2, 2, 2)], ids=lambda s: "x".join(map(str, s))
+    )
+    def test_all_zero_games(self, shape, kind):
+        game = zero_game(shape)
+        assert check_monotonic(kind, game, Exhaustive()) == _memo_free_witness(
+            kind, game, Exhaustive()
+        )
 
 
 class TestWitnessReplay:

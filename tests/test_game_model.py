@@ -126,6 +126,24 @@ class TestGameConstruction:
         with pytest.raises(GameFormatError, match=message):
             Game(("P1", "P2"), strategies, payoffs)
 
+    @pytest.mark.parametrize(
+        "players, strategies",
+        [
+            ("PQ", (("A", "B"), ("X",))),
+            (("P", "Q"), ("AB", ("X",))),
+            (("P", "Q"), (("A", "B"), "X")),
+            (("P", "Q"), "AX"),
+        ],
+    )
+    def test_a_string_is_not_a_label_sequence(self, players, strategies):
+        # Split into characters, each string would make one-letter labels.
+        with pytest.raises(GameFormatError, match="not strings"):
+            Game(players, strategies, ((1, 0), (0, 0)))
+
+    def test_label_sequences_of_any_kind_are_accepted(self):
+        game = Game(["P", "Q"], (label for label in (["A", "B"], ("X",))), ((1, 0), (0, 0)))
+        assert (game.players, game.strategies) == (("P", "Q"), (("A", "B"), ("X",)))
+
     def test_derived_tables_are_fields_outside_eq_hash_and_repr(self, g1):
         fields = {f.name: f for f in dataclasses.fields(Game)}
         for name in ("shape", "strides", "scaled_payoffs"):
