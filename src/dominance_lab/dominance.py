@@ -36,10 +36,13 @@ pool strategy ``j`` minus the target's at opponent profile ``c``.  It then
 tries, in order:
 
 - a pure dominator (a pool strategy whose margins already dominate);
-- the prefilter: a profile at which every margin is ``<= 0`` (strict), or
-  every margin is ``< 0`` (weak), rules out every mixture, and the query
-  ends without an LP.  Rows of zero margins, such as the target's own, are
-  left out of the test: weight on them changes no payoff sum;
+- the prefilter, on the columns themselves: a profile ``c`` at which the
+  largest pool payoff ``max_j col_j[c]`` is ``<= t[c]`` (strict), or
+  ``< t[c]`` (weak), rules out every mixture, and the query ends without an
+  LP.  Columns equal to the target's own ``t``, whose margins are all zero,
+  are left out of the maximum: weight on them changes no payoff sum.  This
+  is the test "every margin at ``c`` is ``<= 0`` (``< 0``)", read before
+  any margin is built, so the margins are built only for the LP;
 - an exact LP over the pool weights, :func:`dominance_lab.simplex.solve_lp`,
   which states the strict and the weak program.  The target is dominated
   exactly when the optimum is positive, and the optimal weights are then
@@ -54,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import lcm
-from operator import ge, gt
+from operator import ge, gt, sub
 from typing import Sequence
 
 from .game_model import Game, InvalidProfileError, MixedStrategy, Restriction, indices_of
@@ -196,17 +199,20 @@ def _mixed_dominator(
     target_col = columns[target]
     if not target_col:
         return None  # weak: no profile can witness a strict gain
-    margins = [tuple(a - t for a, t in zip(columns[s], target_col)) for s in pool]
-    # Prefilter: a profile at which every margin is <= 0 (strict) or < 0
-    # (weak) refutes every mixture, so no LP is needed.  For ints, <= 0 is
-    # < 1.  Weight on an all-zero row changes no sum, so those rows are
-    # left out; when every row is zero, nothing is dominated.
-    live = [row for row in margins if any(row)]
-    bound = 1 if mode is Mode.STRICT else 0
-    for c in range(len(target_col)):
-        if all(row[c] < bound for row in live):
-            return None
-    result = solve_lp(margins, mode is Mode.STRICT)
+    # Prefilter: a profile at which no pool column beats the target's (none
+    # is > in strict mode, none >= in weak mode) refutes every mixture, so
+    # no LP is needed.  Weight on a copy of the target's column changes no
+    # sum, so copies are left out; when every column is a copy, nothing is
+    # dominated.  ``live[0]`` is passed twice so that ``max`` always gets at
+    # least two arguments.
+    live = [col for col in map(columns.__getitem__, pool) if col != target_col]
+    if not live:
+        return None
+    strict = mode is Mode.STRICT
+    if not all(map(gt if strict else ge, map(max, live[0], *live), target_col)):
+        return None
+    margins = [tuple(map(sub, columns[s], target_col)) for s in pool]
+    result = solve_lp(margins, strict)
     if result.value <= 0:
         return None
     return MixedStrategy(player, tuple((s, w) for s, w in zip(pool, result.weights) if w))

@@ -23,7 +23,8 @@ from fractions import Fraction
 from functools import cache
 from importlib import resources
 from math import lcm, prod
-from typing import Sequence
+from operator import attrgetter
+from typing import Callable, Sequence
 
 __all__ = [
     "Fraction",
@@ -84,6 +85,10 @@ def parse_rational(value: int | str) -> Fraction:
     raise GameFormatError(f"malformed rational: {value!r}")
 
 
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
+
+
 def _coerce_payoff(value: object) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -136,9 +141,7 @@ class Game:
         object.__setattr__(self, "players", tuple(self.players))
         object.__setattr__(self, "strategies", tuple(tuple(s) for s in strategies))
         object.__setattr__(
-            self,
-            "payoffs",
-            tuple(tuple(_coerce_payoff(x) for x in table) for table in self.payoffs),
+            self, "payoffs", tuple(tuple(map(_coerce_payoff, table)) for table in self.payoffs)
         )
         n = len(self.players)
         if n < 2:
@@ -167,9 +170,13 @@ class Game:
             strides[k] = strides[k + 1] * shape[k + 1]
         scaled = []
         for table in self.payoffs:
+            numerators = tuple(map(_numerator, table))
+            denominators = tuple(map(_denominator, table))
             # A set, so that lcm gets one argument per distinct denominator.
-            scale = lcm(*{x.denominator for x in table})
-            scaled.append(tuple(x.numerator * (scale // x.denominator) for x in table))
+            scale = lcm(*set(denominators))
+            if scale != 1:
+                numerators = tuple(a * (scale // d) for a, d in zip(numerators, denominators))
+            scaled.append(numerators)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "strides", tuple(strides))
         object.__setattr__(self, "scaled_payoffs", tuple(scaled))
@@ -217,39 +224,83 @@ class Game:
 
         ``table`` is nested row-major in player order; each leaf is a
         sequence of one payoff per player (ints, Fractions, or "p/q"
-        strings).
+        strings).  Entries are checked and parsed in document order, so a
+        table with several faults reports the first of them.  Each distinct
+        int or string entry is parsed once, and its copies share one
+        ``Fraction``.
         """
-        flat: list[list[Fraction]] = [[] for _ in players]
-        _flatten_payoffs(table, tuple(len(s) for s in strategies), flat, "payoffs")
-        return cls(players, strategies, flat)
+        n = len(players)
+        shape = tuple(len(s) for s in strategies)
+        values: list[Fraction] = []
+        # With no strategy lists there is no table to walk; the constructor
+        # rejects the game.
+        if shape:
+            _flatten_payoffs(table, shape, n, _entry_parser(), values, ())
+        return cls(players, strategies, [values[i::n] for i in range(n)])
+
+
+def _entry_parser() -> Callable[[object], Fraction]:
+    """A payoff-entry parser with a memo of its own, for one table.
+
+    The memo holds exact ``int`` and ``str`` entries, keyed by value.  No
+    int equals a str, so this is a memo keyed by (type, value): ``True``, a
+    ``bool``, never reads the ``Fraction`` parsed for ``1``.  Other entries,
+    unhashable ones included, are parsed each time, and a malformed one
+    raises GameFormatError.
+    """
+    memo: dict[int | str, Fraction] = {}
+
+    def parse(entry: object) -> Fraction:
+        kind = type(entry)
+        if kind is int or kind is str:
+            value = memo.get(entry)
+            if value is None:
+                value = memo[entry] = parse_rational(entry)
+            return value
+        return entry if isinstance(entry, Fraction) else parse_rational(entry)
+
+    return parse
 
 
 def _flatten_payoffs(
-    node: object, shape: tuple[int, ...], flat: list[list[Fraction]], path: str
+    node: object,
+    shape: tuple[int, ...],
+    n: int,
+    parse: Callable[[object], Fraction],
+    values: list[Fraction],
+    prefix: tuple[int, ...],
 ) -> None:
-    """Append the leaves of the nested table ``node`` to ``flat``, one list per player.
+    """Append the payoffs of the nested table ``node`` to ``values``, leaf by leaf.
 
-    A module-level function rather than a recursive closure, which would
-    form a reference cycle that keeps every parsed table alive until a full
-    garbage collection.
+    ``shape`` holds the lengths of ``node``'s axis and those below it,
+    ``prefix`` the indices that lead to ``node``, and each leaf holds ``n``
+    payoffs.  The recursion runs over the inner axes only: the leaves of
+    the last axis are checked and parsed in one loop, and a path string is
+    built only for the error message.  A module-level function rather than
+    a recursive closure, which would form a reference cycle that keeps every
+    parsed table alive until a full garbage collection.
     """
-    n = len(flat)
-    if not shape:
-        if not isinstance(node, (list, tuple)) or len(node) != n:
-            raise GameFormatError(
-                f"payoff tensor shape mismatch at {path}: "
-                f"expected a list of {n} payoffs"
-            )
-        for i, entry in enumerate(node):
-            flat[i].append(entry if isinstance(entry, Fraction) else parse_rational(entry))
-        return
     if not isinstance(node, (list, tuple)) or len(node) != shape[0]:
         raise GameFormatError(
-            f"payoff tensor shape mismatch at {path}: "
-            f"expected {shape[0]} entries"
+            f"payoff tensor shape mismatch at {_path(prefix)}: expected {shape[0]} entries"
         )
-    for j, child in enumerate(node):
-        _flatten_payoffs(child, shape[1:], flat, f"{path}[{j}]")
+    if len(shape) > 1:
+        inner = shape[1:]
+        for j, child in enumerate(node):
+            _flatten_payoffs(child, inner, n, parse, values, (*prefix, j))
+        return
+    for j, leaf in enumerate(node):
+        if not isinstance(leaf, (list, tuple)) or len(leaf) != n:
+            raise GameFormatError(
+                f"payoff tensor shape mismatch at {_path((*prefix, j))}: "
+                f"expected a list of {n} payoffs"
+            )
+        values.extend(map(parse, leaf))
+
+
+def _path(prefix: tuple[int, ...]) -> str:
+    """The document path of the payoff node at the indices ``prefix``."""
+    return "payoffs" + "".join(f"[{j}]" for j in prefix)
 
 
 def indices_of(mask: int) -> tuple[int, ...]:

@@ -166,8 +166,10 @@ class EliminationEngine:
     Columns: ``columns`` keeps each player's scaled payoff columns per
     ``(player, opp_masks)``, built on the first query there from
     ``opponent_bases``.  Every decision at those opponent masks, for any
-    target, pool or kind, reads the same columns.  Answers are
-    deterministic, so caching changes only their cost.
+    target, pool or kind, reads the same columns.  ``dominator`` also keeps
+    each pool mask's strategy indices, so a global pool, the same full mask
+    in every context, is unpacked once.  Answers are deterministic, so
+    caching changes only their cost.
     """
 
     def __init__(self, game: Game) -> None:
@@ -175,6 +177,8 @@ class EliminationEngine:
         self.full_masks = tuple((1 << k) - 1 for k in game.shape)
         self.empty_opponent_queries = 0
         self._columns: dict[tuple[int, tuple[int, ...]], tuple[tuple[int, ...], ...]] = {}
+        # Pool mask -> its strategy indices, ascending.
+        self._pools: dict[int, tuple[int, ...]] = {}
         # Indexed [mode is WEAK][mixing is MIXED]; each record is
         # [decided mask, dominated mask, {target: dominator}].
         self._contexts: list[list[dict[tuple, list]]] = [[{}, {}], [{}, {}]]
@@ -209,8 +213,11 @@ class EliminationEngine:
         columns = self.columns(player, opp_masks)
         if not columns[target]:
             self.empty_opponent_queries += 1
+        pool = self._pools.get(pool_mask)
+        if pool is None:
+            pool = self._pools[pool_mask] = indices_of(pool_mask)
         kernel = _pure_dominator if mixing is Mixing.PURE else _mixed_dominator
-        return kernel(player, target, indices_of(pool_mask), columns, mode)
+        return kernel(player, target, pool, columns, mode)
 
     def _record(
         self,

@@ -568,6 +568,31 @@ class TestLoadGameErrors:
         with pytest.raises(GameFormatError, match="malformed rational"):
             load_game(str(path))
 
+    @pytest.mark.parametrize(
+        "leaf, message",
+        [
+            ([[1], 0], "malformed rational: [1]"),
+            ([{}, 0], "malformed rational: {}"),
+            ([1, True], "malformed rational: True"),
+            ([0, False], "malformed rational: False"),
+            ([0, "x", "1/0"], "payoff tensor shape mismatch at payoffs[1][0]: "
+                              "expected a list of 2 payoffs"),
+        ],
+    )
+    def test_bad_payoff_entry_exits_1(self, tmp_path, leaf, message):
+        # The earlier leaves hold 1 and 0, so a memo of parsed entries that
+        # let True read 1 would accept the document.
+        path = tmp_path / "entry.json"
+        path.write_text(json.dumps({
+            "players": [
+                {"name": "P1", "strategies": ["A", "B"]},
+                {"name": "P2", "strategies": ["X"]},
+            ],
+            "payoffs": [[[1, 0]], [leaf]],
+        }))
+        code, text, err = run_cli_stderr("solve", "--operator", "mls", str(path))
+        assert (code, text, err) == (1, "", f"error: {message}\n")
+
     def test_fractional_string_parses(self, tmp_path):
         path = tmp_path / "ok.json"
         path.write_text(json.dumps({

@@ -28,6 +28,7 @@ from dominance_lab.dominance import (
 )
 from dominance_lab.operators import ALL_OPERATORS, GS, LS, EliminationEngine
 from dominance_lab.random_games import GeneratorConfig, generate
+from dominance_lab.simplex import solve_lp
 from dominance_lab.suites import _grid_dominated, _grid_mixtures
 
 F = Fraction
@@ -307,6 +308,103 @@ class TestFindMixedDominator:
         # Public path: a local pool is empty only when the kept-set is.
         with pytest.raises(NoCandidatesError):
             find_mixed_dominator(r, 0, 0, Pool.LOCAL, Mode.STRICT)
+
+
+def margin_rule(pool, columns, target, mode):
+    """The mixed query's prefilter stated on the margins, as an oracle.
+
+    Returns ``("pure", s)`` for the first pure dominator ``s``, ``("none",
+    None)`` when no profile is left or some profile refutes every mixture,
+    and ``("lp", margins)`` with the margin rows, in pool order, that the LP
+    must decide.  Refutation: a profile at which every margin is ``<= 0``
+    (strict) or ``< 0`` (weak), over the rows that are not all zero.
+    """
+    target_col = columns[target]
+    for s in pool:
+        if _beats(columns[s], target_col, mode):
+            return "pure", s
+    if not target_col:
+        return "none", None
+    margins = [tuple(a - t for a, t in zip(columns[s], target_col)) for s in pool]
+    live = [row for row in margins if any(row)]
+    bound = 1 if mode is Mode.STRICT else 0
+    for c in range(len(target_col)):
+        if all(row[c] < bound for row in live):
+            return "none", None
+    return "lp", margins
+
+
+@st.composite
+def prefilter_queries(draw):
+    """Small int columns with ties and copies of the target's column, and a pool."""
+    count = draw(st.integers(1, 5))
+    profiles = draw(st.integers(0, 4))
+    target = draw(st.integers(0, count - 1))
+    column = st.tuples(*[st.integers(-2, 2)] * profiles)
+    target_col = draw(column)
+    columns = tuple(
+        target_col if s == target else draw(st.one_of(st.just(target_col), column))
+        for s in range(count)
+    )
+    pool = tuple(sorted(draw(st.sets(st.integers(0, count - 1), min_size=1))))
+    mode = draw(st.sampled_from([Mode.STRICT, Mode.WEAK]))
+    return pool, columns, target, mode
+
+
+def check_against_margin_rule(pool, columns, target, mode):
+    """Assert that ``_mixed_dominator`` answers as :func:`margin_rule` says,
+    calling the LP exactly when the rule needs it, on the same rows in the
+    same order; return the rule's verdict."""
+    calls = []
+
+    def recording_lp(margins, strict):
+        calls.append((list(margins), strict))
+        return solve_lp(margins, strict)
+
+    verdict, detail = margin_rule(pool, columns, target, mode)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("dominance_lab.dominance.solve_lp", recording_lp)
+        got = _mixed_dominator(0, target, pool, columns, mode)
+    if verdict == "pure":
+        assert got == MixedStrategy.point_mass(0, detail)
+    elif verdict == "none":
+        assert got is None
+    else:
+        result = solve_lp(detail, mode is Mode.STRICT)
+        expected = None if result.value <= 0 else MixedStrategy(
+            0, tuple((s, w) for s, w in zip(pool, result.weights) if w)
+        )
+        assert got == expected
+    assert calls == ([(detail, mode is Mode.STRICT)] if verdict == "lp" else [])
+    return verdict
+
+
+class TestPrefilterDifferential:
+    @settings(max_examples=400, deadline=None)
+    @given(prefilter_queries())
+    def test_column_maxima_match_the_margin_rule(self, query):
+        check_against_margin_rule(*query)
+
+    @pytest.mark.parametrize("mode", [Mode.STRICT, Mode.WEAK])
+    @pytest.mark.parametrize(
+        "pool, target, verdict",
+        [
+            ((0, 1, 2, 3), 0, "lp"),  # the target and a copy of it in the pool
+            ((1, 2), 0, "lp"),
+            ((0, 3, 4), 0, "none"),  # only copies and a loser
+            ((0, 3), 0, "none"),  # only copies
+            ((4, 1, 0), 4, "pure"),
+        ],
+    )
+    def test_each_verdict(self, pool, target, verdict, mode):
+        columns = ((0, 0), (1, -1), (-1, 1), (0, 0), (-1, -1))
+        assert check_against_margin_rule(pool, columns, target, mode) == verdict
+
+    @pytest.mark.parametrize("mode, verdict", [(Mode.STRICT, "none"), (Mode.WEAK, "lp")])
+    def test_a_tie_refutes_only_strict(self, mode, verdict):
+        # At the first profile the best pool payoff ties the target's.
+        columns = ((0, 0), (0, -1), (-1, 3))
+        assert check_against_margin_rule((1, 2), columns, 0, mode) == verdict
 
 
 def every_composition_dominated(columns, target_col, mode, max_denominator):

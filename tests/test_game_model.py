@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import random
 from fractions import Fraction
 
 import pytest
@@ -109,6 +110,11 @@ class TestGameConstruction:
     def test_empty_strategy_list_rejected(self):
         with pytest.raises(GameFormatError):
             Game.from_tables(["P1", "P2"], [["A"], []], [[]])
+
+    @pytest.mark.parametrize("players", [[], ["P1", "P2"]])
+    def test_no_strategy_lists_rejected(self, players):
+        with pytest.raises(GameFormatError):
+            Game.from_tables(players, [], [[1, 0]])
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(GameFormatError, match="shape mismatch"):
@@ -277,3 +283,146 @@ class TestJsonFormat:
                 {"name": "P1", "strategies": ["A"]},
                 {"name": "P2", "strategies": ["X"]},
             ]})
+
+
+def three_player_doc(payoffs):
+    """A 2x2x3 game document (players P1, P2, P3) around ``payoffs``."""
+    return {
+        "players": [
+            {"name": "P1", "strategies": ["A", "B"]},
+            {"name": "P2", "strategies": ["X", "Y"]},
+            {"name": "P3", "strategies": ["L", "M", "R"]},
+        ],
+        "payoffs": payoffs,
+    }
+
+
+def three_player_table(value=0):
+    """A well-formed 2x2x3 payoff table with every entry ``value``."""
+    return [[[[value] * 3 for _ in range(3)] for _ in range(2)] for _ in range(2)]
+
+
+def load_error(doc):
+    with pytest.raises(GameFormatError) as caught:
+        game_from_json_dict(doc)
+    return str(caught.value)
+
+
+class TestLoaderFaults:
+    def test_shape_mismatch_at_the_first_axis(self):
+        table = three_player_table()
+        table.append(table[0])
+        assert load_error(three_player_doc(table)) == (
+            "payoff tensor shape mismatch at payoffs: expected 2 entries"
+        )
+
+    def test_shape_mismatch_at_an_inner_axis(self):
+        table = three_player_table()
+        table[1] = table[1][:1]
+        assert load_error(three_player_doc(table)) == (
+            "payoff tensor shape mismatch at payoffs[1]: expected 2 entries"
+        )
+
+    def test_shape_mismatch_at_the_leaf_axis(self):
+        table = three_player_table()
+        table[0][1] = table[0][1][:2]
+        assert load_error(three_player_doc(table)) == (
+            "payoff tensor shape mismatch at payoffs[0][1]: expected 3 entries"
+        )
+
+    @pytest.mark.parametrize("leaf", [[1, 2], [1, 2, 3, 4], 7, "123", {"a": 1}])
+    def test_shape_mismatch_at_a_leaf(self, leaf):
+        table = three_player_table()
+        table[1][0][2] = leaf
+        assert load_error(three_player_doc(table)) == (
+            "payoff tensor shape mismatch at payoffs[1][0][2]: expected a list of 3 payoffs"
+        )
+
+    def test_malformed_rational_before_a_later_shape_mismatch(self):
+        table = three_player_table()
+        table[0][1][2] = [0, "1.5", 0]
+        table[1] = table[1][:1]
+        assert load_error(three_player_doc(table)) == "malformed rational: '1.5'"
+
+    def test_shape_mismatch_before_a_later_malformed_rational(self):
+        table = three_player_table()
+        table[0][1] = table[0][1][:2]
+        table[1][0][0] = [0, "1.5", 0]
+        assert load_error(three_player_doc(table)) == (
+            "payoff tensor shape mismatch at payoffs[0][1]: expected 3 entries"
+        )
+
+    def test_first_of_two_bad_entries_in_one_leaf(self):
+        table = three_player_table()
+        table[1][1][0] = [0, "x", "1/0"]
+        assert load_error(three_player_doc(table)) == "malformed rational: 'x'"
+        table[1][1][0] = [0, "1/0", "x"]
+        assert load_error(three_player_doc(table)) == (
+            "malformed rational: '1/0' (zero denominator)"
+        )
+
+    @pytest.mark.parametrize("number, flag", [(1, True), (0, False)])
+    def test_booleans_rejected_after_equal_ints(self, number, flag):
+        table = three_player_table(number)
+        table[1][1][2] = [number, flag, number]
+        assert load_error(three_player_doc(table)) == f"malformed rational: {flag!r}"
+
+    @pytest.mark.parametrize("entry", [[1], {}, [], {"1": 1}])
+    def test_unhashable_entries_rejected(self, entry):
+        table = three_player_table(1)
+        table[0][0][1] = [1, entry, 1]
+        assert load_error(three_player_doc(table)) == f"malformed rational: {entry!r}"
+
+    def test_equal_entries_share_one_fraction(self):
+        table = three_player_table()
+        table[0][0][0] = [7, "7", "14/2"]
+        table[1][1][2] = [7, "7", "-1/3"]
+        game = game_from_json_dict(three_player_doc(table))
+        first, last = (game.flat_index(p) for p in ((0, 0, 0), (1, 1, 2)))
+        assert game.payoffs[0][first] is game.payoffs[0][last] == 7
+        assert game.payoffs[1][first] is game.payoffs[1][last] == 7
+        assert game.payoffs[2][first] == 7 and game.payoffs[2][last] == Fraction(-1, 3)
+        zeros = {id(x) for table in game.payoffs for x in table if x == 0}
+        assert len(zeros) == 1
+
+
+def rational_game(seed):
+    """A seeded game whose payoffs include ``p/q`` fractions."""
+    game = generate(GeneratorConfig(
+        seed=seed, players=(2, 4), strategies=(1, 3), payoff_range=(-6, 6), tie_bias=0.4
+    ))
+    rng = random.Random(seed)
+    payoffs = [
+        [Fraction(x, rng.choice((1, 1, 2, 3, 4, 6))) for x in table] for table in game.payoffs
+    ]
+    return Game(game.players, game.strategies, payoffs)
+
+
+class TestJsonRoundTrip:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_seeded_games_round_trip(self, seed):
+        game = rational_game(seed)
+        doc = game_to_json_dict(game)
+        parsed = game_from_json_dict(doc)
+        assert parsed == game
+        assert parsed.scaled_payoffs == game.scaled_payoffs
+        assert game_to_json_dict(parsed) == doc
+
+    def test_seeded_games_have_fractional_payoffs(self):
+        entries = [x for seed in range(30) for table in rational_game(seed).payoffs for x in table]
+        assert any(x.denominator > 1 for x in entries)
+        assert any(x.denominator == 1 for x in entries)
+
+    def test_from_json_dict_leaves_no_garbage(self):
+        doc = game_to_json_dict(rational_game(3))
+        game_from_json_dict(doc)
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            game_from_json_dict(doc)
+            gc.collect()
+            leaked = [type(o).__name__ for o in gc.garbage]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert leaked == []
