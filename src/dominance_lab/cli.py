@@ -27,12 +27,15 @@ from .analysis import (
 )
 from .game_model import Game, GameFormatError, Restriction, game_from_json_dict
 from .operators import ALL_OPERATORS, apply_operator, iterate, operator_from_name
-from .suites import DEFAULT_SEED, SUITE_NAMES, run_suite
+from .suites import DEFAULT_SEED, SUITE_NAMES, run_suite, suite_settings
 
 __all__ = ["build_parser", "load_game", "main", "run"]
 
 OPERATOR_CHOICES = tuple(kind.name.lower() for kind in ALL_OPERATORS)
 DEFAULT_SAMPLES = 1000
+# Each verify flag and its suite setting (the flag's dest), in error order.
+VERIFY_SETTINGS = (("--players", "players"), ("--strategies", "strategies"),
+                   ("--payoffs", "payoff_range"), ("--tie-bias", "tie_bias"), ("--games", "games"))
 
 
 def _parse_json(text: str, source: str) -> object:
@@ -190,6 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--players", type=_parse_range, default=None, metavar="LO..HI")
     p_verify.add_argument("--strategies", type=_parse_range, default=None, metavar="LO..HI")
     p_verify.add_argument("--payoffs", type=_parse_range, default=None, metavar="LO..HI",
+                          dest="payoff_range",
                           help="payoff grid; write --payoffs=-5..5 for negative bounds")
     p_verify.add_argument("--tie-bias", type=float, default=None)
 
@@ -252,24 +256,13 @@ def _run_parsed(args: argparse.Namespace, out: TextIO) -> int:
             "witness": witness.to_dict() if witness else None,
         }
     elif args.command == "verify":
-        # (flag, value, theorem_suite keyword) of each random-game setting.
-        settings = (
-            ("--players", args.players, "players"),
-            ("--strategies", args.strategies, "strategies"),
-            ("--payoffs", args.payoffs, "payoff_range"),
-            ("--tie-bias", args.tie_bias, "tie_bias"),
-        )
-        unused = [] if args.suite in ("theorems", "all") else [
-            flag for flag, value, _ in settings if value is not None
-        ]
-        if args.games is not None and args.suite in ("paper", "determinism"):
-            unused.append("--games")
+        settings = {key: getattr(args, key) for _, key in VERIFY_SETTINGS}
+        taken = suite_settings(args.suite)
+        unused = [flag for flag, key in VERIFY_SETTINGS
+                  if settings[key] is not None and key not in taken]
         if unused:
             raise ValueError(f"--suite {args.suite} does not use {', '.join(unused)}")
-        theorem_config = {key: value for _, value, key in settings if value is not None}
-        report = run_suite(
-            args.suite, seed=args.seed, games=args.games, theorem_config=theorem_config
-        )
+        report = run_suite(args.suite, args.seed, **settings)
         doc = report.to_dict()
         code = 0 if report.passed else 2
 

@@ -175,7 +175,6 @@ class EliminationEngine:
     def __init__(self, game: Game) -> None:
         self.game = game
         self.full_masks = tuple((1 << k) - 1 for k in game.shape)
-        self.empty_opponent_queries = 0
         self._columns: dict[tuple[int, tuple[int, ...]], tuple[tuple[int, ...], ...]] = {}
         # Pool mask -> its strategy indices, ascending.
         self._pools: dict[int, tuple[int, ...]] = {}
@@ -211,8 +210,6 @@ class EliminationEngine:
     ) -> int | MixedStrategy | None:
         """The dominator of ``target`` in the pool, or None; uncached."""
         columns = self.columns(player, opp_masks)
-        if not columns[target]:
-            self.empty_opponent_queries += 1
         pool = self._pools.get(pool_mask)
         if pool is None:
             pool = self._pools[pool_mask] = indices_of(pool_mask)

@@ -8,6 +8,7 @@ replayed and tallied.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -43,6 +44,7 @@ from .simplex import solve_lp
 
 __all__ = [
     "DEFAULT_SEED",
+    "SUITES",
     "SUITE_NAMES",
     "CheckResult",
     "SuiteReport",
@@ -51,12 +53,11 @@ __all__ = [
     "oracle_suite",
     "paper_suite",
     "run_suite",
+    "suite_settings",
     "theorem_suite",
 ]
 
 DEFAULT_SEED = 1729
-
-SUITE_NAMES = ("paper", "monotonicity", "theorems", "oracle", "determinism", "all")
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,6 @@ class SuiteReport:
     checks: list[CheckResult] = field(default_factory=list)
     certificates_emitted: int = 0
     certificates_failed: int = 0
-    empty_opponent_queries: int = 0
 
     @property
     def passed(self) -> bool:
@@ -100,7 +100,6 @@ class SuiteReport:
         self.checks.extend(other.checks)
         self.certificates_emitted += other.certificates_emitted
         self.certificates_failed += other.certificates_failed
-        self.empty_opponent_queries += other.empty_opponent_queries
 
     def to_dict(self) -> dict:
         return {
@@ -112,7 +111,6 @@ class SuiteReport:
                 "replayed": self.certificates_emitted - self.certificates_failed,
                 "failed": self.certificates_failed,
             },
-            "empty_opponent_queries": self.empty_opponent_queries,
             "checks": [c.to_dict() for c in self.checks],
         }
 
@@ -242,8 +240,6 @@ def paper_suite(seed: int = DEFAULT_SEED) -> SuiteReport:
 
     report.tally_certificates(traces1.values())
     report.tally_certificates(traces2.values())
-    report.empty_opponent_queries += engine1.empty_opponent_queries
-    report.empty_opponent_queries += engine2.empty_opponent_queries
     return report
 
 
@@ -305,8 +301,8 @@ def _global_local_equalities(traces: dict[str, IterationTrace]) -> dict[str, boo
     }
 
 
-def _check_one_game(game: Game) -> tuple[list[str], EliminationEngine, dict[str, IterationTrace]]:
-    """Theorem checks for a single game: its failure descriptions, engine and traces."""
+def _check_one_game(game: Game) -> tuple[list[str], dict[str, IterationTrace]]:
+    """Theorem checks for a single game: its failure descriptions and traces."""
     engine = EliminationEngine(game)
     traces = {kind.name: engine.iterate(kind) for kind in ALL_OPERATORS}
     failures = []
@@ -340,7 +336,7 @@ def _check_one_game(game: Game) -> tuple[list[str], EliminationEngine, dict[str,
         for step in traces[kind.name].steps:
             if not step.after.is_subgame:
                 failures.append(f"{kind.name} emptied a component")
-    return failures, engine, traces
+    return failures, traces
 
 
 def theorem_suite(
@@ -365,11 +361,10 @@ def theorem_suite(
     for i in range(games):
         game = generate(config.with_seed(seed + i))
         seen.add(game)
-        rows, engine, traces = _check_one_game(game)
+        rows, traces = _check_one_game(game)
         if rows:
             failures.append(f"seed {seed + i}: " + "; ".join(rows))
         report.tally_certificates(traces.values())
-        report.empty_opponent_queries += engine.empty_opponent_queries
     report.add(
         f"theorem and chain properties on {games} random games",
         not failures,
@@ -536,31 +531,40 @@ def determinism_suite(seed: int = DEFAULT_SEED) -> SuiteReport:
     return report
 
 
-def run_suite(
-    name: str,
-    seed: int = DEFAULT_SEED,
-    games: int | None = None,
-    theorem_config: dict | None = None,
-) -> SuiteReport:
-    """Run one named suite (or every suite under ``all``).
+SUITES = {
+    "paper": paper_suite,
+    "monotonicity": monotonicity_suite,
+    "theorems": theorem_suite,
+    "oracle": oracle_suite,
+    "determinism": determinism_suite,
+}
 
-    ``games`` overrides each suite's own random-game count when it is not None.
+SUITE_NAMES = (*SUITES, "all")
+
+
+def suite_settings(name: str) -> frozenset[str]:
+    """The keyword parameters of suite ``name`` other than ``seed``; under ``all``, every suite's."""
+    if name == "all":
+        return frozenset().union(*map(suite_settings, SUITES))
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r} (expected one of {', '.join(SUITE_NAMES)})")
+    return frozenset(inspect.signature(SUITES[name]).parameters) - {"seed"}
+
+
+def run_suite(name: str, seed: int = DEFAULT_SEED, **settings: object) -> SuiteReport:
+    """Run one named suite, or every suite in turn under ``all``.
+
+    Each suite gets only the ``settings`` it takes (:func:`suite_settings`);
+    one given as None keeps the suite's default.  A setting no suite takes
+    raises TypeError.
     """
-    count = {} if games is None else {"games": games}
-    if name == "paper":
-        return paper_suite(seed)
-    if name == "monotonicity":
-        return monotonicity_suite(seed, **count)
-    if name == "theorems":
-        return theorem_suite(seed, **count, **(theorem_config or {}))
-    if name == "oracle":
-        return oracle_suite(seed, **count)
-    if name == "determinism":
-        return determinism_suite(seed)
+    unknown = settings.keys() - suite_settings("all")
+    if unknown:
+        raise TypeError(f"no suite takes {', '.join(sorted(unknown))}")
     if name == "all":
         combined = SuiteReport(suite="all", seed=seed)
-        for part in SUITE_NAMES:
-            if part != "all":
-                combined.absorb(run_suite(part, seed, games, theorem_config))
+        for part in SUITES:
+            combined.absorb(run_suite(part, seed, **settings))
         return combined
-    raise ValueError(f"unknown suite {name!r} (expected one of {', '.join(SUITE_NAMES)})")
+    taken = suite_settings(name)
+    return SUITES[name](seed, **{k: v for k, v in settings.items() if k in taken and v is not None})

@@ -1,5 +1,7 @@
 import contextlib
+import functools
 import gc
+import inspect
 import io
 import json
 import math
@@ -14,7 +16,8 @@ from hypothesis import strategies as st
 
 from dominance_lab.cli import load_game, run
 from dominance_lab.game_model import GameFormatError
-from dominance_lab.suites import SUITE_NAMES, run_suite
+from dominance_lab import suites
+from dominance_lab.suites import SUITE_NAMES, SuiteReport, run_suite, suite_settings
 
 
 @pytest.fixture(scope="session")
@@ -217,7 +220,6 @@ class TestRunSuite:
         assert len(combined.checks) == 39
         assert combined.certificates_emitted == sum(p.certificates_emitted for p in parts) == 56
         assert combined.certificates_failed == sum(p.certificates_failed for p in parts) == 0
-        assert combined.empty_opponent_queries == sum(p.empty_opponent_queries for p in parts)
         assert combined.passed
 
     def test_unknown_suite_names_the_suites(self):
@@ -227,6 +229,60 @@ class TestRunSuite:
             "unknown suite 'nonesuch' (expected one of "
             "paper, monotonicity, theorems, oracle, determinism, all)"
         )
+
+
+def record_suite_calls(monkeypatch):
+    """Replace each suite with a recorder of its keyword arguments; the calls list.
+
+    A recorder keeps its suite's signature, so it takes the suite's settings.
+    """
+    calls = []
+    for name, suite in suites.SUITES.items():
+        @functools.wraps(suite)
+        def recorder(seed, _name=name, **settings):
+            calls.append((_name, settings))
+            return SuiteReport(suite=_name, seed=seed)
+
+        monkeypatch.setitem(suites.SUITES, name, recorder)
+    return calls
+
+
+class TestSuiteSettings:
+    def test_settings_are_the_keyword_parameters_other_than_seed(self):
+        for name, suite in suites.SUITES.items():
+            parameters = set(inspect.signature(suite).parameters)
+            assert "seed" in parameters
+            assert suite_settings(name) == parameters - {"seed"}
+        assert suite_settings("paper") == suite_settings("determinism") == set()
+        assert suite_settings("oracle") == {"games", "max_denominator"}
+        assert suite_settings("all") == {
+            "games", "players", "strategies", "payoff_range", "tie_bias", "max_denominator",
+        }
+        assert SUITE_NAMES == (*suites.SUITES, "all")
+
+    def test_all_hands_each_suite_only_its_own_settings(self, monkeypatch):
+        calls = record_suite_calls(monkeypatch)
+        report = run_suite("all", games=1, players=(3, 3))
+        assert calls == [
+            ("paper", {}),
+            ("monotonicity", {"games": 1}),
+            ("theorems", {"games": 1, "players": (3, 3)}),
+            ("oracle", {"games": 1}),
+            ("determinism", {}),
+        ]
+        assert (report.suite, report.seed) == ("all", 1729)
+
+    @pytest.mark.parametrize("name", SUITE_NAMES)
+    def test_a_setting_given_as_none_keeps_the_default(self, monkeypatch, name):
+        calls = record_suite_calls(monkeypatch)
+        run_suite(name, seed=3, games=None, tie_bias=None)
+        assert calls and all(settings == {} for _, settings in calls)
+
+    def test_a_setting_no_suite_takes_is_a_type_error(self, monkeypatch):
+        calls = record_suite_calls(monkeypatch)
+        with pytest.raises(TypeError, match="no suite takes game"):
+            run_suite("theorems", game=5)
+        assert calls == []
 
 
 def run_cli_stderr(*argv):
