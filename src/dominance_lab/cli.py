@@ -94,8 +94,7 @@ def _count(text: str) -> int:
 
 
 def _emit(doc: dict, out: TextIO) -> None:
-    json.dump(doc, out, indent=2)
-    out.write("\n")
+    out.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _kept_lines(kept_names: dict) -> str:

@@ -97,6 +97,16 @@ class NoCandidatesError(ValueError):
     """Raised when a dominator is requested from an empty pool."""
 
 
+def _require_member(name: str, value: object, enum: type[Enum]) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a member of ``enum``.
+
+    An enum's value in its place, such as ``"strict"``, compares unequal to
+    every member and would silently take another branch.
+    """
+    if not isinstance(value, enum):
+        raise ValueError(f"{name} must be a {enum.__name__} member, got {value!r}")
+
+
 def _opponent_bases(game: Game, player: int, opp_masks: Sequence[int]) -> tuple[int, ...]:
     """Flat tensor offsets of the opponent profiles that ``opp_masks`` keep.
 
@@ -246,8 +256,10 @@ def dominates(
 
     The candidate may be a pure strategy index or a :class:`MixedStrategy`
     whose support can lie anywhere in the parent game's strategy set (global
-    pools are legal).  Exact arithmetic, no tolerance.
+    pools are legal).  Exact arithmetic, no tolerance.  Raises ValueError
+    when ``mode`` is not a :class:`Mode` member.
     """
+    _require_member("mode", mode, Mode)
     game, bases = _target_bases(restriction, player, target)
     target_col = _column(game, player, target, bases)
     if isinstance(candidate, MixedStrategy):
@@ -277,7 +289,10 @@ def find_mixed_dominator(
     When a pure dominator exists its point mass is returned directly;
     otherwise the exact dominance program decides, and its optimizer is the
     witness.  Either way the result replays against the restriction.
+    Raises ValueError when ``pool`` or ``mode`` is not a member of its enum.
     """
+    _require_member("pool", pool, Pool)
+    _require_member("mode", mode, Mode)
     game, bases = _target_bases(restriction, player, target)
     candidates = indices_of(_pool_mask(game, restriction.masks, player, pool))
     return _mixed_dominator(player, target, candidates, _columns(game, player, bases), mode)
@@ -332,10 +347,13 @@ class EliminationCertificate:
 def replay_certificate(certificate: EliminationCertificate) -> bool:
     """Re-verify a certificate exactly: pool membership plus the inequalities.
 
-    A certificate naming a player or strategy outside the game does not replay.
+    A certificate naming a player or strategy outside the game, or a mode
+    or pool that is not a member of its enum, does not replay.
     """
     restriction = certificate.context
     player = certificate.player
+    if not isinstance(certificate.mode, Mode) or not isinstance(certificate.pool, Pool):
+        return False
     if not 0 <= player < restriction.game.player_count:
         return False
     if certificate.eliminated not in restriction.kept[player]:

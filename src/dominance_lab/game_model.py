@@ -2,7 +2,8 @@
 
 Payoffs are ``fractions.Fraction`` throughout.  Every dominance decision in
 this package is an exact comparison, so no float may enter a payoff tensor;
-the JSON loader accepts integers and ``"p/q"`` strings only.
+the JSON loader accepts integers, ``"p/q"`` strings and integral floats such
+as ``1.0``, which it reads as integers.
 
 A :class:`Restriction` is a per-player subset of a fixed parent game's
 strategy indices.  Components may be empty; the set of all restrictions of a
@@ -102,9 +103,11 @@ class Game:
     """An n-player normal-form game with exact rational payoffs.
 
     Attributes:
-        players: Player display names, one per player, all distinct.
+        players: Player display names, one per player, all distinct
+            strings.
         strategies: Per player, the ordered tuple of strategy labels;
-            labels are distinct within a player and are I/O metadata only.
+            labels are strings, distinct within a player, and are I/O
+            metadata only.
             Strategy identity everywhere else is (player index, strategy
             index) against this game.
         payoffs: Per player, a flat payoff tensor over full profiles,
@@ -146,6 +149,9 @@ class Game:
         n = len(self.players)
         if n < 2:
             raise GameFormatError("a game needs at least 2 players")
+        for name in self.players:
+            if not isinstance(name, str):
+                raise GameFormatError(f"player name {name!r} must be a string")
         if len(set(self.players)) != n:
             raise GameFormatError("duplicate player name")
         if len(self.strategies) != n:
@@ -153,6 +159,8 @@ class Game:
         for name, labels in zip(self.players, self.strategies):
             if not labels:
                 raise GameFormatError(f"player {name!r} has no strategies")
+            if not all(isinstance(label, str) for label in labels):
+                raise GameFormatError(f"strategy labels of player {name!r} must be strings")
             if len(set(labels)) != len(labels):
                 raise GameFormatError(f"duplicate strategy name for player {name!r}")
         shape = tuple(len(labels) for labels in self.strategies)

@@ -31,6 +31,7 @@ from .dominance import (
     _mixed_dominator,
     _opponent_bases,
     _pure_dominator,
+    _require_member,
 )
 from .game_model import Game, MixedStrategy, Restriction, indices_of
 
@@ -62,11 +63,19 @@ class Mixing(Enum):
 
 @dataclass(frozen=True)
 class OperatorKind:
-    """One of the eight elimination operators."""
+    """One of the eight elimination operators.
+
+    Raises ValueError when a field is not a member of its enum.
+    """
 
     mode: Mode
     pool: Pool
     mixing: Mixing
+
+    def __post_init__(self) -> None:
+        _require_member("mode", self.mode, Mode)
+        _require_member("pool", self.pool, Pool)
+        _require_member("mixing", self.mixing, Mixing)
 
     @cached_property
     def name(self) -> str:

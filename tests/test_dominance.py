@@ -82,6 +82,34 @@ column_pairs = st.integers(0, 6).flatmap(
 )
 
 
+class TestEnumArguments:
+    def test_dominates_rejects_a_mode_that_is_not_a_member(self, g2):
+        top = Restriction.full(g2)
+        assert not dominates(0, 3, top, 0, Mode.STRICT)
+        with pytest.raises(ValueError, match="^mode must be a Mode member"):
+            dominates(0, 3, top, 0, "strict")
+
+    @pytest.mark.parametrize(
+        "pool, mode, field",
+        [("local", Mode.STRICT, "pool"), (Pool.LOCAL, "strict", "mode"), (None, Mode.WEAK, "pool")],
+    )
+    def test_find_mixed_dominator_rejects_non_members(self, g2, pool, mode, field):
+        # The string "local" would read as a global pool, whose mixture on B
+        # lies outside this restriction's kept set.
+        restriction = Restriction(g2, ((0, 2), (0, 1, 2)))
+        with pytest.raises(ValueError, match=f"^{field} must be a "):
+            find_mixed_dominator(restriction, 0, 3, pool, mode)
+
+    @pytest.mark.parametrize("field", ["mode", "pool"])
+    def test_a_certificate_with_a_non_member_does_not_replay(self, g1, field):
+        from dataclasses import replace
+
+        (certificate,) = apply_operator(LS, Restriction.full(g1)).certificates
+        assert replay_certificate(certificate)
+        value = getattr(certificate, field).value
+        assert not replay_certificate(replace(certificate, **{field: value}))
+
+
 class TestBeatsKernel:
     @settings(max_examples=300, deadline=None)
     @given(column_pairs)

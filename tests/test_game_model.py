@@ -146,6 +146,31 @@ class TestGameConstruction:
         with pytest.raises(GameFormatError, match="not strings"):
             Game(players, strategies, ((1, 0), (0, 0)))
 
+    @pytest.mark.parametrize(
+        "players, strategies, message",
+        [
+            ((1, 2), (("x",), ("y",)), "player name 1 must be a string"),
+            (("P", None), (("x",), ("y",)), "player name None must be a string"),
+            (("P", "Q"), (("x", 2), ("y",)), "strategy labels of player 'P' must be strings"),
+            (("P", "Q"), (("x",), (("y",),)), "strategy labels of player 'Q' must be strings"),
+        ],
+    )
+    def test_labels_that_are_not_strings_are_rejected(self, players, strategies, message):
+        payoffs = tuple((0,) * len(strategies[0]) for _ in players)
+        with pytest.raises(GameFormatError, match=f"^{message}$"):
+            Game(players, strategies, payoffs)
+
+    def test_construction_rejects_the_labels_the_loader_rejects(self):
+        # So every game that constructs has a JSON document that loads back.
+        doc = {"players": [{"name": 1, "strategies": ["x"]}, {"name": 2, "strategies": ["y"]}],
+               "payoffs": [[[1, 0]]]}
+        with pytest.raises(GameFormatError, match="must be a string"):
+            game_from_json_dict(doc)
+        with pytest.raises(GameFormatError, match="must be a string"):
+            Game((1, 2), (("x",), ("y",)), ((1,), (0,)))
+        game = Game(("1", "2"), (("x",), ("y",)), ((1,), (0,)))
+        assert game_from_json_dict(game_to_json_dict(game)) == game
+
     def test_label_sequences_of_any_kind_are_accepted(self):
         game = Game(["P", "Q"], (label for label in (["A", "B"], ("X",))), ((1, 0), (0, 0)))
         assert (game.players, game.strategies) == (("P", "Q"), (("A", "B"), ("X",)))

@@ -112,6 +112,15 @@ class TestOperatorKinds:
         with pytest.raises(ValueError, match="unknown operator"):
             operator_from_name("xyz")
 
+    @pytest.mark.parametrize("field", ["mode", "pool", "mixing"])
+    def test_a_field_that_is_not_an_enum_member_is_rejected(self, field):
+        # Its string value would compare unequal to every member: ("strict",
+        # "local", "pure") would be named GW and run the mixed kernel.
+        fields = {"mode": LS.mode, "pool": LS.pool, "mixing": LS.mixing}
+        fields[field] = fields[field].value
+        with pytest.raises(ValueError, match=f"^{field} must be a "):
+            type(LS)(**fields)
+
 
 class TestApplyOperator:
     def test_ls_on_g1(self, g1):
