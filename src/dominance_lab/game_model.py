@@ -21,7 +21,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from importlib import resources
 from math import lcm, prod
 from operator import attrgetter
@@ -311,15 +311,18 @@ def _path(prefix: tuple[int, ...]) -> str:
     return "payoffs" + "".join(f"[{j}]" for j in prefix)
 
 
+@lru_cache(maxsize=1024)
 def indices_of(mask: int) -> tuple[int, ...]:
-    """Positions of the set bits of ``mask``, ascending."""
+    """Positions of the set bits of ``mask``, ascending; one step per set bit.
+
+    The last 1,024 masks' answers are cached: the elimination engine and the
+    lattice walks unpack the same few kept-set masks over and over.
+    """
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 

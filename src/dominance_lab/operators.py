@@ -27,6 +27,8 @@ from .dominance import (
     EliminationCertificate,
     Mode,
     Pool,
+    _LOCAL,
+    _STRICT,
     _columns,
     _mixed_dominator,
     _opponent_bases,
@@ -59,6 +61,10 @@ __all__ = [
 class Mixing(Enum):
     PURE = "pure"
     MIXED = "mixed"
+
+
+# Read once per decision, like ``dominance._STRICT``.
+_PURE = Mixing.PURE
 
 
 @dataclass(frozen=True)
@@ -170,23 +176,27 @@ class EliminationEngine:
     and fill the records through ``_record``, which decides only the
     targets a record has not decided; ``step`` reads its certificates'
     dominators from the same records.  Every target is decided at most once
-    per context, and only when some query asks.
+    per context, and only when some query asks: each undecided target goes
+    through ``dominator`` and one kernel call, and nothing else decides.
+
+    Hits cost no call: ``least_newly_dominated`` reads a context's record
+    with one dict lookup and calls ``_record`` only when the record has not
+    decided the strategy it asks about, and ``dominator`` reads the column
+    cache directly, calling ``columns`` only on a miss.
 
     Columns: ``columns`` keeps each player's scaled payoff columns per
     ``(player, opp_masks)``, built on the first query there from
     ``opponent_bases``.  Every decision at those opponent masks, for any
-    target, pool or kind, reads the same columns.  ``dominator`` also keeps
-    each pool mask's strategy indices, so a global pool, the same full mask
-    in every context, is unpacked once.  Answers are deterministic, so
-    caching changes only their cost.
+    target, pool or kind, reads the same columns.  ``dominator`` unpacks its
+    pool mask through :func:`indices_of`, whose own cache holds a global
+    pool, the same full mask in every context.  Answers are deterministic,
+    so caching changes only their cost.
     """
 
     def __init__(self, game: Game) -> None:
         self.game = game
         self.full_masks = tuple((1 << k) - 1 for k in game.shape)
         self._columns: dict[tuple[int, tuple[int, ...]], tuple[tuple[int, ...], ...]] = {}
-        # Pool mask -> its strategy indices, ascending.
-        self._pools: dict[int, tuple[int, ...]] = {}
         # Indexed [mode is WEAK][mixing is MIXED]; each record is
         # [decided mask, dominated mask, {target: dominator}].
         self._contexts: list[list[dict[tuple, list]]] = [[{}, {}], [{}, {}]]
@@ -218,12 +228,11 @@ class EliminationEngine:
         mixing: Mixing,
     ) -> int | MixedStrategy | None:
         """The dominator of ``target`` in the pool, or None; uncached."""
-        columns = self.columns(player, opp_masks)
-        pool = self._pools.get(pool_mask)
-        if pool is None:
-            pool = self._pools[pool_mask] = indices_of(pool_mask)
-        kernel = _pure_dominator if mixing is Mixing.PURE else _mixed_dominator
-        return kernel(player, target, pool, columns, mode)
+        columns = self._columns.get((player, opp_masks))
+        if columns is None:
+            columns = self.columns(player, opp_masks)
+        kernel = _pure_dominator if mixing is _PURE else _mixed_dominator
+        return kernel(player, target, indices_of(pool_mask), columns, mode)
 
     def _record(
         self,
@@ -245,8 +254,9 @@ class EliminationEngine:
         undecided = targets & ~record[0]
         if undecided:
             player, pool_mask, opp_masks = context
+            dominator = self.dominator
             for target in indices_of(undecided):
-                found = self.dominator(player, target, pool_mask, opp_masks, mode, mixing)
+                found = dominator(player, target, pool_mask, opp_masks, mode, mixing)
                 if found is not None:
                     record[1] |= 1 << target
                     record[2][target] = found
@@ -255,8 +265,8 @@ class EliminationEngine:
 
     def survivors(self, kind: OperatorKind, masks: tuple[int, ...]) -> tuple[int, ...]:
         """Kept-set masks after one application of ``kind``."""
-        pools = masks if kind.pool is Pool.LOCAL else self.full_masks
-        contexts = self._contexts[kind.mode is Mode.WEAK][kind.mixing is Mixing.MIXED]
+        pools = masks if kind.pool is _LOCAL else self.full_masks
+        contexts = self._contexts[kind.mode is not _STRICT][kind.mixing is not _PURE]
         mode, mixing = kind.mode, kind.mixing
         out = []
         for player, kept in enumerate(masks):
@@ -275,7 +285,7 @@ class EliminationEngine:
         least first, and a cover is asked only about the strategies that
         ``opp_masks`` leaves undominated.  Raises ValueError for a local kind.
         """
-        if kind.pool is not Pool.GLOBAL:
+        if kind.pool is _LOCAL:
             raise ValueError(f"{kind.name} is not a global kind")
         full = self.full_masks
         pool = full[player]
@@ -284,16 +294,23 @@ class EliminationEngine:
             for i, (mask, top) in enumerate(zip(opp_masks, full[:player] + full[player + 1 :]))
             for s in indices_of(top & ~mask)
         ]
-        contexts = self._contexts[kind.mode is Mode.WEAK][kind.mixing is Mixing.MIXED]
+        contexts = self._contexts[kind.mode is not _STRICT][kind.mixing is not _PURE]
         mode, mixing = kind.mode, kind.mixing
         record = self._record
         context = (player, pool, opp_masks)
+        asked = (context, *covers)
         for strategy in range(self.game.shape[player]):
             bit = 1 << strategy
-            if not record(contexts, context, bit, mode, mixing)[1] & bit and any(
-                record(contexts, cover, bit, mode, mixing)[1] & bit for cover in covers
-            ):
-                return strategy
+            for at in asked:
+                # A record that has decided ``bit`` answers without a call.
+                found = contexts.get(at)
+                if found is None or not found[0] & bit:
+                    found = record(contexts, at, bit, mode, mixing)
+                if found[1] & bit:
+                    # Dominated at ``opp_masks`` rules the strategy out.
+                    if at is context:
+                        break
+                    return strategy
         return None
 
     def step(self, kind: OperatorKind, restriction: Restriction) -> EliminationStep:
@@ -304,8 +321,8 @@ class EliminationEngine:
         if after == before:
             return EliminationStep(before=restriction, after=restriction, certificates=())
         # Each removed target's dominator is in the record survivors filled.
-        pools = before if kind.pool is Pool.LOCAL else self.full_masks
-        contexts = self._contexts[kind.mode is Mode.WEAK][kind.mixing is Mixing.MIXED]
+        pools = before if kind.pool is _LOCAL else self.full_masks
+        contexts = self._contexts[kind.mode is not _STRICT][kind.mixing is not _PURE]
         certificates = []
         for player, (kept, left) in enumerate(zip(before, after)):
             dominators = contexts[player, pools[player], before[:player] + before[player + 1 :]][2]

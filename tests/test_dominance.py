@@ -25,6 +25,7 @@ from dominance_lab.dominance import (
     _columns,
     _mixed_dominator,
     _opponent_bases,
+    _pure_dominator,
 )
 from dominance_lab.operators import ALL_OPERATORS, GS, LS, EliminationEngine
 from dominance_lab.random_games import GeneratorConfig, generate
@@ -109,6 +110,17 @@ class TestEnumArguments:
         value = getattr(certificate, field).value
         assert not replay_certificate(replace(certificate, **{field: value}))
 
+    @pytest.mark.parametrize("field", ["mode", "pool"])
+    def test_a_certificate_with_a_non_member_has_no_dict(self, g1, field):
+        # The string value has no ``.value``; it must not leak AttributeError.
+        from dataclasses import replace
+
+        (certificate,) = apply_operator(LS, Restriction.full(g1)).certificates
+        assert certificate.to_dict()[field] == getattr(certificate, field).value
+        value = getattr(certificate, field).value
+        with pytest.raises(ValueError, match=f"^{field} must be a "):
+            replace(certificate, **{field: value}).to_dict()
+
 
 class TestBeatsKernel:
     @settings(max_examples=300, deadline=None)
@@ -129,6 +141,25 @@ class TestBeatsKernel:
         assert not _beats(column, column, Mode.WEAK)
         assert not _beats(column, column, Mode.STRICT)
         assert _beats((3, 0, 0), column, Mode.WEAK)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 4).flatmap(
+            lambda n: st.lists(st.tuples(*[st.integers(-1, 1)] * n), min_size=1, max_size=5)
+        ),
+        st.data(),
+    )
+    def test_the_pure_kernel_states_the_same_rule(self, columns, data):
+        # _pure_dominator writes _beats' rule out inline: its answer is the
+        # first pool strategy that _beats the target, in pool order.
+        columns = tuple(columns)
+        target = data.draw(st.integers(0, len(columns) - 1))
+        pool = data.draw(st.permutations(range(len(columns))))
+        for mode in Mode:
+            expected = next(
+                (s for s in pool if _beats(columns[s], columns[target], mode)), None
+            )
+            assert _pure_dominator(0, target, pool, columns, mode) == expected
 
 
 def fraction_dominates(mixed, target, restriction, player, mode):

@@ -17,7 +17,7 @@ from dominance_lab import (
     game_to_json_dict,
     payoff,
 )
-from dominance_lab.game_model import parse_rational
+from dominance_lab.game_model import indices_of, parse_rational
 from dominance_lab.random_games import GeneratorConfig, generate
 
 HALF = Fraction(1, 2)
@@ -72,6 +72,22 @@ class TestMixedStrategy:
     def test_point_mass(self):
         mass = MixedStrategy.point_mass(2, 1)
         assert mass.player == 2 and mass.weights == ((1, Fraction(1)),)
+
+
+class TestIndicesOf:
+    @staticmethod
+    def by_position(mask):
+        return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+    def test_every_small_mask(self):
+        for mask in range(1 << 12):
+            assert indices_of(mask) == self.by_position(mask)
+
+    @pytest.mark.parametrize(
+        "mask", [0, 1 << 70 | 5, (1 << 130) - 1, 1 << 200, (1 << 130) - 1 ^ 1 << 64]
+    )
+    def test_wide_masks(self, mask):
+        assert indices_of(mask) == self.by_position(mask)
 
 
 class TestRestriction:

@@ -17,6 +17,7 @@ from dominance_lab import (
     MGW,
     MLS,
     MLW,
+    Mode,
     Restriction,
     apply_operator,
     builtin_game,
@@ -77,20 +78,43 @@ def brute_lw_sequence(game):
         kept = after
 
 
-def fresh_survivors(kind, game, masks):
-    """One sweep of ``kind`` at ``masks`` with no engine and no cache: one
-    dominator query per kept target, straight from the dominance module."""
+def fresh_dominated(kind, game, masks, player):
+    """The mask of ``player``'s kept strategies that ``kind`` eliminates at
+    ``masks``, with no engine and no cache: one dominator query per kept
+    target, straight from the dominance module."""
     find = _pure_dominator if kind.mixing is Mixing.PURE else _mixed_dominator
-    out = []
-    for player, kept in enumerate(masks):
-        bases = _opponent_bases(game, player, masks[:player] + masks[player + 1 :])
-        columns = _columns(game, player, bases)
-        pool = indices_of(_pool_mask(game, masks, player, kind.pool))
-        for target in indices_of(kept):
-            if find(player, target, pool, columns, kind.mode) is not None:
-                kept &= ~(1 << target)
-        out.append(kept)
-    return tuple(out)
+    bases = _opponent_bases(game, player, masks[:player] + masks[player + 1 :])
+    columns = _columns(game, player, bases)
+    pool = indices_of(_pool_mask(game, masks, player, kind.pool))
+    dominated = 0
+    for target in indices_of(masks[player]):
+        if find(player, target, pool, columns, kind.mode) is not None:
+            dominated |= 1 << target
+    return dominated
+
+
+def fresh_survivors(kind, game, masks):
+    """One sweep of ``kind`` at ``masks`` with no engine and no cache."""
+    return tuple(
+        kept & ~fresh_dominated(kind, game, masks, player) for player, kept in enumerate(masks)
+    )
+
+
+def fresh_least_newly_dominated(kind, game, player, opp_masks):
+    """``least_newly_dominated`` with no engine and no cache: the least
+    strategy dominated at some cover of ``opp_masks`` but not at them."""
+    full = (1 << game.shape[player]) - 1
+    opp_shape = game.shape[:player] + game.shape[player + 1 :]
+
+    def dominated(opp):
+        return fresh_dominated(kind, game, opp[:player] + (full,) + opp[player:], player)
+
+    newly = 0
+    for i, (mask, count) in enumerate(zip(opp_masks, opp_shape)):
+        for s in indices_of((1 << count) - 1 & ~mask):
+            newly |= dominated(opp_masks[:i] + (mask | 1 << s,) + opp_masks[i + 1 :])
+    newly &= ~dominated(opp_masks)
+    return indices_of(newly)[0] if newly else None
 
 
 class TestOperatorKinds:
@@ -307,6 +331,39 @@ class TestEngineCaches:
                 got = [engine.step(kind, restrictions[masks]).certificates for masks in order]
                 want = cold[kind] if order is queries else cold[kind][::-1]
                 assert got == want, kind.name
+
+    @pytest.mark.parametrize(
+        "players, strategies", [(2, (2, 4)), (3, (2, 3)), (4, (2, 2))], ids=["2p", "3p", "4p"]
+    )
+    def test_least_newly_dominated_matches_a_fresh_reference(self, players, strategies):
+        # Every player and opponent-mask tuple, asked of one warm engine in
+        # both lattice orders, so that answers read records that other
+        # queries filled.  A node scan would hide a spurious answer on a
+        # game where the kind is monotone.
+        for seed in range(3):
+            game = generate(
+                GeneratorConfig(
+                    seed=seed, players=(players, players), strategies=strategies,
+                    payoff_range=(-2, 2), tie_bias=0.6,
+                )
+            )
+            queries = [
+                (player, opp)
+                for player in range(players)
+                for opp in product(
+                    *(range(1 << k) for k in game.shape[:player] + game.shape[player + 1 :])
+                )
+            ]
+            for kind in (GS, MGS, GW, MGW):
+                expected = [fresh_least_newly_dominated(kind, game, *q) for q in queries]
+                # The strict kinds are monotone, so every answer is None and
+                # a spurious one would show; the weak kinds have answers.
+                if kind.mode is Mode.WEAK:
+                    assert expected != [None] * len(queries), (seed, kind.name)
+                for order in (queries, queries[::-1]):
+                    engine = EliminationEngine(game)
+                    got = {q: engine.least_newly_dominated(kind, *q) for q in order}
+                    assert [got[q] for q in queries] == expected, (seed, kind.name)
 
     def test_kinds_built_anew_share_the_caches_of_the_constants(self, g2, monkeypatch):
         calls = []
