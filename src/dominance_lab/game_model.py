@@ -311,13 +311,17 @@ def _path(prefix: tuple[int, ...]) -> str:
     return "payoffs" + "".join(f"[{j}]" for j in prefix)
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=4096)
 def indices_of(mask: int) -> tuple[int, ...]:
     """Positions of the set bits of ``mask``, ascending; one step per set bit.
 
-    The last 1,024 masks' answers are cached: the elimination engine and the
-    lattice walks unpack the same few kept-set masks over and over.
+    The last 4,096 masks' answers are cached: the elimination engine and the
+    lattice walks unpack the same few kept-set masks over and over, and all
+    of a 12-strategy player's masks fit.  A negative mask has infinitely
+    many set bits and raises ``ValueError``.
     """
+    if mask < 0:
+        raise ValueError(f"negative mask {mask} has no finite set of bits")
     out = []
     while mask:
         low = mask & -mask
@@ -365,6 +369,8 @@ class Restriction:
     @classmethod
     def from_masks(cls, game: Game, masks: Sequence[int]) -> "Restriction":
         """The restriction whose per-player kept-sets are the bits of ``masks``."""
+        if min(masks, default=0) < 0:
+            raise InvalidProfileError("kept-set masks must not be negative")
         return cls(game, tuple(indices_of(m) for m in masks))
 
     @property

@@ -11,7 +11,10 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from itertools import combinations_with_replacement, repeat
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import analysis, dominance, operators
@@ -399,56 +402,59 @@ def _hand_lp_checks(report: SuiteReport) -> None:
     )
 
 
+@lru_cache(maxsize=None)
+def _grid_weights(count: int, max_denominator: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Every mixture of ``count`` strategies with denominators ``<= max_denominator``.
+
+    Returns ``(scale, weights)`` with ``scale = lcm(1..max_denominator)``: the
+    mixture giving strategy ``j`` the weight ``k_j / den`` is the int weight
+    vector ``k * (scale // den)``, which sums to ``scale``.  Each distinct
+    mixture is listed once, where it is first reached (counts with a common
+    factor reach a mixture again at a larger ``den``).  The table depends on
+    no game, so it is built once per ``(count, max_denominator)``.
+    """
+    scale = lcm(*range(1, max_denominator + 1))
+    weights = {}
+    for den in range(1, max_denominator + 1):
+        step = scale // den
+        for picks in combinations_with_replacement(range(count), den):
+            weights[tuple(step * picks.count(j) for j in range(count))] = None
+    return scale, tuple(weights)
+
+
 def _grid_mixtures(
     columns: Sequence[Sequence[int]], max_denominator: int
-) -> list[tuple[int, list[tuple[int, ...]]]]:
-    """The grid of mixtures of the pure ``columns``, as ``(den, mixed columns)`` per ``den``.
+) -> tuple[int, list[tuple[int, ...]]]:
+    """The grid of mixtures of the pure ``columns``, as ``(scale, mixed columns)``.
 
-    A mixture gives column ``j`` a weight ``k_j / den`` for some ``den <=
-    max_denominator``; its mixed column is ``sum_j k_j col_j``, which
-    compares with ``den`` times a target's column exactly as the mixture's
-    payoffs compare with the target's.  Each distinct payoff vector (mixed
-    column over ``den``) is listed once, at the smallest ``den`` that
-    reaches it: counts with a common factor, and mixtures of equal columns,
-    repeat a vector already listed and would decide nothing new.
+    The grid holds every mixture with denominators ``<= max_denominator``,
+    as int weights over ``scale = lcm(1..max_denominator)`` (see
+    :func:`_grid_weights`); its mixed column ``sum_j w_j col_j`` compares
+    with ``scale`` times a target's column exactly as the mixture's payoffs
+    compare with the target's.  Each distinct mixed column is listed once,
+    in a deterministic order: mixtures of equal columns repeat a column
+    already listed and would decide nothing new.
     """
-    seen = set()
-    grid = []
-    # (index of the last column added, mixed column) for each count vector
-    # summing to den: adding columns in nondecreasing index order reaches
-    # every count vector exactly once.
-    level = [(0, (0,) * len(columns[0]))]
-    for den in range(1, max_denominator + 1):
-        level = [
-            (j, tuple(m + x for m, x in zip(mixed, columns[j])))
-            for last, mixed in level
-            for j in range(last, len(columns))
-        ]
-        mixtures = []
-        for _, mixed in level:
-            # The payoff vector mixed / den in lowest terms.
-            common = gcd(den, *mixed)
-            key = (den // common, tuple(x // common for x in mixed))
-            if key not in seen:
-                seen.add(key)
-                mixtures.append(mixed)
-        grid.append((den, mixtures))
-    return grid
+    scale, weights = _grid_weights(len(columns), max_denominator)
+    # One row per opponent profile, and per row every weight's mixed payoff.
+    sums = [list(map(sum, map(map, repeat(mul), weights, repeat(row)))) for row in zip(*columns)]
+    if not sums:
+        # No opponent profiles: every mixed column is the empty column.
+        return scale, [()]
+    return scale, list(dict.fromkeys(zip(*sums)))
 
 
 def _grid_dominated(
-    grid: Sequence[tuple[int, Sequence[tuple[int, ...]]]], target_col: Sequence[int], mode: Mode
+    grid: tuple[int, Sequence[tuple[int, ...]]], target_col: Sequence[int], mode: Mode
 ) -> bool:
     """Whether some mixture of ``grid`` (see :func:`_grid_mixtures`) dominates ``target_col``.
 
     A search oracle: it can confirm that a dominator exists, never that none
     does (a true witness may need a larger denominator).
     """
-    for den, mixtures in grid:
-        scaled_target = tuple(den * t for t in target_col)
-        if any(_beats(mixed, scaled_target, mode) for mixed in mixtures):
-            return True
-    return False
+    scale, mixtures = grid
+    scaled_target = tuple(scale * t for t in target_col)
+    return any(map(_beats, mixtures, repeat(scaled_target), repeat(mode)))
 
 
 def oracle_suite(
@@ -456,8 +462,12 @@ def oracle_suite(
 ) -> SuiteReport:
     """Grid-enumerated mixed dominators versus the LP, plus hand-derived optima.
 
-    The grid can only confirm that a dominator exists, so the assertion is
-    one-sided: grid found implies LP found, and every LP witness replays.
+    The grid holds every mixture with denominators ``<= max_denominator``,
+    as int weights over ``lcm(1..max_denominator)`` (``lcm(1..6) = 60`` by
+    default), and tries each one with :func:`dominance._beats`; it shares
+    nothing with the LP.  The grid can only confirm that a dominator
+    exists, so the assertion is one-sided: grid found implies LP found, and
+    every LP witness replays.
     """
     report = SuiteReport(suite="oracle", seed=seed)
     _hand_lp_checks(report)

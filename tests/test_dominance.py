@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +31,7 @@ from dominance_lab.dominance import (
 from dominance_lab.operators import ALL_OPERATORS, GS, LS, EliminationEngine
 from dominance_lab.random_games import GeneratorConfig, generate
 from dominance_lab.simplex import solve_lp
-from dominance_lab.suites import _grid_dominated, _grid_mixtures
+from dominance_lab.suites import _grid_dominated, _grid_mixtures, _grid_weights
 
 F = Fraction
 HALF = F(1, 2)
@@ -516,26 +517,41 @@ class TestGridOracle:
         assert len(outcomes) == 4
 
     def test_each_mixture_is_listed_once_at_its_smallest_denominator(self):
-        # Unit columns: each mixed column is its count vector, so the grid
-        # lists the weight vectors whose counts have no common factor.
+        # Unit columns: each mixed column is its weight vector, so the grid
+        # lists each mixture with denominators <= 4 once, over lcm(1..4).
         columns = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-        grid = _grid_mixtures(columns, 4)
-        assert [den for den, _ in grid] == [1, 2, 3, 4]
-        assert [len(mixtures) for _, mixtures in grid] == [3, 3, 7, 9]
-        vectors = [tuple(F(x, den) for x in mixed) for den, mixtures in grid for mixed in mixtures]
+        scale, vectors = _grid_mixtures(columns, 4)
+        assert scale == 12
+        assert vectors == list(_grid_weights(3, 4)[1])
         assert len(set(vectors)) == len(vectors) == 22
-        # A repeated column adds no payoff vector.
+        # A repeated column adds no mixed column.
         repeated = _grid_mixtures(columns + [columns[0]], 4)
-        assert [(den, set(mixed)) for den, mixed in repeated] == [
-            (den, set(mixed)) for den, mixed in grid
-        ]
-        assert _grid_mixtures([columns[0]] * 2, 3) == [(1, [columns[0]]), (2, []), (3, [])]
-        # One mixed column at two denominators is two payoff vectors, and
-        # here only the half-half mixture strictly dominates the target.
+        assert repeated[0] == scale and set(repeated[1]) == set(vectors)
+        assert _grid_mixtures([columns[0]] * 2, 3) == (6, [(6, 0, 0)])
+        # Only the half-half mixture strictly dominates the target, so the
+        # grid of the pure strategies alone misses it.
         grid = _grid_mixtures([(1, -1), (0, 0)], 2)
-        assert grid == [(1, [(1, -1), (0, 0)]), (2, [(1, -1)])]
+        assert grid == (2, [(2, -2), (0, 0), (1, -1)])
         assert _grid_dominated(grid, (0, -1), Mode.STRICT)
-        assert not _grid_dominated(grid[:1], (0, -1), Mode.STRICT)
+        assert not _grid_dominated(_grid_mixtures([(1, -1), (0, 0)], 1), (0, -1), Mode.STRICT)
+
+    @pytest.mark.parametrize("count", range(1, 5))
+    def test_weights_are_every_composition_once(self, count):
+        for max_denominator in range(1, 7):
+            scale, weights = _grid_weights(count, max_denominator)
+            assert all(scale % den == 0 for den in range(1, max_denominator + 1))
+            assert all(sum(w) == scale for w in weights)
+            assert len(set(weights)) == len(weights)
+            compositions = {
+                tuple(F(k, den) for k in counts)
+                for den in range(1, max_denominator + 1)
+                for counts in product(range(den + 1), repeat=count)
+                if sum(counts) == den
+            }
+            assert {tuple(F(x, scale) for x in w) for w in weights} == compositions
+            # Listed in the order first reached: by smallest denominator.
+            dens = [scale // gcd(scale, *w) for w in weights]
+            assert dens == sorted(dens)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_cached_columns_equal_each_strategys_column(self, seed):

@@ -89,6 +89,11 @@ class TestIndicesOf:
     def test_wide_masks(self, mask):
         assert indices_of(mask) == self.by_position(mask)
 
+    @pytest.mark.parametrize("mask", [-1, -2, -(1 << 70)])
+    def test_negative_mask_rejected(self, mask):
+        with pytest.raises(ValueError, match="negative mask"):
+            indices_of(mask)
+
 
 class TestRestriction:
     def test_full_restriction_is_the_game_itself(self, g1):
@@ -108,6 +113,11 @@ class TestRestriction:
     def test_out_of_range_rejected(self, g1):
         with pytest.raises(InvalidProfileError):
             Restriction(g1, ((2,), (0,)))
+
+    @pytest.mark.parametrize("masks", [(0b100, 1), (-1, 1), (1, -2)])
+    def test_out_of_range_masks_rejected(self, g1, masks):
+        with pytest.raises(InvalidProfileError):
+            Restriction.from_masks(g1, masks)
 
     def test_kept_sets_are_normalized(self, g2):
         r = Restriction(g2, ((3, 1, 1), (2, 0)))
