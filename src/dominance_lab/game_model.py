@@ -25,7 +25,7 @@ from functools import cache, lru_cache
 from importlib import resources
 from math import lcm, prod
 from operator import attrgetter
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 __all__ = [
     "Fraction",
@@ -86,6 +86,8 @@ def parse_rational(value: int | str) -> Fraction:
     raise GameFormatError(f"malformed rational: {value!r}")
 
 
+_INT_ONLY = {int}
+_EXACT_TYPES = (int, Fraction)
 _numerator = attrgetter("numerator")
 _denominator = attrgetter("denominator")
 
@@ -124,7 +126,8 @@ class Game:
     ``__post_init__`` normalizes the three inputs to tuples (payoffs to
     ``Fraction``) and derives ``shape``, ``strides`` and ``scaled_payoffs``
     from them at construction; the derived fields take no part in ``==``,
-    ``hash`` or ``repr``.
+    ``hash`` or ``repr``.  A table of plain ``int`` entries is its own
+    scaled table, so it is not coerced entry by entry.
     """
 
     players: tuple[str, ...]
@@ -143,9 +146,26 @@ class Game:
             )
         object.__setattr__(self, "players", tuple(self.players))
         object.__setattr__(self, "strategies", tuple(tuple(s) for s in strategies))
-        object.__setattr__(
-            self, "payoffs", tuple(tuple(map(_coerce_payoff, table)) for table in self.payoffs)
-        )
+        payoffs = []
+        scaled = []
+        for table in self.payoffs:
+            table = tuple(table)
+            if set(map(type, table)) == _INT_ONLY:
+                # An int table is its own scaled table; equal ints share one Fraction.
+                fractions = {value: Fraction(value) for value in set(table)}
+                payoffs.append(tuple(map(fractions.__getitem__, table)))
+                scaled.append(table)
+                continue
+            table = tuple(map(_coerce_payoff, table))
+            numerators = tuple(map(_numerator, table))
+            denominators = tuple(map(_denominator, table))
+            # A set, so that lcm gets one argument per distinct denominator.
+            scale = lcm(*set(denominators))
+            if scale != 1:
+                numerators = tuple(a * (scale // d) for a, d in zip(numerators, denominators))
+            payoffs.append(table)
+            scaled.append(numerators)
+        object.__setattr__(self, "payoffs", tuple(payoffs))
         n = len(self.players)
         if n < 2:
             raise GameFormatError("a game needs at least 2 players")
@@ -176,15 +196,6 @@ class Game:
         strides = [1] * n
         for k in range(n - 2, -1, -1):
             strides[k] = strides[k + 1] * shape[k + 1]
-        scaled = []
-        for table in self.payoffs:
-            numerators = tuple(map(_numerator, table))
-            denominators = tuple(map(_denominator, table))
-            # A set, so that lcm gets one argument per distinct denominator.
-            scale = lcm(*set(denominators))
-            if scale != 1:
-                numerators = tuple(a * (scale // d) for a, d in zip(numerators, denominators))
-            scaled.append(numerators)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "strides", tuple(strides))
         object.__setattr__(self, "scaled_payoffs", tuple(scaled))
@@ -337,8 +348,9 @@ class Restriction:
     Components may be empty.  ``kept`` is normalized to sorted index tuples,
     which fixes the deterministic enumeration order used everywhere else.
     ``masks`` holds the same subsets as bitmasks (bit ``s`` of player ``i``'s
-    mask is set when strategy ``s`` is kept); it is derived from ``kept`` and
-    takes no part in equality, hashing or repr.
+    mask is set when strategy ``s`` is kept); it is derived from ``kept`` (or,
+    in :meth:`from_masks`, ``kept`` from it) and takes no part in equality,
+    hashing or repr.
     """
 
     game: Game
@@ -364,14 +376,34 @@ class Restriction:
 
     @classmethod
     def full(cls, game: Game) -> "Restriction":
-        return cls(game, tuple(tuple(range(k)) for k in game.shape))
+        return cls.from_masks(game, tuple((1 << k) - 1 for k in game.shape))
 
     @classmethod
-    def from_masks(cls, game: Game, masks: Sequence[int]) -> "Restriction":
-        """The restriction whose per-player kept-sets are the bits of ``masks``."""
-        if min(masks, default=0) < 0:
-            raise InvalidProfileError("kept-set masks must not be negative")
-        return cls(game, tuple(indices_of(m) for m in masks))
+    def from_masks(cls, game: Game, masks: Iterable[int]) -> "Restriction":
+        """The restriction whose per-player kept-sets are the bits of ``masks``.
+
+        Each mask must be an ``int`` (not a ``bool``) with no bit at or above
+        its player's strategy count.  The masks already say everything
+        ``__post_init__`` would derive, so it is not run: ``kept`` is read
+        off the bits, in ascending order.
+        """
+        masks = tuple(masks)
+        if len(masks) != game.player_count:
+            raise InvalidProfileError("one kept-set required per player")
+        for name, mask, count in zip(game.players, masks, game.shape):
+            if type(mask) is not int and (not isinstance(mask, int) or isinstance(mask, bool)):
+                raise InvalidProfileError(
+                    f"kept-set mask {mask!r} of player {name!r} is not an int"
+                )
+            if mask < 0:
+                raise InvalidProfileError("kept-set masks must not be negative")
+            if mask >> count:
+                raise InvalidProfileError(f"kept-set out of range for player {name!r}")
+        restriction = object.__new__(cls)
+        object.__setattr__(restriction, "game", game)
+        object.__setattr__(restriction, "kept", tuple(map(indices_of, masks)))
+        object.__setattr__(restriction, "masks", masks)
+        return restriction
 
     @property
     def is_subgame(self) -> bool:
@@ -402,10 +434,17 @@ class MixedStrategy:
     weights: tuple[tuple[int, Fraction], ...]
 
     def __post_init__(self) -> None:
+        weights = tuple(self.weights)
+        if len(weights) == 1:
+            strategy, weight = weights[0]
+            # A point mass needs neither the sum nor the sort.
+            if type(weight) in _EXACT_TYPES and weight == 1:
+                object.__setattr__(self, "weights", ((strategy, _coerce_payoff(weight)),))
+                return
         cleaned = []
         total = Fraction(0)
         seen = set()
-        for strategy, weight in self.weights:
+        for strategy, weight in weights:
             weight = _coerce_payoff(weight)
             if strategy in seen:
                 raise InvalidDistributionError(f"duplicate weight for strategy {strategy}")

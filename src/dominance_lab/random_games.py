@@ -38,6 +38,10 @@ class GeneratorConfig:
     tie_bias: float = 0.25
 
     def __post_init__(self) -> None:
+        for name in ("players", "strategies", "payoff_range"):
+            bounds = getattr(self, name)
+            if not all(type(bound) is int for bound in bounds):
+                raise ValueError(f"{name} bounds {bounds} must be ints")
         lo, hi = self.players
         if not 2 <= lo <= hi <= 4:
             raise ValueError(f"players range {self.players} must lie within 2..4")
@@ -55,26 +59,37 @@ class GeneratorConfig:
 
 
 def generate(config: GeneratorConfig) -> Game:
-    """Deterministically generate one game from the config."""
+    """Deterministically generate one game from the config.
+
+    Every draw is ``rng.choice`` over a ``range`` or over the values drawn
+    so far, one ``_randbelow`` each, as ``randint`` and ``randrange`` make
+    it: the same seed and config give the same game on Python 3.10-3.13.
+    """
     rng = random.Random(config.seed)
-    n = rng.randint(*config.players)
-    counts = [rng.randint(*config.strategies) for _ in range(n)]
+    choice = rng.choice
+    n = choice(_inclusive(config.players))
+    strategy_counts = _inclusive(config.strategies)
+    counts = [choice(strategy_counts) for _ in range(n)]
     players = tuple(f"P{i + 1}" for i in range(n))
     strategies = tuple(tuple(strategy_label(j) for j in range(c)) for c in counts)
-    lo, hi = config.payoff_range
+    grid = _inclusive(config.payoff_range)
+    draw = rng.random
+    tie_bias = config.tie_bias
     size = 1
     for c in counts:
         size *= c
 
     tables: list[list[int]] = []
     for _ in range(n):
-        drawn: list[int] = []
-        for _ in range(size):
-            if drawn and rng.random() < config.tie_bias:
-                value = drawn[rng.randrange(len(drawn))]
-            else:
-                value = rng.randint(lo, hi)
-            drawn.append(value)
+        # The first value has nothing to tie with, so it draws no tie coin.
+        drawn = [choice(grid)]
+        for _ in range(size - 1):
+            drawn.append(choice(drawn) if draw() < tie_bias else choice(grid))
         tables.append(drawn)
 
     return Game(players, strategies, tables)
+
+
+def _inclusive(bounds: tuple[int, int]) -> range:
+    lo, hi = bounds
+    return range(lo, hi + 1)

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import itertools
 import random
 from fractions import Fraction
 
@@ -73,6 +74,26 @@ class TestMixedStrategy:
         mass = MixedStrategy.point_mass(2, 1)
         assert mass.player == 2 and mass.weights == ((1, Fraction(1)),)
 
+    @pytest.mark.parametrize("weight", [1, Fraction(1)], ids=["int", "fraction"])
+    def test_a_single_weight_of_one_is_a_point_mass(self, weight):
+        mass = MixedStrategy(0, ((2, weight),))
+        assert mass.weights == ((2, Fraction(1)),) and type(mass.weights[0][1]) is Fraction
+        assert mass == MixedStrategy.point_mass(0, 2)
+
+    @pytest.mark.parametrize(
+        ("weight", "error", "message"),
+        [
+            (True, TypeError, "got True"),
+            (1.0, TypeError, "got 1.0"),
+            (HALF, InvalidDistributionError, "weights sum to 1/2, expected 1"),
+            (0, InvalidDistributionError, "weights sum to 0, expected 1"),
+        ],
+        ids=["bool", "float", "half", "zero"],
+    )
+    def test_other_single_weights_are_rejected(self, weight, error, message):
+        with pytest.raises(error, match=message):
+            MixedStrategy(0, ((2, weight),))
+
 
 class TestIndicesOf:
     @staticmethod
@@ -122,6 +143,40 @@ class TestRestriction:
     def test_kept_sets_are_normalized(self, g2):
         r = Restriction(g2, ((3, 1, 1), (2, 0)))
         assert r.kept == ((1, 3), (0, 2))
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"strategies": (1, 3)}, {"players": (3, 3), "strategies": (1, 3)},
+         {"players": (4, 4), "strategies": (2, 2)}],
+        ids=["2_players", "3_players", "4_players"],
+    )
+    def test_from_masks_equals_the_kept_sets_on_every_mask_tuple(self, fields):
+        for seed in range(3):
+            game = generate(GeneratorConfig(seed=seed, **fields))
+            for masks in itertools.product(*(range(1 << k) for k in game.shape)):
+                kept = tuple(indices_of(mask) for mask in masks)
+                fast = Restriction.from_masks(game, masks)
+                slow = Restriction(game, kept)
+                assert fast == slow and hash(fast) == hash(slow) and repr(fast) == repr(slow)
+                assert (fast.kept, fast.masks) == (slow.kept, slow.masks) == (kept, masks)
+
+    def test_from_masks_reads_an_iterable_once(self, g2):
+        assert Restriction.from_masks(g2, (m for m in (0b1010, 0b01))).kept == ((1, 3), (0,))
+
+    @pytest.mark.parametrize(
+        ("masks", "message"),
+        [
+            ((5.0, 1), "kept-set mask 5.0 of player 'Row' is not an int"),
+            ((True, 2), "kept-set mask True of player 'Row' is not an int"),
+            ((1, None), "kept-set mask None of player 'Column' is not an int"),
+            ((1,), "one kept-set required per player"),
+            ((1, 2, 3), "one kept-set required per player"),
+        ],
+        ids=["float", "bool", "none", "too_few", "too_many"],
+    )
+    def test_from_masks_rejects_masks_that_are_not_kept_sets(self, g2, masks, message):
+        with pytest.raises(InvalidProfileError, match=f"^{message}$"):
+            Restriction.from_masks(g2, masks)
 
 
 class TestGameConstruction:
@@ -216,6 +271,32 @@ class TestGameConstruction:
         )
         assert (replaced.shape, replaced.strides) == ((2, 1), (1, 1))
         assert replaced.scaled_payoffs == ((3, 2), (2, 0))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_int_tables_make_the_game_fraction_tables_make(self, seed):
+        game = generate(GeneratorConfig(seed=seed, players=(2, 4), strategies=(1, 3)))
+        ints = tuple(tuple(int(x) for x in table) for table in game.payoffs)
+        fractions = tuple(tuple(Fraction(x) for x in table) for table in ints)
+        from_ints = Game(game.players, game.strategies, ints)
+        from_fractions = Game(game.players, game.strategies, fractions)
+        assert from_ints.payoffs == from_fractions.payoffs
+        assert from_ints.scaled_payoffs == from_fractions.scaled_payoffs == ints
+        assert from_ints == from_fractions and hash(from_ints) == hash(from_fractions)
+        assert repr(from_ints) == repr(from_fractions)
+        assert all(type(x) is Fraction for table in from_ints.payoffs for x in table)
+        assert all(type(x) is int for table in from_ints.scaled_payoffs for x in table)
+
+    @pytest.mark.parametrize("entry", [True, 1.0], ids=["bool", "float"])
+    def test_bool_and_float_entries_are_rejected(self, entry):
+        message = f"payoff entries must be Fraction or int, got {entry}"
+        with pytest.raises(TypeError, match=message):
+            Game(("P", "Q"), (("A", "B"), ("X",)), ((entry, 0), (0, 1)))
+
+    def test_mixed_int_and_fraction_tables_are_scaled_per_player(self):
+        game = Game(("P", "Q"), (("A", "B"), ("X",)), ((1, HALF), (Fraction(2, 3), 0)))
+        assert game.payoffs == ((Fraction(1), HALF), (Fraction(2, 3), Fraction(0)))
+        assert game.scaled_payoffs == ((2, 1), (2, 0))
+        assert all(type(x) is Fraction for table in game.payoffs for x in table)
 
     def test_shape_is_computed_once(self):
         game = Game.from_tables(["P1", "P2"], [["A", "B", "C"], ["X"]], [[[0, 0]]] * 3)
