@@ -26,7 +26,7 @@ from itertools import accumulate, chain, product
 from typing import Iterable, Iterator
 
 from .dominance import Pool
-from .game_model import Game, Restriction, indices_of
+from .game_model import Game, Restriction, _is_index, indices_of
 from .operators import EliminationEngine, OperatorKind
 
 __all__ = [
@@ -191,7 +191,12 @@ class MonotonicityWitness:
     def _evidence_in_game(self) -> bool:
         game = self.smaller.game
         player, strategy = self.evidence
-        return 0 <= player < game.player_count and 0 <= strategy < game.shape[player]
+        return (
+            _is_index(player)
+            and _is_index(strategy)
+            and 0 <= player < game.player_count
+            and 0 <= strategy < game.shape[player]
+        )
 
     def to_dict(self) -> dict:
         """The witness with labels; raises ValueError for evidence outside the game."""

@@ -61,7 +61,15 @@ from math import lcm
 from operator import ge, gt, sub
 from typing import Sequence
 
-from .game_model import Game, InvalidProfileError, MixedStrategy, Restriction, indices_of
+from .game_model import (
+    Game,
+    InvalidProfileError,
+    MixedStrategy,
+    Restriction,
+    _check_index,
+    _is_index,
+    indices_of,
+)
 from .simplex import solve_lp
 
 __all__ = [
@@ -248,12 +256,16 @@ def _mixed_dominator(
 
 
 def _check_player_strategy(game: Game, player: int, strategy: int) -> None:
-    if not 0 <= player < game.player_count:
-        raise InvalidProfileError(f"player index {player} out of range")
-    if not 0 <= strategy < game.shape[player]:
-        raise InvalidProfileError(
-            f"strategy index {strategy} out of range for player {game.players[player]!r}"
-        )
+    if (
+        type(player) is int
+        and type(strategy) is int
+        and 0 <= player < game.player_count
+        and 0 <= strategy < game.shape[player]
+    ):
+        return
+    _check_index(player, game.player_count, "player index")
+    where = f" for player {game.players[player]!r}"
+    _check_index(strategy, game.shape[player], "strategy index", where)
 
 
 def _target_bases(restriction: Restriction, player: int, target: int) -> tuple[Game, tuple[int, ...]]:
@@ -376,7 +388,7 @@ def replay_certificate(certificate: EliminationCertificate) -> bool:
     player = certificate.player
     if not isinstance(certificate.mode, Mode) or not isinstance(certificate.pool, Pool):
         return False
-    if not 0 <= player < restriction.game.player_count:
+    if not _is_index(player) or not 0 <= player < restriction.game.player_count:
         return False
     if certificate.eliminated not in restriction.kept[player]:
         return False
@@ -388,4 +400,8 @@ def replay_certificate(certificate: EliminationCertificate) -> bool:
             return False
     elif dominator not in allowed:
         return False
-    return dominates(dominator, certificate.eliminated, restriction, player, certificate.mode)
+    try:
+        return dominates(dominator, certificate.eliminated, restriction, player, certificate.mode)
+    except InvalidProfileError:
+        # A float or bool equal to a kept index passes the membership tests above.
+        return False

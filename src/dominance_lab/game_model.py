@@ -3,7 +3,10 @@
 Payoffs are ``fractions.Fraction`` throughout.  Every dominance decision in
 this package is an exact comparison, so no float may enter a payoff tensor;
 the JSON loader accepts integers, ``"p/q"`` strings and integral floats such
-as ``1.0``, which it reads as integers.
+as ``1.0``, which it reads as integers.  The loader passes int and
+``Fraction`` entries through as they are and parses only the others;
+:class:`Game` alone turns entries into ``Fraction`` objects, one per distinct
+value of the game, and into each player's scaled ints.
 
 A :class:`Restriction` is a per-player subset of a fixed parent game's
 strategy indices.  Components may be empty; the set of all restrictions of a
@@ -24,8 +27,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from importlib import resources
 from math import lcm, prod
-from operator import attrgetter
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "Fraction",
@@ -88,8 +90,23 @@ def parse_rational(value: int | str) -> Fraction:
 
 _INT_ONLY = {int}
 _EXACT_TYPES = (int, Fraction)
-_numerator = attrgetter("numerator")
-_denominator = attrgetter("denominator")
+
+
+def _is_index(value: object) -> bool:
+    """Whether ``value`` can be an index or a kept-set mask: an ``int``, not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_index(value: object, count: int, label: str, where: str = "") -> None:
+    """Raise InvalidProfileError unless ``value`` is an index in ``range(count)``.
+
+    ``label`` and ``where`` name the index in the message, as in "strategy
+    index 4 out of range for player 'Row'".
+    """
+    if type(value) is not int and not _is_index(value):
+        raise InvalidProfileError(f"{label} {value!r}{where} is not an int")
+    if not 0 <= value < count:
+        raise InvalidProfileError(f"{label} {value} out of range{where}")
 
 
 def _coerce_payoff(value: object) -> Fraction:
@@ -123,11 +140,13 @@ class Game:
             sign of every difference, so dominance decisions can compare
             these ints instead of the Fractions.
 
-    ``__post_init__`` normalizes the three inputs to tuples (payoffs to
-    ``Fraction``) and derives ``shape``, ``strides`` and ``scaled_payoffs``
-    from them at construction; the derived fields take no part in ``==``,
-    ``hash`` or ``repr``.  A table of plain ``int`` entries is its own
-    scaled table, so it is not coerced entry by entry.
+    ``__post_init__`` normalizes the three inputs to tuples and derives
+    ``shape``, ``strides`` and ``scaled_payoffs`` from them at construction;
+    the derived fields take no part in ``==``, ``hash`` or ``repr``.  It is
+    the one place where payoff entries, ints or ``Fraction`` objects, become
+    exact: equal entries share one ``Fraction`` across all tables.  A table
+    of plain ``int`` entries is its own scaled table, so it is not coerced
+    entry by entry.
     """
 
     players: tuple[str, ...]
@@ -148,23 +167,23 @@ class Game:
         object.__setattr__(self, "strategies", tuple(tuple(s) for s in strategies))
         payoffs = []
         scaled = []
+        # One Fraction per distinct value, shared by every table of the game.
+        shared: dict[int | Fraction, Fraction] = {}
         for table in self.payoffs:
             table = tuple(table)
             if set(map(type, table)) == _INT_ONLY:
-                # An int table is its own scaled table; equal ints share one Fraction.
-                fractions = {value: Fraction(value) for value in set(table)}
-                payoffs.append(tuple(map(fractions.__getitem__, table)))
+                # An int table is its own scaled table.  Keyed by int, so that
+                # the lookups compare ints rather than an int with a Fraction.
+                for value in set(table).difference(shared):
+                    shared[value] = Fraction(value)
+                payoffs.append(tuple(map(shared.__getitem__, table)))
                 scaled.append(table)
                 continue
             table = tuple(map(_coerce_payoff, table))
-            numerators = tuple(map(_numerator, table))
-            denominators = tuple(map(_denominator, table))
-            # A set, so that lcm gets one argument per distinct denominator.
-            scale = lcm(*set(denominators))
-            if scale != 1:
-                numerators = tuple(a * (scale // d) for a, d in zip(numerators, denominators))
+            table = tuple(map(shared.setdefault, table, table))
+            scale = lcm(*{x.denominator for x in table})
             payoffs.append(table)
-            scaled.append(numerators)
+            scaled.append(tuple(x.numerator * (scale // x.denominator) for x in table))
         object.__setattr__(self, "payoffs", tuple(payoffs))
         n = len(self.players)
         if n < 2:
@@ -215,13 +234,9 @@ class Game:
                 f"profile has {len(profile)} entries for {self.player_count} players"
             )
         idx = 0
-        strides = self.strides
-        for k, (choice, count) in enumerate(zip(profile, self.shape)):
-            if not 0 <= choice < count:
-                raise InvalidProfileError(
-                    f"strategy index {choice} out of range for player {self.players[k]!r}"
-                )
-            idx += choice * strides[k]
+        for name, choice, count, stride in zip(self.players, profile, self.shape, self.strides):
+            _check_index(choice, count, "strategy index", f" for player {name!r}")
+            idx += choice * stride
         return idx
 
     def strategy_index(self, player: int, label: str) -> int:
@@ -243,58 +258,38 @@ class Game:
 
         ``table`` is nested row-major in player order; each leaf is a
         sequence of one payoff per player (ints, Fractions, or "p/q"
-        strings).  Entries are checked and parsed in document order, so a
-        table with several faults reports the first of them.  Each distinct
-        int or string entry is parsed once, and its copies share one
+        strings).  Entries are checked in document order, so a table with
+        several faults reports the first of them.  Int and ``Fraction``
+        entries are passed on as they are, and only the others go through
+        :func:`parse_rational`; the constructor makes every entry a shared
         ``Fraction``.
         """
         n = len(players)
         shape = tuple(len(s) for s in strategies)
-        values: list[Fraction] = []
+        values: list[int | Fraction] = []
         # With no strategy lists there is no table to walk; the constructor
         # rejects the game.
         if shape:
-            _flatten_payoffs(table, shape, n, _entry_parser(), values, ())
+            _flatten_payoffs(table, shape, n, values, ())
         return cls(players, strategies, [values[i::n] for i in range(n)])
-
-
-def _entry_parser() -> Callable[[object], Fraction]:
-    """A payoff-entry parser with a memo of its own, for one table.
-
-    The memo holds exact ``int`` and ``str`` entries, keyed by value.  No
-    int equals a str, so this is a memo keyed by (type, value): ``True``, a
-    ``bool``, never reads the ``Fraction`` parsed for ``1``.  Other entries,
-    unhashable ones included, are parsed each time, and a malformed one
-    raises GameFormatError.
-    """
-    memo: dict[int | str, Fraction] = {}
-
-    def parse(entry: object) -> Fraction:
-        kind = type(entry)
-        if kind is int or kind is str:
-            value = memo.get(entry)
-            if value is None:
-                value = memo[entry] = parse_rational(entry)
-            return value
-        return entry if isinstance(entry, Fraction) else parse_rational(entry)
-
-    return parse
 
 
 def _flatten_payoffs(
     node: object,
     shape: tuple[int, ...],
     n: int,
-    parse: Callable[[object], Fraction],
-    values: list[Fraction],
+    values: list[int | Fraction],
     prefix: tuple[int, ...],
 ) -> None:
     """Append the payoffs of the nested table ``node`` to ``values``, leaf by leaf.
 
+    Int (not ``bool``) and ``Fraction`` entries are appended as they are;
+    every other entry is parsed by :func:`parse_rational`.
+
     ``shape`` holds the lengths of ``node``'s axis and those below it,
     ``prefix`` the indices that lead to ``node``, and each leaf holds ``n``
     payoffs.  The recursion runs over the inner axes only: the leaves of
-    the last axis are checked and parsed in one loop, and a path string is
+    the last axis are checked in one loop, and a path string is
     built only for the error message.  A module-level function rather than
     a recursive closure, which would form a reference cycle that keeps every
     parsed table alive until a full garbage collection.
@@ -306,7 +301,7 @@ def _flatten_payoffs(
     if len(shape) > 1:
         inner = shape[1:]
         for j, child in enumerate(node):
-            _flatten_payoffs(child, inner, n, parse, values, (*prefix, j))
+            _flatten_payoffs(child, inner, n, values, (*prefix, j))
         return
     for j, leaf in enumerate(node):
         if not isinstance(leaf, (list, tuple)) or len(leaf) != n:
@@ -314,7 +309,9 @@ def _flatten_payoffs(
                 f"payoff tensor shape mismatch at {_path((*prefix, j))}: "
                 f"expected a list of {n} payoffs"
             )
-        values.extend(map(parse, leaf))
+        values.extend(
+            x if type(x) is int or isinstance(x, Fraction) else parse_rational(x) for x in leaf
+        )
 
 
 def _path(prefix: tuple[int, ...]) -> str:
@@ -348,9 +345,9 @@ class Restriction:
     Components may be empty.  ``kept`` is normalized to sorted index tuples,
     which fixes the deterministic enumeration order used everywhere else.
     ``masks`` holds the same subsets as bitmasks (bit ``s`` of player ``i``'s
-    mask is set when strategy ``s`` is kept); it is derived from ``kept`` (or,
-    in :meth:`from_masks`, ``kept`` from it) and takes no part in equality,
-    hashing or repr.
+    mask is set when strategy ``s`` is kept) and takes no part in equality,
+    hashing or repr.  Either constructor reads ``kept`` back off the masks;
+    every kept index must be an ``int`` (not a ``bool``) in range.
     """
 
     game: Game
@@ -358,20 +355,22 @@ class Restriction:
     masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.kept) != self.game.player_count:
+        game = self.game
+        if len(self.kept) != game.player_count:
             raise InvalidProfileError("one kept-set required per player")
-        normalized = []
         masks = []
-        for player, subset in enumerate(self.kept):
-            indices = sorted(set(subset))
-            count = self.game.shape[player]
-            if indices and (indices[0] < 0 or indices[-1] >= count):
-                raise InvalidProfileError(
-                    f"kept-set out of range for player {self.game.players[player]!r}"
-                )
-            normalized.append(tuple(indices))
-            masks.append(sum(1 << i for i in indices))
-        object.__setattr__(self, "kept", tuple(normalized))
+        for name, subset, count in zip(game.players, self.kept, game.shape):
+            mask = 0
+            for index in subset:
+                if not _is_index(index):
+                    raise InvalidProfileError(
+                        f"kept index {index!r} of player {name!r} is not an int"
+                    )
+                if not 0 <= index < count:
+                    raise InvalidProfileError(f"kept-set out of range for player {name!r}")
+                mask |= 1 << index
+            masks.append(mask)
+        object.__setattr__(self, "kept", tuple(map(indices_of, masks)))
         object.__setattr__(self, "masks", tuple(masks))
 
     @classmethod
@@ -391,7 +390,7 @@ class Restriction:
         if len(masks) != game.player_count:
             raise InvalidProfileError("one kept-set required per player")
         for name, mask, count in zip(game.players, masks, game.shape):
-            if type(mask) is not int and (not isinstance(mask, int) or isinstance(mask, bool)):
+            if type(mask) is not int and not _is_index(mask):
                 raise InvalidProfileError(
                     f"kept-set mask {mask!r} of player {name!r} is not an int"
                 )
@@ -470,8 +469,7 @@ class MixedStrategy:
 
 def payoff(game: Game, player: int, profile: Sequence[int]) -> Fraction:
     """Exact payoff of ``player`` at a full strategy profile."""
-    if not 0 <= player < game.player_count:
-        raise InvalidProfileError(f"player index {player} out of range")
+    _check_index(player, game.player_count, "player index")
     return game.payoffs[player][game.flat_index(profile)]
 
 

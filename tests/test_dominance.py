@@ -1,4 +1,6 @@
 import random
+import re
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from dominance_lab import (
     Game,
+    InvalidProfileError,
     MixedStrategy,
     Mode,
     NoCandidatesError,
@@ -729,3 +732,66 @@ class TestCertificates:
         for doc in mixed_docs:
             for weight in doc["dominator"].values():
                 F(weight)  # "p/q" strings parse back to exact rationals
+
+
+def _g1_evidence(g1):
+    """The LS elimination certificate of section3 and the LS monotonicity witness."""
+    from dominance_lab.analysis import Exhaustive, check_monotonic
+
+    (certificate,) = apply_operator(LS, Restriction.full(g1)).certificates
+    return certificate, check_monotonic(LS, g1, Exhaustive())
+
+
+class TestIndicesThatAreNotInts:
+    """A float or bool index is refused, never read as the int it equals."""
+
+    @pytest.mark.parametrize(
+        ("call", "error", "message"),
+        [
+            (lambda top, c, w: dominates(1.0, 1, top, 0, Mode.WEAK), InvalidProfileError,
+             "strategy index 1.0 for player 'Row' is not an int"),
+            (lambda top, c, w: dominates(True, 1, top, 0, Mode.WEAK), InvalidProfileError,
+             "strategy index True for player 'Row' is not an int"),
+            (lambda top, c, w: dominates(0, 1, top, 0.0, Mode.WEAK), InvalidProfileError,
+             "player index 0.0 is not an int"),
+            (lambda top, c, w: find_mixed_dominator(top, 0.0, 1, Pool.LOCAL, Mode.WEAK),
+             InvalidProfileError, "player index 0.0 is not an int"),
+            (lambda top, c, w: payoff(top.game, 0, (0.0, 0)), InvalidProfileError,
+             "strategy index 0.0 for player 'Row' is not an int"),
+            (lambda top, c, w: payoff(top.game, True, (0, 0)), InvalidProfileError,
+             "player index True is not an int"),
+            (lambda top, c, w: replace(c, dominator=0.0).to_dict(), InvalidProfileError,
+             "strategy index 0.0 for player 'Row' is not an int"),
+            (lambda top, c, w: replace(w, evidence=(0, 1.0)).to_dict(), ValueError,
+             "evidence (0, 1.0) names no strategy of the game"),
+        ],
+        ids=["dominates_float_candidate", "dominates_bool_candidate", "dominates_float_player",
+             "find_mixed_dominator_float_player", "payoff_float_profile", "payoff_bool_player",
+             "certificate_float_dominator", "witness_float_evidence"],
+    )
+    def test_public_calls_raise(self, g1, call, error, message):
+        certificate, witness = _g1_evidence(g1)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call(Restriction.full(g1), certificate, witness)
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda c, w: replay_certificate(replace(c, player=0.0)),
+            lambda c, w: replay_certificate(replace(c, player=False)),
+            lambda c, w: replay_certificate(replace(c, eliminated=1.0)),
+            lambda c, w: replay_certificate(replace(c, dominator=False)),
+            lambda c, w: replay_certificate(
+                replace(c, dominator=MixedStrategy(0, ((0.0, Fraction(1)),)))
+            ),
+            lambda c, w: replace(w, evidence=(0, 1.0)).replay(),
+            lambda c, w: replace(w, evidence=(False, 1)).replay(),
+        ],
+        ids=["certificate_float_player", "certificate_bool_player",
+             "certificate_float_eliminated", "certificate_bool_dominator",
+             "certificate_float_support", "witness_float_strategy", "witness_bool_player"],
+    )
+    def test_replays_fail(self, g1, tamper):
+        certificate, witness = _g1_evidence(g1)
+        assert replay_certificate(certificate) and witness.replay()
+        assert tamper(certificate, witness) is False

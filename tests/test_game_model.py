@@ -2,9 +2,12 @@ import dataclasses
 import gc
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dominance_lab import (
     Game,
@@ -18,6 +21,7 @@ from dominance_lab import (
     game_to_json_dict,
     payoff,
 )
+from dominance_lab import game_model
 from dominance_lab.game_model import indices_of, parse_rational
 from dominance_lab.random_games import GeneratorConfig, generate
 
@@ -139,6 +143,21 @@ class TestRestriction:
     def test_out_of_range_masks_rejected(self, g1, masks):
         with pytest.raises(InvalidProfileError):
             Restriction.from_masks(g1, masks)
+
+    @pytest.mark.parametrize(
+        ("kept", "message"),
+        [
+            (((True,), (0,)), "kept index True of player 'Row' is not an int"),
+            (((1.0,), (0,)), "kept index 1.0 of player 'Row' is not an int"),
+            ((("1",), (0,)), "kept index '1' of player 'Row' is not an int"),
+            (((0, 1), (0, None)), "kept index None of player 'Column' is not an int"),
+            (((0, 9, 1.0), (0,)), "kept-set out of range for player 'Row'"),
+        ],
+        ids=["bool", "float", "str", "none", "range_checked_in_order"],
+    )
+    def test_kept_indices_that_are_not_ints_rejected(self, g2, kept, message):
+        with pytest.raises(InvalidProfileError, match=f"^{re.escape(message)}$"):
+            Restriction(g2, kept)
 
     def test_kept_sets_are_normalized(self, g2):
         r = Restriction(g2, ((3, 1, 1), (2, 0)))
@@ -516,6 +535,68 @@ class TestLoaderFaults:
         assert game.payoffs[2][first] == 7 and game.payoffs[2][last] == Fraction(-1, 3)
         zeros = {id(x) for table in game.payoffs for x in table if x == 0}
         assert len(zeros) == 1
+
+
+class TestEntriesBecomeExactInTheGame:
+    """The loader passes int and Fraction entries on; ``Game`` alone shares them."""
+
+    def test_only_entries_that_are_not_ints_or_fractions_are_parsed(self, monkeypatch):
+        parsed = []
+
+        def recording(value):
+            parsed.append(value)
+            return parse_rational(value)
+
+        monkeypatch.setattr(game_model, "parse_rational", recording)
+        game = game_from_json_dict(three_player_doc(three_player_table(3)))
+        assert parsed == [] and game.scaled_payoffs == ((3,) * 12,) * 3
+        table = three_player_table(3)
+        table[0][1][2] = ["1/2", 4.0, Fraction(5, 3)]
+        table[1][0][0] = [1, "-7", 2]
+        game = game_from_json_dict(three_player_doc(table))
+        assert parsed == ["1/2", 4.0, "-7"]
+        assert game.payoffs[0][game.flat_index((0, 1, 2))] == HALF
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(0, 3))
+    def test_four_writings_of_one_game_agree(self, seed, fractional):
+        game = generate(GeneratorConfig(
+            seed=seed, players=(2, 4), strategies=(1, 3), payoff_range=(-4, 4), tie_bias=0.4
+        ))
+        rng = random.Random(seed)
+        doc = game_to_json_dict(game)
+        names = [player["name"] for player in doc["players"]]
+        labels = [player["strategies"] for player in doc["players"]]
+        fractional %= game.player_count
+
+        def rewrite(write):
+            """The payoff table with entry ``x`` of player ``i`` as ``write(i, x)``."""
+            def walk(node):
+                if isinstance(node[0], list):
+                    return [walk(child) for child in node]
+                return [write(i, x) for i, x in enumerate(node)]
+            return walk(doc["payoffs"])
+
+        def as_string(i, x):
+            k = rng.choice((1, 1, 2, 3))
+            return str(x) if k == 1 else f"{x * k}/{k}"
+
+        games = [
+            game_from_json_dict(doc),
+            game_from_json_dict({**doc, "payoffs": rewrite(as_string)}),
+            Game.from_tables(names, labels, rewrite(lambda i, x: Fraction(x))),
+            Game.from_tables(
+                names, labels, rewrite(lambda i, x: Fraction(x) if i == fractional else x)
+            ),
+        ]
+        ints = tuple(tuple(map(int, table)) for table in game.payoffs)
+        for other in games:
+            assert other == game and other.payoffs == game.payoffs
+            assert other.scaled_payoffs == ints
+            assert all(type(x) is int for table in other.scaled_payoffs for x in table)
+            entries = [x for table in other.payoffs for x in table]
+            assert all(type(x) is Fraction for x in entries)
+            assert len({id(x) for x in entries}) == len(set(entries))
 
 
 def rational_game(seed):
