@@ -4,7 +4,9 @@ Commands: ``apply`` (one operator application), ``solve`` (iterate to the
 fixpoint), ``compare`` (two fixpoints), ``check-monotonic`` (witness
 mining), ``verify`` (named property suites) and ``paper-examples`` (the
 same as ``verify --suite paper``).  Output is JSON by default, an aligned
-text table with ``--format table``.
+text table with ``--format table``.  One recursive writer, ``_json_text``,
+writes the JSON: the same bytes as ``json.dumps(doc, indent=2)``, without
+the stdlib's pure-Python encoder.
 
 Exit codes: 0 success, 1 bad input (I/O, parse or usage errors), 2 a verify
 suite found a violated assertion, 3 an exhaustive budget was exceeded.
@@ -16,6 +18,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import TextIO
 
 from .analysis import (
@@ -93,8 +96,44 @@ def _count(text: str) -> int:
     return value
 
 
+def _json_text(value: object, newline: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it, byte for byte.
+
+    ``newline`` is a line break plus the indent of the line ``value`` starts
+    on.  It writes the types of the CLI's documents: dicts with ``str`` keys,
+    lists, tuples, strings (through json's own escaper), ints, bools and
+    None.  Unlike json's indenting encoder, it leaves no reference cycles.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        return "{" + inner + ("," + inner).join([
+            f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
+            for key, item in value.items()
+        ]) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([
+            _json_text(item, inner) for item in value
+        ]) + newline + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(doc: dict, out: TextIO) -> None:
-    out.write(json.dumps(doc, indent=2) + "\n")
+    out.write(_json_text(doc, "\n") + "\n")
 
 
 def _kept_lines(kept_names: dict) -> str:

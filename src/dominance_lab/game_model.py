@@ -3,10 +3,12 @@
 Payoffs are ``fractions.Fraction`` throughout.  Every dominance decision in
 this package is an exact comparison, so no float may enter a payoff tensor;
 the JSON loader accepts integers, ``"p/q"`` strings and integral floats such
-as ``1.0``, which it reads as integers.  The loader passes int and
-``Fraction`` entries through as they are and parses only the others;
-:class:`Game` alone turns entries into ``Fraction`` objects, one per distinct
-value of the game, and into each player's scaled ints.
+as ``1.0``, which it reads as integers.  The loader flattens a well-formed
+payoff table in one pass per level; a recursive walk runs only on a table
+that fails those checks, to name its first fault in document order.  It
+passes int and ``Fraction`` entries through as they are and parses only the
+others; :class:`Game` alone turns entries into ``Fraction`` objects, one per
+distinct value of the game, and into each player's scaled ints.
 
 A :class:`Restriction` is a per-player subset of a fixed parent game's
 strategy indices.  Components may be empty; the set of all restrictions of a
@@ -26,6 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache
 from importlib import resources
+from itertools import chain, repeat
 from math import lcm, prod
 from typing import Iterable, Sequence
 
@@ -90,6 +93,7 @@ def parse_rational(value: int | str) -> Fraction:
 
 _INT_ONLY = {int}
 _EXACT_TYPES = (int, Fraction)
+_SEQUENCES = (list, tuple)
 
 
 def _is_index(value: object) -> bool:
@@ -97,15 +101,16 @@ def _is_index(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_index(value: object, count: int, label: str, where: str = "") -> None:
+def _check_index(value: object, count: int | None, label: str, where: str = "") -> None:
     """Raise InvalidProfileError unless ``value`` is an index in ``range(count)``.
 
-    ``label`` and ``where`` name the index in the message, as in "strategy
-    index 4 out of range for player 'Row'".
+    With ``count`` None, any index not below 0 passes.  ``label`` and
+    ``where`` name the index in the message, as in "strategy index 4 out of
+    range for player 'Row'".
     """
     if type(value) is not int and not _is_index(value):
         raise InvalidProfileError(f"{label} {value!r}{where} is not an int")
-    if not 0 <= value < count:
+    if value < 0 or count is not None and value >= count:
         raise InvalidProfileError(f"{label} {value} out of range{where}")
 
 
@@ -258,20 +263,43 @@ class Game:
 
         ``table`` is nested row-major in player order; each leaf is a
         sequence of one payoff per player (ints, Fractions, or "p/q"
-        strings).  Entries are checked in document order, so a table with
-        several faults reports the first of them.  Int and ``Fraction``
-        entries are passed on as they are, and only the others go through
-        :func:`parse_rational`; the constructor makes every entry a shared
-        ``Fraction``.
+        strings).  A well-formed table is flattened one level at a time;
+        only a table that fails those shape checks is walked recursively,
+        in document order, so that a table with several faults reports the
+        first of them.  Int and ``Fraction`` entries are passed on as they
+        are, and only the others go through :func:`parse_rational`; the
+        constructor makes every entry a shared ``Fraction``.
         """
         n = len(players)
         shape = tuple(len(s) for s in strategies)
-        values: list[int | Fraction] = []
         # With no strategy lists there is no table to walk; the constructor
         # rejects the game.
-        if shape:
+        values = _flat_entries(table, shape, n) if shape else []
+        if values is None:
+            values = []
             _flatten_payoffs(table, shape, n, values, ())
         return cls(players, strategies, [values[i::n] for i in range(n)])
+
+
+def _flat_entries(table: object, shape: tuple[int, ...], n: int) -> list[int | Fraction] | None:
+    """The payoff entries of a well-formed nested table in document order, or None.
+
+    Each level is checked and flattened by C-level calls: every node must
+    be a list or tuple of its level's length (``n`` for the leaves), or the
+    answer is None.  Plain int entries are returned as they are; otherwise
+    each entry that is not an int or a ``Fraction`` goes through
+    :func:`parse_rational`, in document order.
+    """
+    level = [table]
+    for count in (*shape, n):
+        if not all(map(isinstance, level, repeat(_SEQUENCES))):
+            return None
+        if not all(map(count.__eq__, map(len, level))):
+            return None
+        level = list(chain.from_iterable(level))
+    if set(map(type, level)) <= _INT_ONLY:
+        return level
+    return [x if type(x) is int or isinstance(x, Fraction) else parse_rational(x) for x in level]
 
 
 def _flatten_payoffs(
@@ -284,7 +312,9 @@ def _flatten_payoffs(
     """Append the payoffs of the nested table ``node`` to ``values``, leaf by leaf.
 
     Int (not ``bool``) and ``Fraction`` entries are appended as they are;
-    every other entry is parsed by :func:`parse_rational`.
+    every other entry is parsed by :func:`parse_rational`.  The loader
+    walks only a table that failed :func:`_flat_entries`' checks, to raise
+    its first fault in document order.
 
     ``shape`` holds the lengths of ``node``'s axis and those below it,
     ``prefix`` the indices that lead to ``node``, and each leaf holds ``n``
@@ -294,7 +324,7 @@ def _flatten_payoffs(
     a recursive closure, which would form a reference cycle that keeps every
     parsed table alive until a full garbage collection.
     """
-    if not isinstance(node, (list, tuple)) or len(node) != shape[0]:
+    if not isinstance(node, _SEQUENCES) or len(node) != shape[0]:
         raise GameFormatError(
             f"payoff tensor shape mismatch at {_path(prefix)}: expected {shape[0]} entries"
         )
@@ -304,7 +334,7 @@ def _flatten_payoffs(
             _flatten_payoffs(child, inner, n, values, (*prefix, j))
         return
     for j, leaf in enumerate(node):
-        if not isinstance(leaf, (list, tuple)) or len(leaf) != n:
+        if not isinstance(leaf, _SEQUENCES) or len(leaf) != n:
             raise GameFormatError(
                 f"payoff tensor shape mismatch at {_path((*prefix, j))}: "
                 f"expected a list of {n} payoffs"
@@ -427,23 +457,28 @@ class MixedStrategy:
 
     Weights are stored as a sorted tuple of (strategy index, weight) pairs
     with zero entries dropped; they must be nonnegative and sum to exactly 1.
+    The player and every strategy index must be an ``int`` (not a ``bool``)
+    and not negative; their upper bounds depend on a game.
     """
 
     player: int
     weights: tuple[tuple[int, Fraction], ...]
 
     def __post_init__(self) -> None:
+        _check_index(self.player, None, "player index")
         weights = tuple(self.weights)
         if len(weights) == 1:
             strategy, weight = weights[0]
             # A point mass needs neither the sum nor the sort.
             if type(weight) in _EXACT_TYPES and weight == 1:
+                _check_index(strategy, None, "strategy index")
                 object.__setattr__(self, "weights", ((strategy, _coerce_payoff(weight)),))
                 return
         cleaned = []
         total = Fraction(0)
         seen = set()
         for strategy, weight in weights:
+            _check_index(strategy, None, "strategy index")
             weight = _coerce_payoff(weight)
             if strategy in seen:
                 raise InvalidDistributionError(f"duplicate weight for strategy {strategy}")

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dominance_lab.cli import load_game, run
+from dominance_lab.cli import _emit, load_game, run
 from dominance_lab.game_model import GameFormatError
 from dominance_lab import suites
 from dominance_lab.suites import SUITE_NAMES, SuiteReport, run_suite, suite_settings
@@ -560,19 +560,53 @@ class TestCheckMonotonicFlags:
 
 
 class TestParserReuse:
-    def test_second_run_leaves_no_argparse_garbage(self, g1_path):
-        argv = ("solve", "--operator", "ls", g1_path)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("solve", "--operator", "mlw", "--trace", "section3"),
+            ("verify", "--suite", "paper"),
+            ("check-monotonic", "--operator", "ls", "section3"),
+        ],
+        ids=["solve", "verify", "check_monotonic"],
+    )
+    def test_second_run_leaves_no_cyclic_garbage(self, g1_path, argv):
+        """Neither the cached parser nor the JSON writer leaves reference cycles."""
+        argv = [g1_path if arg == "section3" else arg for arg in argv]
         run_cli(*argv)
         gc.collect()
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
             run_cli(*argv)
             gc.collect()
-            leaked = [type(o).__name__ for o in gc.garbage if type(o).__module__ == "argparse"]
+            leaked = [type(o).__name__ for o in gc.garbage]
         finally:
             gc.set_debug(0)
             gc.garbage.clear()
         assert leaked == []
+
+
+# JSON strings with quotes, backslashes, control characters and non-ASCII text.
+JSON_STRINGS = st.text() | st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f é€\u2028\ud800😀aZ'))
+JSON_DOCUMENTS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-3, 3) | JSON_STRINGS,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(JSON_STRINGS, children, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestJsonWriter:
+    """``_emit`` writes the bytes of ``json.dumps(doc, indent=2)`` plus a newline."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(JSON_STRINGS, JSON_DOCUMENTS, max_size=5))
+    @example({"a": {}, "b": [], "c": (), "d": [{}, [], ()], "e": {"f": [[[]]]}})
+    @example({"big": [-(10**40), 10**40, 0, -1], "flags": [True, False, None]})
+    def test_same_bytes_as_the_stdlib(self, doc):
+        out = io.StringIO()
+        _emit(doc, out)
+        assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
 
 
 class TestLoadGameErrors:

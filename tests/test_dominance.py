@@ -742,6 +742,14 @@ def _g1_evidence(g1):
     return certificate, check_monotonic(LS, g1, Exhaustive())
 
 
+def _unchecked_mixture(player, weights):
+    """A ``MixedStrategy`` with its fields set as given, past the constructor's checks."""
+    mixture = object.__new__(MixedStrategy)
+    object.__setattr__(mixture, "player", player)
+    object.__setattr__(mixture, "weights", weights)
+    return mixture
+
+
 class TestIndicesThatAreNotInts:
     """A float or bool index is refused, never read as the int it equals."""
 
@@ -782,7 +790,7 @@ class TestIndicesThatAreNotInts:
             lambda c, w: replay_certificate(replace(c, eliminated=1.0)),
             lambda c, w: replay_certificate(replace(c, dominator=False)),
             lambda c, w: replay_certificate(
-                replace(c, dominator=MixedStrategy(0, ((0.0, Fraction(1)),)))
+                replace(c, dominator=_unchecked_mixture(0, ((0.0, Fraction(1)),)))
             ),
             lambda c, w: replace(w, evidence=(0, 1.0)).replay(),
             lambda c, w: replace(w, evidence=(False, 1)).replay(),

@@ -98,6 +98,35 @@ class TestMixedStrategy:
         with pytest.raises(error, match=message):
             MixedStrategy(0, ((2, weight),))
 
+    @pytest.mark.parametrize(
+        ("player", "weights", "message"),
+        [
+            (0, ((0.0, Fraction(1)),), "strategy index 0.0 is not an int"),
+            (0, ((True, Fraction(1)),), "strategy index True is not an int"),
+            (0, ((-3, Fraction(1)),), "strategy index -3 out of range"),
+            (0, (("1", Fraction(1)),), "strategy index '1' is not an int"),
+            (0, ((0, HALF), (0.0, HALF)), "strategy index 0.0 is not an int"),
+            (0, ((True, HALF), (2, HALF)), "strategy index True is not an int"),
+            (0, ((1, HALF), (-1, HALF)), "strategy index -1 out of range"),
+            (1.5, ((True, HALF), (2, HALF)), "player index 1.5 is not an int"),
+            (False, ((0, Fraction(1)),), "player index False is not an int"),
+            (-1, ((0, Fraction(1)),), "player index -1 out of range"),
+            (None, ((0, HALF), (1, HALF)), "player index None is not an int"),
+        ],
+        ids=["float_point_mass", "bool_point_mass", "negative_point_mass", "str_point_mass",
+             "float_equal_to_a_kept_int", "bool_in_a_mixture", "negative_in_a_mixture",
+             "float_player", "bool_player", "negative_player", "none_player"],
+    )
+    def test_indices_that_are_not_nonnegative_ints_are_rejected(self, player, weights, message):
+        with pytest.raises(InvalidProfileError, match=f"^{re.escape(message)}$"):
+            MixedStrategy(player, weights)
+
+    def test_point_mass_checks_its_indices(self):
+        with pytest.raises(InvalidProfileError, match="strategy index -1 out of range"):
+            MixedStrategy.point_mass(0, -1)
+        with pytest.raises(InvalidProfileError, match="player index 0.0 is not an int"):
+            MixedStrategy.point_mass(0.0, 1)
+
 
 class TestIndicesOf:
     @staticmethod
@@ -597,6 +626,97 @@ class TestEntriesBecomeExactInTheGame:
             entries = [x for table in other.payoffs for x in table]
             assert all(type(x) is Fraction for x in entries)
             assert len({id(x) for x in entries}) == len(set(entries))
+
+
+# Entries that load: ints, integral floats, "p/q" strings and Fractions.
+EXACT_ENTRIES = (
+    st.integers(-4, 4)
+    | st.sampled_from([1.0, -2.0, "3", "-1/2", "4/6", "0/5"])
+    | st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+)
+# Entries that raise GameFormatError, each with its own message.
+BAD_ENTRIES = st.sampled_from(
+    [True, False, 0.5, -1.25, "1/0", "x", "1.5", " 1", "", "2/-3", None, [1], {"a": 1}]
+)
+# Nodes that are not a list or tuple where the table needs one.
+NOT_SEQUENCES = st.sampled_from([7, "12", None, {"a": 1}, 1.0])
+
+
+@st.composite
+def payoff_tables(draw, shape, n):
+    """A nested payoff table for ``shape`` and ``n`` players, lists and tuples
+    mixed, with rare bad entries.  Half the tables are plain ints, and half
+    may have shape faults: a node that is not a sequence, or one entry short
+    or long, at any depth."""
+    entries = st.integers(-4, 4) if draw(st.booleans()) else EXACT_ENTRIES
+    shape_faults = draw(st.booleans())
+
+    def node(axes):
+        if shape_faults and draw(st.integers(0, 30)) == 0:
+            return draw(NOT_SEQUENCES)
+        count = axes[0] if axes else n
+        if shape_faults and draw(st.integers(0, 30)) == 0:
+            count += draw(st.sampled_from([-1, 1]))
+        if axes:
+            children = [node(axes[1:]) for _ in range(count)]
+        else:
+            children = [
+                draw(BAD_ENTRIES if draw(st.integers(0, 60)) == 0 else entries)
+                for _ in range(count)
+            ]
+        return tuple(children) if draw(st.booleans()) else children
+
+    return node(shape)
+
+
+def load_outcome(load, players, strategies, table):
+    """The game ``load`` builds, with its payoffs and scaled tables, or its error message."""
+    try:
+        game = load(players, strategies, table)
+    except GameFormatError as exc:
+        return ("error", str(exc))
+    return ("game", game, game.payoffs, game.scaled_payoffs)
+
+
+def walk_alone(players, strategies, table):
+    """``Game.from_tables`` as the recursive walk alone would load the table."""
+    n = len(players)
+    values = []
+    game_model._flatten_payoffs(table, tuple(map(len, strategies)), n, values, ())
+    return Game(players, strategies, [values[i::n] for i in range(n)])
+
+
+class TestOnePassLoader:
+    """A well-formed table is flattened level by level; the walk only names faults."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_loads_as_the_walk_alone_does(self, data):
+        shape = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=3).map(tuple))
+        players = ["Row", "Column", "Third"][: len(shape)]
+        strategies = [[f"s{j}" for j in range(count)] for count in shape]
+        table = data.draw(payoff_tables(shape, len(shape)))
+        assert load_outcome(Game.from_tables, players, strategies, table) == (
+            load_outcome(walk_alone, players, strategies, table)
+        )
+
+    def test_a_well_formed_table_never_reaches_the_walk(self, monkeypatch):
+        mixed = three_player_table(2)
+        mixed[0][1] = ((1, "1/2", Fraction(2, 3)), [4.0, -1, "7"], (0, 0, 0))
+        faulty = three_player_table(2)
+        faulty[1][1][2] = [2, "1.5", 2]
+        builtins = [builtin_game(name) for name in ("section3", "example41")]
+        docs = [three_player_doc(mixed)] + [game_to_json_dict(game) for game in builtins]
+
+        def fail(*args):
+            raise AssertionError("a well-formed table reached the walk")
+
+        monkeypatch.setattr(game_model, "_flatten_payoffs", fail)
+        game, *games = [game_from_json_dict(doc) for doc in docs]
+        assert games == builtins
+        assert game.payoffs[1][game.flat_index((0, 1, 0))] == HALF
+        assert game.payoffs[2][game.flat_index((0, 1, 0))] == Fraction(2, 3)
+        assert load_error(three_player_doc(faulty)) == "malformed rational: '1.5'"
 
 
 def rational_game(seed):
