@@ -2,7 +2,7 @@
 
 Eight elimination operators (strict/weak dominance, pure/mixed dominators,
 local/global candidate pools) as restriction-to-restriction maps, their
-fixpoint iteration with replayable elimination certificates, and empirical
+fixpoint iteration with replayable elimination certificates, and exact
 checks of the inclusion, equality and (non)monotonicity relations between
 them.
 """
@@ -13,7 +13,6 @@ from .analysis import (
     FixpointRelationReport,
     MonotonicityWitness,
     PointwiseInclusionReport,
-    Sampled,
     check_monotonic,
     compare_fixpoints,
     lattice_size,

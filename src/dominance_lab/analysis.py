@@ -1,31 +1,24 @@
-"""Empirical verification over restriction lattices.
+"""Exact verification over restriction lattices.
 
 Monotonicity checking tests the covering pairs of a game's lattice, where
-the larger restriction keeps exactly one more strategy, either above every
-restriction (exhaustive, up to a configurable size cap) or above seeded
-random ones.  Any comparable pair is joined by a chain of covering pairs, so
-an operator preserves inclusion on all pairs exactly when it does on the
-covering ones: exhaustive search finding no witness proves monotonicity on
-that game's lattice.  All reports are plain data with stable field order, so
-suites and CI can assert on their JSON form.
-
-An exhaustive check of a global kind (GS, MGS, GW, MGW) walks each player's
-opponent lattice instead of the nodes.  A global pool is the player's full
-strategy set, so what a player loses at a node depends only on the other
-players' masks: the check decides ``sum_k 2^(N - n_k)`` contexts of ``n_k``
-targets, for ``N`` strategies in all, not ``2^N`` nodes and their covers.
-It finds the node scan's first failing node and runs the node scan there,
-so both return the same witness.
+the larger restriction keeps exactly one more strategy.  Any comparable
+pair is joined by a chain of covering pairs, so an operator preserves
+inclusion on all pairs exactly when it does on the covering ones, and a
+check that finds no witness proves monotonicity on that game's lattice.
+The check returns the first failing pair of a scan of every node in (rank,
+kept) order while visiting far fewer nodes (:func:`check_monotonic`); an
+:class:`Exhaustive` cap bounds that work.  All reports are plain data with
+stable field order, so suites and CI can assert on their JSON form.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from itertools import accumulate, chain, product
+from itertools import accumulate, chain, islice, product
+from math import comb
 from typing import Iterable, Iterator
 
-from .dominance import Pool
+from .dominance import Mode, Pool
 from .game_model import Game, Restriction, _is_index, indices_of
 from .operators import EliminationEngine, OperatorKind
 
@@ -35,7 +28,6 @@ __all__ = [
     "FixpointRelationReport",
     "MonotonicityWitness",
     "PointwiseInclusionReport",
-    "Sampled",
     "check_monotonic",
     "compare_fixpoints",
     "enumerate_restriction_masks",
@@ -44,53 +36,31 @@ __all__ = [
     "relation_of",
 ]
 
-DEFAULT_EXHAUSTIVE_CAP = 4096
+DEFAULT_EXHAUSTIVE_CAP = 1 << 16
 
 
 class BudgetExceededError(RuntimeError):
-    """The lattice is too large for exhaustive search; use a Sampled budget."""
-
-
-def _at_least_one(name: str, value: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1, got {value}")
+    """The check would do more work than its exhaustive cap allows; raise the cap."""
 
 
 @dataclass(frozen=True)
 class Exhaustive:
-    """Scan every restriction of the lattice; errors out above ``cap`` nodes.
+    """An exact check that errors out when its work is above ``cap``.
 
-    ``check_monotonic`` tests every covering pair, ``pointwise_inclusion``
-    every restriction.  Raises ValueError for a cap that is not an int of at
-    least 1.
+    The work is what the check visits.  For ``check_monotonic`` it is the
+    nodes of rank at most ``P`` for LS, MLS, LW and MLW, and the opponent
+    contexts walked for GS, MGS, GW and MGW (:func:`_monotonicity_work`);
+    for ``pointwise_inclusion`` it is every restriction, ``2^N``.  Raises
+    ValueError for a cap that is not an int of at least 1.
     """
 
     cap: int = DEFAULT_EXHAUSTIVE_CAP
 
     def __post_init__(self) -> None:
-        _at_least_one("cap", self.cap)
-
-
-@dataclass(frozen=True)
-class Sampled:
-    """Scan ``count`` seeded random restrictions (repeats possible).
-
-    ``check_monotonic`` tests every covering pair above each sampled
-    restriction, up to one per strategy the restriction leaves out.
-    Raises ValueError for a count that is not an int of at least 1: a
-    budget that scans nothing would report a vacuous pass.
-    """
-
-    seed: int
-    count: int
-
-    def __post_init__(self) -> None:
-        _at_least_one("count", self.count)
-
-
-Budget = Exhaustive | Sampled
+        if not _is_index(self.cap):
+            raise ValueError(f"cap must be an int, got {self.cap!r}")
+        if self.cap < 1:
+            raise ValueError(f"cap must be at least 1, got {self.cap}")
 
 
 def lattice_size(game: Game) -> int:
@@ -138,20 +108,23 @@ def enumerate_restriction_masks(game: Game) -> Iterator[tuple[int, ...]]:
     return chain.from_iterable(_ranks(game.shape))
 
 
-def _restrictions(game: Game, budget: Budget) -> Iterable[tuple[int, ...]]:
-    """The restrictions a budget scans, as per-player bitmasks."""
-    if isinstance(budget, Sampled):
-        rng = random.Random(budget.seed)
-        return (
-            tuple(rng.randrange(1 << k) for k in game.shape) for _ in range(budget.count)
-        )
-    size = lattice_size(game)
-    if size > budget.cap:
+def _monotonicity_work(kind: OperatorKind, shape: tuple[int, ...]) -> tuple[int, str]:
+    """What an exhaustive ``check_monotonic`` of ``kind`` visits, at most, and its unit."""
+    total, players = sum(shape), len(shape)
+    if kind.pool is Pool.LOCAL:
+        return sum(comb(total, rank) for rank in range(players + 1)), "nodes"
+    # Opponent masks of rank below P - 1 for GW and MGW, all of them for GS and MGS.
+    ranks = range(players - 1) if kind.mode is Mode.WEAK else range(total + 1)
+    return sum(comb(total - n, rank) for n in shape for rank in ranks), "opponent contexts"
+
+
+def _require_within(budget: Exhaustive, work: int, unit: str) -> None:
+    """Raise BudgetExceededError when ``work`` is above the budget's cap."""
+    if work > budget.cap:
         raise BudgetExceededError(
-            f"lattice has {size} restrictions, above the exhaustive cap "
-            f"{budget.cap}; use a Sampled budget"
+            f"the check visits {work} {unit}, above the exhaustive cap {budget.cap}; "
+            "raise the cap"
         )
-    return enumerate_restriction_masks(game)
 
 
 @dataclass(frozen=True)
@@ -252,11 +225,13 @@ def _first_global_violation(
     opponent rank that has one is the answer.  A ``(k, O)`` whose least
     possible node (``b = 0``) is not below the best candidate so far is
     skipped, and so are ``k``'s later ``O`` of that rank, whose nodes come
-    later still.
+    later still.  GW and MGW walk opponent ranks below ``P - 1`` only (see
+    :func:`check_monotonic`).
     """
     shape = engine.game.shape
     walks = [(k, _ranks(shape[:k] + shape[k + 1 :])) for k in range(len(shape))]
-    for _ in range(sum(shape) - min(shape) + 1):
+    rounds = len(shape) - 1 if kind.mode is Mode.WEAK else sum(shape) - min(shape) + 1
+    for _ in range(rounds):
         best = best_order = None
         for k, ranks in walks:
             for opp in next(ranks, ()):
@@ -274,12 +249,14 @@ def _first_global_violation(
 
 
 def check_monotonic(
-    kind: OperatorKind, game: Game, budget: Budget
+    kind: OperatorKind, game: Game, budget: Exhaustive
 ) -> MonotonicityWitness | None:
-    """Search for a covering pair on which the operator fails to preserve inclusion.
+    """The first covering pair on which ``kind`` fails to preserve inclusion, or None.
 
-    Exhaustive budgets test every covering pair, so ``None`` is a proof of
-    monotonicity for this lattice; sampled budgets only report none-found.
+    ``None`` proves monotonicity on this game's lattice, and a witness is
+    the first failing pair of a scan of every node in (rank, kept) order.
+    Raises :class:`BudgetExceededError`, before any scan, when the work
+    (:func:`_monotonicity_work`) is above ``budget.cap``.
 
     The scan holds each node and each survivor set as one int, player
     ``p``'s mask at bit offset ``sum(game.shape[:p])``.  A node's covers
@@ -287,20 +264,32 @@ def check_monotonic(
     ascending, and a pair fails when ``small & ~large`` is nonzero.  Nodes
     are unpacked to per-player masks only to ask the engine for survivors
     and to build the witness, whose evidence is :func:`_first_excess` of
-    the two unpacked survivor sets.
+    the two unpacked survivor sets.  A memo holds each cover's survivors
+    until the scan reaches that node as the smaller restriction, which
+    drops its entry: no later pair asks for it, so the memo spans at most
+    two ranks.
 
-    A memo holds each cover's survivors until the scan reaches that node as
-    the smaller restriction, which drops its entry: in the exhaustive (rank,
-    kept) order no later pair asks for it, so the memo spans at most two
-    ranks.  A sampled node drawn again is answered anew from the engine.
+    LS, MLS, LW and MLW scan the nodes of rank at most ``P``, the number of
+    players.  If some player ``i`` strictly prefers ``s`` to ``t`` at an
+    opponent profile ``c``, the node where ``i`` keeps ``{t}`` and each
+    opponent its strategy in ``c`` has rank ``P``; everything survives
+    there, as a pool of one dominates nothing, and the cover that adds
+    ``s`` eliminates ``t`` under all four kinds.  So the first failing node
+    has rank at most ``P``.  If no player has such a preference, nothing is
+    dominated where every player keeps a strategy, and elsewhere nothing is
+    weakly dominated and every kept strategy strictly (vacuously), so no
+    pair fails anywhere.
 
-    With an exhaustive budget, a global kind scans one node at most: the
-    first node that fails, found on the opponent lattices by
-    :func:`_first_global_violation`.  The scan at that node asks its covers
-    in the same order as the full scan and compares the same survivor
-    sets, so it returns the same pair and evidence; no node means that no
-    covering pair fails.  The cap still bounds the number of nodes.
+    A global kind scans one node at most: the first failing node, found on
+    the opponent lattices by :func:`_first_global_violation`.  Its covers
+    are asked in the full scan's order, so it returns the same pair and
+    evidence.  For GW and MGW the node above with one opponent keeping
+    nothing fails too: ``t`` has no weak dominator without an opponent
+    profile, and has one once that opponent keeps its strategy in ``c``.
+    That node has rank ``P - 1``, so their walk stops below opponent rank
+    ``P - 1``.
     """
+    _require_within(budget, *_monotonicity_work(kind, game.shape))
     engine = EliminationEngine(game)
     offsets = tuple(accumulate(game.shape[:-1], initial=0))
     layout = tuple(zip(offsets, engine.full_masks))
@@ -314,10 +303,11 @@ def check_monotonic(
     def unpack(packed: int) -> tuple[int, ...]:
         return tuple([packed >> offset & full for offset, full in layout])
 
-    nodes = _restrictions(game, budget)  # raises above an exhaustive cap
-    if isinstance(budget, Exhaustive) and kind.pool is Pool.GLOBAL:
+    if kind.pool is Pool.GLOBAL:
         first = _first_global_violation(engine, kind)
-        nodes = () if first is None else (first,)
+        nodes: Iterable[tuple[int, ...]] = () if first is None else (first,)
+    else:
+        nodes = chain.from_iterable(islice(_ranks(game.shape), game.player_count + 1))
     top = lattice_size(game) - 1
     memo: dict[int, int] = {}
     for masks in nodes:
@@ -358,13 +348,18 @@ class PointwiseInclusionReport:
 
 
 def pointwise_inclusion(
-    left: OperatorKind, right: OperatorKind, game: Game, budget: Budget
+    left: OperatorKind, right: OperatorKind, game: Game, budget: Exhaustive
 ) -> PointwiseInclusionReport:
-    """Check left(G) included in right(G) over enumerated or sampled restrictions."""
+    """Check left(G) included in right(G) on every restriction.
+
+    Raises :class:`BudgetExceededError` when the ``2^N`` restrictions are
+    more than ``budget.cap``.
+    """
+    _require_within(budget, lattice_size(game), "restrictions")
     engine = EliminationEngine(game)
     violations = []
     checked = 0
-    for masks in _restrictions(game, budget):
+    for masks in enumerate_restriction_masks(game):
         checked += 1
         excess = _first_excess(engine.survivors(left, masks), engine.survivors(right, masks))
         if excess is not None:

@@ -9,7 +9,8 @@ writes the JSON: the same bytes as ``json.dumps(doc, indent=2)``, without
 the stdlib's pure-Python encoder.
 
 Exit codes: 0 success, 1 bad input (I/O, parse or usage errors), 2 a verify
-suite found a violated assertion, 3 an exhaustive budget was exceeded.
+suite found a violated assertion, 3 ``check-monotonic`` would do more work
+than its ``--cap`` allows.
 """
 
 from __future__ import annotations
@@ -21,13 +22,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 from typing import TextIO
 
-from .analysis import (
-    BudgetExceededError,
-    Exhaustive,
-    Sampled,
-    check_monotonic,
-    compare_fixpoints,
-)
+from .analysis import BudgetExceededError, Exhaustive, check_monotonic, compare_fixpoints
 from .game_model import Game, GameFormatError, Restriction, game_from_json_dict
 from .operators import ALL_OPERATORS, apply_operator, iterate, operator_from_name
 from .suites import DEFAULT_SEED, SUITE_NAMES, run_suite, suite_settings
@@ -35,7 +30,6 @@ from .suites import DEFAULT_SEED, SUITE_NAMES, run_suite, suite_settings
 __all__ = ["build_parser", "load_game", "main", "run"]
 
 OPERATOR_CHOICES = tuple(kind.name.lower() for kind in ALL_OPERATORS)
-DEFAULT_SAMPLES = 1000
 # Each verify flag and its suite setting (the flag's dest), in error order.
 VERIFY_SETTINGS = (("--players", "players"), ("--strategies", "strategies"),
                    ("--payoffs", "payoff_range"), ("--tie-bias", "tie_bias"), ("--games", "games"))
@@ -214,14 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_mono = sub.add_parser("check-monotonic", help="search for a monotonicity violation", parents=[shared])
     p_mono.add_argument("--operator", required=True)
     p_mono.add_argument("game")
-    p_mono.add_argument("--budget", choices=("exhaustive", "sampled"), default="exhaustive")
-    p_mono.add_argument("--cap", type=_count, default=None,
-                        help="largest lattice the exhaustive budget accepts "
-                        f"(default: {Exhaustive().cap})")
-    p_mono.add_argument("--samples", type=_count, default=None,
-                        help="restrictions the sampled budget draws "
-                        f"(default: {DEFAULT_SAMPLES})")
-    p_mono.add_argument("--seed", type=int, default=None)
+    p_mono.add_argument("--cap", type=_count, default=Exhaustive().cap,
+                        help="most nodes (ls, mls, lw, mlw) or opponent contexts (gs, mgs, gw, "
+                        "mgw) the exact check may visit; above it, exit 3 (default: %(default)s)")
 
     p_verify = sub.add_parser("verify", help="run a property suite (CI gate: exit 2 on failure)", parents=[shared])
     p_verify.add_argument("--suite", choices=SUITE_NAMES, default="all")
@@ -272,25 +261,11 @@ def _run_parsed(args: argparse.Namespace, out: TextIO) -> int:
     elif args.command == "check-monotonic":
         kind = operator_from_name(args.operator)
         game = load_game(args.game)
-        if args.budget == "exhaustive":
-            unused = {"--samples": args.samples, "--seed": args.seed}
-            cap = args.cap if args.cap is not None else Exhaustive().cap
-            budget: Exhaustive | Sampled = Exhaustive(cap=cap)
-            budget_doc: dict = {"kind": "exhaustive", "cap": cap}
-        else:
-            unused = {"--cap": args.cap}
-            seed = args.seed if args.seed is not None else DEFAULT_SEED
-            count = args.samples if args.samples is not None else DEFAULT_SAMPLES
-            budget = Sampled(seed=seed, count=count)
-            budget_doc = {"kind": "sampled", "seed": seed, "count": count}
-        unused_flags = [flag for flag, value in unused.items() if value is not None]
-        if unused_flags:
-            raise ValueError(f"--budget {args.budget} does not use {', '.join(unused_flags)}")
-        witness = check_monotonic(kind, game, budget)
+        witness = check_monotonic(kind, game, Exhaustive(cap=args.cap))
         doc = {
             "command": "check-monotonic",
             "operator": kind.name,
-            "budget": budget_doc,
+            "budget": {"kind": "exhaustive", "cap": args.cap},
             "witness": witness.to_dict() if witness else None,
         }
     elif args.command == "verify":

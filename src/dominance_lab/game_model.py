@@ -92,7 +92,8 @@ def parse_rational(value: int | str) -> Fraction:
 
 
 _INT_ONLY = {int}
-_EXACT_TYPES = (int, Fraction)
+_EXACT_KINDS = {int, Fraction}
+_PARSED_ONCE = {int, str, Fraction}
 _SEQUENCES = (list, tuple)
 
 
@@ -172,8 +173,10 @@ class Game:
         object.__setattr__(self, "strategies", tuple(tuple(s) for s in strategies))
         payoffs = []
         scaled = []
-        # One Fraction per distinct value, shared by every table of the game.
-        shared: dict[int | Fraction, Fraction] = {}
+        # One Fraction per distinct value, shared by every table of the game
+        # and keyed by an int or a (numerator, denominator) pair, so that no
+        # Fraction is hashed.
+        shared: dict[int | tuple[int, int], Fraction] = {}
         for table in self.payoffs:
             table = tuple(table)
             if set(map(type, table)) == _INT_ONLY:
@@ -184,11 +187,26 @@ class Game:
                 payoffs.append(tuple(map(shared.__getitem__, table)))
                 scaled.append(table)
                 continue
-            table = tuple(map(_coerce_payoff, table))
-            table = tuple(map(shared.setdefault, table, table))
-            scale = lcm(*{x.denominator for x in table})
-            payoffs.append(table)
-            scaled.append(tuple(x.numerator * (scale // x.denominator) for x in table))
+            if not set(map(type, table)) <= _EXACT_KINDS:
+                # A TypeError for an entry that is not an int or a Fraction,
+                # a bool included, before any entry is shared.
+                table = tuple(map(_coerce_payoff, table))
+            # Each distinct entry object is read once, by its id.
+            exact = {}
+            for ident, value in dict(zip(map(id, table), table)).items():
+                if type(value) is int:
+                    key = value
+                else:
+                    num, den = value.numerator, value.denominator
+                    key = num if den == 1 else (num, den)
+                if key not in shared:
+                    shared[key] = _coerce_payoff(value)
+                exact[ident] = shared[key]
+            scale = lcm(*{x.denominator for x in exact.values()})
+            times = {i: x.numerator * (scale // x.denominator) for i, x in exact.items()}
+            ids = list(map(id, table))
+            payoffs.append(tuple(map(exact.__getitem__, ids)))
+            scaled.append(tuple(map(times.__getitem__, ids)))
         object.__setattr__(self, "payoffs", tuple(payoffs))
         n = len(self.players)
         if n < 2:
@@ -277,7 +295,7 @@ class Game:
         values = _flat_entries(table, shape, n) if shape else []
         if values is None:
             values = []
-            _flatten_payoffs(table, shape, n, values, ())
+            _flatten_payoffs(table, shape, n, values, (), {})
         return cls(players, strategies, [values[i::n] for i in range(n)])
 
 
@@ -287,8 +305,8 @@ def _flat_entries(table: object, shape: tuple[int, ...], n: int) -> list[int | F
     Each level is checked and flattened by C-level calls: every node must
     be a list or tuple of its level's length (``n`` for the leaves), or the
     answer is None.  Plain int entries are returned as they are; otherwise
-    each entry that is not an int or a ``Fraction`` goes through
-    :func:`parse_rational`, in document order.
+    the entries go through :func:`_exact_entries`, which parses each
+    distinct string once.
     """
     level = [table]
     for count in (*shape, n):
@@ -299,7 +317,22 @@ def _flat_entries(table: object, shape: tuple[int, ...], n: int) -> list[int | F
         level = list(chain.from_iterable(level))
     if set(map(type, level)) <= _INT_ONLY:
         return level
-    return [x if type(x) is int or isinstance(x, Fraction) else parse_rational(x) for x in level]
+    return _exact_entries(level, {})
+
+
+def _exact_entries(entries: list, parsed: dict[str, Fraction]) -> list[int | Fraction]:
+    """``entries`` with every one that is not an int or a Fraction parsed, in order.
+
+    Among ints, Fractions and strings only a string can be malformed, so
+    each distinct one is parsed once, into ``parsed``, in order of first
+    occurrence.  Other entries, a ``bool`` included, are parsed one by one.
+    """
+    if set(map(type, entries)) <= _PARSED_ONCE:
+        for text in dict.fromkeys([x for x in entries if type(x) is str]):
+            if text not in parsed:
+                parsed[text] = parse_rational(text)
+        return [parsed[x] if type(x) is str else x for x in entries]
+    return [x if type(x) is int or isinstance(x, Fraction) else parse_rational(x) for x in entries]
 
 
 def _flatten_payoffs(
@@ -308,13 +341,14 @@ def _flatten_payoffs(
     n: int,
     values: list[int | Fraction],
     prefix: tuple[int, ...],
+    parsed: dict[str, Fraction],
 ) -> None:
     """Append the payoffs of the nested table ``node`` to ``values``, leaf by leaf.
 
-    Int (not ``bool``) and ``Fraction`` entries are appended as they are;
-    every other entry is parsed by :func:`parse_rational`.  The loader
-    walks only a table that failed :func:`_flat_entries`' checks, to raise
-    its first fault in document order.
+    Each leaf goes through :func:`_exact_entries`, whose ``parsed`` holds
+    the strings parsed so far in the table.  The loader walks only a table
+    that failed :func:`_flat_entries`' checks, to raise its first fault in
+    document order.
 
     ``shape`` holds the lengths of ``node``'s axis and those below it,
     ``prefix`` the indices that lead to ``node``, and each leaf holds ``n``
@@ -331,7 +365,7 @@ def _flatten_payoffs(
     if len(shape) > 1:
         inner = shape[1:]
         for j, child in enumerate(node):
-            _flatten_payoffs(child, inner, n, values, (*prefix, j))
+            _flatten_payoffs(child, inner, n, values, (*prefix, j), parsed)
         return
     for j, leaf in enumerate(node):
         if not isinstance(leaf, _SEQUENCES) or len(leaf) != n:
@@ -339,9 +373,7 @@ def _flatten_payoffs(
                 f"payoff tensor shape mismatch at {_path((*prefix, j))}: "
                 f"expected a list of {n} payoffs"
             )
-        values.extend(
-            x if type(x) is int or isinstance(x, Fraction) else parse_rational(x) for x in leaf
-        )
+        values.extend(_exact_entries(leaf, parsed))
 
 
 def _path(prefix: tuple[int, ...]) -> str:
@@ -470,7 +502,7 @@ class MixedStrategy:
         if len(weights) == 1:
             strategy, weight = weights[0]
             # A point mass needs neither the sum nor the sort.
-            if type(weight) in _EXACT_TYPES and weight == 1:
+            if type(weight) in _EXACT_KINDS and weight == 1:
                 _check_index(strategy, None, "strategy index")
                 object.__setattr__(self, "weights", ((strategy, _coerce_payoff(weight)),))
                 return

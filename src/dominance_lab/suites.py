@@ -18,7 +18,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from . import analysis, dominance, operators
-from .analysis import Exhaustive, Sampled
+from .analysis import Exhaustive
 from .dominance import (
     Mode,
     Pool,
@@ -527,13 +527,9 @@ def determinism_suite(seed: int = DEFAULT_SEED) -> SuiteReport:
     report.add("repeated MLW iteration serializes identically",
                json.dumps(first) == json.dumps(second))
 
-    w1 = analysis.check_monotonic(LW, g2, Sampled(seed=seed, count=300))
-    w2 = analysis.check_monotonic(LW, g2, Sampled(seed=seed, count=300))
-    report.add(
-        "sampled monotonicity search is seed-deterministic",
-        (w1 is None) == (w2 is None)
-        and (w1 is None or json.dumps(w1.to_dict()) == json.dumps(w2.to_dict())),
-    )
+    witnesses = [analysis.check_monotonic(LW, g2, Exhaustive()) for _ in range(2)]
+    report.add("repeated exhaustive LW witness serializes identically",
+               None not in witnesses and len({json.dumps(w.to_dict()) for w in witnesses}) == 1)
 
     config = GeneratorConfig(seed=seed)
     report.add("random game generation is seed-deterministic",

@@ -21,7 +21,6 @@ from dominance_lab import (
     Exhaustive,
     Game,
     Restriction,
-    Sampled,
     check_monotonic,
     compare_fixpoints,
     lattice_size,
@@ -31,16 +30,18 @@ from dominance_lab import operators
 from dominance_lab.analysis import (
     MonotonicityWitness,
     _first_excess,
-    _restrictions,
+    _monotonicity_work,
     enumerate_restriction_masks,
     relation_of,
 )
-from dominance_lab.game_model import indices_of
+from dominance_lab.game_model import builtin_game, indices_of
 from dominance_lab.operators import EliminationEngine
 from dominance_lab.random_games import GeneratorConfig, generate
 
 
 GLOBAL_KINDS = (GS, MGS, GW, MGW)
+# The kinds whose first failing node has rank at most the player count.
+TRUNCATED_KINDS = (LS, MLS, LW, MLW, GW, MGW)
 
 
 def zero_game(shape):
@@ -51,7 +52,7 @@ def zero_game(shape):
 
 
 def big_flat_game():
-    # 7 x 6 strategies: 2^13 lattice nodes, above the default exhaustive cap.
+    # 7 x 6 strategies: 2^13 lattice nodes, 92 of them of rank at most 2.
     rows = [f"R{i}" for i in range(7)]
     cols = [f"C{j}" for j in range(6)]
     table = [[[0, 0] for _ in cols] for _ in rows]
@@ -86,38 +87,25 @@ class TestCheckMonotonic:
         assert witness.replay()
 
     def test_exhaustive_cap_is_enforced(self):
+        # The cap bounds the nodes of rank at most P, 1 + 13 + 78, not 2^13.
         game = big_flat_game()
         assert lattice_size(game) == 8192
-        with pytest.raises(BudgetExceededError):
-            check_monotonic(LS, game, Exhaustive())
-        # A sampled budget still works above the cap.
-        assert check_monotonic(LS, game, Sampled(seed=1, count=50)) is None
+        with pytest.raises(BudgetExceededError, match="visits 92 nodes, above the exhaustive cap 91"):
+            check_monotonic(LS, game, Exhaustive(cap=91))
+        assert check_monotonic(LS, game, Exhaustive(cap=92)) is None
+        assert check_monotonic(LS, game, Exhaustive()) is None
 
     def test_cap_parameter_is_honored(self, g1):
-        with pytest.raises(BudgetExceededError):
-            check_monotonic(GS, g1, Exhaustive(cap=4))
-        assert check_monotonic(GS, g1, Exhaustive(cap=8)) is None
+        # GS walks 2^1 + 2^2 opponent contexts on the 2x1 game.
+        with pytest.raises(BudgetExceededError, match="6 opponent contexts"):
+            check_monotonic(GS, g1, Exhaustive(cap=5))
+        assert check_monotonic(GS, g1, Exhaustive(cap=6)) is None
 
-    def test_sampled_search_finds_the_g1_witness(self, g1):
-        witness = check_monotonic(LS, g1, Sampled(seed=7, count=500))
-        assert witness is not None
-        assert witness.smaller.kept == ((1,), (0,))
-        assert witness.larger.kept == ((0, 1), (0,))
-
-    def test_sampled_search_is_seed_deterministic(self, g2):
-        a = check_monotonic(LW, g2, Sampled(seed=123, count=200))
-        b = check_monotonic(LW, g2, Sampled(seed=123, count=200))
-        assert (a is None) == (b is None)
-        if a is not None:
-            assert a.to_dict() == b.to_dict()
+    def test_the_default_cap_is_2_to_the_16(self):
+        assert Exhaustive().cap == 1 << 16
 
 
 class TestBudgets:
-    @pytest.mark.parametrize("count", [0, -3])
-    def test_sampled_budget_needs_a_positive_count(self, count):
-        with pytest.raises(ValueError, match="count must be at least 1"):
-            Sampled(seed=1, count=count)
-
     @pytest.mark.parametrize("cap", [0, -1])
     def test_exhaustive_budget_needs_a_positive_cap(self, cap):
         with pytest.raises(ValueError, match="cap must be at least 1"):
@@ -125,15 +113,15 @@ class TestBudgets:
 
     @pytest.mark.parametrize("value", [2.5, 2.0, True, False, "3", None])
     def test_budgets_need_an_int(self, value):
-        # A float cap would be printed in the exceeded message, and a float
-        # count would fail later in ``range``; a bool is not a count.
+        # A float cap would be printed in the exceeded message; a bool is
+        # not a count.
         with pytest.raises(ValueError, match="cap must be an int"):
             Exhaustive(cap=value)
-        with pytest.raises(ValueError, match="count must be an int"):
-            Sampled(seed=0, count=value)
 
     def test_the_smallest_budgets_still_scan(self, g1):
-        assert pointwise_inclusion(MLW, LW, g1, Sampled(seed=1, count=1)).checked == 1
+        assert pointwise_inclusion(MLW, LW, g1, Exhaustive(cap=8)).checked == 8
+        with pytest.raises(BudgetExceededError, match="8 restrictions"):
+            pointwise_inclusion(MLW, LW, g1, Exhaustive(cap=7))
         with pytest.raises(BudgetExceededError):
             check_monotonic(GS, g1, Exhaustive(cap=1))
 
@@ -198,9 +186,10 @@ class TestOneDecisionPerContext:
             assert witness is not None and witness.replay()
 
     @pytest.mark.parametrize("kind", [LS, MLS], ids=str)
-    def test_a_full_scan_asks_for_each_node_once(self, kind, monkeypatch):
-        # The local kinds keep the node scan, and both strict ones are
-        # monotone on a game without dominance, so the scan runs to the end.
+    def test_a_clean_scan_asks_for_each_node_up_to_rank_p_plus_1_once(self, kind, monkeypatch):
+        # The local kinds keep the node scan, and a game without dominance
+        # has no witness, so the scan runs to its last rank, P = 2; the
+        # covers of those nodes have rank P + 1, and no node above is asked.
         game = zero_game((4, 4))
         asked = Counter()
         survivors = EliminationEngine.survivors
@@ -211,7 +200,9 @@ class TestOneDecisionPerContext:
 
         monkeypatch.setattr(EliminationEngine, "survivors", counted_survivors)
         assert check_monotonic(kind, game, Exhaustive()) is None
-        assert sum(asked.values()) == len(asked) == lattice_size(game)
+        expected = [m for m in enumerate_restriction_masks(game) if _rank(m) <= 3]
+        assert sorted(asked) == sorted(expected)
+        assert set(asked.values()) == {1}
 
 
 def _covers(masks, full):
@@ -221,15 +212,20 @@ def _covers(masks, full):
             yield masks[:player] + (m | 1 << strategy,) + masks[player + 1 :]
 
 
-def _memo_free_witness(kind, game, budget):
-    """The node scan, with each pair's survivors asked of the engine afresh.
+def _rank(masks):
+    return sum(map(int.bit_count, masks))
 
-    It walks every node of the budget and the covers above it on per-player
-    mask tuples, so it shares neither the packing of ``check_monotonic``'s
-    node scan nor the opponent-lattice walk of its exhaustive global path.
+
+def _memo_free_witness(kind, game):
+    """The full node scan, with each pair's survivors asked of the engine afresh.
+
+    It walks every node of the lattice and the covers above it on
+    per-player mask tuples, so it shares neither the packing of
+    ``check_monotonic``'s node scan, nor its stop at rank P, nor the
+    opponent-lattice walk of its global path.
     """
     engine = EliminationEngine(game)
-    for smaller in _restrictions(game, budget):
+    for smaller in enumerate_restriction_masks(game):
         for larger in _covers(smaller, engine.full_masks):
             excess = _first_excess(
                 engine.survivors(kind, smaller), engine.survivors(kind, larger)
@@ -270,10 +266,129 @@ class TestScanMemo:
     )
     def test_witnesses_match_a_memo_free_scan(self, shape, kind):
         for seed, game in _seeded_games_of_shape(shape, 6):
-            # A sampled count above the lattice size draws some nodes again.
-            for budget in (Exhaustive(), Sampled(seed=seed, count=2 * lattice_size(game))):
-                expected = _memo_free_witness(kind, game, budget)
-                assert check_monotonic(kind, game, budget) == expected, (seed, budget)
+            assert check_monotonic(kind, game, Exhaustive()) == _memo_free_witness(kind, game), seed
+
+
+def _tie_heavy_games(count):
+    """Seeded 2-3 player games, at most 8 strategies in all, with payoffs 0..1."""
+    games = []
+    seed = 0
+    while len(games) < count:
+        config = GeneratorConfig(
+            seed=seed, players=(2, 3), strategies=(1, 4), payoff_range=(0, 1), tie_bias=0.6
+        )
+        game = generate(config)
+        if sum(game.shape) <= 8:
+            games.append(game)
+        seed += 1
+    return games
+
+
+def _indifferent_player_0(game):
+    """``game`` with player 0's payoffs made 1 everywhere."""
+    size = math.prod(game.shape)
+    return Game(game.players, game.strategies, [[1] * size, *game.payoffs[1:]])
+
+
+def _is_trivial(game):
+    """Whether every player is indifferent among its strategies at every opponent profile."""
+    for player, count in enumerate(game.shape):
+        stride = game.strides[player]
+        for profile in product(*map(range, game.shape)):
+            if profile[player] == 0:
+                base = game.flat_index(profile)
+                column = {game.payoffs[player][base + s * stride] for s in range(count)}
+                if len(column) > 1:
+                    return False
+    return True
+
+
+INDIFFERENT_GAMES = [_indifferent_player_0(game) for game in _tie_heavy_games(12)]
+TRUNCATION_GAMES = (
+    [builtin_game("section3"), builtin_game("example41")]
+    + _tie_heavy_games(24)
+    + INDIFFERENT_GAMES
+    + [zero_game(shape) for shape in [(1, 1), (2, 2), (3, 4), (1, 3, 2), (2, 2, 2)]]
+)
+
+
+class TestTruncatedScans:
+    """LS, MLS, LW, MLW, GW and MGW stop at rank P, and return the full scan's answer."""
+
+    @pytest.mark.parametrize("kind", TRUNCATED_KINDS, ids=str)
+    def test_the_truncated_check_is_the_full_memo_free_scan(self, kind):
+        found = 0
+        for i, game in enumerate(TRUNCATION_GAMES):
+            witness = check_monotonic(kind, game, Exhaustive())
+            expected = _memo_free_witness(kind, game)
+            assert witness == expected, i
+            if witness is None:
+                # No pair fails exactly on a game without a strict preference.
+                assert _is_trivial(game), i
+                continue
+            found += 1
+            assert json.dumps(witness.to_dict()) == json.dumps(expected.to_dict()), i
+            assert _rank(witness.smaller.masks) <= game.player_count, i
+        # The games are not all trivial, nor all witnessed at rank 0.
+        assert 0 < found < len(TRUNCATION_GAMES)
+
+    def test_the_games_cover_each_case(self):
+        trivial = [_is_trivial(game) for game in TRUNCATION_GAMES]
+        assert any(trivial) and not all(trivial)
+        assert {game.player_count for game in TRUNCATION_GAMES} == {2, 3}
+        assert any(not _is_trivial(game) for game in INDIFFERENT_GAMES)
+
+    def test_the_g1_ls_witness_sits_at_rank_p(self, g1):
+        # B x X against A B x X: a witness on the last rank the scan visits.
+        witness = check_monotonic(LS, g1, Exhaustive())
+        assert _rank(witness.smaller.masks) == g1.player_count == 2
+
+    @pytest.mark.parametrize("kind", ALL_OPERATORS, ids=str)
+    @pytest.mark.parametrize("shape", [(8, 8), (4, 4, 4)], ids=lambda s: "x".join(map(str, s)))
+    def test_all_zero_games_above_the_old_cap_need_no_witness(self, shape, kind, monkeypatch):
+        # 2^16 and 2^12 nodes: the local kinds ask for the survivors of the
+        # nodes of rank at most P + 1 only, and the global ones for none.
+        game = zero_game(shape)
+        asked = Counter()
+        survivors = EliminationEngine.survivors
+
+        def counted(engine, operator, masks):
+            asked[_rank(masks)] += 1
+            return survivors(engine, operator, masks)
+
+        monkeypatch.setattr(EliminationEngine, "survivors", counted)
+        assert check_monotonic(kind, game, Exhaustive()) is None
+        total = sum(shape)
+        if kind in GLOBAL_KINDS:
+            assert not asked
+        else:
+            assert asked == {r: math.comb(total, r) for r in range(len(shape) + 2)}
+
+    @pytest.mark.parametrize("kind", ALL_OPERATORS, ids=str)
+    @pytest.mark.parametrize(
+        "shape, local, weak, strict",
+        [((8, 8), 137, 2 * 1, 2 * 256), ((4, 4, 4, 4), 2517, 4 * (1 + 12 + 66), 4 * 4096)],
+        ids=["8x8", "4x4x4x4"],
+    )
+    def test_the_work_the_cap_bounds(self, shape, local, weak, strict, kind):
+        work, unit = _monotonicity_work(kind, shape)
+        if kind in GLOBAL_KINDS:
+            assert (work, unit) == ((weak if kind in (GW, MGW) else strict), "opponent contexts")
+        else:
+            assert (work, unit) == (local, "nodes")
+
+    @pytest.mark.parametrize("kind", [GS, MGS], ids=str)
+    def test_gs_on_four_4_strategy_players_runs_at_the_default_cap(self, kind):
+        # 4 * 2^12 opponent contexts, within 2^16; the 2^16 nodes are not.
+        assert check_monotonic(kind, zero_game((4, 4, 4, 4)), Exhaustive()) is None
+
+    def test_gs_on_a_17x17_game_is_refused_before_any_work(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the check built an engine")
+
+        monkeypatch.setattr(EliminationEngine, "__init__", fail)
+        with pytest.raises(BudgetExceededError, match="262144 opponent contexts"):
+            check_monotonic(GS, zero_game((17, 17)), Exhaustive())
 
 
 class TestOpponentLatticeScan:
@@ -334,12 +449,15 @@ class TestOpponentLatticeScan:
 
         monkeypatch.setattr(EliminationEngine, "dominator", counted)
         # GS is monotone, so the walk visits every opponent context: player
-        # k's 2^(N - n_k) opponent masks times its n_k targets, at most.
-        assert check_monotonic(GS, game, Exhaustive(cap=1 << 16)) is None
+        # k's 2^(N - n_k) opponent masks times its n_k targets, at most.  The
+        # cap bounds the 2 * 2^8 contexts, not the 2^16 nodes.
+        assert check_monotonic(GS, game, Exhaustive(cap=512)) is None
         total = sum(game.shape)
         assert 0 < calls["dominator"] <= sum((1 << (total - n)) * n for n in game.shape)
-        with pytest.raises(BudgetExceededError):
-            check_monotonic(GS, game, Exhaustive(cap=(1 << 16) - 1))
+        calls.clear()
+        with pytest.raises(BudgetExceededError, match="512 opponent contexts"):
+            check_monotonic(GS, game, Exhaustive(cap=511))
+        assert not calls
 
 
 class TestOpponentLatticeMatchesTheNodeScan:
@@ -359,7 +477,7 @@ class TestOpponentLatticeMatchesTheNodeScan:
                 tie_bias=0.25,
             )
             game = generate(config)
-            expected = _memo_free_witness(kind, game, Exhaustive())
+            expected = _memo_free_witness(kind, game)
             assert check_monotonic(kind, game, Exhaustive()) == expected, seed
 
     @pytest.mark.parametrize("kind", GLOBAL_KINDS, ids=str)
@@ -370,7 +488,7 @@ class TestOpponentLatticeMatchesTheNodeScan:
     )
     def test_one_strategy_players_and_four_players(self, shape, kind):
         for seed, game in _seeded_games_of_shape(shape, 4):
-            expected = _memo_free_witness(kind, game, Exhaustive())
+            expected = _memo_free_witness(kind, game)
             assert check_monotonic(kind, game, Exhaustive()) == expected, seed
 
     @pytest.mark.parametrize("kind", GLOBAL_KINDS, ids=str)
@@ -379,9 +497,7 @@ class TestOpponentLatticeMatchesTheNodeScan:
     )
     def test_all_zero_games(self, shape, kind):
         game = zero_game(shape)
-        assert check_monotonic(kind, game, Exhaustive()) == _memo_free_witness(
-            kind, game, Exhaustive()
-        )
+        assert check_monotonic(kind, game, Exhaustive()) == _memo_free_witness(kind, game)
 
 
 class TestWitnessReplay:
@@ -443,16 +559,13 @@ class TestCoveringPairs:
         for kind in ALL_OPERATORS:
             witness = check_monotonic(kind, game, Exhaustive())
             assert (witness is None) == (_reference_witness(kind, game) is None), kind.name
-            sampled = check_monotonic(kind, game, Sampled(seed=3, count=40))
-            for found in (witness, sampled):
-                assert found is None or (_is_covering_pair(found) and found.replay())
+            assert witness is None or (_is_covering_pair(witness) and witness.replay())
 
     @pytest.mark.parametrize("kind", ALL_OPERATORS, ids=lambda k: k.name)
     def test_bundled_game_witnesses_are_replaying_covering_pairs(self, kind, g1, g2):
         for game in (g1, g2):
-            for budget in (Exhaustive(), Sampled(seed=11, count=1000)):
-                witness = check_monotonic(kind, game, budget)
-                assert witness is None or (_is_covering_pair(witness) and witness.replay())
+            witness = check_monotonic(kind, game, Exhaustive())
+            assert witness is None or (_is_covering_pair(witness) and witness.replay())
 
 
 class TestPointwiseInclusion:
@@ -470,7 +583,7 @@ class TestPointwiseInclusion:
         for seed in range(10):
             game = generate(GeneratorConfig(seed=seed, strategies=(2, 3), tie_bias=0.4))
             # Same-mode pool comparisons hold on every restriction.
-            same_mode = pointwise_inclusion(MGW, GW, game, Sampled(seed=seed, count=60))
+            same_mode = pointwise_inclusion(MGW, GW, game, Exhaustive())
             assert same_mode.holds
 
     def test_cross_mode_inclusion_fails_only_at_empty_components(self):
@@ -484,8 +597,9 @@ class TestPointwiseInclusion:
                 assert any(not kept for kept in violation["restriction"].values())
 
     def test_budget_error_propagates(self):
-        with pytest.raises(BudgetExceededError):
-            pointwise_inclusion(LS, MLS, big_flat_game(), Exhaustive())
+        # Pointwise inclusion visits every restriction: 2^13 of them.
+        with pytest.raises(BudgetExceededError, match="8192 restrictions"):
+            pointwise_inclusion(LS, MLS, big_flat_game(), Exhaustive(cap=8191))
 
 
 class TestCompareFixpoints:

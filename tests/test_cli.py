@@ -128,29 +128,57 @@ class TestCheckMonotonic:
         assert code == 0
         assert json.loads(text)["witness"] is None
 
-    def test_sampled_budget_flags(self, g2_path):
-        code, text = run_cli(
-            "check-monotonic", "--operator", "lw", g2_path,
-            "--budget", "sampled", "--seed", "11", "--samples", "400",
-        )
-        doc = json.loads(text)
-        assert code == 0
-        assert doc["budget"] == {"kind": "sampled", "seed": 11, "count": 400}
-
-    def test_budget_exceeded_exits_3(self, tmp_path):
-        rows = [f"R{i}" for i in range(7)]
-        cols = [f"C{j}" for j in range(6)]
+    @staticmethod
+    def zero_game_file(tmp_path, rows, cols):
         doc = {
             "players": [
-                {"name": "P1", "strategies": rows},
-                {"name": "P2", "strategies": cols},
+                {"name": "P1", "strategies": [f"R{i}" for i in range(rows)]},
+                {"name": "P2", "strategies": [f"C{j}" for j in range(cols)]},
             ],
-            "payoffs": [[[0, 0] for _ in cols] for _ in rows],
+            "payoffs": [[[0, 0] for _ in range(cols)] for _ in range(rows)],
         }
-        path = tmp_path / "big.json"
+        path = tmp_path / f"zero-{rows}x{cols}.json"
         path.write_text(json.dumps(doc))
-        code, _ = run_cli("check-monotonic", "--operator", "ls", str(path))
-        assert code == 3
+        return str(path)
+
+    def test_budget_exceeded_exits_3(self, tmp_path):
+        # LS on 7 x 6 strategies visits the 1 + 13 + 78 nodes of rank at most 2.
+        path = self.zero_game_file(tmp_path, 7, 6)
+        code, text, err = run_cli_stderr("check-monotonic", "--operator", "ls", path, "--cap", "91")
+        assert (code, text) == (3, "")
+        assert err == (
+            "error: the check visits 92 nodes, above the exhaustive cap 91; raise the cap\n"
+        )
+        code, text = run_cli("check-monotonic", "--operator", "ls", path, "--cap", "92")
+        assert code == 0 and json.loads(text)["witness"] is None
+
+    def test_gs_on_a_17x17_game_exits_3_at_the_default_cap(self, tmp_path, monkeypatch):
+        # 2 * 2^17 opponent contexts; the check refuses before it builds an engine.
+        from dominance_lab.operators import EliminationEngine
+
+        def fail(*args):
+            raise AssertionError("the check built an engine")
+
+        monkeypatch.setattr(EliminationEngine, "__init__", fail)
+        path = self.zero_game_file(tmp_path, 17, 17)
+        code, text, err = run_cli_stderr("check-monotonic", "--operator", "gs", path)
+        assert (code, text) == (3, "")
+        assert err == (
+            "error: the check visits 262144 opponent contexts, above the exhaustive cap 65536; "
+            "raise the cap\n"
+        )
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--budget", "sampled"], ["--budget", "exhaustive"], ["--samples", "5"], ["--seed", "3"]],
+        ids=" ".join,
+    )
+    def test_the_retired_sampling_flags_are_usage_errors(self, g2_path, flags):
+        code, text, err = run_cli_stderr("check-monotonic", "--operator", "lw", g2_path, *flags)
+        assert (code, text) == (1, "")
+        assert err.startswith("usage: ")
+        assert f"error: unrecognized arguments: {' '.join(flags)}\n" in err
+        assert "Traceback" not in err
 
 
 class TestVerifyAndPaperExamples:
@@ -198,14 +226,6 @@ class TestCountFlags:
     @pytest.mark.parametrize("games", ["0", "-1"])
     def test_games_below_one_exits_1(self, suite, games):
         assert run_cli("verify", "--suite", suite, "--games", games) == (1, "")
-
-    @pytest.mark.parametrize("samples", ["0", "-5"])
-    def test_samples_below_one_exits_1(self, g1_path, samples):
-        code, text = run_cli(
-            "check-monotonic", "--operator", "ls", g1_path,
-            "--budget", "sampled", "--samples", samples,
-        )
-        assert (code, text) == (1, "")
 
     def test_run_suite_defaults_only_on_none(self):
         report = run_suite("theorems", seed=1, games=0)
@@ -534,29 +554,11 @@ class TestCheckMonotonicFlags:
         assert (code, text) == (1, "")
         assert "--cap: must be at least 1" in err
 
-    @pytest.mark.parametrize(
-        "budget, flags, named",
-        [
-            ("exhaustive", ["--seed", "3"], "--seed"),
-            ("exhaustive", ["--samples", "5"], "--samples"),
-            ("exhaustive", ["--seed", "3", "--samples", "5"], "--samples, --seed"),
-            ("sampled", ["--cap", "10"], "--cap"),
-        ],
-    )
-    def test_flags_the_budget_ignores_exit_1(self, g1_path, budget, flags, named):
-        code, text, err = run_cli_stderr(
-            "check-monotonic", "--operator", "ls", g1_path, "--budget", budget, *flags
-        )
-        assert (code, text) == (1, "")
-        assert err == f"error: --budget {budget} does not use {named}\n"
-
     def test_default_budgets(self, g1_path):
         _, text = run_cli("check-monotonic", "--operator", "ls", g1_path)
-        assert json.loads(text)["budget"] == {"kind": "exhaustive", "cap": 4096}
-        _, text = run_cli(
-            "check-monotonic", "--operator", "ls", g1_path, "--budget", "sampled", "--seed", "2"
-        )
-        assert json.loads(text)["budget"] == {"kind": "sampled", "seed": 2, "count": 1000}
+        assert json.loads(text)["budget"] == {"kind": "exhaustive", "cap": 65536}
+        _, text = run_cli("check-monotonic", "--operator", "ls", g1_path, "--cap", "7")
+        assert json.loads(text)["budget"] == {"kind": "exhaustive", "cap": 7}
 
 
 class TestParserReuse:

@@ -682,7 +682,7 @@ def walk_alone(players, strategies, table):
     """``Game.from_tables`` as the recursive walk alone would load the table."""
     n = len(players)
     values = []
-    game_model._flatten_payoffs(table, tuple(map(len, strategies)), n, values, ())
+    game_model._flatten_payoffs(table, tuple(map(len, strategies)), n, values, (), {})
     return Game(players, strategies, [values[i::n] for i in range(n)])
 
 
@@ -717,6 +717,52 @@ class TestOnePassLoader:
         assert game.payoffs[1][game.flat_index((0, 1, 0))] == HALF
         assert game.payoffs[2][game.flat_index((0, 1, 0))] == Fraction(2, 3)
         assert load_error(three_player_doc(faulty)) == "malformed rational: '1.5'"
+
+
+class TestMixedEntries:
+    """Ints, "p/q" strings and Fractions load as one exact table; a bool never loads."""
+
+    PLAYERS = ["Row", "Column"]
+    STRATEGIES = [["A", "B"], ["X", "Y", "Z"]]
+    # Each leaf is (Row, Column); equal values are written in several forms.
+    MIXED = [
+        [[1, "1/2"], ["2/4", Fraction(3)], [Fraction(1, 2), "-6/4"]],
+        [["3", 1], [-2, Fraction(-3, 2)], ["0", "1/2"]],
+    ]
+    EXACT = [
+        [[Fraction(1), Fraction(1, 2)], [Fraction(1, 2), Fraction(3)],
+         [Fraction(1, 2), Fraction(-3, 2)]],
+        [[Fraction(3), Fraction(1)], [Fraction(-2), Fraction(-3, 2)],
+         [Fraction(0), Fraction(1, 2)]],
+    ]
+
+    def test_payoffs_and_scaled_payoffs_match_an_all_fraction_build(self):
+        game = Game.from_tables(self.PLAYERS, self.STRATEGIES, self.MIXED)
+        exact = Game.from_tables(self.PLAYERS, self.STRATEGIES, self.EXACT)
+        assert game == exact
+        assert game.payoffs == exact.payoffs
+        assert game.scaled_payoffs == exact.scaled_payoffs == (
+            (2, 1, 1, 6, -4, 0), (1, 6, -3, 2, -3, 1)
+        )
+        assert all(type(x) is Fraction for table in game.payoffs for x in table)
+        # Equal entries share one Fraction, across the two tables too.
+        assert len({id(x) for table in game.payoffs for x in table}) == len(
+            {x for table in game.payoffs for x in table}
+        )
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_a_bool_is_never_read_as_an_int(self, flag):
+        # 1 and 0 are in the tables already, so a bool read as its int would
+        # find a shared Fraction.
+        table = [[list(leaf) for leaf in row] for row in self.MIXED]
+        table[1][2][1] = flag
+        with pytest.raises(GameFormatError, match=f"malformed rational: {flag}"):
+            Game.from_tables(self.PLAYERS, self.STRATEGIES, table)
+        payoffs = [[1, 0, 1, 0, 1, 0], [Fraction(1, 2), 1, 0, 1, 0, flag]]
+        with pytest.raises(TypeError, match=f"got {flag}"):
+            Game(self.PLAYERS, self.STRATEGIES, payoffs)
+        payoffs[1][5] = Fraction(flag)
+        assert Game(self.PLAYERS, self.STRATEGIES, payoffs).payoffs[1][5] == int(flag)
 
 
 def rational_game(seed):

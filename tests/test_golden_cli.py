@@ -34,8 +34,6 @@ COMMANDS = (
         ["compare", "--left", "mlw", "--right", "lw", "example41"],
         ["apply", "--operator", "ls", "section3",
          "--restriction", '{"Row": ["B"], "Column": ["X"]}'],
-        ["check-monotonic", "--operator", "mgw", "example41",
-         "--budget", "sampled", "--seed", "11", "--samples", "1000"],
         ["verify", "--suite", "paper"],
         ["verify", "--suite", "determinism", "--seed", "99"],
         ["verify", "--suite", "theorems", "--games", "20"],
