@@ -113,9 +113,10 @@ def _monotonicity_work(kind: OperatorKind, shape: tuple[int, ...]) -> tuple[int,
     total, players = sum(shape), len(shape)
     if kind.pool is Pool.LOCAL:
         return sum(comb(total, rank) for rank in range(players + 1)), "nodes"
-    # Opponent masks of rank below P - 1 for GW and MGW, all of them for GS and MGS.
-    ranks = range(players - 1) if kind.mode is Mode.WEAK else range(total + 1)
-    return sum(comb(total - n, rank) for n in shape for rank in ranks), "opponent contexts"
+    if kind.mode is Mode.STRICT:
+        return sum(1 << (total - n) for n in shape), "opponent contexts"
+    # GW and MGW: the opponent masks of rank below P - 1.
+    return sum(comb(total - n, r) for n in shape for r in range(players - 1)), "opponent contexts"
 
 
 def _require_within(budget: Exhaustive, work: int, unit: str) -> None:
