@@ -14,7 +14,7 @@ stable field order, so suites and CI can assert on their JSON form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice, product
+from itertools import accumulate, chain, combinations, islice
 from math import comb
 from typing import Iterable, Iterator
 
@@ -67,40 +67,45 @@ def lattice_size(game: Game) -> int:
     return 1 << sum(game.shape)
 
 
-def _masks_in_order(count: int) -> list[int]:
-    """Every mask of ``count`` bits, in lexicographic order of their ``indices_of``.
-
-    The masks over bits ``i`` and up are the empty one, then bit ``i`` with
-    each mask over bits ``i + 1`` and up, then the nonempty masks over bits
-    ``i + 1`` and up.
-    """
-    order = [0]
-    for bit in (1 << i for i in reversed(range(count))):
-        order = [0, *(mask | bit for mask in order), *order[1:]]
-    return order
-
-
 def _ranks(shape: tuple[int, ...]) -> Iterator[Iterator[tuple[int, ...]]]:
     """Per rank, ascending, a lazy iterator over the mask tuples of that rank.
 
     The rank is the number of kept strategies.  Within a rank, mask tuples
     run in lexicographic order of the players' kept index tuples, player 0's
-    first.  ``product`` over each player's masks in ``indices_of`` order
-    runs in that order, so each rank walks the other players' masks and,
-    after each head, the last player's masks of the size the rank leaves.
+    first: the order of all kept indices read as one sequence, with a mark
+    below every index after each player's.  :func:`_of_rank` builds nodes
+    in that order, so walking ranks ``0..R`` costs their nodes, not ``2^N``.
     """
-    orders = [_masks_in_order(k) for k in shape]
-    by_size: dict[int, list[int]] = {}
-    for mask in orders[-1]:
-        by_size.setdefault(mask.bit_count(), []).append(mask)
-
-    def of_rank(rank: int) -> Iterator[tuple[int, ...]]:
-        for head in product(*orders[:-1]):
-            for last in by_size.get(rank - sum(map(int.bit_count, head)), ()):
-                yield head + (last,)
-
+    rooms = tuple(sum(shape[k + 1 :]) for k in range(len(shape)))
+    exact: dict[int, list[int]] = {}
     for rank in range(sum(shape) + 1):
-        yield of_rank(rank)
+        yield _of_rank(shape, rooms, exact, rank, 0, 0, (), 0)
+
+
+def _of_rank(
+    shape: tuple[int, ...], rooms: tuple[int, ...], exact: dict[int, list[int]],
+    rank: int, k: int, start: int, done: tuple[int, ...], mask: int,
+) -> Iterator[tuple[int, ...]]:
+    """The nodes that keep ``rank`` more strategies than ``done`` and ``mask``, in order.
+
+    ``done`` holds the masks of the players before ``k`` and ``mask``
+    player ``k``'s, which adds indices from ``start`` up.  A mark or index
+    is added, the mark first, only if the ``rooms[k]`` strategies after can
+    still fill the rank, so every branch yields a node.  The last player's
+    masks of a size are its ``combinations``, listed once in ``exact``.
+    (Not a closure, which would form a reference cycle.)
+    """
+    if k == len(shape) - 1:
+        if rank not in exact:
+            exact[rank] = [sum(1 << i for i in c) for c in combinations(range(shape[k]), rank)]
+        for last in exact[rank]:
+            yield (*done, last)
+        return
+    if rank <= rooms[k]:
+        yield from _of_rank(shape, rooms, exact, rank, k + 1, 0, (*done, mask), 0)
+    if rank:
+        for i in range(start, min(shape[k], shape[k] + rooms[k] - rank + 1)):
+            yield from _of_rank(shape, rooms, exact, rank - 1, k, i + 1, done, mask | 1 << i)
 
 
 def enumerate_restriction_masks(game: Game) -> Iterator[tuple[int, ...]]:
@@ -108,15 +113,27 @@ def enumerate_restriction_masks(game: Game) -> Iterator[tuple[int, ...]]:
     return chain.from_iterable(_ranks(game.shape))
 
 
-def _monotonicity_work(kind: OperatorKind, shape: tuple[int, ...]) -> tuple[int, str]:
-    """What an exhaustive ``check_monotonic`` of ``kind`` visits, at most, and its unit."""
-    total, players = sum(shape), len(shape)
+def _scanned_ranks(kind: OperatorKind, shape: tuple[int, ...]) -> int:
+    """How many node ranks (local kinds) or opponent ranks (global) ``check_monotonic`` walks."""
+    players = len(shape)
     if kind.pool is Pool.LOCAL:
-        return sum(comb(total, rank) for rank in range(players + 1)), "nodes"
+        return players + 1
+    if kind.mode is Mode.WEAK:
+        return players - 1
+    return sum(shape) - min(shape) + 1
+
+
+def _monotonicity_work(kind: OperatorKind, shape: tuple[int, ...]) -> tuple[int, str]:
+    """What ``check_monotonic`` of ``kind`` visits at most, in the ranks it walks, and its unit.
+
+    For GS and MGS those are all ``2^(N - n_k)`` opponent masks of each ``k``.
+    """
+    total, ranks = sum(shape), _scanned_ranks(kind, shape)
+    if kind.pool is Pool.LOCAL:
+        return sum(comb(total, r) for r in range(ranks)), "nodes"
     if kind.mode is Mode.STRICT:
         return sum(1 << (total - n) for n in shape), "opponent contexts"
-    # GW and MGW: the opponent masks of rank below P - 1.
-    return sum(comb(total - n, r) for n in shape for r in range(players - 1)), "opponent contexts"
+    return sum(comb(total - n, r) for n in shape for r in range(ranks)), "opponent contexts"
 
 
 def _require_within(budget: Exhaustive, work: int, unit: str) -> None:
@@ -226,13 +243,11 @@ def _first_global_violation(
     opponent rank that has one is the answer.  A ``(k, O)`` whose least
     possible node (``b = 0``) is not below the best candidate so far is
     skipped, and so are ``k``'s later ``O`` of that rank, whose nodes come
-    later still.  GW and MGW walk opponent ranks below ``P - 1`` only (see
-    :func:`check_monotonic`).
+    later still.  Only the ranks of :func:`_scanned_ranks` are walked.
     """
     shape = engine.game.shape
     walks = [(k, _ranks(shape[:k] + shape[k + 1 :])) for k in range(len(shape))]
-    rounds = len(shape) - 1 if kind.mode is Mode.WEAK else sum(shape) - min(shape) + 1
-    for _ in range(rounds):
+    for _ in range(_scanned_ranks(kind, shape)):
         best = best_order = None
         for k, ranks in walks:
             for opp in next(ranks, ()):
@@ -308,7 +323,7 @@ def check_monotonic(
         first = _first_global_violation(engine, kind)
         nodes: Iterable[tuple[int, ...]] = () if first is None else (first,)
     else:
-        nodes = chain.from_iterable(islice(_ranks(game.shape), game.player_count + 1))
+        nodes = chain.from_iterable(islice(_ranks(game.shape), _scanned_ranks(kind, game.shape)))
     top = lattice_size(game) - 1
     memo: dict[int, int] = {}
     for masks in nodes:

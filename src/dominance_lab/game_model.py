@@ -92,8 +92,7 @@ def parse_rational(value: int | str) -> Fraction:
 
 
 _INT_ONLY = {int}
-_EXACT_KINDS = {int, Fraction}
-_PARSED_ONCE = {int, str, Fraction}
+_EXACT_TYPES = (int, Fraction)
 _SEQUENCES = (list, tuple)
 
 
@@ -173,10 +172,8 @@ class Game:
         object.__setattr__(self, "strategies", tuple(tuple(s) for s in strategies))
         payoffs = []
         scaled = []
-        # One Fraction per distinct value, shared by every table of the game
-        # and keyed by an int or a (numerator, denominator) pair, so that no
-        # Fraction is hashed.
-        shared: dict[int | tuple[int, int], Fraction] = {}
+        # One Fraction per distinct value, shared by every table of the game.
+        shared: dict[int | Fraction, Fraction] = {}
         for table in self.payoffs:
             table = tuple(table)
             if set(map(type, table)) == _INT_ONLY:
@@ -187,26 +184,11 @@ class Game:
                 payoffs.append(tuple(map(shared.__getitem__, table)))
                 scaled.append(table)
                 continue
-            if not set(map(type, table)) <= _EXACT_KINDS:
-                # A TypeError for an entry that is not an int or a Fraction,
-                # a bool included, before any entry is shared.
-                table = tuple(map(_coerce_payoff, table))
-            # Each distinct entry object is read once, by its id.
-            exact = {}
-            for ident, value in dict(zip(map(id, table), table)).items():
-                if type(value) is int:
-                    key = value
-                else:
-                    num, den = value.numerator, value.denominator
-                    key = num if den == 1 else (num, den)
-                if key not in shared:
-                    shared[key] = _coerce_payoff(value)
-                exact[ident] = shared[key]
-            scale = lcm(*{x.denominator for x in exact.values()})
-            times = {i: x.numerator * (scale // x.denominator) for i, x in exact.items()}
-            ids = list(map(id, table))
-            payoffs.append(tuple(map(exact.__getitem__, ids)))
-            scaled.append(tuple(map(times.__getitem__, ids)))
+            table = tuple(map(_coerce_payoff, table))
+            table = tuple(map(shared.setdefault, table, table))
+            scale = lcm(*{x.denominator for x in table})
+            payoffs.append(table)
+            scaled.append(tuple(x.numerator * (scale // x.denominator) for x in table))
         object.__setattr__(self, "payoffs", tuple(payoffs))
         n = len(self.players)
         if n < 2:
@@ -295,7 +277,7 @@ class Game:
         values = _flat_entries(table, shape, n) if shape else []
         if values is None:
             values = []
-            _flatten_payoffs(table, shape, n, values, (), {})
+            _flatten_payoffs(table, shape, n, values, ())
         return cls(players, strategies, [values[i::n] for i in range(n)])
 
 
@@ -317,22 +299,25 @@ def _flat_entries(table: object, shape: tuple[int, ...], n: int) -> list[int | F
         level = list(chain.from_iterable(level))
     if set(map(type, level)) <= _INT_ONLY:
         return level
-    return _exact_entries(level, {})
+    return _exact_entries(level)
 
 
-def _exact_entries(entries: list, parsed: dict[str, Fraction]) -> list[int | Fraction]:
-    """``entries`` with every one that is not an int or a Fraction parsed, in order.
+def _exact_entries(entries: list) -> list[int | Fraction]:
+    """``entries`` in order with each non-int, non-``Fraction`` one parsed, ``bool`` included.
 
-    Among ints, Fractions and strings only a string can be malformed, so
-    each distinct one is parsed once, into ``parsed``, in order of first
-    occurrence.  Other entries, a ``bool`` included, are parsed one by one.
+    A string is parsed at its first occurrence only, so the first fault is raised first.
     """
-    if set(map(type, entries)) <= _PARSED_ONCE:
-        for text in dict.fromkeys([x for x in entries if type(x) is str]):
-            if text not in parsed:
-                parsed[text] = parse_rational(text)
-        return [parsed[x] if type(x) is str else x for x in entries]
-    return [x if type(x) is int or isinstance(x, Fraction) else parse_rational(x) for x in entries]
+    parsed: dict[str, Fraction] = {}
+    values = []
+    for x in entries:
+        if type(x) is str:
+            if x not in parsed:
+                parsed[x] = parse_rational(x)
+            x = parsed[x]
+        elif type(x) is not int and not isinstance(x, Fraction):
+            x = parse_rational(x)
+        values.append(x)
+    return values
 
 
 def _flatten_payoffs(
@@ -341,14 +326,12 @@ def _flatten_payoffs(
     n: int,
     values: list[int | Fraction],
     prefix: tuple[int, ...],
-    parsed: dict[str, Fraction],
 ) -> None:
     """Append the payoffs of the nested table ``node`` to ``values``, leaf by leaf.
 
-    Each leaf goes through :func:`_exact_entries`, whose ``parsed`` holds
-    the strings parsed so far in the table.  The loader walks only a table
-    that failed :func:`_flat_entries`' checks, to raise its first fault in
-    document order.
+    Each leaf goes through :func:`_exact_entries`.  The loader walks only
+    a table that failed :func:`_flat_entries`' checks, to raise its first
+    fault in document order.
 
     ``shape`` holds the lengths of ``node``'s axis and those below it,
     ``prefix`` the indices that lead to ``node``, and each leaf holds ``n``
@@ -365,7 +348,7 @@ def _flatten_payoffs(
     if len(shape) > 1:
         inner = shape[1:]
         for j, child in enumerate(node):
-            _flatten_payoffs(child, inner, n, values, (*prefix, j), parsed)
+            _flatten_payoffs(child, inner, n, values, (*prefix, j))
         return
     for j, leaf in enumerate(node):
         if not isinstance(leaf, _SEQUENCES) or len(leaf) != n:
@@ -373,7 +356,7 @@ def _flatten_payoffs(
                 f"payoff tensor shape mismatch at {_path((*prefix, j))}: "
                 f"expected a list of {n} payoffs"
             )
-        values.extend(_exact_entries(leaf, parsed))
+        values.extend(_exact_entries(leaf))
 
 
 def _path(prefix: tuple[int, ...]) -> str:
@@ -502,7 +485,7 @@ class MixedStrategy:
         if len(weights) == 1:
             strategy, weight = weights[0]
             # A point mass needs neither the sum nor the sort.
-            if type(weight) in _EXACT_KINDS and weight == 1:
+            if type(weight) in _EXACT_TYPES and weight == 1:
                 _check_index(strategy, None, "strategy index")
                 object.__setattr__(self, "weights", ((strategy, _coerce_payoff(weight)),))
                 return

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from collections import Counter
 from itertools import product
 from types import SimpleNamespace
@@ -26,7 +27,7 @@ from dominance_lab import (
     lattice_size,
     pointwise_inclusion,
 )
-from dominance_lab import operators
+from dominance_lab import analysis, operators
 from dominance_lab.analysis import (
     MonotonicityWitness,
     _first_excess,
@@ -389,6 +390,35 @@ class TestTruncatedScans:
         monkeypatch.setattr(EliminationEngine, "__init__", fail)
         with pytest.raises(BudgetExceededError, match="262144 opponent contexts"):
             check_monotonic(GS, zero_game((17, 17)), Exhaustive())
+
+    @pytest.mark.parametrize(
+        "kind, shape",
+        [(GW, (20, 20)), (MGW, (20, 20)), (LS, (20, 2)), (LS, (2, 20))],
+        ids=["gw-20x20", "mgw-20x20", "ls-20x2", "ls-2x20"],
+    )
+    def test_a_lopsided_game_costs_only_the_work_it_counts(self, kind, shape, monkeypatch):
+        # A player with 20 strategies has 2^20 masks: listing them, or every
+        # head of a rank, takes tens of MB.  The work the cap counts here is
+        # at most 253 nodes or 2 opponent contexts, and the walk is that.
+        work, _ = _monotonicity_work(kind, shape)
+        walked = Counter()
+        ranks = analysis._ranks
+
+        def counted(nodes):
+            for node in nodes:
+                walked["nodes"] += 1
+                yield node
+
+        monkeypatch.setattr(analysis, "_ranks", lambda shape: map(counted, ranks(shape)))
+        game = zero_game(shape)
+        tracemalloc.start()
+        try:
+            assert check_monotonic(kind, game, Exhaustive()) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert walked["nodes"] == work
+        assert peak < 1 << 23
 
 
 class TestOpponentLatticeScan:

@@ -169,6 +169,16 @@ class TestCheckMonotonic:
         )
 
     @pytest.mark.parametrize(
+        "operator, rows, cols", [("gw", 20, 20), ("ls", 20, 2), ("ls", 2, 20)]
+    )
+    def test_a_lopsided_game_is_checked_at_the_default_cap(self, tmp_path, operator, rows, cols):
+        # One player's 2^20 masks are far above the cap, but the check walks
+        # only the nodes or opponent contexts it counts.
+        path = self.zero_game_file(tmp_path, rows, cols)
+        code, text = run_cli("check-monotonic", "--operator", operator, path)
+        assert code == 0 and json.loads(text)["witness"] is None
+
+    @pytest.mark.parametrize(
         "flags",
         [["--budget", "sampled"], ["--budget", "exhaustive"], ["--samples", "5"], ["--seed", "3"]],
         ids=" ".join,

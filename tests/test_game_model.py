@@ -682,7 +682,7 @@ def walk_alone(players, strategies, table):
     """``Game.from_tables`` as the recursive walk alone would load the table."""
     n = len(players)
     values = []
-    game_model._flatten_payoffs(table, tuple(map(len, strategies)), n, values, (), {})
+    game_model._flatten_payoffs(table, tuple(map(len, strategies)), n, values, ())
     return Game(players, strategies, [values[i::n] for i in range(n)])
 
 
