@@ -7,8 +7,18 @@ inclusion on all pairs exactly when it does on the covering ones, and a
 check that finds no witness proves monotonicity on that game's lattice.
 The check returns the first failing pair of a scan of every node in (rank,
 kept) order while visiting far fewer nodes (:func:`check_monotonic`); an
-:class:`Exhaustive` cap bounds that work.  All reports are plain data with
-stable field order, so suites and CI can assert on their JSON form.
+:class:`Exhaustive` cap bounds that work.
+
+One lemma prunes every scan: with no opponent profile, a strict kind
+eliminates every kept strategy (each strict comparison holds vacuously) and
+a weak kind none (no profile shows a strict gain).  Where a player keeps
+nothing, no kept strategy faces an opponent profile.  So a restriction, or
+a global kind's opponent context, that keeps nothing somewhere fails only
+for a weak kind, with exactly one player keeping nothing, on a cover that
+fills that player (:func:`dominance_lab.operators._lone_empty`).
+
+All reports are plain data with stable field order, so suites and CI can
+assert on their JSON form.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from typing import Iterable, Iterator
 
 from .dominance import Mode, Pool
 from .game_model import Game, Restriction, _is_index, indices_of
-from .operators import EliminationEngine, OperatorKind
+from .operators import EliminationEngine, OperatorKind, _lone_empty
 
 __all__ = [
     "BudgetExceededError",
@@ -296,6 +306,18 @@ def check_monotonic(
     weakly dominated and every kept strategy strictly (vacuously), so no
     pair fails anywhere.
 
+    Within those ranks the scan skips what the lemma of
+    :func:`~dominance_lab.operators._lone_empty` settles.  Where a player
+    keeps nothing, no kept strategy faces an opponent profile, so a strict
+    kind eliminates everything there (vacuously) and a weak kind nothing.
+    Such a node can fail only for a weak kind, with exactly one player
+    keeping nothing, and on a cover that fills that player; every pair
+    skipped holds, so the first failing pair is the full scan's.  Survivors
+    are asked only where every player keeps something: LS and MLS ask at
+    the pure profiles, of rank ``P``, and their covers (64 and 448 on an
+    all-zero 8×8 game), and LW and MLW ask at those and at the covers that
+    fill a node's one empty player.
+
     A global kind scans one node at most: the first failing node, found on
     the opponent lattices by :func:`_first_global_violation`.  Its covers
     are asked in the full scan's order, so it returns the same pair and
@@ -303,7 +325,9 @@ def check_monotonic(
     nothing fails too: ``t`` has no weak dominator without an opponent
     profile, and has one once that opponent keeps its strategy in ``c``.
     That node has rank ``P - 1``, so their walk stops below opponent rank
-    ``P - 1``.
+    ``P - 1``.  The lemma prunes that walk too
+    (:meth:`EliminationEngine.least_newly_dominated`), and the node's
+    covers as it does a local node's.
     """
     _require_within(budget, *_monotonicity_work(kind, game.shape))
     engine = EliminationEngine(game)
@@ -327,11 +351,21 @@ def check_monotonic(
     top = lattice_size(game) - 1
     memo: dict[int, int] = {}
     for masks in nodes:
-        node = pack(masks)
-        small = memo.pop(node, None)
-        if small is None:
-            small = pack(engine.survivors(kind, masks))
-        missing = top & ~node
+        if all(masks):
+            node = pack(masks)
+            small = memo.pop(node, None)
+            if small is None:
+                small = pack(engine.survivors(kind, masks))
+            missing = top & ~node
+        else:
+            # Everything survives (weak) or nothing does (strict), and only
+            # a cover that fills the one empty player can fail.
+            empty = _lone_empty(kind.mode, masks)
+            if empty is None:
+                continue
+            offset, full = layout[empty]
+            node = small = pack(masks)
+            missing = full << offset
         while missing:
             bit = missing & -missing
             missing ^= bit

@@ -163,6 +163,27 @@ class IterationTrace:
         }
 
 
+def _lone_empty(mode: Mode, masks: tuple[int, ...]) -> int | None:
+    """The position a cover of ``masks`` must fill to eliminate more, or None if none can.
+
+    For ``masks`` where some position keeps nothing: a restriction's kept
+    sets, as a local kind's scan reads them, or one player's opponents'
+    kept sets, as a global kind's walk does.  A cover keeps one strategy
+    more.
+
+    The lemma: with no opponent profile, a strict kind eliminates every
+    kept strategy, as each strict comparison holds vacuously, and a weak
+    kind eliminates none, as no profile shows a strict gain.  While a
+    position keeps nothing, no kept strategy faces an opponent profile.
+    So at ``masks`` a strict kind has eliminated everything already, and a
+    weak kind nothing, which a cover changes only if it leaves no position
+    empty: when exactly one position keeps nothing and the cover fills it.
+    """
+    if mode is _STRICT or masks.count(0) > 1:
+        return None
+    return masks.index(0)
+
+
 class EliminationEngine:
     """Per-game memo for dominance decisions, with two caches.
 
@@ -283,22 +304,39 @@ class EliminationEngine:
         A cover keeps one opponent strategy more.  The pool is the player's
         full strategy set at both.  Strategies are decided one at a time,
         least first, and a cover is asked only about the strategies that
-        ``opp_masks`` leaves undominated.  Raises ValueError for a local kind.
+        ``opp_masks`` leaves undominated.
+
+        Where an opponent keeps nothing, the player faces no opponent
+        profile, and the lemma of :func:`_lone_empty` answers without a
+        decision: each strict comparison then holds vacuously and no weak
+        one has a profile with a strict gain.  So a strict kind has
+        eliminated every strategy at ``opp_masks`` already, and the answer
+        is None.  A weak kind has eliminated none, so ``opp_masks`` itself
+        is not asked, and only a cover that fills the one empty opponent can
+        eliminate anything (none can when two opponents keep nothing).
+        Raises ValueError for a local kind.
         """
         if kind.pool is _LOCAL:
             raise ValueError(f"{kind.name} is not a global kind")
         full = self.full_masks
         pool = full[player]
-        covers = [
-            (player, pool, opp_masks[:i] + (mask | 1 << s,) + opp_masks[i + 1 :])
-            for i, (mask, top) in enumerate(zip(opp_masks, full[:player] + full[player + 1 :]))
-            for s in indices_of(top & ~mask)
+        context = (player, pool, opp_masks)
+        if all(opp_masks):
+            asked, fills = [context], range(len(opp_masks))
+        else:
+            empty = _lone_empty(kind.mode, opp_masks)
+            if empty is None:
+                return None
+            asked, fills = [], (empty,)
+        opp_full = full[:player] + full[player + 1 :]
+        asked += [
+            (player, pool, opp_masks[:i] + (opp_masks[i] | 1 << s,) + opp_masks[i + 1 :])
+            for i in fills
+            for s in indices_of(opp_full[i] & ~opp_masks[i])
         ]
         contexts = self._contexts[kind.mode is not _STRICT][kind.mixing is not _PURE]
         mode, mixing = kind.mode, kind.mixing
         record = self._record
-        context = (player, pool, opp_masks)
-        asked = (context, *covers)
         for strategy in range(self.game.shape[player]):
             bit = 1 << strategy
             for at in asked:

@@ -35,8 +35,9 @@ from dominance_lab.analysis import (
     enumerate_restriction_masks,
     relation_of,
 )
+from dominance_lab.dominance import Mode
 from dominance_lab.game_model import builtin_game, indices_of
-from dominance_lab.operators import EliminationEngine
+from dominance_lab.operators import EliminationEngine, _lone_empty
 from dominance_lab.random_games import GeneratorConfig, generate
 
 
@@ -178,9 +179,12 @@ class TestOneDecisionPerContext:
         assert set(builds) == {context for context, _, _ in queries}
         if kind in (GS, MGS):
             # Both are monotone on these games, so the scan runs to the end
-            # and, with the one global pool, asks about every context.
+            # and, with the one global pool, asks about every context but
+            # the empty opponent mask, where every target is dominated
+            # vacuously: 2 players, 15 opponent masks, 4 targets.
             assert witness is None
-            assert len(queries) == 2 * (1 << 4) * 4
+            assert len(queries) == 2 * ((1 << 4) - 1) * 4
+            assert all(opp != (0,) for (_, opp), _, _ in queries)
         elif kind in (GW, MGW):
             # Both fail monotonicity on these games: the scan stops at a
             # witness, which a fresh engine must replay.
@@ -191,6 +195,8 @@ class TestOneDecisionPerContext:
         # The local kinds keep the node scan, and a game without dominance
         # has no witness, so the scan runs to its last rank, P = 2; the
         # covers of those nodes have rank P + 1, and no node above is asked.
+        # A strict kind skips every node where a player keeps nothing, so
+        # it asks the 16 pure profiles and their 2 * 6 * 4 = 48 covers.
         game = zero_game((4, 4))
         asked = Counter()
         survivors = EliminationEngine.survivors
@@ -201,7 +207,8 @@ class TestOneDecisionPerContext:
 
         monkeypatch.setattr(EliminationEngine, "survivors", counted_survivors)
         assert check_monotonic(kind, game, Exhaustive()) is None
-        expected = [m for m in enumerate_restriction_masks(game) if _rank(m) <= 3]
+        expected = [m for m in enumerate_restriction_masks(game) if _rank(m) <= 3 and all(m)]
+        assert len(expected) == 16 + 48
         assert sorted(asked) == sorted(expected)
         assert set(asked.values()) == {1}
 
@@ -348,7 +355,8 @@ class TestTruncatedScans:
     @pytest.mark.parametrize("shape", [(8, 8), (4, 4, 4)], ids=lambda s: "x".join(map(str, s)))
     def test_all_zero_games_above_the_old_cap_need_no_witness(self, shape, kind, monkeypatch):
         # 2^16 and 2^12 nodes: the local kinds ask for the survivors of the
-        # nodes of rank at most P + 1 only, and the global ones for none.
+        # pure profiles, at rank P, and their covers, at rank P + 1, where
+        # one player keeps two strategies; and the global ones for none.
         game = zero_game(shape)
         asked = Counter()
         survivors = EliminationEngine.survivors
@@ -359,11 +367,13 @@ class TestTruncatedScans:
 
         monkeypatch.setattr(EliminationEngine, "survivors", counted)
         assert check_monotonic(kind, game, Exhaustive()) is None
-        total = sum(shape)
         if kind in GLOBAL_KINDS:
             assert not asked
         else:
-            assert asked == {r: math.comb(total, r) for r in range(len(shape) + 2)}
+            profiles = math.prod(shape)
+            covers = sum(math.comb(n, 2) * (profiles // n) for n in shape)
+            assert asked == {len(shape): profiles, len(shape) + 1: covers}
+            assert covers == {(8, 8): 448, (4, 4, 4): 288}[shape]
 
     @pytest.mark.parametrize("kind", ALL_OPERATORS, ids=str)
     @pytest.mark.parametrize(
@@ -421,6 +431,96 @@ class TestTruncatedScans:
         assert peak < 1 << 23
 
 
+# Single-strategy players, three and four players, all-zero games and games
+# with one indifferent player: the nodes where a player keeps nothing are
+# most of each lattice, and the weak kinds' first witnesses sit at them.
+LEMMA_GAMES = (
+    [
+        game
+        for shape in [(1, 3), (3, 1), (3, 1, 2), (2, 2, 2, 2)]
+        for _, game in _seeded_games_of_shape(shape, 3)
+    ]
+    + [zero_game(shape) for shape in [(1, 3), (3, 1, 2), (2, 2, 2, 2)]]
+    + INDIFFERENT_GAMES[:6]
+)
+
+
+class TestEmptyPlayerLemma:
+    """With no opponent profile a strict kind eliminates everything and a weak kind nothing."""
+
+    @pytest.mark.parametrize("kind", ALL_OPERATORS, ids=str)
+    def test_only_a_cover_that_fills_the_lone_empty_player_can_fail(self, kind):
+        # Over every node where a player keeps nothing and each of its covers.
+        failing = 0
+        for i, game in enumerate(LEMMA_GAMES):
+            engine = EliminationEngine(game)
+            for node in enumerate_restriction_masks(game):
+                if all(node):
+                    continue
+                small = engine.survivors(kind, node)
+                assert small == (node if kind.mode is Mode.WEAK else (0,) * len(node)), (i, node)
+                empty = _lone_empty(kind.mode, node)
+                for larger in _covers(node, engine.full_masks):
+                    if _first_excess(small, engine.survivors(kind, larger)) is not None:
+                        failing += 1
+                        assert empty is not None and not node[empty] and larger[empty], (i, node)
+        # The weak kinds do fail there, so the filling covers must be asked.
+        assert (failing > 0) == (kind.mode is Mode.WEAK)
+
+    def test_the_lone_empty_position(self):
+        for mode in Mode:
+            assert _lone_empty(mode, (0, 0)) is None
+            assert _lone_empty(mode, (3, 0, 0, 1)) is None
+        assert _lone_empty(Mode.STRICT, (0,)) is None
+        assert _lone_empty(Mode.STRICT, (1, 0)) is None
+        assert _lone_empty(Mode.WEAK, (0,)) == 0
+        assert _lone_empty(Mode.WEAK, (1, 0, 6)) == 1
+
+    @pytest.mark.parametrize("kind", ALL_OPERATORS, ids=str)
+    def test_the_scans_are_the_full_memo_free_scan(self, kind):
+        found = 0
+        for i, game in enumerate(LEMMA_GAMES):
+            witness = check_monotonic(kind, game, Exhaustive())
+            expected = _memo_free_witness(kind, game)
+            assert witness == expected, i
+            if witness is not None:
+                found += 1
+                assert json.dumps(witness.to_dict()) == json.dumps(expected.to_dict()), i
+        assert found == 0 if kind in (GS, MGS) else found > 0
+
+    @pytest.mark.parametrize("kind", ALL_OPERATORS, ids=str)
+    def test_no_decision_is_asked_where_a_player_keeps_nothing(self, kind, monkeypatch):
+        # A strict scan asks no survivors at a node with an empty player,
+        # and a weak one asks only the covers that fill its one empty
+        # player, which keep something everywhere; the opponent walk asks no
+        # context with an empty opponent.
+        asked, decided = [], []
+        survivors, dominator = EliminationEngine.survivors, EliminationEngine.dominator
+
+        def noted_survivors(engine, operator, masks):
+            asked.append(masks)
+            return survivors(engine, operator, masks)
+
+        def noted_dominator(engine, player, target, pool_mask, opp_masks, mode, mixing):
+            decided.append(opp_masks)
+            return dominator(engine, player, target, pool_mask, opp_masks, mode, mixing)
+
+        monkeypatch.setattr(EliminationEngine, "survivors", noted_survivors)
+        monkeypatch.setattr(EliminationEngine, "dominator", noted_dominator)
+        empty_witnesses = 0
+        for i, game in enumerate(LEMMA_GAMES + TRUNCATION_GAMES):
+            asked.clear()
+            witness = check_monotonic(kind, game, Exhaustive())
+            assert all(map(all, asked)) and all(map(all, decided)), i
+            if witness is not None and not all(witness.smaller.masks):
+                # The last node asked is the failing cover, which fills the
+                # smaller restriction's one empty player.
+                empty_witnesses += 1
+                empty = _lone_empty(kind.mode, witness.smaller.masks)
+                assert asked[-1] == witness.larger.masks and witness.larger.masks[empty], i
+        assert (empty_witnesses > 0) == (kind.mode is Mode.WEAK)
+
+
 class TestOpponentLatticeScan:
     """The exhaustive path of the global kinds: each player's opponent lattice."""
 
@@ -457,10 +557,14 @@ class TestOpponentLatticeScan:
             if witness is None:
                 assert asked == [], seed
                 continue
-            # The node, then its covers in scan order up to the failing one.
+            # The node, then its covers in scan order up to the failing one,
+            # less those where a player keeps nothing: a GW or MGW node with
+            # an empty opponent keeps everything, and only the covers that
+            # fill that opponent are asked.
             node, larger = witness.smaller.masks, witness.larger.masks
             covers = list(_covers(node, EliminationEngine(game).full_masks))
-            assert asked == [node] + covers[: covers.index(larger) + 1], seed
+            expected = [m for m in [node] + covers[: covers.index(larger) + 1] if all(m)]
+            assert asked == expected, seed
 
     @pytest.mark.parametrize("kind", [LS, MLS, LW, MLW], ids=str)
     def test_only_a_global_kind_has_one_pool_per_player(self, kind, g2):
