@@ -7,7 +7,13 @@ inclusion on all pairs exactly when it does on the covering ones, and a
 check that finds no witness proves monotonicity on that game's lattice.
 The check returns the first failing pair of a scan of every node in (rank,
 kept) order while visiting far fewer nodes (:func:`check_monotonic`); an
-:class:`Exhaustive` cap bounds that work.
+:class:`Exhaustive` cap bounds that work.  The local kinds scan the nodes
+of rank at most ``P``, the number of players.  The global kinds find the
+first failing node on each player's opponent lattice instead
+(:func:`_first_global_violation`): GS and MGS decide every opponent
+context once and compare each with its covers by mask arithmetic, and GW
+and MGW walk the contexts rank by rank, least first, and stop at the first
+rank that fails.
 
 One lemma prunes every scan: with no opponent profile, a strict kind
 eliminates every kept strategy (each strict comparison holds vacuously) and
@@ -24,7 +30,7 @@ assert on their JSON form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain, combinations, islice
+from itertools import accumulate, chain, combinations, islice, product
 from math import comb
 from typing import Iterable, Iterator
 
@@ -124,19 +130,20 @@ def enumerate_restriction_masks(game: Game) -> Iterator[tuple[int, ...]]:
 
 
 def _scanned_ranks(kind: OperatorKind, shape: tuple[int, ...]) -> int:
-    """How many node ranks (local kinds) or opponent ranks (global) ``check_monotonic`` walks."""
-    players = len(shape)
-    if kind.pool is Pool.LOCAL:
-        return players + 1
-    if kind.mode is Mode.WEAK:
-        return players - 1
-    return sum(shape) - min(shape) + 1
+    """How many node ranks (LS, MLS, LW, MLW) or opponent ranks (GW, MGW) ``check_monotonic`` walks.
+
+    GS and MGS walk no ranks: they decide every opponent context once
+    (:func:`_first_strict_global_violation`).
+    """
+    return len(shape) + 1 if kind.pool is Pool.LOCAL else len(shape) - 1
 
 
 def _monotonicity_work(kind: OperatorKind, shape: tuple[int, ...]) -> tuple[int, str]:
     """What ``check_monotonic`` of ``kind`` visits at most, in the ranks it walks, and its unit.
 
-    For GS and MGS those are all ``2^(N - n_k)`` opponent masks of each ``k``.
+    For GS and MGS the count is all ``2^(N - n_k)`` opponent masks of each
+    ``k``, of which the walk decides those where every opponent keeps
+    something.
     """
     total, ranks = sum(shape), _scanned_ranks(kind, shape)
     if kind.pool is Pool.LOCAL:
@@ -245,16 +252,23 @@ def _first_global_violation(
     node still fails when ``kept_k`` shrinks to one such strategy ``b``,
     and that lowers its rank unless ``kept_k`` is ``{b}`` already.
     So the first failing node keeps some ``O`` and one ``b`` for some
-    ``k``, and ``b`` is :meth:`EliminationEngine.least_newly_dominated` at
-    ``(k, O)``: within a rank, a node with a lower ``b`` comes first.
+    ``k``, and ``b`` is the least strategy newly dominated at a cover of
+    ``O``: within a rank, a node with a lower ``b`` comes first.
 
-    The opponent lattices are walked rank by rank, every player's at one
-    rank before any at the next, and the least candidate of the first
-    opponent rank that has one is the answer.  A ``(k, O)`` whose least
-    possible node (``b = 0``) is not below the best candidate so far is
-    skipped, and so are ``k``'s later ``O`` of that rank, whose nodes come
-    later still.  Only the ranks of :func:`_scanned_ranks` are walked.
+    GS and MGS visit every context where each opponent keeps something,
+    once, in :func:`_first_strict_global_violation`.  GW and MGW walk the
+    opponent lattices rank by rank, every player's at one rank before any
+    at the next, asking :meth:`EliminationEngine.least_newly_dominated` at
+    each ``(k, O)``, and the least candidate of the first opponent rank that
+    has one is the answer.  A ``(k, O)`` whose least possible node
+    (``b = 0``) is not below the best candidate so far is skipped, and so
+    are ``k``'s later ``O`` of that rank, whose nodes come later still.
+    Only the ranks of :func:`_scanned_ranks` are walked, and the walk
+    stops at the first that has a candidate: these kinds fail on most
+    games, so their checks stay short.
     """
+    if kind.mode is Mode.STRICT:
+        return _first_strict_global_violation(engine, kind)
     shape = engine.game.shape
     walks = [(k, _ranks(shape[:k] + shape[k + 1 :])) for k in range(len(shape))]
     for _ in range(_scanned_ranks(kind, shape)):
@@ -272,6 +286,53 @@ def _first_global_violation(
         if best is not None:
             return best
     return None
+
+
+def _first_strict_global_violation(
+    engine: EliminationEngine, kind: OperatorKind
+) -> tuple[int, ...] | None:
+    """:func:`_first_global_violation` for GS and MGS: one pass per player.
+
+    Each opponent context ``O`` where every opponent keeps something is
+    decided once, for all of player ``k``'s strategies
+    (:meth:`EliminationEngine.dominated`), and the candidates ``b`` of
+    ``(k, O)`` are ``newly = (OR of D_k(O') over the covers O') & ~D_k(O)``.
+    The contexts run in decreasing lexicographic order, so each cover,
+    larger at one position, is decided before ``O``.  A context where an
+    opponent keeps nothing is never asked: there a strict kind eliminates
+    every strategy (:func:`~dominance_lab.operators._lone_empty`), so
+    nothing is newly dominated above it, and no context asked has it as
+    a cover.
+
+    The answer is the least candidate node, ``O`` with ``k`` keeping the
+    least ``b``, by rank and then order in rank.  No rank order or
+    least-first asking is needed: GS and MGS are monotone by the paper's
+    theorem, so no context of a real game fails, and a walk that stopped
+    at the first failing rank would decide the same (context, target)
+    pairs.
+    """
+    full = engine.full_masks
+    candidates = []
+    for k in range(len(full)):
+        opp_full = full[:k] + full[k + 1 :]
+        dominated: dict[tuple[int, ...], int] = {}
+        for opp in product(*(range(f, 0, -1) for f in opp_full)):
+            here = dominated[opp] = engine.dominated(kind, k, opp)
+            newly = 0
+            for i, mask in enumerate(opp):
+                missing = opp_full[i] & ~mask
+                while missing:
+                    bit = missing & -missing
+                    missing ^= bit
+                    newly |= dominated[opp[:i] + (mask | bit,) + opp[i + 1 :]]
+            newly &= ~here
+            if newly:
+                candidates.append(opp[:k] + (newly & -newly,) + opp[k:])
+    return min(
+        candidates,
+        key=lambda node: (sum(map(int.bit_count, node)), _order_in_rank(node)),
+        default=None,
+    )
 
 
 def check_monotonic(
@@ -321,13 +382,16 @@ def check_monotonic(
     A global kind scans one node at most: the first failing node, found on
     the opponent lattices by :func:`_first_global_violation`.  Its covers
     are asked in the full scan's order, so it returns the same pair and
-    evidence.  For GW and MGW the node above with one opponent keeping
-    nothing fails too: ``t`` has no weak dominator without an opponent
-    profile, and has one once that opponent keeps its strategy in ``c``.
-    That node has rank ``P - 1``, so their walk stops below opponent rank
-    ``P - 1``.  The lemma prunes that walk too
-    (:meth:`EliminationEngine.least_newly_dominated`), and the node's
-    covers as it does a local node's.
+    evidence.  GS and MGS decide each opponent context where every opponent
+    keeps something once, for every target, and compare it with its covers
+    by mask arithmetic; the lemma rules out every other context.  For GW
+    and MGW the node above with one opponent keeping nothing fails too:
+    ``t`` has no weak dominator without an opponent profile, and has one
+    once that opponent keeps its strategy in ``c``.  That node has rank
+    ``P - 1``, so their walk stops below opponent rank ``P - 1``, and it
+    asks least first, so it stops at the first failing rank.  The lemma
+    prunes that walk too (:meth:`EliminationEngine.least_newly_dominated`),
+    and the node's covers as it does a local node's.
     """
     _require_within(budget, *_monotonicity_work(kind, game.shape))
     engine = EliminationEngine(game)

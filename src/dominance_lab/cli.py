@@ -75,16 +75,23 @@ def _parse_restriction(game: Game, text: str) -> Restriction:
     return Restriction(game, tuple(kept))
 
 
+# argparse names a converter's ``__name__`` in its usage errors unless the
+# converter raises ArgumentTypeError, so these two raise it for every value.
+
+
 def _parse_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return (int(lo), int(hi))
-    value = int(text)
-    return (value, value)
+    lo, dots, hi = text.partition("..")
+    try:
+        return (int(lo), int(hi if dots else lo))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an int or LO..HI, got {text!r}") from None
 
 
 def _count(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an int, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value

@@ -193,12 +193,13 @@ class EliminationEngine:
     the mask of targets decided there, the mask of those found dominated,
     and their dominators; a global kind shares records with its local twin
     wherever their pools coincide.  ``survivors``, for a kept set's
-    contexts, and ``least_newly_dominated``, for one target at a time, read
-    and fill the records through ``_record``, which decides only the
-    targets a record has not decided; ``step`` reads its certificates'
-    dominators from the same records.  Every target is decided at most once
-    per context, and only when some query asks: each undecided target goes
-    through ``dominator`` and one kernel call, and nothing else decides.
+    contexts, ``dominated``, for every strategy at one global context, and
+    ``least_newly_dominated``, for one target at a time, read and fill the
+    records through ``_record``, which decides only the targets a record
+    has not decided; ``step`` reads its certificates' dominators from the
+    same records.  Every target is decided at most once per context, and
+    only when some query asks: each undecided target goes through
+    ``dominator`` and one kernel call, and nothing else decides.
 
     Hits cost no call: ``least_newly_dominated`` reads a context's record
     with one dict lookup and calls ``_record`` only when the record has not
@@ -295,6 +296,16 @@ class EliminationEngine:
             out.append(kept & ~self._record(contexts, context, kept, mode, mixing)[1])
         return tuple(out)
 
+    def dominated(self, kind: OperatorKind, player: int, opp_masks: tuple[int, ...]) -> int:
+        """The mask of ``player``'s strategies that a global ``kind`` eliminates at ``opp_masks``.
+
+        Decides every strategy the context's record has not: the exact
+        GS and MGS checks ask each opponent context once.
+        """
+        pool = self.full_masks[player]
+        contexts = self._contexts[kind.mode is not _STRICT][kind.mixing is not _PURE]
+        return self._record(contexts, (player, pool, opp_masks), pool, kind.mode, kind.mixing)[1]
+
     def least_newly_dominated(
         self, kind: OperatorKind, player: int, opp_masks: tuple[int, ...]
     ) -> int | None:
@@ -315,6 +326,11 @@ class EliminationEngine:
         is not asked, and only a cover that fills the one empty opponent can
         eliminate anything (none can when two opponents keep nothing).
         Raises ValueError for a local kind.
+
+        The exact GW and MGW checks ask it context by context, and its
+        least-first order lets them stop at the first failing rank.  The
+        GS and MGS checks ask ``dominated`` instead, as they decide every
+        context, but it answers strict kinds too.
         """
         if kind.pool is _LOCAL:
             raise ValueError(f"{kind.name} is not a global kind")

@@ -36,8 +36,8 @@ from dominance_lab.analysis import (
     relation_of,
 )
 from dominance_lab.dominance import Mode
-from dominance_lab.game_model import builtin_game, indices_of
-from dominance_lab.operators import EliminationEngine, _lone_empty
+from dominance_lab.game_model import MixedStrategy, builtin_game, indices_of
+from dominance_lab.operators import EliminationEngine, Mixing, _lone_empty
 from dominance_lab.random_games import GeneratorConfig, generate
 
 
@@ -189,6 +189,36 @@ class TestOneDecisionPerContext:
             # Both fail monotonicity on these games: the scan stops at a
             # witness, which a fresh engine must replay.
             assert witness is not None and witness.replay()
+
+    @pytest.mark.parametrize("kind", [GS, MGS], ids=str)
+    def test_a_strict_walk_decides_each_3_player_context_once(self, kind, monkeypatch):
+        # GS and MGS decide every target at every opponent context where each
+        # opponent keeps something, once, and nothing anywhere else:
+        # sum_k n_k * prod_{j != k} (2^n_j - 1) = 3 * 3 * 7 * 7 decisions, on
+        # 3 * 7 * 7 column sets.
+        game = generate(GeneratorConfig(seed=0, players=(3, 3), strategies=(3, 3), tie_bias=0.3))
+        assert game.shape == (3, 3, 3)
+        decided, built = Counter(), Counter()
+        dominator, bases = EliminationEngine.dominator, EliminationEngine.opponent_bases
+
+        def counted_query(engine, player, target, pool_mask, opp_masks, mode, mixing):
+            decided[player, pool_mask, opp_masks, target] += 1
+            return dominator(engine, player, target, pool_mask, opp_masks, mode, mixing)
+
+        def counted_bases(engine, player, opp_masks):
+            built[player, opp_masks] += 1
+            return bases(engine, player, opp_masks)
+
+        monkeypatch.setattr(EliminationEngine, "dominator", counted_query)
+        monkeypatch.setattr(EliminationEngine, "opponent_bases", counted_bases)
+        assert check_monotonic(kind, game, Exhaustive()) is None
+        contexts = [(k, opp) for k in range(3) for opp in product(range(1, 8), repeat=2)]
+        assert len(contexts) == 147
+        assert built == Counter(contexts)
+        assert decided == Counter(
+            (k, 0b111, opp, target) for k, opp in contexts for target in range(3)
+        )
+        assert sum(decided.values()) == 441
 
     @pytest.mark.parametrize("kind", [LS, MLS], ids=str)
     def test_a_clean_scan_asks_for_each_node_up_to_rank_p_plus_1_once(self, kind, monkeypatch):
@@ -592,6 +622,41 @@ class TestOpponentLatticeScan:
         with pytest.raises(BudgetExceededError, match="512 opponent contexts"):
             check_monotonic(GS, game, Exhaustive(cap=511))
         assert not calls
+
+
+def _inject_dominance(monkeypatch):
+    """Patch the engine so that strategy 0 dominates every other strategy the
+    kernel leaves undominated, at contexts where every opponent keeps
+    something and the opponents keep 3 strategies or more.
+
+    A strict kind's lemma still holds, as contexts where an opponent keeps
+    nothing are left alone, but GS and MGS now fail: a strategy the kernel
+    leaves undominated at a 2-strategy context is dominated at its covers.
+    """
+    dominator = EliminationEngine.dominator
+
+    def injected(engine, player, target, pool_mask, opp_masks, mode, mixing):
+        found = dominator(engine, player, target, pool_mask, opp_masks, mode, mixing)
+        if found is None and target >= 1 and all(opp_masks) and _rank(opp_masks) >= 3:
+            return 0 if mixing is Mixing.PURE else MixedStrategy.point_mass(player, 0)
+        return found
+
+    monkeypatch.setattr(EliminationEngine, "dominator", injected)
+
+
+class TestStrictWalkFailingBranch:
+    """GS and MGS are monotone, so only injected dominance reaches a failing pair."""
+
+    @pytest.mark.parametrize("kind", [GS, MGS], ids=str)
+    @pytest.mark.parametrize(
+        "shape", [(3, 3), (2, 3, 2), (4, 4), (3, 3, 3)], ids=lambda s: "x".join(map(str, s))
+    )
+    def test_the_witness_is_the_full_scans_first(self, shape, kind, monkeypatch):
+        _inject_dominance(monkeypatch)
+        for seed, game in _seeded_games_of_shape(shape, 4):
+            expected = _memo_free_witness(kind, game)
+            assert expected is not None, seed
+            assert check_monotonic(kind, game, Exhaustive()) == expected, seed
 
 
 class TestOpponentLatticeMatchesTheNodeScan:

@@ -349,15 +349,15 @@ class TestVerifyFlagValues:
             (["--seed", "2.7"], "argument --seed: invalid int value: '2.7'"),
             (["--seed", "1e400"], "argument --seed: invalid int value: '1e400'"),
             (["--seed", "x"], "argument --seed: invalid int value: 'x'"),
-            (["--players", "2.9..3.2"], "argument --players: invalid _parse_range value: '2.9..3.2'"),
-            (["--players", "2.."], "argument --players: invalid _parse_range value: '2..'"),
-            (["--players", "..3"], "argument --players: invalid _parse_range value: '..3'"),
-            (["--players", "2..3..4"], "argument --players: invalid _parse_range value: '2..3..4'"),
-            (["--strategies", "2..x"], "argument --strategies: invalid _parse_range value: '2..x'"),
-            (["--payoffs=a..b"], "argument --payoffs: invalid _parse_range value: 'a..b'"),
+            (["--players", "2.9..3.2"], "argument --players: expected an int or LO..HI, got '2.9..3.2'"),
+            (["--players", "2.."], "argument --players: expected an int or LO..HI, got '2..'"),
+            (["--players", "..3"], "argument --players: expected an int or LO..HI, got '..3'"),
+            (["--players", "2..3..4"], "argument --players: expected an int or LO..HI, got '2..3..4'"),
+            (["--strategies", "2..x"], "argument --strategies: expected an int or LO..HI, got '2..x'"),
+            (["--payoffs=a..b"], "argument --payoffs: expected an int or LO..HI, got 'a..b'"),
             (["--tie-bias", "x"], "argument --tie-bias: invalid float value: 'x'"),
             (["--games", "0"], "argument --games: must be at least 1, got 0"),
-            (["--games", "x"], "argument --games: invalid _count value: 'x'"),
+            (["--games", "x"], "argument --games: expected an int, got 'x'"),
         ],
         ids=["seed_fraction", "seed_overflow", "seed_word", "players_fractions",
              "players_no_hi", "players_no_lo", "players_three_bounds", "strategies_word",
@@ -369,6 +369,21 @@ class TestVerifyFlagValues:
         assert (code, text) == (1, "")
         assert err.rstrip().endswith(f"dominance-lab verify: error: {message}")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-monotonic", "--operator", "gs", "--cap", "1.5", "game.json"],
+            ["verify", "--players", "2..x"],
+            ["verify", "--games", "x"],
+        ],
+        ids=["cap_fraction", "players_word", "games_word"],
+    )
+    def test_usage_errors_name_no_private_converter(self, argv):
+        code, text, err = run_cli_stderr(*argv)
+        assert (code, text) == (1, "")
+        assert "error: argument --" in err
+        assert " _" not in err and "Traceback" not in err
 
     generator_flags = st.sampled_from(["--seed", "--players", "--strategies", "--payoffs",
                                        "--tie-bias"])
