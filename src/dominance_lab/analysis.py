@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, chain, combinations, islice, product
-from math import comb
+from math import comb, prod
 from typing import Iterable, Iterator
 
 from .dominance import Mode, Pool
@@ -141,15 +141,16 @@ def _scanned_ranks(kind: OperatorKind, shape: tuple[int, ...]) -> int:
 def _monotonicity_work(kind: OperatorKind, shape: tuple[int, ...]) -> tuple[int, str]:
     """What ``check_monotonic`` of ``kind`` visits at most, in the ranks it walks, and its unit.
 
-    For GS and MGS the count is all ``2^(N - n_k)`` opponent masks of each
-    ``k``, of which the walk decides those where every opponent keeps
-    something.
+    For GS and MGS the count is the ``prod_{j != k} (2^(n_j) - 1)`` opponent
+    contexts of each ``k`` where every opponent keeps something: the
+    contexts the walk decides.
     """
     total, ranks = sum(shape), _scanned_ranks(kind, shape)
     if kind.pool is Pool.LOCAL:
         return sum(comb(total, r) for r in range(ranks)), "nodes"
     if kind.mode is Mode.STRICT:
-        return sum(1 << (total - n) for n in shape), "opponent contexts"
+        kept = [(1 << n) - 1 for n in shape]
+        return sum(prod(kept[:k] + kept[k + 1 :]) for k in range(len(shape))), "opponent contexts"
     return sum(comb(total - n, r) for n in shape for r in range(ranks)), "opponent contexts"
 
 

@@ -319,21 +319,21 @@ class EliminationEngine:
 
         Where an opponent keeps nothing, the player faces no opponent
         profile, and the lemma of :func:`_lone_empty` answers without a
-        decision: each strict comparison then holds vacuously and no weak
-        one has a profile with a strict gain.  So a strict kind has
-        eliminated every strategy at ``opp_masks`` already, and the answer
-        is None.  A weak kind has eliminated none, so ``opp_masks`` itself
-        is not asked, and only a cover that fills the one empty opponent can
-        eliminate anything (none can when two opponents keep nothing).
-        Raises ValueError for a local kind.
+        decision: no weak comparison then has a profile with a strict gain,
+        so ``opp_masks`` itself is not asked, and only a cover that fills
+        the one empty opponent can eliminate anything (none can when two
+        opponents keep nothing).  Raises ValueError for a local or a strict
+        kind.
 
         The exact GW and MGW checks ask it context by context, and its
         least-first order lets them stop at the first failing rank.  The
         GS and MGS checks ask ``dominated`` instead, as they decide every
-        context, but it answers strict kinds too.
+        context.
         """
         if kind.pool is _LOCAL:
             raise ValueError(f"{kind.name} is not a global kind")
+        if kind.mode is _STRICT:
+            raise ValueError(f"{kind.name} is not a weak kind")
         full = self.full_masks
         pool = full[player]
         context = (player, pool, opp_masks)

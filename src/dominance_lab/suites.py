@@ -14,21 +14,20 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, repeat
 from math import lcm
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from . import analysis, dominance, operators
 from .analysis import Exhaustive
 from .dominance import (
     Mode,
-    Pool,
     _beats,
     _columns,
+    _mixed_dominator,
     _opponent_bases,
-    find_mixed_dominator,
     replay_certificate,
 )
-from .game_model import Game, Restriction, builtin_game
+from .game_model import Game, Restriction, builtin_game, indices_of
 from .operators import (
     ALL_OPERATORS,
     EliminationEngine,
@@ -422,6 +421,19 @@ def _grid_weights(count: int, max_denominator: int) -> tuple[int, tuple[tuple[in
     return scale, tuple(weights)
 
 
+@lru_cache(maxsize=None)
+def _grid_weight_columns(
+    count: int, max_denominator: int
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """:func:`_grid_weights` transposed: ``(scale, columns)``, one column per strategy.
+
+    ``columns[j][m]`` is the weight of strategy ``j`` in the grid's ``m``-th
+    mixture.  Built once per ``(count, max_denominator)``.
+    """
+    scale, weights = _grid_weights(count, max_denominator)
+    return scale, tuple(zip(*weights))
+
+
 def _grid_mixtures(
     columns: Sequence[Sequence[int]], max_denominator: int
 ) -> tuple[int, list[tuple[int, ...]]]:
@@ -435,9 +447,16 @@ def _grid_mixtures(
     in a deterministic order: mixtures of equal columns repeat a column
     already listed and would decide nothing new.
     """
-    scale, weights = _grid_weights(len(columns), max_denominator)
-    # One row per opponent profile, and per row every weight's mixed payoff.
-    sums = [list(map(sum, map(map, repeat(mul), weights, repeat(row)))) for row in zip(*columns)]
+    scale, weight_columns = _grid_weight_columns(len(columns), max_denominator)
+    # One row per opponent profile, holding every mixture's payoff there:
+    # the sum over strategies of the strategy's weight column times its
+    # payoff at the profile, added up one strategy at a time.
+    sums = []
+    for row in zip(*columns):
+        mixed = map(mul, weight_columns[0], repeat(row[0]))
+        for weight_column, value in zip(weight_columns[1:], row[1:]):
+            mixed = map(add, mixed, map(mul, weight_column, repeat(value)))
+        sums.append(tuple(mixed))
     if not sums:
         # No opponent profiles: every mixed column is the empty column.
         return scale, [()]
@@ -464,10 +483,18 @@ def oracle_suite(
 
     The grid holds every mixture with denominators ``<= max_denominator``,
     as int weights over ``lcm(1..max_denominator)`` (``lcm(1..6) = 60`` by
-    default), and tries each one with :func:`dominance._beats`; it shares
-    nothing with the LP.  The grid can only confirm that a dominator
-    exists, so the assertion is one-sided: grid found implies LP found, and
-    every LP witness replays.
+    default), and tries each one with :func:`dominance._beats`.  The grid can
+    only confirm that a dominator exists, so the assertion is one-sided:
+    grid found implies LP found, and every LP witness replays.
+
+    Grid and LP share each player's payoff columns, built once per player:
+    the LP side calls :func:`dominance._mixed_dominator` on them with the
+    player's full strategy set as the pool, the call that
+    ``find_mixed_dominator(top, player, target, Pool.GLOBAL, mode)`` ends
+    in.  What stays independent of the LP is the grid's decision, ``_beats``
+    against its own mixtures of those columns, and the replay: each LP
+    witness goes through :func:`dominance.dominates`, which rebuilds its
+    columns from the restriction.
     """
     report = SuiteReport(suite="oracle", seed=seed)
     _hand_lp_checks(report)
@@ -485,11 +512,12 @@ def oracle_suite(
         for player in range(game.player_count):
             bases = _opponent_bases(game, player, top.masks[:player] + top.masks[player + 1 :])
             columns = _columns(game, player, bases)
+            pool = indices_of(top.masks[player])
             grid = _grid_mixtures(columns, max_denominator)
             for target, target_col in enumerate(columns):
                 for mode in (Mode.STRICT, Mode.WEAK):
                     grid_found = _grid_dominated(grid, target_col, mode)
-                    lp_witness = find_mixed_dominator(top, player, target, Pool.GLOBAL, mode)
+                    lp_witness = _mixed_dominator(player, target, pool, columns, mode)
                     grid_hits += grid_found
                     lp_hits += lp_witness is not None
                     if grid_found and lp_witness is None:

@@ -98,10 +98,11 @@ class TestCheckMonotonic:
         assert check_monotonic(LS, game, Exhaustive()) is None
 
     def test_cap_parameter_is_honored(self, g1):
-        # GS walks 2^1 + 2^2 opponent contexts on the 2x1 game.
-        with pytest.raises(BudgetExceededError, match="6 opponent contexts"):
-            check_monotonic(GS, g1, Exhaustive(cap=5))
-        assert check_monotonic(GS, g1, Exhaustive(cap=6)) is None
+        # GS decides the (2^1 - 1) + (2^2 - 1) opponent contexts of the 2x1
+        # game where the opponent keeps something.
+        with pytest.raises(BudgetExceededError, match="4 opponent contexts"):
+            check_monotonic(GS, g1, Exhaustive(cap=3))
+        assert check_monotonic(GS, g1, Exhaustive(cap=4)) is None
 
     def test_the_default_cap_is_2_to_the_16(self):
         assert Exhaustive().cap == 1 << 16
@@ -408,7 +409,7 @@ class TestTruncatedScans:
     @pytest.mark.parametrize("kind", ALL_OPERATORS, ids=str)
     @pytest.mark.parametrize(
         "shape, local, weak, strict",
-        [((8, 8), 137, 2 * 1, 2 * 256), ((4, 4, 4, 4), 2517, 4 * (1 + 12 + 66), 4 * 4096)],
+        [((8, 8), 137, 2 * 1, 2 * 255), ((4, 4, 4, 4), 2517, 4 * (1 + 12 + 66), 4 * 15**3)],
         ids=["8x8", "4x4x4x4"],
     )
     def test_the_work_the_cap_bounds(self, shape, local, weak, strict, kind):
@@ -420,7 +421,7 @@ class TestTruncatedScans:
 
     @pytest.mark.parametrize("kind", [GS, MGS], ids=str)
     def test_gs_on_four_4_strategy_players_runs_at_the_default_cap(self, kind):
-        # 4 * 2^12 opponent contexts, within 2^16; the 2^16 nodes are not.
+        # 4 * 15^3 opponent contexts, within 2^16; the 2^16 nodes are not.
         assert check_monotonic(kind, zero_game((4, 4, 4, 4)), Exhaustive()) is None
 
     def test_gs_on_a_17x17_game_is_refused_before_any_work(self, monkeypatch):
@@ -428,7 +429,7 @@ class TestTruncatedScans:
             raise AssertionError("the check built an engine")
 
         monkeypatch.setattr(EliminationEngine, "__init__", fail)
-        with pytest.raises(BudgetExceededError, match="262144 opponent contexts"):
+        with pytest.raises(BudgetExceededError, match="262142 opponent contexts"):
             check_monotonic(GS, zero_game((17, 17)), Exhaustive())
 
     @pytest.mark.parametrize(
@@ -612,15 +613,15 @@ class TestOpponentLatticeScan:
             return dominator(engine, *args)
 
         monkeypatch.setattr(EliminationEngine, "dominator", counted)
-        # GS is monotone, so the walk visits every opponent context: player
-        # k's 2^(N - n_k) opponent masks times its n_k targets, at most.  The
-        # cap bounds the 2 * 2^8 contexts, not the 2^16 nodes.
-        assert check_monotonic(GS, game, Exhaustive(cap=512)) is None
-        total = sum(game.shape)
-        assert 0 < calls["dominator"] <= sum((1 << (total - n)) * n for n in game.shape)
+        # GS is monotone, so the walk decides every opponent context where
+        # the opponent keeps something: 2^8 - 1 per player, times its 8
+        # targets at most.  The cap bounds the 2 * 255 contexts, not the
+        # 2^16 nodes.
+        assert check_monotonic(GS, game, Exhaustive(cap=510)) is None
+        assert 0 < calls["dominator"] <= 2 * 255 * 8
         calls.clear()
-        with pytest.raises(BudgetExceededError, match="512 opponent contexts"):
-            check_monotonic(GS, game, Exhaustive(cap=511))
+        with pytest.raises(BudgetExceededError, match="510 opponent contexts"):
+            check_monotonic(GS, game, Exhaustive(cap=509))
         assert not calls
 
 

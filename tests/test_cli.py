@@ -153,7 +153,7 @@ class TestCheckMonotonic:
         assert code == 0 and json.loads(text)["witness"] is None
 
     def test_gs_on_a_17x17_game_exits_3_at_the_default_cap(self, tmp_path, monkeypatch):
-        # 2 * 2^17 opponent contexts; the check refuses before it builds an engine.
+        # 2 * (2^17 - 1) opponent contexts; the check refuses before it builds an engine.
         from dominance_lab.operators import EliminationEngine
 
         def fail(*args):
@@ -164,7 +164,7 @@ class TestCheckMonotonic:
         code, text, err = run_cli_stderr("check-monotonic", "--operator", "gs", path)
         assert (code, text) == (3, "")
         assert err == (
-            "error: the check visits 262144 opponent contexts, above the exhaustive cap 65536; "
+            "error: the check visits 262142 opponent contexts, above the exhaustive cap 65536; "
             "raise the cap\n"
         )
 

@@ -34,6 +34,7 @@ from dominance_lab.dominance import (
 from dominance_lab.operators import ALL_OPERATORS, GS, LS, EliminationEngine
 from dominance_lab.random_games import GeneratorConfig, generate
 from dominance_lab.simplex import solve_lp
+from dominance_lab import suites
 from dominance_lab.suites import _grid_dominated, _grid_mixtures, _grid_weights
 
 F = Fraction
@@ -488,6 +489,15 @@ def every_composition_dominated(columns, target_col, mode, max_denominator):
     return False
 
 
+def per_weight_vector_mixtures(columns, max_denominator):
+    """``_grid_mixtures`` as one sum per weight vector and profile."""
+    scale, weights = _grid_weights(len(columns), max_denominator)
+    sums = [[sum(w * x for w, x in zip(weight, row)) for weight in weights] for row in zip(*columns)]
+    if not sums:
+        return scale, [()]
+    return scale, list(dict.fromkeys(zip(*sums)))
+
+
 class TestGridOracle:
     def random_case(self, rng):
         """Int columns for a pool of 1 to 4 strategies, with ties and repeated
@@ -555,6 +565,60 @@ class TestGridOracle:
             # Listed in the order first reached: by smallest denominator.
             dens = [scale // gcd(scale, *w) for w in weights]
             assert dens == sorted(dens)
+
+    def test_grid_mixtures_equal_one_sum_per_weight_vector(self):
+        # Random columns of 1 to 4 strategies over 0 to 4 profiles, with
+        # repeated columns, at every denominator bound.
+        rng = random.Random(29)
+        cases = 0
+        for _ in range(300):
+            size, profiles = rng.randint(1, 4), rng.randint(0, 4)
+            columns = [tuple(rng.randint(-3, 3) for _ in range(profiles)) for _ in range(size)]
+            if size > 1 and rng.random() < 0.4:
+                columns[rng.randrange(size)] = columns[rng.randrange(size)]
+            for max_denominator in range(1, 7):
+                assert _grid_mixtures(columns, max_denominator) == per_weight_vector_mixtures(
+                    columns, max_denominator
+                ), (columns, max_denominator)
+                cases += not profiles
+        assert cases
+
+    @pytest.mark.parametrize("seed", [0, 1000, suites.DEFAULT_SEED])
+    def test_the_suites_lp_calls_equal_find_mixed_dominator(self, seed, monkeypatch):
+        # The oracle suite decides the LP side on the columns it built for
+        # the grid; each call must answer what the public query does on the
+        # full restriction with a global pool.
+        games, calls = [], []
+        generate_game, kernel = suites.generate, suites._mixed_dominator
+
+        def recorded_generate(config):
+            games.append(generate_game(config))
+            return games[-1]
+
+        def recorded_kernel(*args):
+            calls.append((args, kernel(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(suites, "generate", recorded_generate)
+        monkeypatch.setattr(suites, "_mixed_dominator", recorded_kernel)
+        suites.oracle_suite(seed=seed, games=40)
+        expected_calls = []
+        for game in games:
+            top = Restriction.full(game)
+            for player in range(game.player_count):
+                pool = tuple(range(game.shape[player]))
+                opp_masks = top.masks[:player] + top.masks[player + 1 :]
+                columns = _columns(game, player, _opponent_bases(game, player, opp_masks))
+                for target in pool:
+                    for mode in (Mode.STRICT, Mode.WEAK):
+                        witness = find_mixed_dominator(top, player, target, Pool.GLOBAL, mode)
+                        expected_calls.append(((player, target, pool, columns, mode), witness))
+        assert len(games) == 40
+        assert calls == expected_calls
+        answers = [got for _, got in calls]
+        assert None in answers
+        assert any(w is not None and len(w.support) > 1 for w in answers)
+        assert any(w is not None and len(w.support) == 1 for w in answers)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_cached_columns_equal_each_strategys_column(self, seed):

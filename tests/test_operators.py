@@ -354,16 +354,18 @@ class TestEngineCaches:
                     *(range(1 << k) for k in game.shape[:player] + game.shape[player + 1 :])
                 )
             ]
-            for kind in (GS, MGS, GW, MGW):
+            for kind in (GW, MGW):
                 expected = [fresh_least_newly_dominated(kind, game, *q) for q in queries]
-                # The strict kinds are monotone, so every answer is None and
-                # a spurious one would show; the weak kinds have answers.
-                if kind.mode is Mode.WEAK:
-                    assert expected != [None] * len(queries), (seed, kind.name)
+                assert expected != [None] * len(queries), (seed, kind.name)
                 for order in (queries, queries[::-1]):
                     engine = EliminationEngine(game)
                     got = {q: engine.least_newly_dominated(kind, *q) for q in order}
                     assert [got[q] for q in queries] == expected, (seed, kind.name)
+            # The strict kinds decide every context through ``dominated``.
+            for kind in (GS, MGS):
+                for query in (queries[0], queries[-1]):
+                    with pytest.raises(ValueError, match=f"{kind.name} is not a weak kind"):
+                        EliminationEngine(game).least_newly_dominated(kind, *query)
 
     def test_kinds_built_anew_share_the_caches_of_the_constants(self, g2, monkeypatch):
         calls = []
