@@ -7,9 +7,14 @@ inclusion on all pairs exactly when it does on the covering ones, and a
 check that finds no witness proves monotonicity on that game's lattice.
 The check returns the first failing pair of a scan of every node in (rank,
 kept) order while visiting far fewer nodes (:func:`check_monotonic`); an
-:class:`Exhaustive` cap bounds that work.  The local kinds scan the nodes
-of rank at most ``P``, the number of players.  The global kinds find the
-first failing node on each player's opponent lattice instead
+:class:`Exhaustive` cap bounds that work.  The local kinds fail first, if
+at all, at a node of rank ``P``, the number of players, and two payoff
+comparisons decide those nodes with no operator applied: a pure profile's
+cover fails exactly when the added strategy pays its player more than the
+kept one, and, for a weak kind, a cover that fills a node's one empty
+player fails exactly when the player keeping two strategies is paid
+differently by them.  The global kinds find the first failing node on
+each player's opponent lattice instead
 (:func:`_first_global_violation`): GS and MGS decide every opponent
 context once and compare each with its covers by mask arithmetic, and GW
 and MGW walk the contexts rank by rank, least first, and stop at the first
@@ -30,9 +35,10 @@ assert on their JSON form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain, combinations, islice, product
+from itertools import chain, combinations, islice, product
 from math import comb, prod
-from typing import Iterable, Iterator
+from operator import mul
+from typing import Iterator
 
 from .dominance import Mode, Pool
 from .game_model import Game, Restriction, _is_index, indices_of
@@ -63,11 +69,12 @@ class BudgetExceededError(RuntimeError):
 class Exhaustive:
     """An exact check that errors out when its work is above ``cap``.
 
-    The work is what the check visits.  For ``check_monotonic`` it is the
-    nodes of rank at most ``P`` for LS, MLS, LW and MLW, and the opponent
-    contexts walked for GS, MGS, GW and MGW (:func:`_monotonicity_work`);
-    for ``pointwise_inclusion`` it is every restriction, ``2^N``.  Raises
-    ValueError for a cap that is not an int of at least 1.
+    The work bounds what the check visits.  For ``check_monotonic`` it is
+    the nodes of rank at most ``P`` for LS, MLS, LW and MLW, which walk
+    those of rank ``P``, and the opponent contexts walked for GS, MGS, GW
+    and MGW (:func:`_monotonicity_work`); for ``pointwise_inclusion`` it
+    is every restriction, ``2^N``.  Raises ValueError for a cap that is
+    not an int of at least 1.
     """
 
     cap: int = DEFAULT_EXHAUSTIVE_CAP
@@ -130,9 +137,11 @@ def enumerate_restriction_masks(game: Game) -> Iterator[tuple[int, ...]]:
 
 
 def _scanned_ranks(kind: OperatorKind, shape: tuple[int, ...]) -> int:
-    """How many node ranks (LS, MLS, LW, MLW) or opponent ranks (GW, MGW) ``check_monotonic`` walks.
+    """How many node ranks (LS, MLS, LW, MLW) or opponent ranks (GW, MGW) the work counts.
 
-    GS and MGS walk no ranks: they decide every opponent context once
+    GW and MGW walk those ranks; LS, MLS, LW and MLW walk only the last,
+    rank ``P`` (:func:`_first_local_violation`).  GS and MGS walk no ranks:
+    they decide every opponent context once
     (:func:`_first_strict_global_violation`).
     """
     return len(shape) + 1 if kind.pool is Pool.LOCAL else len(shape) - 1
@@ -180,12 +189,14 @@ class MonotonicityWitness:
     def replay(self) -> bool:
         """Recompute both survivor sets.
 
-        A witness whose restrictions belong to different games, or whose
-        evidence names a player or strategy outside the game, does not replay.
+        A witness whose operator is not an :class:`OperatorKind`, whose
+        restrictions belong to different games, or whose evidence names a
+        player or strategy outside the game, does not replay.
         """
         game = self.smaller.game
         if (
-            game != self.larger.game
+            not isinstance(self.operator, OperatorKind)
+            or game != self.larger.game
             or not self._evidence_in_game()
             or not self.smaller.issubset(self.larger)
         ):
@@ -208,7 +219,13 @@ class MonotonicityWitness:
         )
 
     def to_dict(self) -> dict:
-        """The witness with labels; raises ValueError for evidence outside the game."""
+        """The witness with labels.
+
+        Raises ValueError for an operator that is not an
+        :class:`OperatorKind` or evidence outside the game.
+        """
+        if not isinstance(self.operator, OperatorKind):
+            raise ValueError(f"operator must be an OperatorKind, got {self.operator!r}")
         if not self._evidence_in_game():
             raise ValueError(f"evidence {self.evidence} names no strategy of the game")
         game = self.smaller.game
@@ -336,6 +353,64 @@ def _first_strict_global_violation(
     )
 
 
+def _cover(masks: tuple[int, ...], player: int, strategy: int) -> tuple[int, ...]:
+    """``masks`` with ``strategy`` added to ``player``'s kept set."""
+    return masks[:player] + (masks[player] | 1 << strategy,) + masks[player + 1 :]
+
+
+def _pair(
+    kind: OperatorKind, game: Game, masks: tuple[int, ...], larger: tuple[int, ...],
+    evidence: tuple[int, int],
+) -> MonotonicityWitness:
+    """The witness that ``kind`` fails on the covering pair ``masks`` < ``larger``."""
+    return MonotonicityWitness(
+        operator=kind,
+        smaller=Restriction.from_masks(game, masks),
+        larger=Restriction.from_masks(game, larger),
+        evidence=evidence,
+    )
+
+
+def _first_local_violation(kind: OperatorKind, game: Game) -> MonotonicityWitness | None:
+    """The first covering pair that LS, MLS, LW or MLW fails, or None, with no engine.
+
+    The two cases of :func:`check_monotonic`, decided on
+    ``game.scaled_payoffs`` at each node of rank ``P`` in scan order, and
+    at each node's covers in the full scan's order: player-major,
+    strategies ascending.
+    """
+    shape, strides, tables = game.shape, game.strides, game.scaled_payoffs
+    for masks in next(islice(_ranks(shape), len(shape), None)):
+        if all(masks):
+            profile = [mask.bit_length() - 1 for mask in masks]
+            at = sum(map(mul, profile, strides))
+            for i, t in enumerate(profile):
+                table, stride = tables[i], strides[i]
+                paid, base = table[at], at - t * stride
+                for s in range(shape[i]):
+                    if table[base + s * stride] > paid:
+                        return _pair(kind, game, masks, _cover(masks, i, s), (i, t))
+            continue
+        j = _lone_empty(kind.mode, masks)
+        if j is None:
+            continue
+        i = next(k for k, mask in enumerate(masks) if mask & (mask - 1))
+        a, b = indices_of(masks[i])
+        table, stride = tables[i], strides[i]
+        base = sum(
+            strides[k] * (mask.bit_length() - 1)
+            for k, mask in enumerate(masks)
+            if k != i and k != j
+        )
+        for x in range(shape[j]):
+            at = base + x * strides[j]
+            pay_a, pay_b = table[at + a * stride], table[at + b * stride]
+            if pay_a != pay_b:
+                evidence = (i, a if pay_a < pay_b else b)
+                return _pair(kind, game, masks, _cover(masks, j, x), evidence)
+    return None
+
+
 def check_monotonic(
     kind: OperatorKind, game: Game, budget: Exhaustive
 ) -> MonotonicityWitness | None:
@@ -346,105 +421,66 @@ def check_monotonic(
     Raises :class:`BudgetExceededError`, before any scan, when the work
     (:func:`_monotonicity_work`) is above ``budget.cap``.
 
-    The scan holds each node and each survivor set as one int, player
-    ``p``'s mask at bit offset ``sum(game.shape[:p])``.  A node's covers
-    add the lowest missing bit first, so they run player-major, strategies
-    ascending, and a pair fails when ``small & ~large`` is nonzero.  Nodes
-    are unpacked to per-player masks only to ask the engine for survivors
-    and to build the witness, whose evidence is :func:`_first_excess` of
-    the two unpacked survivor sets.  A memo holds each cover's survivors
-    until the scan reaches that node as the smaller restriction, which
-    drops its entry: no later pair asks for it, so the memo spans at most
-    two ranks.
+    LS, MLS, LW and MLW fail first at a node of rank ``P``, the number of
+    players, and build no engine (:func:`_first_local_violation`).  If
+    some player ``i`` strictly prefers ``s`` to ``t`` at an opponent
+    profile ``c``, the node where ``i`` keeps ``{t}`` and each opponent its
+    strategy in ``c`` has rank ``P``; everything survives there, as a pool
+    of one dominates nothing, and the cover that adds ``s`` eliminates
+    ``t`` under all four kinds.  If no player has such a preference,
+    nothing is dominated where every player keeps a strategy, and
+    elsewhere nothing is weakly dominated and every kept strategy strictly
+    (vacuously), so no pair fails anywhere.  Below rank ``P`` some player
+    keeps nothing, and by the lemma of
+    :func:`~dominance_lab.operators._lone_empty` such a node fails only
+    for a weak kind, with one player empty, on a cover that fills it; below
+    rank ``P`` that cover is a pure profile or keeps nothing somewhere, and
+    eliminates nothing.  So two cases decide a check, each by payoff
+    comparisons, at the rank-``P`` nodes in scan order:
 
-    LS, MLS, LW and MLW scan the nodes of rank at most ``P``, the number of
-    players.  If some player ``i`` strictly prefers ``s`` to ``t`` at an
-    opponent profile ``c``, the node where ``i`` keeps ``{t}`` and each
-    opponent its strategy in ``c`` has rank ``P``; everything survives
-    there, as a pool of one dominates nothing, and the cover that adds
-    ``s`` eliminates ``t`` under all four kinds.  So the first failing node
-    has rank at most ``P``.  If no player has such a preference, nothing is
-    dominated where every player keeps a strategy, and elsewhere nothing is
-    weakly dominated and every kept strategy strictly (vacuously), so no
-    pair fails anywhere.
-
-    Within those ranks the scan skips what the lemma of
-    :func:`~dominance_lab.operators._lone_empty` settles.  Where a player
-    keeps nothing, no kept strategy faces an opponent profile, so a strict
-    kind eliminates everything there (vacuously) and a weak kind nothing.
-    Such a node can fail only for a weak kind, with exactly one player
-    keeping nothing, and on a cover that fills that player; every pair
-    skipped holds, so the first failing pair is the full scan's.  Survivors
-    are asked only where every player keeps something: LS and MLS ask at
-    the pure profiles, of rank ``P``, and their covers (64 and 448 on an
-    all-zero 8×8 game), and LW and MLW ask at those and at the covers that
-    fill a node's one empty player.
+    - a pure profile, where ``i`` keeps ``{t}`` and the opponents ``c``:
+      the cover adding ``s`` to ``i`` fails exactly when ``u_i(s, c) >
+      u_i(t, c)``, with evidence ``(i, t)``;
+    - for a weak kind, a node whose one empty player is ``j``: then one
+      player ``i`` keeps ``{a, b}`` and every other player one strategy,
+      and the cover filling ``j`` with ``x`` fails exactly when ``u_i(a,
+      ·)`` and ``u_i(b, ·)`` differ at the profile it leaves, with the
+      lower-paid strategy as evidence.
 
     A global kind scans one node at most: the first failing node, found on
     the opponent lattices by :func:`_first_global_violation`.  Its covers
-    are asked in the full scan's order, so it returns the same pair and
-    evidence.  GS and MGS decide each opponent context where every opponent
-    keeps something once, for every target, and compare it with its covers
-    by mask arithmetic; the lemma rules out every other context.  For GW
-    and MGW the node above with one opponent keeping nothing fails too:
-    ``t`` has no weak dominator without an opponent profile, and has one
-    once that opponent keeps its strategy in ``c``.  That node has rank
-    ``P - 1``, so their walk stops below opponent rank ``P - 1``, and it
-    asks least first, so it stops at the first failing rank.  The lemma
-    prunes that walk too (:meth:`EliminationEngine.least_newly_dominated`),
-    and the node's covers as it does a local node's.
+    are asked of an :class:`EliminationEngine` in the full scan's order, so
+    it returns the same pair and evidence, :func:`_first_excess` of the
+    two survivor sets.  GS and MGS decide each opponent context where
+    every opponent keeps something once, for every target, and compare it
+    with its covers by mask arithmetic; the lemma rules out every other
+    context.  For GW and MGW the node above with one opponent keeping
+    nothing fails too: ``t`` has no weak dominator without an opponent
+    profile, and has one once that opponent keeps its strategy in ``c``.
+    That node has rank ``P - 1``, so their walk stops below opponent rank
+    ``P - 1``, and it asks least first, so it stops at the first failing
+    rank.  The lemma prunes that walk too
+    (:meth:`EliminationEngine.least_newly_dominated`): where the first
+    failing node keeps nothing for one player, everything there survives a
+    weak kind, and only the covers that fill that player are asked.
     """
     _require_within(budget, *_monotonicity_work(kind, game.shape))
+    if kind.pool is Pool.LOCAL:
+        return _first_local_violation(kind, game)
     engine = EliminationEngine(game)
-    offsets = tuple(accumulate(game.shape[:-1], initial=0))
-    layout = tuple(zip(offsets, engine.full_masks))
-
-    def pack(masks: tuple[int, ...]) -> int:
-        packed = 0
-        for offset, mask in zip(offsets, masks):
-            packed |= mask << offset
-        return packed
-
-    def unpack(packed: int) -> tuple[int, ...]:
-        return tuple([packed >> offset & full for offset, full in layout])
-
-    if kind.pool is Pool.GLOBAL:
-        first = _first_global_violation(engine, kind)
-        nodes: Iterable[tuple[int, ...]] = () if first is None else (first,)
+    masks = _first_global_violation(engine, kind)
+    if masks is None:
+        return None
+    if all(masks):
+        small, fills = engine.survivors(kind, masks), range(len(masks))
     else:
-        nodes = chain.from_iterable(islice(_ranks(game.shape), _scanned_ranks(kind, game.shape)))
-    top = lattice_size(game) - 1
-    memo: dict[int, int] = {}
-    for masks in nodes:
-        if all(masks):
-            node = pack(masks)
-            small = memo.pop(node, None)
-            if small is None:
-                small = pack(engine.survivors(kind, masks))
-            missing = top & ~node
-        else:
-            # Everything survives (weak) or nothing does (strict), and only
-            # a cover that fills the one empty player can fail.
-            empty = _lone_empty(kind.mode, masks)
-            if empty is None:
-                continue
-            offset, full = layout[empty]
-            node = small = pack(masks)
-            missing = full << offset
-        while missing:
-            bit = missing & -missing
-            missing ^= bit
-            larger = node | bit
-            large = memo.get(larger)
-            if large is None:
-                large = memo[larger] = pack(engine.survivors(kind, unpack(larger)))
-            if small & ~large:
-                return MonotonicityWitness(
-                    operator=kind,
-                    smaller=Restriction.from_masks(game, masks),
-                    larger=Restriction.from_masks(game, unpack(larger)),
-                    evidence=_first_excess(unpack(small), unpack(large)),
-                )
+        small, fills = masks, (masks.index(0),)
+    for player in fills:
+        for strategy in indices_of(engine.full_masks[player] & ~masks[player]):
+            larger = _cover(masks, player, strategy)
+            excess = _first_excess(small, engine.survivors(kind, larger))
+            if excess is not None:
+                return _pair(kind, game, masks, larger, excess)
     return None
 
 

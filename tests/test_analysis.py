@@ -135,13 +135,14 @@ class TestOneDecisionPerContext:
     def test_each_target_is_scanned_once_per_opponent_context(self, seed, kind, monkeypatch):
         game = generate(GeneratorConfig(seed=seed, strategies=(4, 4), tie_bias=0.3))
         assert game.shape == (4, 4)
-        scans, queries, builds = Counter(), Counter(), Counter()
+        scans, queries, builds, engines = Counter(), Counter(), Counter(), Counter()
         # id of a column set -> (the set, its (player, opponent masks)); the
         # set is held here, so its id is never reused for another.
         contexts = {}
         query = EliminationEngine.dominator
         columns = EliminationEngine.columns
         bases = EliminationEngine.opponent_bases
+        init = EliminationEngine.__init__
 
         def counting(kernel):
             def counted_scan(player, target, pool, cols, mode):
@@ -164,12 +165,25 @@ class TestOneDecisionPerContext:
             builds[player, opp_masks] += 1
             return bases(engine, player, opp_masks)
 
+        def counted_init(engine, game):
+            engines["built"] += 1
+            init(engine, game)
+
         for name in ("_pure_dominator", "_mixed_dominator"):
             monkeypatch.setattr(operators, name, counting(getattr(operators, name)))
         monkeypatch.setattr(EliminationEngine, "dominator", counted_query)
         monkeypatch.setattr(EliminationEngine, "columns", noted_columns)
         monkeypatch.setattr(EliminationEngine, "opponent_bases", counted_bases)
+        monkeypatch.setattr(EliminationEngine, "__init__", counted_init)
         witness = check_monotonic(kind, game, Exhaustive())
+        if kind not in GLOBAL_KINDS:
+            # A local check compares payoffs: it builds no engine, so it
+            # decides no target and builds no column set, and its answer is
+            # the full scan's.
+            assert not engines and not queries and not scans and not builds
+            assert witness == _memo_free_witness(kind, game)
+            return
+        assert engines == {"built": 1}
         # Every (player, pool mask, opponent mask, target) that some kept set
         # asks about is decided, and scanned, exactly once.
         assert queries and scans == queries
@@ -221,27 +235,31 @@ class TestOneDecisionPerContext:
         )
         assert sum(decided.values()) == 441
 
-    @pytest.mark.parametrize("kind", [LS, MLS], ids=str)
-    def test_a_clean_scan_asks_for_each_node_up_to_rank_p_plus_1_once(self, kind, monkeypatch):
-        # The local kinds keep the node scan, and a game without dominance
-        # has no witness, so the scan runs to its last rank, P = 2; the
-        # covers of those nodes have rank P + 1, and no node above is asked.
-        # A strict kind skips every node where a player keeps nothing, so
-        # it asks the 16 pure profiles and their 2 * 6 * 4 = 48 covers.
+    @pytest.mark.parametrize("kind", [LS, MLS, LW, MLW], ids=str)
+    def test_a_clean_scan_walks_each_rank_p_node_once(self, kind, monkeypatch):
+        # A game without dominance has no witness, so the walk runs to the
+        # end of the one rank the local kinds visit, P = 2: the C(8, 2) = 28
+        # nodes of rank 2 of a 4x4 game (its 16 pure profiles and the 12
+        # where one player keeps two strategies), each once, in scan order,
+        # and no node of another rank.  It asks no survivors.
         game = zero_game((4, 4))
-        asked = Counter()
-        survivors = EliminationEngine.survivors
+        expected = [m for m in enumerate_restriction_masks(game) if _rank(m) == 2]
+        assert len(expected) == math.comb(8, 2) == 28
+        walked = []
+        ranks = analysis._ranks
 
-        def counted_survivors(engine, operator, masks):
-            asked[masks] += 1
-            return survivors(engine, operator, masks)
+        def noted(nodes):
+            for node in nodes:
+                walked.append(node)
+                yield node
 
-        monkeypatch.setattr(EliminationEngine, "survivors", counted_survivors)
+        def fail(*args):
+            raise AssertionError("the check asked for survivors")
+
+        monkeypatch.setattr(analysis, "_ranks", lambda shape: map(noted, ranks(shape)))
+        monkeypatch.setattr(EliminationEngine, "survivors", fail)
         assert check_monotonic(kind, game, Exhaustive()) is None
-        expected = [m for m in enumerate_restriction_masks(game) if _rank(m) <= 3 and all(m)]
-        assert len(expected) == 16 + 48
-        assert sorted(asked) == sorted(expected)
-        assert set(asked.values()) == {1}
+        assert walked == expected
 
 
 def _covers(masks, full):
@@ -258,9 +276,9 @@ def _rank(masks):
 def _memo_free_witness(kind, game):
     """The full node scan, with each pair's survivors asked of the engine afresh.
 
-    It walks every node of the lattice and the covers above it on
-    per-player mask tuples, so it shares neither the packing of
-    ``check_monotonic``'s node scan, nor its stop at rank P, nor the
+    It walks every node of the lattice and the covers above it, applying
+    the operator at each, so it shares neither the payoff comparisons of
+    ``check_monotonic``'s local walk, nor its stop at rank P, nor the
     opponent-lattice walk of its global path.
     """
     engine = EliminationEngine(game)
@@ -295,8 +313,8 @@ def _seeded_games_of_shape(shape, count):
 
 
 class TestScanMemo:
-    # Unequal per-player sizes put the players' masks at uneven bit offsets
-    # of the packed nodes, so the witnesses' evidence crosses them.
+    # Unequal per-player sizes give the players' masks and payoff strides
+    # different widths, so the witnesses' evidence crosses them.
     @pytest.mark.parametrize("kind", ALL_OPERATORS, ids=str)
     @pytest.mark.parametrize(
         "shape",
@@ -308,13 +326,13 @@ class TestScanMemo:
             assert check_monotonic(kind, game, Exhaustive()) == _memo_free_witness(kind, game), seed
 
 
-def _tie_heavy_games(count):
-    """Seeded 2-3 player games, at most 8 strategies in all, with payoffs 0..1."""
+def _tie_heavy_games(count, players=(2, 3), strategies=(1, 4)):
+    """Seeded games of ``players`` players, at most 8 strategies in all, with payoffs 0..1."""
     games = []
     seed = 0
     while len(games) < count:
         config = GeneratorConfig(
-            seed=seed, players=(2, 3), strategies=(1, 4), payoff_range=(0, 1), tie_bias=0.6
+            seed=seed, players=players, strategies=strategies, payoff_range=(0, 1), tie_bias=0.6
         )
         game = generate(config)
         if sum(game.shape) <= 8:
@@ -385,26 +403,26 @@ class TestTruncatedScans:
     @pytest.mark.parametrize("kind", ALL_OPERATORS, ids=str)
     @pytest.mark.parametrize("shape", [(8, 8), (4, 4, 4)], ids=lambda s: "x".join(map(str, s)))
     def test_all_zero_games_above_the_old_cap_need_no_witness(self, shape, kind, monkeypatch):
-        # 2^16 and 2^12 nodes: the local kinds ask for the survivors of the
-        # pure profiles, at rank P, and their covers, at rank P + 1, where
-        # one player keeps two strategies; and the global ones for none.
+        # 2^16 and 2^12 nodes: the local kinds compare the payoffs of the
+        # pure profiles, at rank P, with those of their covers, and build no
+        # engine; the global ones build one and ask it for no survivors.
         game = zero_game(shape)
-        asked = Counter()
-        survivors = EliminationEngine.survivors
+        asked, engines = Counter(), Counter()
+        survivors, init = EliminationEngine.survivors, EliminationEngine.__init__
 
         def counted(engine, operator, masks):
             asked[_rank(masks)] += 1
             return survivors(engine, operator, masks)
 
+        def counted_init(engine, game):
+            engines["built"] += 1
+            init(engine, game)
+
         monkeypatch.setattr(EliminationEngine, "survivors", counted)
+        monkeypatch.setattr(EliminationEngine, "__init__", counted_init)
         assert check_monotonic(kind, game, Exhaustive()) is None
-        if kind in GLOBAL_KINDS:
-            assert not asked
-        else:
-            profiles = math.prod(shape)
-            covers = sum(math.comb(n, 2) * (profiles // n) for n in shape)
-            assert asked == {len(shape): profiles, len(shape) + 1: covers}
-            assert covers == {(8, 8): 448, (4, 4, 4): 288}[shape]
+        assert not asked
+        assert engines == ({"built": 1} if kind in GLOBAL_KINDS else {})
 
     @pytest.mark.parametrize("kind", ALL_OPERATORS, ids=str)
     @pytest.mark.parametrize(
@@ -434,14 +452,29 @@ class TestTruncatedScans:
 
     @pytest.mark.parametrize(
         "kind, shape",
-        [(GW, (20, 20)), (MGW, (20, 20)), (LS, (20, 2)), (LS, (2, 20))],
-        ids=["gw-20x20", "mgw-20x20", "ls-20x2", "ls-2x20"],
+        [
+            (GW, (20, 20)),
+            (MGW, (20, 20)),
+            (LS, (20, 2)),
+            (LS, (2, 20)),
+            (LS, (60, 60)),
+            (LW, (8, 8, 8, 8)),
+        ],
+        ids=["gw-20x20", "mgw-20x20", "ls-20x2", "ls-2x20", "ls-60x60", "lw-8x8x8x8"],
     )
     def test_a_lopsided_game_costs_only_the_work_it_counts(self, kind, shape, monkeypatch):
         # A player with 20 strategies has 2^20 masks: listing them, or every
         # head of a rank, takes tens of MB.  The work the cap counts here is
-        # at most 253 nodes or 2 opponent contexts, and the walk is that.
+        # at most 253 nodes or 2 opponent contexts on the lopsided games.
+        # GW and MGW walk that; a local kind walks only the C(N, P) nodes of
+        # rank P, and holds no more than one of them at a time, so the
+        # 7,140 of 60x60 and the 35,960 of 8x8x8x8 fit in the same bound.
         work, _ = _monotonicity_work(kind, shape)
+        if kind in GLOBAL_KINDS:
+            expected = work
+        else:
+            expected = math.comb(sum(shape), len(shape))
+            assert expected <= work
         walked = Counter()
         ranks = analysis._ranks
 
@@ -458,7 +491,7 @@ class TestTruncatedScans:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert walked["nodes"] == work
+        assert walked["nodes"] == expected
         assert peak < 1 << 23
 
 
@@ -543,13 +576,60 @@ class TestEmptyPlayerLemma:
             asked.clear()
             witness = check_monotonic(kind, game, Exhaustive())
             assert all(map(all, asked)) and all(map(all, decided)), i
+            if kind not in GLOBAL_KINDS:
+                # A local check compares payoffs and asks the engine nothing.
+                assert not asked and not decided, i
             if witness is not None and not all(witness.smaller.masks):
-                # The last node asked is the failing cover, which fills the
-                # smaller restriction's one empty player.
+                # The failing cover fills the smaller restriction's one empty
+                # player; a global check asks for its survivors last.
                 empty_witnesses += 1
                 empty = _lone_empty(kind.mode, witness.smaller.masks)
-                assert asked[-1] == witness.larger.masks and witness.larger.masks[empty], i
+                assert witness.larger.masks[empty], i
+                if kind in GLOBAL_KINDS:
+                    assert asked[-1] == witness.larger.masks, i
         assert (empty_witnesses > 0) == (kind.mode is Mode.WEAK)
+
+
+# Tie-heavy 2-4 player games, each also with all payoffs zero and with
+# player 0 indifferent everywhere.
+COMPARISON_GAMES = [
+    variant
+    for game in _tie_heavy_games(40, players=(2, 4), strategies=(1, 3))
+    for variant in (game, zero_game(game.shape), _indifferent_player_0(game))
+]
+
+
+class TestPayoffComparisonScan:
+    """LS, MLS, LW and MLW decide their check from payoff comparisons at rank P."""
+
+    @pytest.mark.parametrize("kind", [LS, MLS, LW, MLW], ids=str)
+    def test_the_witness_is_the_full_memo_free_scan(self, kind):
+        # A pure profile's cover fails on a strict gain, with the kept
+        # strategy as evidence; a weak kind's node with one empty player
+        # fails on the first cover that fills it where the other player's
+        # two strategies pay differently, with the lower-paid as evidence.
+        cases = Counter()
+        for i, game in enumerate(COMPARISON_GAMES):
+            witness = check_monotonic(kind, game, Exhaustive())
+            expected = _memo_free_witness(kind, game)
+            assert witness == expected, i
+            if witness is None:
+                continue
+            assert json.dumps(witness.to_dict()) == json.dumps(expected.to_dict()), i
+            smaller = witness.smaller.masks
+            assert _rank(smaller) == game.player_count, i
+            cases["pure" if all(smaller) else "one empty"] += 1
+        if kind.mode is Mode.WEAK:
+            assert cases["pure"] and cases["one empty"]
+        else:
+            assert cases["pure"] and not cases["one empty"]
+
+    def test_the_games_cover_each_case(self):
+        shapes = {game.shape for game in COMPARISON_GAMES}
+        assert {len(shape) for shape in shapes} == {2, 3, 4}
+        assert any(1 in shape for shape in shapes)
+        assert any(_is_trivial(game) for game in COMPARISON_GAMES)
+        assert sum(not _is_trivial(game) for game in COMPARISON_GAMES) > len(COMPARISON_GAMES) // 3
 
 
 class TestOpponentLatticeScan:
@@ -718,6 +798,15 @@ class TestWitnessReplay:
     def test_evidence_outside_the_game_has_no_dict(self, witness, evidence):
         with pytest.raises(ValueError, match="evidence"):
             dataclasses.replace(witness, evidence=evidence).to_dict()
+
+    @pytest.mark.parametrize("operator", ["LW", "lw", None, Mode.WEAK], ids=repr)
+    def test_an_operator_that_is_not_a_kind_neither_replays_nor_has_a_dict(self, operator, g2):
+        witness = check_monotonic(LW, g2, Exhaustive())
+        assert witness.replay()
+        malformed = dataclasses.replace(witness, operator=operator)
+        assert not malformed.replay()
+        with pytest.raises(ValueError, match="operator"):
+            malformed.to_dict()
 
 
 def _reference_witness(kind, game):
