@@ -14,11 +14,12 @@ cover fails exactly when the added strategy pays its player more than the
 kept one, and, for a weak kind, a cover that fills a node's one empty
 player fails exactly when the player keeping two strategies is paid
 differently by them.  The global kinds find the first failing node on
-each player's opponent lattice instead
-(:func:`_first_global_violation`): GS and MGS decide every opponent
-context once and compare each with its covers by mask arithmetic, and GW
-and MGW walk the contexts rank by rank, least first, and stop at the first
-rank that fails.
+each player's opponent lattice instead.  GS and MGS decide every opponent
+context once and compare each with its covers by mask arithmetic
+(:func:`_first_strict_global_violation`); GS decides a context on bit
+sets over the opponent profiles, with no elimination engine, and MGS on
+the engine's LP.  GW and MGW walk the contexts rank by rank, least first,
+and stop at the first rank that fails (:func:`_first_global_violation`).
 
 One lemma prunes every scan: with no opponent profile, a strict kind
 eliminates every kept strategy (each strict comparison holds vacuously) and
@@ -35,14 +36,15 @@ assert on their JSON form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, islice, product
+from functools import partial
+from itertools import chain, combinations, compress, islice, product, repeat
 from math import comb, prod
-from operator import mul
-from typing import Iterator
+from operator import contains, le, mul
+from typing import Callable, Iterator
 
-from .dominance import Mode, Pool
+from .dominance import Mode, Pool, _opponent_bases
 from .game_model import Game, Restriction, _is_index, indices_of
-from .operators import EliminationEngine, OperatorKind, _lone_empty
+from .operators import EliminationEngine, Mixing, OperatorKind, _lone_empty
 
 __all__ = [
     "BudgetExceededError",
@@ -70,10 +72,10 @@ class Exhaustive:
     """An exact check that errors out when its work is above ``cap``.
 
     The work bounds what the check visits.  For ``check_monotonic`` it is
-    the nodes of rank at most ``P`` for LS, MLS, LW and MLW, which walk
-    those of rank ``P``, and the opponent contexts walked for GS, MGS, GW
-    and MGW (:func:`_monotonicity_work`); for ``pointwise_inclusion`` it
-    is every restriction, ``2^N``.  Raises ValueError for a cap that is
+    the nodes of rank ``P`` for LS, MLS, LW and MLW, the ``C(N, P)`` they
+    walk, and the opponent contexts walked for GS, MGS, GW and MGW
+    (:func:`_monotonicity_work`); for ``pointwise_inclusion`` it is every
+    restriction, ``2^N``.  Raises ValueError for a cap that is
     not an int of at least 1.
     """
 
@@ -136,31 +138,22 @@ def enumerate_restriction_masks(game: Game) -> Iterator[tuple[int, ...]]:
     return chain.from_iterable(_ranks(game.shape))
 
 
-def _scanned_ranks(kind: OperatorKind, shape: tuple[int, ...]) -> int:
-    """How many node ranks (LS, MLS, LW, MLW) or opponent ranks (GW, MGW) the work counts.
-
-    GW and MGW walk those ranks; LS, MLS, LW and MLW walk only the last,
-    rank ``P`` (:func:`_first_local_violation`).  GS and MGS walk no ranks:
-    they decide every opponent context once
-    (:func:`_first_strict_global_violation`).
-    """
-    return len(shape) + 1 if kind.pool is Pool.LOCAL else len(shape) - 1
-
-
 def _monotonicity_work(kind: OperatorKind, shape: tuple[int, ...]) -> tuple[int, str]:
-    """What ``check_monotonic`` of ``kind`` visits at most, in the ranks it walks, and its unit.
+    """What ``check_monotonic`` of ``kind`` visits at most, and its unit.
 
-    For GS and MGS the count is the ``prod_{j != k} (2^(n_j) - 1)`` opponent
-    contexts of each ``k`` where every opponent keeps something: the
-    contexts the walk decides.
+    LS, MLS, LW and MLW walk the ``C(N, P)`` nodes of rank ``P``
+    (:func:`_first_local_violation`).  GS and MGS decide the ``prod_{j != k}
+    (2^(n_j) - 1)`` opponent contexts of each ``k`` where every opponent
+    keeps something.  GW and MGW walk each ``k``'s opponent contexts of
+    rank below ``P - 1`` (:func:`_first_global_violation`).
     """
-    total, ranks = sum(shape), _scanned_ranks(kind, shape)
+    total, players = sum(shape), len(shape)
     if kind.pool is Pool.LOCAL:
-        return sum(comb(total, r) for r in range(ranks)), "nodes"
+        return comb(total, players), "nodes"
     if kind.mode is Mode.STRICT:
         kept = [(1 << n) - 1 for n in shape]
-        return sum(prod(kept[:k] + kept[k + 1 :]) for k in range(len(shape))), "opponent contexts"
-    return sum(comb(total - n, r) for n in shape for r in range(ranks)), "opponent contexts"
+        return sum(prod(kept[:k] + kept[k + 1 :]) for k in range(players)), "opponent contexts"
+    return sum(comb(total - n, r) for n in shape for r in range(players - 1)), "opponent contexts"
 
 
 def _require_within(budget: Exhaustive, work: int, unit: str) -> None:
@@ -189,17 +182,13 @@ class MonotonicityWitness:
     def replay(self) -> bool:
         """Recompute both survivor sets.
 
-        A witness whose operator is not an :class:`OperatorKind`, whose
-        restrictions belong to different games, or whose evidence names a
-        player or strategy outside the game, does not replay.
+        A malformed witness (see :meth:`_fault`), or one whose restrictions
+        belong to different games, does not replay.
         """
+        if self._fault() is not None:
+            return False
         game = self.smaller.game
-        if (
-            not isinstance(self.operator, OperatorKind)
-            or game != self.larger.game
-            or not self._evidence_in_game()
-            or not self.smaller.issubset(self.larger)
-        ):
+        if game != self.larger.game or not self.smaller.issubset(self.larger):
             return False
         player, strategy = self.evidence
         engine = EliminationEngine(game)
@@ -208,26 +197,37 @@ class MonotonicityWitness:
         bit = 1 << strategy
         return bool(small[player] & bit) and not large[player] & bit
 
-    def _evidence_in_game(self) -> bool:
-        game = self.smaller.game
-        player, strategy = self.evidence
-        return (
-            _is_index(player)
-            and _is_index(strategy)
-            and 0 <= player < game.player_count
-            and 0 <= strategy < game.shape[player]
-        )
+    def _fault(self) -> str | None:
+        """What makes the witness malformed, or None.
+
+        Its operator must be an :class:`OperatorKind`, both restrictions
+        :class:`Restriction` objects, and its evidence a (player, strategy)
+        tuple of the smaller restriction's game.
+        """
+        if not isinstance(self.operator, OperatorKind):
+            return f"operator must be an OperatorKind, got {self.operator!r}"
+        for name in ("smaller", "larger"):
+            if not isinstance(getattr(self, name), Restriction):
+                return f"{name} must be a Restriction, got {getattr(self, name)!r}"
+        evidence, game = self.evidence, self.smaller.game
+        if not (
+            isinstance(evidence, tuple)
+            and len(evidence) == 2
+            and all(map(_is_index, evidence))
+            and 0 <= evidence[0] < game.player_count
+            and 0 <= evidence[1] < game.shape[evidence[0]]
+        ):
+            return f"evidence {evidence!r} names no strategy of the game"
+        return None
 
     def to_dict(self) -> dict:
         """The witness with labels.
 
-        Raises ValueError for an operator that is not an
-        :class:`OperatorKind` or evidence outside the game.
+        Raises ValueError for a malformed witness (see :meth:`_fault`).
         """
-        if not isinstance(self.operator, OperatorKind):
-            raise ValueError(f"operator must be an OperatorKind, got {self.operator!r}")
-        if not self._evidence_in_game():
-            raise ValueError(f"evidence {self.evidence} names no strategy of the game")
+        fault = self._fault()
+        if fault is not None:
+            raise ValueError(fault)
         game = self.smaller.game
         player, strategy = self.evidence
         return {
@@ -273,23 +273,22 @@ def _first_global_violation(
     ``k``, and ``b`` is the least strategy newly dominated at a cover of
     ``O``: within a rank, a node with a lower ``b`` comes first.
 
-    GS and MGS visit every context where each opponent keeps something,
-    once, in :func:`_first_strict_global_violation`.  GW and MGW walk the
-    opponent lattices rank by rank, every player's at one rank before any
-    at the next, asking :meth:`EliminationEngine.least_newly_dominated` at
-    each ``(k, O)``, and the least candidate of the first opponent rank that
-    has one is the answer.  A ``(k, O)`` whose least possible node
-    (``b = 0``) is not below the best candidate so far is skipped, and so
-    are ``k``'s later ``O`` of that rank, whose nodes come later still.
-    Only the ranks of :func:`_scanned_ranks` are walked, and the walk
-    stops at the first that has a candidate: these kinds fail on most
+    This walk serves GW and MGW; GS and MGS visit every context where each
+    opponent keeps something, once, in
+    :func:`_first_strict_global_violation`.  It takes the opponent lattices
+    rank by rank, every player's at one rank before any at the next, asking
+    :meth:`EliminationEngine.least_newly_dominated` at each ``(k, O)``, and
+    the least candidate of the first opponent rank that has one is the
+    answer.  A ``(k, O)`` whose least possible node (``b = 0``) is not
+    below the best candidate so far is skipped, and so are ``k``'s later
+    ``O`` of that rank, whose nodes come later still.  Only the opponent
+    ranks below ``P - 1`` are walked (:func:`check_monotonic`), and the
+    walk stops at the first that has a candidate: these kinds fail on most
     games, so their checks stay short.
     """
-    if kind.mode is Mode.STRICT:
-        return _first_strict_global_violation(engine, kind)
     shape = engine.game.shape
     walks = [(k, _ranks(shape[:k] + shape[k + 1 :])) for k in range(len(shape))]
-    for _ in range(_scanned_ranks(kind, shape)):
+    for _ in range(len(shape) - 1):
         best = best_order = None
         for k, ranks in walks:
             for opp in next(ranks, ()):
@@ -306,21 +305,83 @@ def _first_global_violation(
     return None
 
 
+def _pure_strict_contexts(game: Game, player: int) -> Callable[[tuple[int, ...]], int]:
+    """GS's decision at ``player``'s opponent contexts, on bit sets over opponent profiles.
+
+    Returns ``decide(opp_masks)``, the mask of ``player``'s strategies that
+    GS eliminates where the opponents keep ``opp_masks``, each keeping
+    something.  The opponent profiles are numbered in
+    :func:`~dominance_lab.dominance._opponent_bases` order over the full
+    opponent masks, and two tables are built once, from
+    ``game.scaled_payoffs``:
+
+    - ``misses[t][s]``: the profiles where ``s`` does not strictly beat
+      ``t``, ``u(s, c) <= u(t, c)``;
+    - ``selects[j][m]``: the profiles whose ``j``-th opponent strategy is in
+      the mask ``m``.
+
+    At a context the profile set is the AND of the opponents' ``selects``,
+    and ``t`` is dominated exactly when some ``s`` misses none of it:
+    :func:`~dominance_lab.dominance._pure_dominator`'s strict rule over the
+    global pool, stated on sets.  Each context is decided from its own
+    profile set and the tables alone, never from another context's answer,
+    which would presume the monotonicity the check tests.
+    """
+    shape = game.shape
+    opp_shape = shape[:player] + shape[player + 1 :]
+    bases = _opponent_bases(game, player, [(1 << n) - 1 for n in opp_shape])
+    table, stride = game.scaled_payoffs[player], game.strides[player]
+    columns = [[table[b + s * stride] for b in bases] for s in range(shape[player])]
+    powers = [1 << p for p in range(len(bases))]
+    misses = [
+        tuple(sum(compress(powers, map(le, column, target))) for column in columns)
+        for target in columns
+    ]
+    # The j-th opponent's strategy x holds the profiles whose index in the
+    # run of n * inner profiles, inner those of the opponents after j, is
+    # in [x * inner, (x + 1) * inner): a run of ones repeated every n * inner.
+    selects = []
+    inner = len(bases)
+    for n in opp_shape:
+        inner //= n
+        starts = sum(powers[:: n * inner])
+        single = [(((1 << inner) - 1) << x * inner) * starts for x in range(n)]
+        sets = [0] * (1 << n)
+        for mask in range(1, 1 << n):
+            low = mask & -mask
+            sets[mask] = sets[mask ^ low] | single[low.bit_length() - 1]
+        selects.append(sets)
+    bits = [1 << t for t in range(shape[player])]
+    zeros = repeat(0)
+
+    def decide(opp_masks: tuple[int, ...]) -> int:
+        profiles = -1
+        for sets, mask in zip(selects, opp_masks):
+            profiles &= sets[mask]
+        # Target t is dominated when 0 is among profiles & misses[t][s].
+        found = map(contains, map(map, repeat(profiles.__and__), misses), zeros)
+        return sum(compress(bits, found))
+
+    return decide
+
+
 def _first_strict_global_violation(
-    engine: EliminationEngine, kind: OperatorKind
+    game: Game, kind: OperatorKind, engine: EliminationEngine | None
 ) -> tuple[int, ...] | None:
     """:func:`_first_global_violation` for GS and MGS: one pass per player.
 
     Each opponent context ``O`` where every opponent keeps something is
-    decided once, for all of player ``k``'s strategies
-    (:meth:`EliminationEngine.dominated`), and the candidates ``b`` of
-    ``(k, O)`` are ``newly = (OR of D_k(O') over the covers O') & ~D_k(O)``.
-    The contexts run in decreasing lexicographic order, so each cover,
-    larger at one position, is decided before ``O``.  A context where an
-    opponent keeps nothing is never asked: there a strict kind eliminates
+    decided once, for all of player ``k``'s strategies: by
+    :meth:`EliminationEngine.dominated` for MGS, whose LP reads the
+    context's columns, and for GS, with ``engine`` None, on bit sets over
+    the opponent profiles (:func:`_pure_strict_contexts`).  The candidates
+    ``b`` of ``(k, O)`` are ``newly = (OR of D_k(O') over the covers O') &
+    ~D_k(O)``.  The contexts run in decreasing lexicographic order, so each
+    cover, larger at one position, is decided before ``O``.  A context where
+    an opponent keeps nothing is never asked: there a strict kind eliminates
     every strategy (:func:`~dominance_lab.operators._lone_empty`), so
-    nothing is newly dominated above it, and no context asked has it as
-    a cover.
+    nothing is newly dominated above it, and no context asked has it as a
+    cover.
 
     The answer is the least candidate node, ``O`` with ``k`` keeping the
     least ``b``, by rank and then order in rank.  No rank order or
@@ -329,13 +390,17 @@ def _first_strict_global_violation(
     at the first failing rank would decide the same (context, target)
     pairs.
     """
-    full = engine.full_masks
+    full = tuple((1 << n) - 1 for n in game.shape)
     candidates = []
     for k in range(len(full)):
         opp_full = full[:k] + full[k + 1 :]
+        if engine is None:
+            decide = _pure_strict_contexts(game, k)
+        else:
+            decide = partial(engine.dominated, kind, k)
         dominated: dict[tuple[int, ...], int] = {}
         for opp in product(*(range(f, 0, -1) for f in opp_full)):
-            here = dominated[opp] = engine.dominated(kind, k, opp)
+            here = dominated[opp] = decide(opp)
             newly = 0
             for i, mask in enumerate(opp):
                 missing = opp_full[i] & ~mask
@@ -448,13 +513,17 @@ def check_monotonic(
       lower-paid strategy as evidence.
 
     A global kind scans one node at most: the first failing node, found on
-    the opponent lattices by :func:`_first_global_violation`.  Its covers
-    are asked of an :class:`EliminationEngine` in the full scan's order, so
-    it returns the same pair and evidence, :func:`_first_excess` of the
-    two survivor sets.  GS and MGS decide each opponent context where
-    every opponent keeps something once, for every target, and compare it
-    with its covers by mask arithmetic; the lemma rules out every other
-    context.  For GW and MGW the node above with one opponent keeping
+    the opponent lattices.  Its covers are asked of an
+    :class:`EliminationEngine` in the full scan's order, so it returns the
+    same pair and evidence, :func:`_first_excess` of the two survivor sets.
+    GS and MGS decide each opponent context where every opponent keeps
+    something once, for every target, and compare it with its covers by
+    mask arithmetic (:func:`_first_strict_global_violation`); the lemma
+    rules out every other context.  MGS decides on an engine, whose LP
+    reads each context's columns.  GS decides on bit sets over the
+    opponent profiles, and builds an engine only to ask a candidate node's
+    covers, which on a real game it never finds.  For GW and MGW
+    (:func:`_first_global_violation`) the node above with one opponent keeping
     nothing fails too: ``t`` has no weak dominator without an opponent
     profile, and has one once that opponent keeps its strategy in ``c``.
     That node has rank ``P - 1``, so their walk stops below opponent rank
@@ -467,10 +536,16 @@ def check_monotonic(
     _require_within(budget, *_monotonicity_work(kind, game.shape))
     if kind.pool is Pool.LOCAL:
         return _first_local_violation(kind, game)
-    engine = EliminationEngine(game)
-    masks = _first_global_violation(engine, kind)
+    if kind.mode is Mode.WEAK:
+        engine = EliminationEngine(game)
+        masks = _first_global_violation(engine, kind)
+    else:
+        engine = EliminationEngine(game) if kind.mixing is Mixing.MIXED else None
+        masks = _first_strict_global_violation(game, kind, engine)
     if masks is None:
         return None
+    if engine is None:
+        engine = EliminationEngine(game)
     if all(masks):
         small, fills = engine.survivors(kind, masks), range(len(masks))
     else:

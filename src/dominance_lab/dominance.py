@@ -15,7 +15,8 @@ players' masks allow, as flat payoff-tensor offsets in lexicographic
 order.  The one-off queries and certificate replay call both; the
 elimination engine and the oracle suite call :func:`_opponent_bases`, and
 read a global pool from full masks: the engine from those it computes
-once, the suite from the full restriction's.
+once, the suite from the full restriction's.  The exact GS check numbers
+a player's opponent profiles by it too.
 
 The two kernels, :func:`_pure_dominator` and :func:`_mixed_dominator`,
 read a context's columns: the scaled payoffs of each of the player's
@@ -188,9 +189,11 @@ def _beats(candidate: tuple[int, ...], target: tuple[int, ...], mode: Mode) -> b
     some entry is ``>`` exactly when the tuples differ, a test that needs
     both to be tuples (a list never equals a tuple).
 
-    The rule is stated twice: here, for :func:`dominates` (and so replay
-    and the oracle grid), and inline in :func:`_pure_dominator`, which
-    applies it once per pool strategy.
+    The rule is stated three times: here, for :func:`dominates` (and so
+    replay and the oracle grid); inline in :func:`_pure_dominator`, which
+    applies it once per pool strategy; and, strict only, on bit sets over
+    the opponent profiles in the exact GS check
+    (:func:`dominance_lab.analysis._pure_strict_contexts`).
     """
     if mode is _STRICT:
         return all(map(gt, candidate, target))

@@ -300,7 +300,8 @@ class EliminationEngine:
         """The mask of ``player``'s strategies that a global ``kind`` eliminates at ``opp_masks``.
 
         Decides every strategy the context's record has not: the exact
-        GS and MGS checks ask each opponent context once.
+        MGS check asks each opponent context once.  (The exact GS check
+        decides its contexts on bit sets over the opponent profiles.)
         """
         pool = self.full_masks[player]
         contexts = self._contexts[kind.mode is not _STRICT][kind.mixing is not _PURE]
@@ -327,8 +328,7 @@ class EliminationEngine:
 
         The exact GW and MGW checks ask it context by context, and its
         least-first order lets them stop at the first failing rank.  The
-        GS and MGS checks ask ``dominated`` instead, as they decide every
-        context.
+        MGS check asks ``dominated`` instead, as it decides every context.
         """
         if kind.pool is _LOCAL:
             raise ValueError(f"{kind.name} is not a global kind")

@@ -54,11 +54,40 @@ def zero_game(shape):
 
 
 def big_flat_game():
-    # 7 x 6 strategies: 2^13 lattice nodes, 92 of them of rank at most 2.
+    # 7 x 6 strategies: 2^13 lattice nodes, C(13, 2) = 78 of them of rank 2.
     rows = [f"R{i}" for i in range(7)]
     cols = [f"C{j}" for j in range(6)]
     table = [[[0, 0] for _ in cols] for _ in rows]
     return Game.from_tables(["P1", "P2"], [rows, cols], table)
+
+
+def _count_gs_decisions(monkeypatch):
+    """Count GS's bit-set tables, per player, and its decisions, per (player, opponent masks)."""
+    tables, decisions = Counter(), Counter()
+    contexts = analysis._pure_strict_contexts
+
+    def counted_contexts(game, player):
+        tables[player] += 1
+        decide = contexts(game, player)
+
+        def counted(opp_masks):
+            decisions[player, opp_masks] += 1
+            return decide(opp_masks)
+
+        return counted
+
+    monkeypatch.setattr(analysis, "_pure_strict_contexts", counted_contexts)
+    return tables, decisions
+
+
+def _opponent_contexts(game):
+    """Each (player, opponent masks) where every opponent keeps something."""
+    shape = game.shape
+    return [
+        (k, opp)
+        for k in range(len(shape))
+        for opp in product(*(range(1, 1 << n) for n in shape[:k] + shape[k + 1 :]))
+    ]
 
 
 class TestCheckMonotonic:
@@ -89,12 +118,13 @@ class TestCheckMonotonic:
         assert witness.replay()
 
     def test_exhaustive_cap_is_enforced(self):
-        # The cap bounds the nodes of rank at most P, 1 + 13 + 78, not 2^13.
+        # The cap bounds the C(13, 2) = 78 nodes of rank P = 2 that LS walks,
+        # not 2^13.
         game = big_flat_game()
         assert lattice_size(game) == 8192
-        with pytest.raises(BudgetExceededError, match="visits 92 nodes, above the exhaustive cap 91"):
-            check_monotonic(LS, game, Exhaustive(cap=91))
-        assert check_monotonic(LS, game, Exhaustive(cap=92)) is None
+        with pytest.raises(BudgetExceededError, match="visits 78 nodes, above the exhaustive cap 77"):
+            check_monotonic(LS, game, Exhaustive(cap=77))
+        assert check_monotonic(LS, game, Exhaustive(cap=78)) is None
         assert check_monotonic(LS, game, Exhaustive()) is None
 
     def test_cap_parameter_is_honored(self, g1):
@@ -175,14 +205,27 @@ class TestOneDecisionPerContext:
         monkeypatch.setattr(EliminationEngine, "columns", noted_columns)
         monkeypatch.setattr(EliminationEngine, "opponent_bases", counted_bases)
         monkeypatch.setattr(EliminationEngine, "__init__", counted_init)
+        _, decisions = _count_gs_decisions(monkeypatch)
         witness = check_monotonic(kind, game, Exhaustive())
         if kind not in GLOBAL_KINDS:
             # A local check compares payoffs: it builds no engine, so it
             # decides no target and builds no column set, and its answer is
             # the full scan's.
             assert not engines and not queries and not scans and not builds
+            assert not decisions
             assert witness == _memo_free_witness(kind, game)
             return
+        if kind == GS:
+            # GS decides on bit sets over the opponent profiles.  It is
+            # monotone on these games, so it builds no engine, and it asks
+            # its decision once at each of the 2 * 15 contexts where the
+            # opponent keeps something, for all 4 targets at once.
+            assert witness is None
+            assert not engines and not queries and not scans and not builds
+            assert decisions == Counter(_opponent_contexts(game))
+            assert len(decisions) == 2 * ((1 << 4) - 1)
+            return
+        assert not decisions
         assert engines == {"built": 1}
         # Every (player, pool mask, opponent mask, target) that some kept set
         # asks about is decided, and scanned, exactly once.
@@ -192,11 +235,11 @@ class TestOneDecisionPerContext:
         # only where some target is decided.
         assert set(builds.values()) == {1}
         assert set(builds) == {context for context, _, _ in queries}
-        if kind in (GS, MGS):
-            # Both are monotone on these games, so the scan runs to the end
-            # and, with the one global pool, asks about every context but
-            # the empty opponent mask, where every target is dominated
-            # vacuously: 2 players, 15 opponent masks, 4 targets.
+        if kind == MGS:
+            # Monotone on these games, so the scan runs to the end and, with
+            # the one global pool, asks about every context but the empty
+            # opponent mask, where every target is dominated vacuously: 2
+            # players, 15 opponent masks, 4 targets.
             assert witness is None
             assert len(queries) == 2 * ((1 << 4) - 1) * 4
             assert all(opp != (0,) for (_, opp), _, _ in queries)
@@ -208,9 +251,11 @@ class TestOneDecisionPerContext:
     @pytest.mark.parametrize("kind", [GS, MGS], ids=str)
     def test_a_strict_walk_decides_each_3_player_context_once(self, kind, monkeypatch):
         # GS and MGS decide every target at every opponent context where each
-        # opponent keeps something, once, and nothing anywhere else:
-        # sum_k n_k * prod_{j != k} (2^n_j - 1) = 3 * 3 * 7 * 7 decisions, on
-        # 3 * 7 * 7 column sets.
+        # opponent keeps something, once, and nothing anywhere else.  MGS
+        # makes sum_k n_k * prod_{j != k} (2^n_j - 1) = 3 * 3 * 7 * 7 engine
+        # decisions, on 3 * 7 * 7 column sets; GS asks its bit-set decision
+        # once at each of the 3 * 7 * 7 contexts, for all 3 targets at once,
+        # on one pair of tables per player, and asks the engine nothing.
         game = generate(GeneratorConfig(seed=0, players=(3, 3), strategies=(3, 3), tie_bias=0.3))
         assert game.shape == (3, 3, 3)
         decided, built = Counter(), Counter()
@@ -226,9 +271,16 @@ class TestOneDecisionPerContext:
 
         monkeypatch.setattr(EliminationEngine, "dominator", counted_query)
         monkeypatch.setattr(EliminationEngine, "opponent_bases", counted_bases)
+        tables, decisions = _count_gs_decisions(monkeypatch)
         assert check_monotonic(kind, game, Exhaustive()) is None
         contexts = [(k, opp) for k in range(3) for opp in product(range(1, 8), repeat=2)]
         assert len(contexts) == 147
+        if kind == GS:
+            assert tables == Counter(range(3))
+            assert decisions == Counter(contexts)
+            assert not built and not decided
+            return
+        assert not tables and not decisions
         assert built == Counter(contexts)
         assert decided == Counter(
             (k, 0b111, opp, target) for k, opp in contexts for target in range(3)
@@ -405,7 +457,8 @@ class TestTruncatedScans:
     def test_all_zero_games_above_the_old_cap_need_no_witness(self, shape, kind, monkeypatch):
         # 2^16 and 2^12 nodes: the local kinds compare the payoffs of the
         # pure profiles, at rank P, with those of their covers, and build no
-        # engine; the global ones build one and ask it for no survivors.
+        # engine, and so does GS, which decides on bit sets over the opponent
+        # profiles; MGS, GW and MGW build one and ask it for no survivors.
         game = zero_game(shape)
         asked, engines = Counter(), Counter()
         survivors, init = EliminationEngine.survivors, EliminationEngine.__init__
@@ -422,15 +475,16 @@ class TestTruncatedScans:
         monkeypatch.setattr(EliminationEngine, "__init__", counted_init)
         assert check_monotonic(kind, game, Exhaustive()) is None
         assert not asked
-        assert engines == ({"built": 1} if kind in GLOBAL_KINDS else {})
+        assert engines == ({"built": 1} if kind in (MGS, GW, MGW) else {})
 
     @pytest.mark.parametrize("kind", ALL_OPERATORS, ids=str)
     @pytest.mark.parametrize(
         "shape, local, weak, strict",
-        [((8, 8), 137, 2 * 1, 2 * 255), ((4, 4, 4, 4), 2517, 4 * (1 + 12 + 66), 4 * 15**3)],
+        [((8, 8), 120, 2 * 1, 2 * 255), ((4, 4, 4, 4), 1820, 4 * (1 + 12 + 66), 4 * 15**3)],
         ids=["8x8", "4x4x4x4"],
     )
     def test_the_work_the_cap_bounds(self, shape, local, weak, strict, kind):
+        # The local kinds walk the C(N, P) nodes of rank P: C(16, 2) and C(16, 4).
         work, unit = _monotonicity_work(kind, shape)
         if kind in GLOBAL_KINDS:
             assert (work, unit) == ((weak if kind in (GW, MGW) else strict), "opponent contexts")
@@ -444,9 +498,10 @@ class TestTruncatedScans:
 
     def test_gs_on_a_17x17_game_is_refused_before_any_work(self, monkeypatch):
         def fail(*args):
-            raise AssertionError("the check built an engine")
+            raise AssertionError("the check built an engine or a bit-set table")
 
         monkeypatch.setattr(EliminationEngine, "__init__", fail)
+        monkeypatch.setattr(analysis, "_pure_strict_contexts", fail)
         with pytest.raises(BudgetExceededError, match="262142 opponent contexts"):
             check_monotonic(GS, zero_game((17, 17)), Exhaustive())
 
@@ -465,16 +520,14 @@ class TestTruncatedScans:
     def test_a_lopsided_game_costs_only_the_work_it_counts(self, kind, shape, monkeypatch):
         # A player with 20 strategies has 2^20 masks: listing them, or every
         # head of a rank, takes tens of MB.  The work the cap counts here is
-        # at most 253 nodes or 2 opponent contexts on the lopsided games.
-        # GW and MGW walk that; a local kind walks only the C(N, P) nodes of
-        # rank P, and holds no more than one of them at a time, so the
-        # 7,140 of 60x60 and the 35,960 of 8x8x8x8 fit in the same bound.
-        work, _ = _monotonicity_work(kind, shape)
-        if kind in GLOBAL_KINDS:
-            expected = work
-        else:
-            expected = math.comb(sum(shape), len(shape))
-            assert expected <= work
+        # 231 nodes or 2 opponent contexts on the lopsided games, and the
+        # check walks exactly that: GW and MGW the opponent contexts, a
+        # local kind the C(N, P) nodes of rank P.  A local walk holds no more
+        # than one node at a time, so the 7,140 of 60x60 and the 35,960 of
+        # 8x8x8x8 fit in the same bound.
+        expected, _ = _monotonicity_work(kind, shape)
+        if kind not in GLOBAL_KINDS:
+            assert expected == math.comb(sum(shape), len(shape))
         walked = Counter()
         ranks = analysis._ranks
 
@@ -571,11 +624,13 @@ class TestEmptyPlayerLemma:
 
         monkeypatch.setattr(EliminationEngine, "survivors", noted_survivors)
         monkeypatch.setattr(EliminationEngine, "dominator", noted_dominator)
+        _, decisions = _count_gs_decisions(monkeypatch)
         empty_witnesses = 0
         for i, game in enumerate(LEMMA_GAMES + TRUNCATION_GAMES):
             asked.clear()
             witness = check_monotonic(kind, game, Exhaustive())
             assert all(map(all, asked)) and all(map(all, decided)), i
+            assert all(all(opp) for _, opp in decisions), i
             if kind not in GLOBAL_KINDS:
                 # A local check compares payoffs and asks the engine nothing.
                 assert not asked and not decided, i
@@ -646,9 +701,20 @@ class TestOpponentLatticeScan:
             return dominator(engine, player, target, pool_mask, opp_masks, mode, mixing)
 
         monkeypatch.setattr(EliminationEngine, "dominator", counted)
-        for _, game in _seeded_games_of_shape(shape, 6):
+        _, decisions = _count_gs_decisions(monkeypatch)
+        for seed, game in _seeded_games_of_shape(shape, 6):
             decided.clear()
-            check_monotonic(kind, game, Exhaustive())
+            decisions.clear()
+            witness = check_monotonic(kind, game, Exhaustive())
+            if kind == GS:
+                # GS decides every context where each opponent keeps
+                # something exactly once, all targets at once, on bit sets:
+                # no target goes to the engine on these monotone games.
+                assert witness is None, seed
+                assert decisions == Counter(_opponent_contexts(game)), seed
+                assert not decided, seed
+                continue
+            assert not decisions
             assert decided and set(decided.values()) == {1}
 
     @pytest.mark.parametrize("kind", GLOBAL_KINDS, ids=str)
@@ -693,28 +759,39 @@ class TestOpponentLatticeScan:
             return dominator(engine, *args)
 
         monkeypatch.setattr(EliminationEngine, "dominator", counted)
+        tables, decisions = _count_gs_decisions(monkeypatch)
         # GS is monotone, so the walk decides every opponent context where
-        # the opponent keeps something: 2^8 - 1 per player, times its 8
-        # targets at most.  The cap bounds the 2 * 255 contexts, not the
-        # 2^16 nodes.
+        # the opponent keeps something, 2^8 - 1 per player, exactly once,
+        # on bit sets, and asks the engine nothing.  The cap bounds the
+        # 2 * 255 contexts, not the 2^16 nodes.
         assert check_monotonic(GS, game, Exhaustive(cap=510)) is None
-        assert 0 < calls["dominator"] <= 2 * 255 * 8
-        calls.clear()
+        assert decisions == Counter(_opponent_contexts(game))
+        assert len(decisions) == 2 * 255
+        assert tables == Counter(range(2))
+        assert not calls
+        tables.clear()
+        decisions.clear()
         with pytest.raises(BudgetExceededError, match="510 opponent contexts"):
             check_monotonic(GS, game, Exhaustive(cap=509))
-        assert not calls
+        assert not tables and not decisions and not calls
 
 
 def _inject_dominance(monkeypatch):
-    """Patch the engine so that strategy 0 dominates every other strategy the
-    kernel leaves undominated, at contexts where every opponent keeps
-    something and the opponents keep 3 strategies or more.
+    """Patch the engine and GS's bit-set decision so that strategy 0
+    dominates every other strategy the kernel leaves undominated, at
+    contexts where every opponent keeps something and the opponents keep 3
+    strategies or more.
 
     A strict kind's lemma still holds, as contexts where an opponent keeps
     nothing are left alone, but GS and MGS now fail: a strategy the kernel
     leaves undominated at a 2-strategy context is dominated at its covers.
+    GS walks on the bit-set decision and replays the failing node's covers
+    on the engine, so both must agree.  Returns the count of bit-set
+    decisions the patch saw.
     """
     dominator = EliminationEngine.dominator
+    contexts = analysis._pure_strict_contexts
+    seen = Counter()
 
     def injected(engine, player, target, pool_mask, opp_masks, mode, mixing):
         found = dominator(engine, player, target, pool_mask, opp_masks, mode, mixing)
@@ -722,7 +799,22 @@ def _inject_dominance(monkeypatch):
             return 0 if mixing is Mixing.PURE else MixedStrategy.point_mass(player, 0)
         return found
 
+    def injected_contexts(game, player):
+        decide = contexts(game, player)
+        others = (1 << game.shape[player]) - 2
+
+        def injected_decide(opp_masks):
+            seen["decisions"] += 1
+            found = decide(opp_masks)
+            if all(opp_masks) and _rank(opp_masks) >= 3:
+                return found | others
+            return found
+
+        return injected_decide
+
     monkeypatch.setattr(EliminationEngine, "dominator", injected)
+    monkeypatch.setattr(analysis, "_pure_strict_contexts", injected_contexts)
+    return seen
 
 
 class TestStrictWalkFailingBranch:
@@ -733,11 +825,63 @@ class TestStrictWalkFailingBranch:
         "shape", [(3, 3), (2, 3, 2), (4, 4), (3, 3, 3)], ids=lambda s: "x".join(map(str, s))
     )
     def test_the_witness_is_the_full_scans_first(self, shape, kind, monkeypatch):
-        _inject_dominance(monkeypatch)
+        seen = _inject_dominance(monkeypatch)
         for seed, game in _seeded_games_of_shape(shape, 4):
             expected = _memo_free_witness(kind, game)
             assert expected is not None, seed
-            assert check_monotonic(kind, game, Exhaustive()) == expected, seed
+            seen.clear()
+            witness = check_monotonic(kind, game, Exhaustive())
+            assert witness == expected, seed
+            assert json.dumps(witness.to_dict()) == json.dumps(expected.to_dict()), seed
+            # GS found its candidate on the bit-set decision; MGS asks none.
+            assert bool(seen) == (kind == GS), seed
+
+
+# Seeded games, tie-heavy 2-4 player games, all-zero games, games with a
+# one-strategy player and 4-player games.
+BIT_SET_GAMES = (
+    [
+        game
+        for shape in [(3, 3), (4, 4), (2, 3, 2), (3, 3, 3)]
+        for _, game in _seeded_games_of_shape(shape, 4)
+    ]
+    + _tie_heavy_games(30, players=(2, 4), strategies=(1, 3))
+    + [zero_game(shape) for shape in [(1, 1), (3, 3), (1, 3, 2), (2, 2, 2, 2)]]
+    + [
+        game
+        for shape in [(1, 4), (4, 1), (1, 2, 3), (2, 1, 2), (2, 2, 2, 2), (1, 2, 2, 2), (3, 2, 2, 2)]
+        for _, game in _seeded_games_of_shape(shape, 3)
+    ]
+)
+
+
+class TestBitSetDecision:
+    """GS decides each opponent context on bit sets exactly as the engine does."""
+
+    def test_every_context_is_decided_as_the_engine_decides_it(self):
+        # Each context is asked after its covers, in the walk's order, so a
+        # decision that answered from a cover's answer would be seen.
+        seen = Counter()
+        for i, game in enumerate(BIT_SET_GAMES):
+            engine = EliminationEngine(game)
+            full = engine.full_masks
+            for k in range(game.player_count):
+                decide = analysis._pure_strict_contexts(game, k)
+                opp_full = full[:k] + full[k + 1 :]
+                answers = {}
+                for opp in product(*(range(f, 0, -1) for f in opp_full)):
+                    answer = answers[opp] = engine.dominated(GS, k, opp)
+                    assert decide(opp) == answer, (i, k, opp)
+                    seen["some dominated" if answer else "none dominated"] += 1
+                    if any(answers[cover] != answer for cover in _covers(opp, opp_full)):
+                        seen["unlike a cover"] += 1
+        assert seen["some dominated"] and seen["none dominated"] and seen["unlike a cover"]
+
+    def test_the_games_cover_each_case(self):
+        shapes = {game.shape for game in BIT_SET_GAMES}
+        assert {len(shape) for shape in shapes} == {2, 3, 4}
+        assert any(1 in shape for shape in shapes)
+        assert any(_is_trivial(game) for game in BIT_SET_GAMES)
 
 
 class TestOpponentLatticeMatchesTheNodeScan:
@@ -806,6 +950,30 @@ class TestWitnessReplay:
         malformed = dataclasses.replace(witness, operator=operator)
         assert not malformed.replay()
         with pytest.raises(ValueError, match="operator"):
+            malformed.to_dict()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("smaller", None),
+            ("smaller", "x"),
+            ("larger", None),
+            ("larger", "x"),
+            ("evidence", None),
+            ("evidence", (0,)),
+            ("evidence", ()),
+            ("evidence", (1, 1, 0)),
+            ("evidence", "01"),
+            ("evidence", [1, 1]),
+        ],
+        ids=repr,
+    )
+    def test_a_malformed_witness_neither_replays_nor_has_a_dict(self, field, value, g2):
+        witness = check_monotonic(LW, g2, Exhaustive())
+        assert witness.replay()
+        malformed = dataclasses.replace(witness, **{field: value})
+        assert not malformed.replay()
+        with pytest.raises(ValueError, match=field):
             malformed.to_dict()
 
 

@@ -142,24 +142,27 @@ class TestCheckMonotonic:
         return str(path)
 
     def test_budget_exceeded_exits_3(self, tmp_path):
-        # LS on 7 x 6 strategies visits the 1 + 13 + 78 nodes of rank at most 2.
+        # LS on 7 x 6 strategies visits the C(13, 2) = 78 nodes of rank 2.
         path = self.zero_game_file(tmp_path, 7, 6)
-        code, text, err = run_cli_stderr("check-monotonic", "--operator", "ls", path, "--cap", "91")
+        code, text, err = run_cli_stderr("check-monotonic", "--operator", "ls", path, "--cap", "77")
         assert (code, text) == (3, "")
         assert err == (
-            "error: the check visits 92 nodes, above the exhaustive cap 91; raise the cap\n"
+            "error: the check visits 78 nodes, above the exhaustive cap 77; raise the cap\n"
         )
-        code, text = run_cli("check-monotonic", "--operator", "ls", path, "--cap", "92")
+        code, text = run_cli("check-monotonic", "--operator", "ls", path, "--cap", "78")
         assert code == 0 and json.loads(text)["witness"] is None
 
     def test_gs_on_a_17x17_game_exits_3_at_the_default_cap(self, tmp_path, monkeypatch):
-        # 2 * (2^17 - 1) opponent contexts; the check refuses before it builds an engine.
+        # 2 * (2^17 - 1) opponent contexts; the check refuses before it builds
+        # an engine or a bit-set table.
+        from dominance_lab import analysis
         from dominance_lab.operators import EliminationEngine
 
         def fail(*args):
-            raise AssertionError("the check built an engine")
+            raise AssertionError("the check built an engine or a bit-set table")
 
         monkeypatch.setattr(EliminationEngine, "__init__", fail)
+        monkeypatch.setattr(analysis, "_pure_strict_contexts", fail)
         path = self.zero_game_file(tmp_path, 17, 17)
         code, text, err = run_cli_stderr("check-monotonic", "--operator", "gs", path)
         assert (code, text) == (3, "")
