@@ -7,27 +7,32 @@ inclusion on all pairs exactly when it does on the covering ones, and a
 check that finds no witness proves monotonicity on that game's lattice.
 The check returns the first failing pair of a scan of every node in (rank,
 kept) order while visiting far fewer nodes (:func:`check_monotonic`); an
-:class:`Exhaustive` cap bounds that work.  The local kinds fail first, if
-at all, at a node of rank ``P``, the number of players, and two payoff
-comparisons decide those nodes with no operator applied: a pure profile's
+:class:`Exhaustive` cap bounds that work.  Six kinds are decided by payoff
+comparisons with no operator applied.  LS, MLS, LW and MLW fail first, if
+at all, at a node of rank ``P``, the number of players: a pure profile's
 cover fails exactly when the added strategy pays its player more than the
 kept one, and, for a weak kind, a cover that fills a node's one empty
 player fails exactly when the player keeping two strategies is paid
-differently by them.  The global kinds find the first failing node on
-each player's opponent lattice instead.  GS and MGS decide every opponent
-context once and compare each with its covers by mask arithmetic
+differently by them.  GW and MGW fail first, if at all, at a node of rank
+``P - 1`` whose one empty player is filled by the cover: it fails exactly
+when some other player's kept strategy is paid less than another at the
+one profile the cover leaves.  So each of the six has a witness exactly
+when the game is non-trivial: some player strictly prefers one strategy
+to another at some opponent profile.  GS and MGS, monotone by the paper's
+theorem, decide every opponent context of each player once and compare
+each with its covers by mask arithmetic
 (:func:`_first_strict_global_violation`); GS decides a context on bit
 sets over the opponent profiles, with no elimination engine, and MGS on
-the engine's LP.  GW and MGW walk the contexts rank by rank, least first,
-and stop at the first rank that fails (:func:`_first_global_violation`).
+the engine's LP.
 
 One lemma prunes every scan: with no opponent profile, a strict kind
 eliminates every kept strategy (each strict comparison holds vacuously) and
 a weak kind none (no profile shows a strict gain).  Where a player keeps
-nothing, no kept strategy faces an opponent profile.  So a restriction, or
-a global kind's opponent context, that keeps nothing somewhere fails only
-for a weak kind, with exactly one player keeping nothing, on a cover that
-fills that player (:func:`dominance_lab.operators._lone_empty`).
+nothing, no kept strategy faces an opponent profile.  So a restriction
+that keeps nothing somewhere fails only for a weak kind, with exactly one
+player keeping nothing, on a cover that fills that player
+(:func:`dominance_lab.operators._lone_empty`), and GS and MGS never ask an
+opponent context where an opponent keeps nothing.
 
 All reports are plain data with stable field order, so suites and CI can
 assert on their JSON form.
@@ -72,11 +77,11 @@ class Exhaustive:
     """An exact check that errors out when its work is above ``cap``.
 
     The work bounds what the check visits.  For ``check_monotonic`` it is
-    the nodes of rank ``P`` for LS, MLS, LW and MLW, the ``C(N, P)`` they
-    walk, and the opponent contexts walked for GS, MGS, GW and MGW
-    (:func:`_monotonicity_work`); for ``pointwise_inclusion`` it is every
-    restriction, ``2^N``.  Raises ValueError for a cap that is
-    not an int of at least 1.
+    the nodes walked by LS, MLS, LW and MLW, the ``C(N, P)`` of rank ``P``,
+    and by GW and MGW, the ``C(N, P - 1)`` of rank ``P - 1``, and the
+    opponent contexts decided by GS and MGS (:func:`_monotonicity_work`);
+    for ``pointwise_inclusion`` it is every restriction, ``2^N``.  Raises
+    ValueError for a cap that is not an int of at least 1.
     """
 
     cap: int = DEFAULT_EXHAUSTIVE_CAP
@@ -142,18 +147,18 @@ def _monotonicity_work(kind: OperatorKind, shape: tuple[int, ...]) -> tuple[int,
     """What ``check_monotonic`` of ``kind`` visits at most, and its unit.
 
     LS, MLS, LW and MLW walk the ``C(N, P)`` nodes of rank ``P``
-    (:func:`_first_local_violation`).  GS and MGS decide the ``prod_{j != k}
-    (2^(n_j) - 1)`` opponent contexts of each ``k`` where every opponent
-    keeps something.  GW and MGW walk each ``k``'s opponent contexts of
-    rank below ``P - 1`` (:func:`_first_global_violation`).
+    (:func:`_first_local_violation`), and GW and MGW the ``C(N, P - 1)`` of
+    rank ``P - 1`` (:func:`_first_weak_global_violation`).  GS and MGS
+    decide the ``prod_{j != k} (2^(n_j) - 1)`` opponent contexts of each
+    ``k`` where every opponent keeps something.
     """
     total, players = sum(shape), len(shape)
     if kind.pool is Pool.LOCAL:
         return comb(total, players), "nodes"
-    if kind.mode is Mode.STRICT:
-        kept = [(1 << n) - 1 for n in shape]
-        return sum(prod(kept[:k] + kept[k + 1 :]) for k in range(players)), "opponent contexts"
-    return sum(comb(total - n, r) for n in shape for r in range(players - 1)), "opponent contexts"
+    if kind.mode is Mode.WEAK:
+        return comb(total, players - 1), "nodes"
+    kept = [(1 << n) - 1 for n in shape]
+    return sum(prod(kept[:k] + kept[k + 1 :]) for k in range(players)), "opponent contexts"
 
 
 def _require_within(budget: Exhaustive, work: int, unit: str) -> None:
@@ -257,54 +262,6 @@ def _order_in_rank(masks: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(map(indices_of, masks))
 
 
-def _first_global_violation(
-    engine: EliminationEngine, kind: OperatorKind
-) -> tuple[int, ...] | None:
-    """The first node in (rank, kept) order with a cover that the global ``kind`` fails.
-
-    A global pool is the player's full strategy set, so player ``k``'s
-    survivors at a node are ``kept_k & ~D_k(O)``, where ``D_k(O)`` is what
-    is dominated at the other players' masks ``O``.  A cover that adds to
-    ``k`` leaves ``D_k`` as it is, and one that grows ``O`` to ``O'`` fails
-    exactly when ``kept_k`` meets ``D_k(O')`` outside ``D_k(O)``.  Such a
-    node still fails when ``kept_k`` shrinks to one such strategy ``b``,
-    and that lowers its rank unless ``kept_k`` is ``{b}`` already.
-    So the first failing node keeps some ``O`` and one ``b`` for some
-    ``k``, and ``b`` is the least strategy newly dominated at a cover of
-    ``O``: within a rank, a node with a lower ``b`` comes first.
-
-    This walk serves GW and MGW; GS and MGS visit every context where each
-    opponent keeps something, once, in
-    :func:`_first_strict_global_violation`.  It takes the opponent lattices
-    rank by rank, every player's at one rank before any at the next, asking
-    :meth:`EliminationEngine.least_newly_dominated` at each ``(k, O)``, and
-    the least candidate of the first opponent rank that has one is the
-    answer.  A ``(k, O)`` whose least possible node (``b = 0``) is not
-    below the best candidate so far is skipped, and so are ``k``'s later
-    ``O`` of that rank, whose nodes come later still.  Only the opponent
-    ranks below ``P - 1`` are walked (:func:`check_monotonic`), and the
-    walk stops at the first that has a candidate: these kinds fail on most
-    games, so their checks stay short.
-    """
-    shape = engine.game.shape
-    walks = [(k, _ranks(shape[:k] + shape[k + 1 :])) for k in range(len(shape))]
-    for _ in range(len(shape) - 1):
-        best = best_order = None
-        for k, ranks in walks:
-            for opp in next(ranks, ()):
-                if best is not None and _order_in_rank(opp[:k] + (1,) + opp[k:]) >= best_order:
-                    break
-                strategy = engine.least_newly_dominated(kind, k, opp)
-                if strategy is not None:
-                    node = opp[:k] + (1 << strategy,) + opp[k:]
-                    order = _order_in_rank(node)
-                    if best is None or order < best_order:
-                        best, best_order = node, order
-        if best is not None:
-            return best
-    return None
-
-
 def _pure_strict_contexts(game: Game, player: int) -> Callable[[tuple[int, ...]], int]:
     """GS's decision at ``player``'s opponent contexts, on bit sets over opponent profiles.
 
@@ -368,7 +325,16 @@ def _pure_strict_contexts(game: Game, player: int) -> Callable[[tuple[int, ...]]
 def _first_strict_global_violation(
     game: Game, kind: OperatorKind, engine: EliminationEngine | None
 ) -> tuple[int, ...] | None:
-    """:func:`_first_global_violation` for GS and MGS: one pass per player.
+    """The first node in (rank, kept) order with a cover that GS or MGS fails, or None.
+
+    A global pool is the player's full strategy set, so player ``k``'s
+    survivors at a node are ``kept_k & ~D_k(O)``, where ``D_k(O)`` is what
+    is dominated at the other players' masks ``O``.  A cover that adds to
+    ``k`` leaves ``D_k`` as it is, and one that grows ``O`` to ``O'`` fails
+    exactly when ``kept_k`` meets ``D_k(O')`` outside ``D_k(O)``.  Such a
+    node still fails when ``kept_k`` shrinks to one such strategy ``b``,
+    and that lowers its rank unless ``kept_k`` is ``{b}`` already.  So the
+    first failing node keeps some ``O`` and one ``b`` for some ``k``.
 
     Each opponent context ``O`` where every opponent keeps something is
     decided once, for all of player ``k``'s strategies: by
@@ -436,6 +402,21 @@ def _pair(
     )
 
 
+def _gains(game: Game, profile: list[int]) -> Iterator[tuple[int, int]]:
+    """Each ``(i, s)`` where ``s`` pays player ``i`` more than ``profile[i]`` at ``profile``.
+
+    Read from ``game.scaled_payoffs``, player-major, strategies ascending.
+    """
+    strides, tables = game.strides, game.scaled_payoffs
+    at = sum(map(mul, profile, strides))
+    for i, t in enumerate(profile):
+        table, stride = tables[i], strides[i]
+        paid, base = table[at], at - t * stride
+        for s in range(game.shape[i]):
+            if table[base + s * stride] > paid:
+                yield i, s
+
+
 def _first_local_violation(kind: OperatorKind, game: Game) -> MonotonicityWitness | None:
     """The first covering pair that LS, MLS, LW or MLW fails, or None, with no engine.
 
@@ -448,13 +429,8 @@ def _first_local_violation(kind: OperatorKind, game: Game) -> MonotonicityWitnes
     for masks in next(islice(_ranks(shape), len(shape), None)):
         if all(masks):
             profile = [mask.bit_length() - 1 for mask in masks]
-            at = sum(map(mul, profile, strides))
-            for i, t in enumerate(profile):
-                table, stride = tables[i], strides[i]
-                paid, base = table[at], at - t * stride
-                for s in range(shape[i]):
-                    if table[base + s * stride] > paid:
-                        return _pair(kind, game, masks, _cover(masks, i, s), (i, t))
+            for i, s in _gains(game, profile):
+                return _pair(kind, game, masks, _cover(masks, i, s), (i, profile[i]))
             continue
         j = _lone_empty(kind.mode, masks)
         if j is None:
@@ -473,6 +449,28 @@ def _first_local_violation(kind: OperatorKind, game: Game) -> MonotonicityWitnes
             if pay_a != pay_b:
                 evidence = (i, a if pay_a < pay_b else b)
                 return _pair(kind, game, masks, _cover(masks, j, x), evidence)
+    return None
+
+
+def _first_weak_global_violation(kind: OperatorKind, game: Game) -> MonotonicityWitness | None:
+    """The first covering pair that GW or MGW fails, or None, with no engine.
+
+    The case of :func:`check_monotonic` for these kinds, decided on
+    ``game.scaled_payoffs`` at each node of rank ``P - 1`` in scan order
+    that has one empty player ``j``, at the covers that fill ``j``,
+    strategies ascending.
+    """
+    shape = game.shape
+    for masks in next(islice(_ranks(shape), len(shape) - 1, None)):
+        j = _lone_empty(kind.mode, masks)
+        if j is None:
+            continue
+        profile = [mask.bit_length() - 1 for mask in masks]
+        for x in range(shape[j]):
+            profile[j] = x
+            for i, _ in _gains(game, profile):
+                if i != j:
+                    return _pair(kind, game, masks, _cover(masks, j, x), (i, profile[i]))
     return None
 
 
@@ -512,45 +510,48 @@ def check_monotonic(
       ·)`` and ``u_i(b, ·)`` differ at the profile it leaves, with the
       lower-paid strategy as evidence.
 
-    A global kind scans one node at most: the first failing node, found on
-    the opponent lattices.  Its covers are asked of an
+    GW and MGW fail first at a node of rank ``P - 1``, and build no engine
+    either (:func:`_first_weak_global_violation`).  Below that rank two
+    players keep nothing, and by the lemma no cover then eliminates
+    anything under a weak kind.  A node of rank ``P - 1`` whose one empty
+    player is ``j`` keeps one strategy ``t_i`` for each other player ``i``,
+    and everything survives there, as no player faces an opponent profile.
+    The cover filling ``j`` with ``x`` leaves ``i`` one profile ``c``, and
+    a global pool eliminates ``t_i`` there exactly when some ``s`` has
+    ``u_i(s, c) > u_i(t_i, c)``: for MGW too, as a mixture's payoff at one
+    profile is an average of pure payoffs.  The evidence is ``(i, t_i)``
+    for the least such ``i``.  So a game has a GW or MGW witness exactly
+    when some player ``i`` strictly prefers ``s`` to ``t`` at some ``c``:
+    the node where ``i`` keeps ``{t}``, another player ``j`` nothing and
+    the rest their strategies in ``c`` fails on the cover filling ``j``
+    with its strategy in ``c``.
+
+    GS and MGS scan one node at most: the first failing node, found on the
+    opponent lattices.  Its covers are asked of an
     :class:`EliminationEngine` in the full scan's order, so it returns the
     same pair and evidence, :func:`_first_excess` of the two survivor sets.
     GS and MGS decide each opponent context where every opponent keeps
     something once, for every target, and compare it with its covers by
     mask arithmetic (:func:`_first_strict_global_violation`); the lemma
-    rules out every other context.  MGS decides on an engine, whose LP
-    reads each context's columns.  GS decides on bit sets over the
-    opponent profiles, and builds an engine only to ask a candidate node's
-    covers, which on a real game it never finds.  For GW and MGW
-    (:func:`_first_global_violation`) the node above with one opponent keeping
-    nothing fails too: ``t`` has no weak dominator without an opponent
-    profile, and has one once that opponent keeps its strategy in ``c``.
-    That node has rank ``P - 1``, so their walk stops below opponent rank
-    ``P - 1``, and it asks least first, so it stops at the first failing
-    rank.  The lemma prunes that walk too
-    (:meth:`EliminationEngine.least_newly_dominated`): where the first
-    failing node keeps nothing for one player, everything there survives a
-    weak kind, and only the covers that fill that player are asked.
+    rules out every other context, and so the first failing node keeps
+    something for every player.  MGS decides on an engine, whose LP reads
+    each context's columns.  GS decides on bit sets over the opponent
+    profiles, and builds an engine only to ask a candidate node's covers,
+    which on a real game it never finds.
     """
     _require_within(budget, *_monotonicity_work(kind, game.shape))
     if kind.pool is Pool.LOCAL:
         return _first_local_violation(kind, game)
     if kind.mode is Mode.WEAK:
-        engine = EliminationEngine(game)
-        masks = _first_global_violation(engine, kind)
-    else:
-        engine = EliminationEngine(game) if kind.mixing is Mixing.MIXED else None
-        masks = _first_strict_global_violation(game, kind, engine)
+        return _first_weak_global_violation(kind, game)
+    engine = EliminationEngine(game) if kind.mixing is Mixing.MIXED else None
+    masks = _first_strict_global_violation(game, kind, engine)
     if masks is None:
         return None
     if engine is None:
         engine = EliminationEngine(game)
-    if all(masks):
-        small, fills = engine.survivors(kind, masks), range(len(masks))
-    else:
-        small, fills = masks, (masks.index(0),)
-    for player in fills:
+    small = engine.survivors(kind, masks)
+    for player in range(len(masks)):
         for strategy in indices_of(engine.full_masks[player] & ~masks[player]):
             larger = _cover(masks, player, strategy)
             excess = _first_excess(small, engine.survivors(kind, larger))

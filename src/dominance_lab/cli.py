@@ -216,8 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mono.add_argument("--operator", required=True)
     p_mono.add_argument("game")
     p_mono.add_argument("--cap", type=_count, default=Exhaustive().cap,
-                        help="most nodes (ls, mls, lw, mlw) or opponent contexts (gs, mgs, gw, "
-                        "mgw) the exact check may visit; above it, exit 3 (default: %(default)s)")
+                        help="most nodes (ls, mls, lw, mlw, gw, mgw) or opponent contexts (gs, "
+                        "mgs) the exact check may visit; above it, exit 3 (default: %(default)s)")
 
     p_verify = sub.add_parser("verify", help="run a property suite (CI gate: exit 2 on failure)", parents=[shared])
     p_verify.add_argument("--suite", choices=SUITE_NAMES, default="all")

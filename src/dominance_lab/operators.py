@@ -164,20 +164,19 @@ class IterationTrace:
 
 
 def _lone_empty(mode: Mode, masks: tuple[int, ...]) -> int | None:
-    """The position a cover of ``masks`` must fill to eliminate more, or None if none can.
+    """The player a cover of ``masks`` must fill to eliminate more, or None if none can.
 
-    For ``masks`` where some position keeps nothing: a restriction's kept
-    sets, as a local kind's scan reads them, or one player's opponents'
-    kept sets, as a global kind's walk does.  A cover keeps one strategy
-    more.
+    For a restriction's kept sets ``masks`` where some player keeps
+    nothing, as the exact monotonicity checks of the weak kinds read them.
+    A cover keeps one strategy more.
 
     The lemma: with no opponent profile, a strict kind eliminates every
     kept strategy, as each strict comparison holds vacuously, and a weak
     kind eliminates none, as no profile shows a strict gain.  While a
-    position keeps nothing, no kept strategy faces an opponent profile.
+    player keeps nothing, no kept strategy faces an opponent profile.
     So at ``masks`` a strict kind has eliminated everything already, and a
-    weak kind nothing, which a cover changes only if it leaves no position
-    empty: when exactly one position keeps nothing and the cover fills it.
+    weak kind nothing, which a cover changes only if it leaves no player
+    empty: when exactly one player keeps nothing and the cover fills it.
     """
     if mode is _STRICT or masks.count(0) > 1:
         return None
@@ -193,18 +192,14 @@ class EliminationEngine:
     the mask of targets decided there, the mask of those found dominated,
     and their dominators; a global kind shares records with its local twin
     wherever their pools coincide.  ``survivors``, for a kept set's
-    contexts, ``dominated``, for every strategy at one global context, and
-    ``least_newly_dominated``, for one target at a time, read and fill the
-    records through ``_record``, which decides only the targets a record
-    has not decided; ``step`` reads its certificates' dominators from the
-    same records.  Every target is decided at most once per context, and
-    only when some query asks: each undecided target goes through
-    ``dominator`` and one kernel call, and nothing else decides.
-
-    Hits cost no call: ``least_newly_dominated`` reads a context's record
-    with one dict lookup and calls ``_record`` only when the record has not
-    decided the strategy it asks about, and ``dominator`` reads the column
-    cache directly, calling ``columns`` only on a miss.
+    contexts, and ``dominated``, for every strategy at one global context,
+    read and fill the records through ``_record``, which decides only the
+    targets a record has not decided; ``step`` reads its certificates'
+    dominators from the same records.  Every target is decided at most
+    once per context, and only when some query asks: each undecided target
+    goes through ``dominator`` and one kernel call, and nothing else
+    decides.  ``dominator`` reads the column cache directly, calling
+    ``columns`` only on a miss.
 
     Columns: ``columns`` keeps each player's scaled payoff columns per
     ``(player, opp_masks)``, built on the first query there from
@@ -306,66 +301,6 @@ class EliminationEngine:
         pool = self.full_masks[player]
         contexts = self._contexts[kind.mode is not _STRICT][kind.mixing is not _PURE]
         return self._record(contexts, (player, pool, opp_masks), pool, kind.mode, kind.mixing)[1]
-
-    def least_newly_dominated(
-        self, kind: OperatorKind, player: int, opp_masks: tuple[int, ...]
-    ) -> int | None:
-        """The least strategy of ``player`` that a global ``kind`` does not
-        eliminate at ``opp_masks`` but does at a cover of them, or None.
-
-        A cover keeps one opponent strategy more.  The pool is the player's
-        full strategy set at both.  Strategies are decided one at a time,
-        least first, and a cover is asked only about the strategies that
-        ``opp_masks`` leaves undominated.
-
-        Where an opponent keeps nothing, the player faces no opponent
-        profile, and the lemma of :func:`_lone_empty` answers without a
-        decision: no weak comparison then has a profile with a strict gain,
-        so ``opp_masks`` itself is not asked, and only a cover that fills
-        the one empty opponent can eliminate anything (none can when two
-        opponents keep nothing).  Raises ValueError for a local or a strict
-        kind.
-
-        The exact GW and MGW checks ask it context by context, and its
-        least-first order lets them stop at the first failing rank.  The
-        MGS check asks ``dominated`` instead, as it decides every context.
-        """
-        if kind.pool is _LOCAL:
-            raise ValueError(f"{kind.name} is not a global kind")
-        if kind.mode is _STRICT:
-            raise ValueError(f"{kind.name} is not a weak kind")
-        full = self.full_masks
-        pool = full[player]
-        context = (player, pool, opp_masks)
-        if all(opp_masks):
-            asked, fills = [context], range(len(opp_masks))
-        else:
-            empty = _lone_empty(kind.mode, opp_masks)
-            if empty is None:
-                return None
-            asked, fills = [], (empty,)
-        opp_full = full[:player] + full[player + 1 :]
-        asked += [
-            (player, pool, opp_masks[:i] + (opp_masks[i] | 1 << s,) + opp_masks[i + 1 :])
-            for i in fills
-            for s in indices_of(opp_full[i] & ~opp_masks[i])
-        ]
-        contexts = self._contexts[kind.mode is not _STRICT][kind.mixing is not _PURE]
-        mode, mixing = kind.mode, kind.mixing
-        record = self._record
-        for strategy in range(self.game.shape[player]):
-            bit = 1 << strategy
-            for at in asked:
-                # A record that has decided ``bit`` answers without a call.
-                found = contexts.get(at)
-                if found is None or not found[0] & bit:
-                    found = record(contexts, at, bit, mode, mixing)
-                if found[1] & bit:
-                    # Dominated at ``opp_masks`` rules the strategy out.
-                    if at is context:
-                        break
-                    return strategy
-        return None
 
     def step(self, kind: OperatorKind, restriction: Restriction) -> EliminationStep:
         if restriction.game != self.game:

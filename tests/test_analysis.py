@@ -42,7 +42,8 @@ from dominance_lab.random_games import GeneratorConfig, generate
 
 
 GLOBAL_KINDS = (GS, MGS, GW, MGW)
-# The kinds whose first failing node has rank at most the player count.
+# The kinds whose first failing node has rank at most the player count:
+# each is decided by payoff comparisons at one rank, with no engine.
 TRUNCATED_KINDS = (LS, MLS, LW, MLW, GW, MGW)
 
 
@@ -165,14 +166,13 @@ class TestOneDecisionPerContext:
     def test_each_target_is_scanned_once_per_opponent_context(self, seed, kind, monkeypatch):
         game = generate(GeneratorConfig(seed=seed, strategies=(4, 4), tie_bias=0.3))
         assert game.shape == (4, 4)
-        scans, queries, builds, engines = Counter(), Counter(), Counter(), Counter()
+        scans, queries, builds = Counter(), Counter(), Counter()
         # id of a column set -> (the set, its (player, opponent masks)); the
         # set is held here, so its id is never reused for another.
         contexts = {}
         query = EliminationEngine.dominator
         columns = EliminationEngine.columns
         bases = EliminationEngine.opponent_bases
-        init = EliminationEngine.__init__
 
         def counting(kernel):
             def counted_scan(player, target, pool, cols, mode):
@@ -195,24 +195,22 @@ class TestOneDecisionPerContext:
             builds[player, opp_masks] += 1
             return bases(engine, player, opp_masks)
 
-        def counted_init(engine, game):
-            engines["built"] += 1
-            init(engine, game)
-
         for name in ("_pure_dominator", "_mixed_dominator"):
             monkeypatch.setattr(operators, name, counting(getattr(operators, name)))
         monkeypatch.setattr(EliminationEngine, "dominator", counted_query)
         monkeypatch.setattr(EliminationEngine, "columns", noted_columns)
         monkeypatch.setattr(EliminationEngine, "opponent_bases", counted_bases)
-        monkeypatch.setattr(EliminationEngine, "__init__", counted_init)
+        walked, engines = _spy_walk(monkeypatch)
         _, decisions = _count_gs_decisions(monkeypatch)
         witness = check_monotonic(kind, game, Exhaustive())
-        if kind not in GLOBAL_KINDS:
-            # A local check compares payoffs: it builds no engine, so it
-            # decides no target and builds no column set, and its answer is
-            # the full scan's.
+        if kind in TRUNCATED_KINDS:
+            # A local, GW or MGW check compares payoffs: it builds no
+            # engine, so it decides no target and builds no column set, it
+            # walks the nodes of its one rank in scan order up to its
+            # witness, and its answer is the full scan's.
             assert not engines and not queries and not scans and not builds
             assert not decisions
+            assert walked == _walk_of(kind, game, witness)
             assert witness == _memo_free_witness(kind, game)
             return
         if kind == GS:
@@ -235,18 +233,13 @@ class TestOneDecisionPerContext:
         # only where some target is decided.
         assert set(builds.values()) == {1}
         assert set(builds) == {context for context, _, _ in queries}
-        if kind == MGS:
-            # Monotone on these games, so the scan runs to the end and, with
-            # the one global pool, asks about every context but the empty
-            # opponent mask, where every target is dominated vacuously: 2
-            # players, 15 opponent masks, 4 targets.
-            assert witness is None
-            assert len(queries) == 2 * ((1 << 4) - 1) * 4
-            assert all(opp != (0,) for (_, opp), _, _ in queries)
-        elif kind in (GW, MGW):
-            # Both fail monotonicity on these games: the scan stops at a
-            # witness, which a fresh engine must replay.
-            assert witness is not None and witness.replay()
+        # MGS is monotone on these games, so the scan runs to the end and,
+        # with the one global pool, asks about every context but the empty
+        # opponent mask, where every target is dominated vacuously: 2
+        # players, 15 opponent masks, 4 targets.
+        assert witness is None
+        assert len(queries) == 2 * ((1 << 4) - 1) * 4
+        assert all(opp != (0,) for (_, opp), _, _ in queries)
 
     @pytest.mark.parametrize("kind", [GS, MGS], ids=str)
     def test_a_strict_walk_decides_each_3_player_context_once(self, kind, monkeypatch):
@@ -325,6 +318,39 @@ def _rank(masks):
     return sum(map(int.bit_count, masks))
 
 
+def _spy_walk(monkeypatch):
+    """Note each node the rank walk yields and each engine built; returns (walked, engines)."""
+    walked, engines = [], Counter()
+    ranks, init = analysis._ranks, EliminationEngine.__init__
+
+    def noted(nodes):
+        for node in nodes:
+            walked.append(node)
+            yield node
+
+    def counted_init(engine, game):
+        engines["built"] += 1
+        init(engine, game)
+
+    monkeypatch.setattr(analysis, "_ranks", lambda shape: map(noted, ranks(shape)))
+    monkeypatch.setattr(EliminationEngine, "__init__", counted_init)
+    return walked, engines
+
+
+def _walk_of(kind, game, witness):
+    """The nodes a payoff walk of ``kind`` visits, listed without ``_ranks``.
+
+    Those of rank P for a local kind and P - 1 for GW and MGW, in scan
+    order, up to the witness's smaller node.
+    """
+    rank = game.player_count - (kind in (GW, MGW))
+    nodes = sorted(
+        (m for m in product(*(range(1 << n) for n in game.shape)) if _rank(m) == rank),
+        key=lambda m: tuple(map(indices_of, m)),
+    )
+    return nodes if witness is None else nodes[: nodes.index(witness.smaller.masks) + 1]
+
+
 def _memo_free_witness(kind, game):
     """The full node scan, with each pair's survivors asked of the engine afresh.
 
@@ -378,13 +404,15 @@ class TestScanMemo:
             assert check_monotonic(kind, game, Exhaustive()) == _memo_free_witness(kind, game), seed
 
 
-def _tie_heavy_games(count, players=(2, 3), strategies=(1, 4)):
-    """Seeded games of ``players`` players, at most 8 strategies in all, with payoffs 0..1."""
+def _tie_heavy_games(count, players=(2, 3), strategies=(1, 4), payoffs=(0, 1), tie_bias=0.6):
+    """Seeded games of ``players`` players, at most 8 strategies in all, with
+    payoffs 0..1 and many ties unless ``payoffs`` and ``tie_bias`` say otherwise."""
     games = []
     seed = 0
     while len(games) < count:
         config = GeneratorConfig(
-            seed=seed, players=players, strategies=strategies, payoff_range=(0, 1), tie_bias=0.6
+            seed=seed, players=players, strategies=strategies, payoff_range=payoffs,
+            tie_bias=tie_bias,
         )
         game = generate(config)
         if sum(game.shape) <= 8:
@@ -455,41 +483,43 @@ class TestTruncatedScans:
     @pytest.mark.parametrize("kind", ALL_OPERATORS, ids=str)
     @pytest.mark.parametrize("shape", [(8, 8), (4, 4, 4)], ids=lambda s: "x".join(map(str, s)))
     def test_all_zero_games_above_the_old_cap_need_no_witness(self, shape, kind, monkeypatch):
-        # 2^16 and 2^12 nodes: the local kinds compare the payoffs of the
-        # pure profiles, at rank P, with those of their covers, and build no
-        # engine, and so does GS, which decides on bit sets over the opponent
-        # profiles; MGS, GW and MGW build one and ask it for no survivors.
+        # 2^16 and 2^12 nodes: the local kinds compare payoffs at the nodes
+        # of rank P, and GW and MGW at those of rank P - 1, each node once in
+        # scan order, and build no engine, and neither does GS, which decides
+        # on bit sets over the opponent profiles; MGS builds one and asks it
+        # for no survivors.  A game without a strict preference has no
+        # witness (TestNonTrivialGames), so None is the full scan's answer.
         game = zero_game(shape)
-        asked, engines = Counter(), Counter()
-        survivors, init = EliminationEngine.survivors, EliminationEngine.__init__
+        asked = Counter()
+        survivors = EliminationEngine.survivors
 
         def counted(engine, operator, masks):
             asked[_rank(masks)] += 1
             return survivors(engine, operator, masks)
 
-        def counted_init(engine, game):
-            engines["built"] += 1
-            init(engine, game)
-
         monkeypatch.setattr(EliminationEngine, "survivors", counted)
-        monkeypatch.setattr(EliminationEngine, "__init__", counted_init)
+        walked, engines = _spy_walk(monkeypatch)
         assert check_monotonic(kind, game, Exhaustive()) is None
         assert not asked
-        assert engines == ({"built": 1} if kind in (MGS, GW, MGW) else {})
+        assert engines == ({"built": 1} if kind == MGS else {})
+        if kind in TRUNCATED_KINDS:
+            assert walked == _walk_of(kind, game, None)
 
     @pytest.mark.parametrize("kind", ALL_OPERATORS, ids=str)
     @pytest.mark.parametrize(
         "shape, local, weak, strict",
-        [((8, 8), 120, 2 * 1, 2 * 255), ((4, 4, 4, 4), 1820, 4 * (1 + 12 + 66), 4 * 15**3)],
+        [((8, 8), 120, 16, 2 * 255), ((4, 4, 4, 4), 1820, 560, 4 * 15**3)],
         ids=["8x8", "4x4x4x4"],
     )
     def test_the_work_the_cap_bounds(self, shape, local, weak, strict, kind):
-        # The local kinds walk the C(N, P) nodes of rank P: C(16, 2) and C(16, 4).
+        # The local kinds walk the C(N, P) nodes of rank P, C(16, 2) and
+        # C(16, 4), and GW and MGW the C(N, P - 1) of rank P - 1, C(16, 1)
+        # and C(16, 3).
         work, unit = _monotonicity_work(kind, shape)
-        if kind in GLOBAL_KINDS:
-            assert (work, unit) == ((weak if kind in (GW, MGW) else strict), "opponent contexts")
+        if kind in (GS, MGS):
+            assert (work, unit) == (strict, "opponent contexts")
         else:
-            assert (work, unit) == (local, "nodes")
+            assert (work, unit) == ((weak if kind in (GW, MGW) else local), "nodes")
 
     @pytest.mark.parametrize("kind", [GS, MGS], ids=str)
     def test_gs_on_four_4_strategy_players_runs_at_the_default_cap(self, kind):
@@ -520,14 +550,13 @@ class TestTruncatedScans:
     def test_a_lopsided_game_costs_only_the_work_it_counts(self, kind, shape, monkeypatch):
         # A player with 20 strategies has 2^20 masks: listing them, or every
         # head of a rank, takes tens of MB.  The work the cap counts here is
-        # 231 nodes or 2 opponent contexts on the lopsided games, and the
-        # check walks exactly that: GW and MGW the opponent contexts, a
-        # local kind the C(N, P) nodes of rank P.  A local walk holds no more
-        # than one node at a time, so the 7,140 of 60x60 and the 35,960 of
-        # 8x8x8x8 fit in the same bound.
+        # 231 or 40 nodes on the lopsided games, and the check walks exactly
+        # that: a local kind the C(N, P) nodes of rank P, GW and MGW the
+        # C(N, P - 1) of rank P - 1.  A walk holds no more than one node at
+        # a time, so the 7,140 of 60x60 and the 35,960 of 8x8x8x8 fit in the
+        # same bound.
         expected, _ = _monotonicity_work(kind, shape)
-        if kind not in GLOBAL_KINDS:
-            assert expected == math.comb(sum(shape), len(shape))
+        assert expected == math.comb(sum(shape), len(shape) - (kind in (GW, MGW)))
         walked = Counter()
         ranks = analysis._ranks
 
@@ -607,10 +636,13 @@ class TestEmptyPlayerLemma:
 
     @pytest.mark.parametrize("kind", ALL_OPERATORS, ids=str)
     def test_no_decision_is_asked_where_a_player_keeps_nothing(self, kind, monkeypatch):
-        # A strict scan asks no survivors at a node with an empty player,
-        # and a weak one asks only the covers that fill its one empty
-        # player, which keep something everywhere; the opponent walk asks no
-        # context with an empty opponent.
+        # No check asks survivors, or decides a target, where a player keeps
+        # nothing: GS and MGS ask no opponent context with an empty
+        # opponent, and the kinds that compare payoffs ask the engine
+        # nothing.  A weak kind's witness at a node with an empty player
+        # ends on a cover that fills it.
+        games = LEMMA_GAMES + TRUNCATION_GAMES
+        expected = [_memo_free_witness(kind, game) for game in games]
         asked, decided = [], []
         survivors, dominator = EliminationEngine.survivors, EliminationEngine.dominator
 
@@ -624,45 +656,50 @@ class TestEmptyPlayerLemma:
 
         monkeypatch.setattr(EliminationEngine, "survivors", noted_survivors)
         monkeypatch.setattr(EliminationEngine, "dominator", noted_dominator)
+        walked, engines = _spy_walk(monkeypatch)
         _, decisions = _count_gs_decisions(monkeypatch)
         empty_witnesses = 0
-        for i, game in enumerate(LEMMA_GAMES + TRUNCATION_GAMES):
+        for i, game in enumerate(games):
             asked.clear()
+            walked.clear()
             witness = check_monotonic(kind, game, Exhaustive())
+            assert witness == expected[i], i
             assert all(map(all, asked)) and all(map(all, decided)), i
             assert all(all(opp) for _, opp in decisions), i
-            if kind not in GLOBAL_KINDS:
-                # A local check compares payoffs and asks the engine nothing.
-                assert not asked and not decided, i
+            if kind in TRUNCATED_KINDS:
+                assert not asked and not decided and not engines, i
+                assert walked == _walk_of(kind, game, witness), i
             if witness is not None and not all(witness.smaller.masks):
-                # The failing cover fills the smaller restriction's one empty
-                # player; a global check asks for its survivors last.
                 empty_witnesses += 1
                 empty = _lone_empty(kind.mode, witness.smaller.masks)
                 assert witness.larger.masks[empty], i
-                if kind in GLOBAL_KINDS:
-                    assert asked[-1] == witness.larger.masks, i
         assert (empty_witnesses > 0) == (kind.mode is Mode.WEAK)
 
 
-# Tie-heavy 2-4 player games, each also with all payoffs zero and with
-# player 0 indifferent everywhere.
+# Tie-heavy 2-4 player games and 3-4 player games with payoffs -3..3 and
+# no tie bias, where two players often gain at once, each also with all
+# payoffs zero and with player 0 indifferent everywhere.
 COMPARISON_GAMES = [
     variant
     for game in _tie_heavy_games(40, players=(2, 4), strategies=(1, 3))
+    + _tie_heavy_games(12, players=(3, 4), strategies=(1, 3), payoffs=(-3, 3), tie_bias=0.0)
     for variant in (game, zero_game(game.shape), _indifferent_player_0(game))
 ]
 
 
 class TestPayoffComparisonScan:
-    """LS, MLS, LW and MLW decide their check from payoff comparisons at rank P."""
+    """LS, MLS, LW and MLW decide their check from payoff comparisons at rank
+    P, and GW and MGW at rank P - 1."""
 
-    @pytest.mark.parametrize("kind", [LS, MLS, LW, MLW], ids=str)
+    @pytest.mark.parametrize("kind", TRUNCATED_KINDS, ids=str)
     def test_the_witness_is_the_full_memo_free_scan(self, kind):
         # A pure profile's cover fails on a strict gain, with the kept
-        # strategy as evidence; a weak kind's node with one empty player
+        # strategy as evidence; an LW or MLW node with one empty player
         # fails on the first cover that fills it where the other player's
         # two strategies pay differently, with the lower-paid as evidence.
+        # A GW or MGW node of rank P - 1 with one empty player fails on the
+        # first cover that fills it where another player's kept strategy
+        # has a strict gain, with the least such player's as evidence.
         cases = Counter()
         for i, game in enumerate(COMPARISON_GAMES):
             witness = check_monotonic(kind, game, Exhaustive())
@@ -672,9 +709,11 @@ class TestPayoffComparisonScan:
                 continue
             assert json.dumps(witness.to_dict()) == json.dumps(expected.to_dict()), i
             smaller = witness.smaller.masks
-            assert _rank(smaller) == game.player_count, i
+            assert _rank(smaller) == game.player_count - (kind in (GW, MGW)), i
             cases["pure" if all(smaller) else "one empty"] += 1
-        if kind.mode is Mode.WEAK:
+        if kind in (GW, MGW):
+            assert cases["one empty"] and not cases["pure"]
+        elif kind.mode is Mode.WEAK:
             assert cases["pure"] and cases["one empty"]
         else:
             assert cases["pure"] and not cases["one empty"]
@@ -685,14 +724,63 @@ class TestPayoffComparisonScan:
         assert any(1 in shape for shape in shapes)
         assert any(_is_trivial(game) for game in COMPARISON_GAMES)
         assert sum(not _is_trivial(game) for game in COMPARISON_GAMES) > len(COMPARISON_GAMES) // 3
+        # GW witnesses on 3 and 4 players whose evidence is not player 0's,
+        # and ones where two players lose a strategy on the failing cover,
+        # so the evidence must be the least of them.
+        other, several = set(), set()
+        for game in COMPARISON_GAMES:
+            witness = _memo_free_witness(GW, game)
+            if witness is None:
+                continue
+            if witness.evidence[0] != 0:
+                other.add(game.player_count)
+            engine = EliminationEngine(game)
+            small = engine.survivors(GW, witness.smaller.masks)
+            large = engine.survivors(GW, witness.larger.masks)
+            if sum(s & ~l != 0 for s, l in zip(small, large)) > 1:
+                several.add(game.player_count)
+        assert {3, 4} <= other and {3, 4} <= several
+
+
+def _opponents_only(game):
+    """``game`` with each player paid, at every profile, what strategy 0 pays
+    it against the same opponents: a trivial game that is not all zero."""
+    payoffs = []
+    for player, table in enumerate(game.payoffs):
+        stride, count = game.strides[player], game.shape[player]
+        payoffs.append([table[at - at // stride % count * stride] for at in range(len(table))])
+    return Game(game.players, game.strategies, payoffs)
+
+
+TRIVIAL_GAMES = [_opponents_only(game) for game in _tie_heavy_games(20, players=(2, 4))]
+
+
+class TestNonTrivialGames:
+    """Every kind but GS and MGS fails monotonicity exactly on the non-trivial games."""
+
+    @pytest.mark.parametrize("kind", TRUNCATED_KINDS, ids=str)
+    def test_a_witness_exists_exactly_when_a_player_strictly_prefers(self, kind):
+        # Non-trivial: some player strictly prefers one strategy to another
+        # at some opponent profile.  The paper shows non-monotonicity by
+        # example; here it holds on every non-trivial game.  The trivial
+        # games that are not all zero tell this apart from a zero test.
+        nonzero = [game for game in TRIVIAL_GAMES if any(map(any, game.payoffs))]
+        assert {game.player_count for game in nonzero} == {2, 3, 4}
+        assert all(map(_is_trivial, TRIVIAL_GAMES))
+        for i, game in enumerate(COMPARISON_GAMES + TRIVIAL_GAMES):
+            witness = check_monotonic(kind, game, Exhaustive())
+            assert (witness is not None) == (not _is_trivial(game)), i
 
 
 class TestOpponentLatticeScan:
-    """The exhaustive path of the global kinds: each player's opponent lattice."""
+    """The exhaustive path of GS and MGS, each player's opponent lattice, and
+    GW and MGW, which need none."""
 
     @pytest.mark.parametrize("kind", GLOBAL_KINDS, ids=str)
     @pytest.mark.parametrize("shape", [(3, 3), (2, 3, 2)], ids=lambda s: "x".join(map(str, s)))
     def test_each_context_and_target_is_decided_at_most_once(self, shape, kind, monkeypatch):
+        games = _seeded_games_of_shape(shape, 6)
+        expected = [_memo_free_witness(kind, game) for _, game in games]
         decided = Counter()
         dominator = EliminationEngine.dominator
 
@@ -701,11 +789,20 @@ class TestOpponentLatticeScan:
             return dominator(engine, player, target, pool_mask, opp_masks, mode, mixing)
 
         monkeypatch.setattr(EliminationEngine, "dominator", counted)
+        walked, engines = _spy_walk(monkeypatch)
         _, decisions = _count_gs_decisions(monkeypatch)
-        for seed, game in _seeded_games_of_shape(shape, 6):
+        for (seed, game), want in zip(games, expected):
             decided.clear()
             decisions.clear()
+            walked.clear()
             witness = check_monotonic(kind, game, Exhaustive())
+            if kind in (GW, MGW):
+                # GW and MGW compare payoffs at the nodes of rank P - 1 up to
+                # the witness, decide nothing and build no engine.
+                assert not decided and not decisions and not engines, seed
+                assert walked == _walk_of(kind, game, witness), seed
+                assert witness == want, seed
+                continue
             if kind == GS:
                 # GS decides every context where each opponent keeps
                 # something exactly once, all targets at once, on bit sets:
@@ -719,6 +816,13 @@ class TestOpponentLatticeScan:
 
     @pytest.mark.parametrize("kind", GLOBAL_KINDS, ids=str)
     def test_survivors_are_asked_only_at_the_witness_node_and_its_covers(self, kind, monkeypatch):
+        # GS and MGS are monotone on these games and ask for no survivors;
+        # GW and MGW fail on most of them and compare payoffs at the nodes
+        # of rank P - 1 up to the witness, asking for no survivors either.
+        # (TestStrictWalkFailingBranch covers a failing GS or MGS node.)
+        games = _seeded_games_of_shape((3, 3), 6) + _seeded_games_of_shape((2, 3, 2), 6)
+        expected = [_memo_free_witness(kind, game) for _, game in games]
+        assert any(expected) == (kind in (GW, MGW))
         asked = []
         survivors = EliminationEngine.survivors
 
@@ -727,26 +831,14 @@ class TestOpponentLatticeScan:
             return survivors(engine, operator, masks)
 
         monkeypatch.setattr(EliminationEngine, "survivors", noted)
-        games = _seeded_games_of_shape((3, 3), 6) + _seeded_games_of_shape((2, 3, 2), 6)
-        for seed, game in games:
-            asked.clear()
+        walked, engines = _spy_walk(monkeypatch)
+        for (seed, game), want in zip(games, expected):
+            walked.clear()
             witness = check_monotonic(kind, game, Exhaustive())
-            if witness is None:
-                assert asked == [], seed
-                continue
-            # The node, then its covers in scan order up to the failing one,
-            # less those where a player keeps nothing: a GW or MGW node with
-            # an empty opponent keeps everything, and only the covers that
-            # fill that opponent are asked.
-            node, larger = witness.smaller.masks, witness.larger.masks
-            covers = list(_covers(node, EliminationEngine(game).full_masks))
-            expected = [m for m in [node] + covers[: covers.index(larger) + 1] if all(m)]
-            assert asked == expected, seed
-
-    @pytest.mark.parametrize("kind", [LS, MLS, LW, MLW], ids=str)
-    def test_only_a_global_kind_has_one_pool_per_player(self, kind, g2):
-        with pytest.raises(ValueError, match="not a global kind"):
-            EliminationEngine(g2).least_newly_dominated(kind, 0, (1,))
+            assert witness == want, seed
+            assert asked == [], seed
+            if kind in (GW, MGW):
+                assert not engines and walked == _walk_of(kind, game, witness), seed
 
     def test_an_8x8_gs_scan_is_bounded_by_its_opponent_contexts(self, monkeypatch):
         game = generate(GeneratorConfig(seed=0, players=(2, 2), strategies=(8, 8)))

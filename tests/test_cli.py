@@ -141,15 +141,20 @@ class TestCheckMonotonic:
         path.write_text(json.dumps(doc))
         return str(path)
 
-    def test_budget_exceeded_exits_3(self, tmp_path):
-        # LS on 7 x 6 strategies visits the C(13, 2) = 78 nodes of rank 2.
+    @pytest.mark.parametrize("operator, work", [("ls", 78), ("gw", 13)])
+    def test_budget_exceeded_exits_3(self, tmp_path, operator, work):
+        # On 7 x 6 strategies LS visits the C(13, 2) = 78 nodes of rank 2,
+        # and GW the C(13, 1) = 13 of rank 1.
         path = self.zero_game_file(tmp_path, 7, 6)
-        code, text, err = run_cli_stderr("check-monotonic", "--operator", "ls", path, "--cap", "77")
+        code, text, err = run_cli_stderr(
+            "check-monotonic", "--operator", operator, path, "--cap", str(work - 1)
+        )
         assert (code, text) == (3, "")
         assert err == (
-            "error: the check visits 78 nodes, above the exhaustive cap 77; raise the cap\n"
+            f"error: the check visits {work} nodes, above the exhaustive cap {work - 1}; "
+            "raise the cap\n"
         )
-        code, text = run_cli("check-monotonic", "--operator", "ls", path, "--cap", "78")
+        code, text = run_cli("check-monotonic", "--operator", operator, path, "--cap", str(work))
         assert code == 0 and json.loads(text)["witness"] is None
 
     def test_gs_on_a_17x17_game_exits_3_at_the_default_cap(self, tmp_path, monkeypatch):
@@ -176,7 +181,8 @@ class TestCheckMonotonic:
     )
     def test_a_lopsided_game_is_checked_at_the_default_cap(self, tmp_path, operator, rows, cols):
         # One player's 2^20 masks are far above the cap, but the check walks
-        # only the nodes or opponent contexts it counts.
+        # only the nodes it counts: the C(40, 1) = 40 of rank 1 for GW, and
+        # the C(22, 2) = 231 of rank 2 for LS.
         path = self.zero_game_file(tmp_path, rows, cols)
         code, text = run_cli("check-monotonic", "--operator", operator, path)
         assert code == 0 and json.loads(text)["witness"] is None

@@ -100,23 +100,6 @@ def fresh_survivors(kind, game, masks):
     )
 
 
-def fresh_least_newly_dominated(kind, game, player, opp_masks):
-    """``least_newly_dominated`` with no engine and no cache: the least
-    strategy dominated at some cover of ``opp_masks`` but not at them."""
-    full = (1 << game.shape[player]) - 1
-    opp_shape = game.shape[:player] + game.shape[player + 1 :]
-
-    def dominated(opp):
-        return fresh_dominated(kind, game, opp[:player] + (full,) + opp[player:], player)
-
-    newly = 0
-    for i, (mask, count) in enumerate(zip(opp_masks, opp_shape)):
-        for s in indices_of((1 << count) - 1 & ~mask):
-            newly |= dominated(opp_masks[:i] + (mask | 1 << s,) + opp_masks[i + 1 :])
-    newly &= ~dominated(opp_masks)
-    return indices_of(newly)[0] if newly else None
-
-
 class TestOperatorKinds:
     def test_the_eight_names(self):
         assert tuple(k.name for k in ALL_OPERATORS) == (
@@ -331,41 +314,6 @@ class TestEngineCaches:
                 got = [engine.step(kind, restrictions[masks]).certificates for masks in order]
                 want = cold[kind] if order is queries else cold[kind][::-1]
                 assert got == want, kind.name
-
-    @pytest.mark.parametrize(
-        "players, strategies", [(2, (2, 4)), (3, (2, 3)), (4, (2, 2))], ids=["2p", "3p", "4p"]
-    )
-    def test_least_newly_dominated_matches_a_fresh_reference(self, players, strategies):
-        # Every player and opponent-mask tuple, asked of one warm engine in
-        # both lattice orders, so that answers read records that other
-        # queries filled.  A node scan would hide a spurious answer on a
-        # game where the kind is monotone.
-        for seed in range(3):
-            game = generate(
-                GeneratorConfig(
-                    seed=seed, players=(players, players), strategies=strategies,
-                    payoff_range=(-2, 2), tie_bias=0.6,
-                )
-            )
-            queries = [
-                (player, opp)
-                for player in range(players)
-                for opp in product(
-                    *(range(1 << k) for k in game.shape[:player] + game.shape[player + 1 :])
-                )
-            ]
-            for kind in (GW, MGW):
-                expected = [fresh_least_newly_dominated(kind, game, *q) for q in queries]
-                assert expected != [None] * len(queries), (seed, kind.name)
-                for order in (queries, queries[::-1]):
-                    engine = EliminationEngine(game)
-                    got = {q: engine.least_newly_dominated(kind, *q) for q in order}
-                    assert [got[q] for q in queries] == expected, (seed, kind.name)
-            # The strict kinds decide every context through ``dominated``.
-            for kind in (GS, MGS):
-                for query in (queries[0], queries[-1]):
-                    with pytest.raises(ValueError, match=f"{kind.name} is not a weak kind"):
-                        EliminationEngine(game).least_newly_dominated(kind, *query)
 
     def test_kinds_built_anew_share_the_caches_of_the_constants(self, g2, monkeypatch):
         calls = []
