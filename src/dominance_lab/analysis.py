@@ -19,11 +19,15 @@ when some other player's kept strategy is paid less than another at the
 one profile the cover leaves.  So each of the six has a witness exactly
 when the game is non-trivial: some player strictly prefers one strategy
 to another at some opponent profile.  GS and MGS, monotone by the paper's
-theorem, decide every opponent context of each player once and compare
-each with its covers by mask arithmetic
-(:func:`_first_strict_global_violation`); GS decides a context on bit
-sets over the opponent profiles, with no elimination engine, and MGS on
-the engine's LP.
+theorem, decide every opponent context of each player once, packed into
+one int, and compare each with its covers by mask arithmetic
+(:func:`_first_strict_global_violation`).  MGS decides a context on the
+engine's LP.  GS decides it with no elimination engine, for every pair
+of a target ``t`` and a dominator ``s`` in one packed-int test
+(:func:`_pure_strict_contexts`): field ``(t, s)`` holds the opponent
+profiles where ``s`` does not strictly beat ``t`` under a guard bit, and
+``t`` is dominated exactly when some field of its block meets none of
+the context's profiles.
 
 One lemma prunes every scan: with no opponent profile, a strict kind
 eliminates every kept strategy (each strict comparison holds vacuously) and
@@ -41,10 +45,10 @@ assert on their JSON form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain, combinations, compress, islice, product, repeat
+from functools import lru_cache, partial
+from itertools import chain, combinations, compress, islice, product
 from math import comb, prod
-from operator import contains, le, mul
+from operator import le, mul
 from typing import Callable, Iterator
 
 from .dominance import Mode, Pool, _opponent_bases
@@ -161,8 +165,20 @@ def _monotonicity_work(kind: OperatorKind, shape: tuple[int, ...]) -> tuple[int,
     return sum(prod(kept[:k] + kept[k + 1 :]) for k in range(players)), "opponent contexts"
 
 
+def _require_kinds(**operators: object) -> None:
+    """Raise ValueError naming the first argument that is not an :class:`OperatorKind`."""
+    for name, operator in operators.items():
+        if not isinstance(operator, OperatorKind):
+            raise ValueError(f"{name} must be an OperatorKind, got {operator!r}")
+
+
 def _require_within(budget: Exhaustive, work: int, unit: str) -> None:
-    """Raise BudgetExceededError when ``work`` is above the budget's cap."""
+    """Raise BudgetExceededError when ``work`` is above the budget's cap.
+
+    Raises ValueError for a budget that is not an :class:`Exhaustive`.
+    """
+    if not isinstance(budget, Exhaustive):
+        raise ValueError(f"budget must be an Exhaustive, got {budget!r}")
     if work > budget.cap:
         raise BudgetExceededError(
             f"the check visits {work} {unit}, above the exhaustive cap {budget.cap}; "
@@ -262,62 +278,112 @@ def _order_in_rank(masks: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(map(indices_of, masks))
 
 
-def _pure_strict_contexts(game: Game, player: int) -> Callable[[tuple[int, ...]], int]:
-    """GS's decision at ``player``'s opponent contexts, on bit sets over opponent profiles.
+def _context_fields(opp_shape: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """Per opponent, the ``(shift, full mask)`` of its field in a packed opponent context.
 
-    Returns ``decide(opp_masks)``, the mask of ``player``'s strategies that
-    GS eliminates where the opponents keep ``opp_masks``, each keeping
-    something.  The opponent profiles are numbered in
-    :func:`~dominance_lab.dominance._opponent_bases` order over the full
-    opponent masks, and two tables are built once, from
-    ``game.scaled_payoffs``:
+    Opponent 0 sits in the highest field, so descending int order is
+    decreasing lexicographic order of the mask tuples.
+    """
+    shifts = [sum(opp_shape[j + 1 :]) for j in range(len(opp_shape))]
+    return tuple((shift, (1 << n) - 1) for shift, n in zip(shifts, opp_shape))
 
-    - ``misses[t][s]``: the profiles where ``s`` does not strictly beat
-      ``t``, ``u(s, c) <= u(t, c)``;
-    - ``selects[j][m]``: the profiles whose ``j``-th opponent strategy is in
-      the mask ``m``.
 
-    At a context the profile set is the AND of the opponents' ``selects``,
-    and ``t`` is dominated exactly when some ``s`` misses none of it:
+def _unpack(packed: int, fields: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    """The opponents' masks of a packed context."""
+    return tuple(packed >> shift & full for shift, full in fields)
+
+
+@lru_cache(maxsize=8)
+def _profile_sets(opp_shape: tuple[int, ...]) -> dict[int, int]:
+    """Per packed opponent context (:func:`_context_fields`) with no empty field, its profiles.
+
+    Each is a bit set over the opponent profiles, numbered as
+    :func:`~dominance_lab.dominance._opponent_bases` lists them over the
+    full opponent masks, the last opponent fastest.  Keyed by context, not
+    by every int up to the full one, so that its size is the number of
+    contexts, which the cap bounds: an opponent with one strategy would
+    otherwise double it.
+    """
+    sets = {0: -1}
+    inner = count = prod(opp_shape)
+    for (shift, full), n in zip(_context_fields(opp_shape), opp_shape):
+        # The opponent's strategy x holds the profiles whose index in the
+        # run of n * inner profiles, inner those of the opponents after it,
+        # is in [x * inner, (x + 1) * inner): a run of ones repeated every
+        # n * inner.
+        inner //= n
+        starts = sum(1 << p for p in range(0, count, n * inner))
+        single = [(((1 << inner) - 1) << x * inner) * starts for x in range(n)]
+        selects = [0] * (1 << n)
+        for mask in range(1, 1 << n):
+            low = mask & -mask
+            selects[mask] = selects[mask ^ low] | single[low.bit_length() - 1]
+        sets = {
+            packed | mask << shift: profiles & selects[mask]
+            for packed, profiles in sets.items()
+            for mask in range(1, full + 1)
+        }
+    return sets
+
+
+@lru_cache(maxsize=64)
+def _guarded_fields(n: int, width: int) -> tuple[int, int, int, tuple[int, ...]]:
+    """``(rep, fill, guards, blocks)`` for ``n * n`` fields of ``width`` bits and a guard.
+
+    Field ``(t, s)`` sits at offset ``(t * n + s) * (width + 1)``.  ``rep``
+    has a 1 at each field's base, ``fill`` is ``width`` ones in each field,
+    ``guards`` each field's guard bit, and ``blocks[t]`` the guards of the
+    fields ``(t, 0..n-1)``.
+    """
+    step = width + 1
+    rep = sum(1 << f * step for f in range(n * n))
+    block = sum(1 << s * step for s in range(n)) << width
+    blocks = tuple(block << t * n * step for t in range(n))
+    return rep, rep * ((1 << width) - 1), rep << width, blocks
+
+
+def _pure_strict_contexts(game: Game, player: int) -> Callable[[int], int]:
+    """GS's decision at ``player``'s opponent contexts, on packed bit sets over opponent profiles.
+
+    Returns ``decide(packed)``, the mask of ``player``'s strategies that GS
+    eliminates at the opponent context packed as :func:`_context_fields`
+    lays it out, every opponent keeping something.  The ``R`` opponent
+    profiles are numbered as in :func:`_profile_sets`, and the misses are
+    read from ``game.scaled_payoffs``: ``misses[t][s]``, the profiles
+    where ``s`` does not strictly beat ``t``, ``u(s, c) <= u(t, c)``, sits
+    in field ``(t, s)`` of one int laid out by :func:`_guarded_fields`,
+    whose guard bit stays 0.
+
+    At a context with profile set ``P``, ``(misses & P * rep) + fill``
+    carries into field ``(t, s)``'s guard exactly when ``s`` misses some
+    profile of ``P``, and no further, so ``zero = guards & ~(...)`` holds
+    the guards of the pairs where ``s`` misses none of ``P``, and ``t`` is
+    dominated exactly when its block of guards meets ``zero``:
     :func:`~dominance_lab.dominance._pure_dominator`'s strict rule over the
-    global pool, stated on sets.  Each context is decided from its own
-    profile set and the tables alone, never from another context's answer,
-    which would presume the monotonicity the check tests.
+    global pool, for all ``n * n`` pairs at once.  Each context is decided
+    from its own profile set and the tables alone, never from another
+    context's answer, which would presume the monotonicity the check tests.
     """
     shape = game.shape
     opp_shape = shape[:player] + shape[player + 1 :]
     bases = _opponent_bases(game, player, [(1 << n) - 1 for n in opp_shape])
-    table, stride = game.scaled_payoffs[player], game.strides[player]
-    columns = [[table[b + s * stride] for b in bases] for s in range(shape[player])]
-    powers = [1 << p for p in range(len(bases))]
-    misses = [
-        tuple(sum(compress(powers, map(le, column, target))) for column in columns)
-        for target in columns
-    ]
-    # The j-th opponent's strategy x holds the profiles whose index in the
-    # run of n * inner profiles, inner those of the opponents after j, is
-    # in [x * inner, (x + 1) * inner): a run of ones repeated every n * inner.
-    selects = []
-    inner = len(bases)
-    for n in opp_shape:
-        inner //= n
-        starts = sum(powers[:: n * inner])
-        single = [(((1 << inner) - 1) << x * inner) * starts for x in range(n)]
-        sets = [0] * (1 << n)
-        for mask in range(1, 1 << n):
-            low = mask & -mask
-            sets[mask] = sets[mask ^ low] | single[low.bit_length() - 1]
-        selects.append(sets)
-    bits = [1 << t for t in range(shape[player])]
-    zeros = repeat(0)
+    table, stride, n = game.scaled_payoffs[player], game.strides[player], shape[player]
+    columns = [[table[b + s * stride] for b in bases] for s in range(n)]
+    width = len(bases)
+    rep, fill, guards, blocks = _guarded_fields(n, width)
+    powers = [1 << p for p in range(width)]
+    misses = 0
+    for t, s in product(range(n), repeat=2):
+        missed = sum(compress(powers, map(le, columns[s], columns[t])))
+        misses |= missed << (t * n + s) * (width + 1)
+    profile_sets = _profile_sets(opp_shape)
+    bits = [1 << t for t in range(n)]
 
-    def decide(opp_masks: tuple[int, ...]) -> int:
-        profiles = -1
-        for sets, mask in zip(selects, opp_masks):
-            profiles &= sets[mask]
-        # Target t is dominated when 0 is among profiles & misses[t][s].
-        found = map(contains, map(map, repeat(profiles.__and__), misses), zeros)
-        return sum(compress(bits, found))
+    def decide(packed: int) -> int:
+        zero = guards & ~((misses & profile_sets[packed] * rep) + fill)
+        if not zero:
+            return 0
+        return sum(compress(bits, map(zero.__and__, blocks)))
 
     return decide
 
@@ -337,17 +403,21 @@ def _first_strict_global_violation(
     first failing node keeps some ``O`` and one ``b`` for some ``k``.
 
     Each opponent context ``O`` where every opponent keeps something is
+    packed into one int (:func:`_context_fields`, opponent 0 highest) and
     decided once, for all of player ``k``'s strategies: by
-    :meth:`EliminationEngine.dominated` for MGS, whose LP reads the
-    context's columns, and for GS, with ``engine`` None, on bit sets over
-    the opponent profiles (:func:`_pure_strict_contexts`).  The candidates
-    ``b`` of ``(k, O)`` are ``newly = (OR of D_k(O') over the covers O') &
-    ~D_k(O)``.  The contexts run in decreasing lexicographic order, so each
-    cover, larger at one position, is decided before ``O``.  A context where
-    an opponent keeps nothing is never asked: there a strict kind eliminates
-    every strategy (:func:`~dominance_lab.operators._lone_empty`), so
-    nothing is newly dominated above it, and no context asked has it as a
-    cover.
+    :meth:`EliminationEngine.dominated` for MGS, on the unpacked masks,
+    whose LP reads the context's columns, and for GS, with ``engine``
+    None, on packed bit sets over the opponent profiles
+    (:func:`_pure_strict_contexts`).  ``dominated`` is keyed by the
+    packed int.  The covers of ``O`` are ``O | bit`` for each bit of ``top
+    & ~O``, ``top`` the packed full masks, and its candidates ``b`` are
+    ``newly = (OR of D_k(O') over the covers O') & ~D_k(O)``.  The contexts
+    run in descending int order, which is decreasing lexicographic order,
+    so each cover, a larger int, is decided before ``O``.  A context where
+    an opponent keeps nothing, a packed int with an empty field, is never
+    asked: there a strict kind eliminates every strategy
+    (:func:`~dominance_lab.operators._lone_empty`), so nothing is newly
+    dominated above it, and no context asked has it as a cover.
 
     The answer is the least candidate node, ``O`` with ``k`` keeping the
     least ``b``, by rank and then order in rank.  No rank order or
@@ -356,32 +426,42 @@ def _first_strict_global_violation(
     at the first failing rank would decide the same (context, target)
     pairs.
     """
-    full = tuple((1 << n) - 1 for n in game.shape)
+    shape = game.shape
     candidates = []
-    for k in range(len(full)):
-        opp_full = full[:k] + full[k + 1 :]
+    for k in range(len(shape)):
+        fields = _context_fields(shape[:k] + shape[k + 1 :])
         if engine is None:
             decide = _pure_strict_contexts(game, k)
         else:
-            decide = partial(engine.dominated, kind, k)
-        dominated: dict[tuple[int, ...], int] = {}
-        for opp in product(*(range(f, 0, -1) for f in opp_full)):
-            here = dominated[opp] = decide(opp)
+            decide = partial(_engine_decision, engine, kind, k, fields)
+        top = sum(full << shift for shift, full in fields)
+        dominated: dict[int, int] = {}
+        contexts = product(*([m << shift for m in range(full, 0, -1)] for shift, full in fields))
+        for packed in map(sum, contexts):
+            here = dominated[packed] = decide(packed)
             newly = 0
-            for i, mask in enumerate(opp):
-                missing = opp_full[i] & ~mask
-                while missing:
-                    bit = missing & -missing
-                    missing ^= bit
-                    newly |= dominated[opp[:i] + (mask | bit,) + opp[i + 1 :]]
+            missing = top & ~packed
+            while missing:
+                bit = missing & -missing
+                missing ^= bit
+                newly |= dominated[packed | bit]
             newly &= ~here
             if newly:
+                opp = _unpack(packed, fields)
                 candidates.append(opp[:k] + (newly & -newly,) + opp[k:])
     return min(
         candidates,
         key=lambda node: (sum(map(int.bit_count, node)), _order_in_rank(node)),
         default=None,
     )
+
+
+def _engine_decision(
+    engine: EliminationEngine, kind: OperatorKind, player: int,
+    fields: tuple[tuple[int, int], ...], packed: int,
+) -> int:
+    """MGS's decision at a packed opponent context: the engine's, on the unpacked masks."""
+    return engine.dominated(kind, player, _unpack(packed, fields))
 
 
 def _cover(masks: tuple[int, ...], player: int, strategy: int) -> tuple[int, ...]:
@@ -482,7 +562,9 @@ def check_monotonic(
     ``None`` proves monotonicity on this game's lattice, and a witness is
     the first failing pair of a scan of every node in (rank, kept) order.
     Raises :class:`BudgetExceededError`, before any scan, when the work
-    (:func:`_monotonicity_work`) is above ``budget.cap``.
+    (:func:`_monotonicity_work`) is above ``budget.cap``, and ValueError,
+    before any work, when ``kind`` is not an :class:`OperatorKind` or
+    ``budget`` not an :class:`Exhaustive`.
 
     LS, MLS, LW and MLW fail first at a node of rank ``P``, the number of
     players, and build no engine (:func:`_first_local_violation`).  If
@@ -539,6 +621,7 @@ def check_monotonic(
     profiles, and builds an engine only to ask a candidate node's covers,
     which on a real game it never finds.
     """
+    _require_kinds(kind=kind)
     _require_within(budget, *_monotonicity_work(kind, game.shape))
     if kind.pool is Pool.LOCAL:
         return _first_local_violation(kind, game)
@@ -580,8 +663,11 @@ def pointwise_inclusion(
     """Check left(G) included in right(G) on every restriction.
 
     Raises :class:`BudgetExceededError` when the ``2^N`` restrictions are
-    more than ``budget.cap``.
+    more than ``budget.cap``, and ValueError, before any work, when ``left``
+    or ``right`` is not an :class:`OperatorKind` or ``budget`` not an
+    :class:`Exhaustive`.
     """
+    _require_kinds(left=left, right=right)
     _require_within(budget, lattice_size(game), "restrictions")
     engine = EliminationEngine(game)
     violations = []
@@ -635,7 +721,11 @@ class FixpointRelationReport:
 def compare_fixpoints(
     left: OperatorKind, right: OperatorKind, game: Game
 ) -> FixpointRelationReport:
-    """Compute both fixpoints from the top and classify their relation."""
+    """Compute both fixpoints from the top and classify their relation.
+
+    Raises ValueError when ``left`` or ``right`` is not an :class:`OperatorKind`.
+    """
+    _require_kinds(left=left, right=right)
     engine = EliminationEngine(game)
     lfix = engine.iterate(left).fixpoint
     rfix = engine.iterate(right).fixpoint

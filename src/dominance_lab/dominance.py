@@ -191,8 +191,11 @@ def _beats(candidate: tuple[int, ...], target: tuple[int, ...], mode: Mode) -> b
 
     The rule is stated three times: here, for :func:`dominates` (and so
     replay and the oracle grid); inline in :func:`_pure_dominator`, which
-    applies it once per pool strategy; and, strict only, on bit sets over
-    the opponent profiles in the exact GS check
+    applies it once per pool strategy; and, strict only, in the exact GS
+    check, for all (target, dominator) pairs at once on one int of guarded
+    fields, field ``(t, s)`` holding the opponent profiles where ``s``
+    does not beat ``t``: ``t`` is dominated at a set of profiles exactly
+    when some field of its block has none of them
     (:func:`dominance_lab.analysis._pure_strict_contexts`).
     """
     if mode is _STRICT:

@@ -144,10 +144,15 @@ class Game:
             keeps every comparison between that player's payoffs, and the
             sign of every difference, so dominance decisions can compare
             these ints instead of the Fractions.
+        scales: Per player, that least common denominator (1 for an int
+            table).  A table is its scaled table over its scale, so
+            ``players``, ``strategies``, ``scaled_payoffs`` and ``scales``
+            are equal exactly when two games are, and hash as ints.
 
     ``__post_init__`` normalizes the three inputs to tuples and derives
-    ``shape``, ``strides`` and ``scaled_payoffs`` from them at construction;
-    the derived fields take no part in ``==``, ``hash`` or ``repr``.  It is
+    ``shape``, ``strides``, ``scaled_payoffs`` and ``scales`` from them at
+    construction; the derived fields take no part in ``==``, ``hash`` or
+    ``repr``.  It is
     the one place where payoff entries, ints or ``Fraction`` objects, become
     exact: equal entries share one ``Fraction`` across all tables.  A table
     of plain ``int`` entries is its own scaled table, so it is not coerced
@@ -160,6 +165,7 @@ class Game:
     shape: tuple[int, ...] = field(init=False, repr=False, compare=False)
     strides: tuple[int, ...] = field(init=False, repr=False, compare=False)
     scaled_payoffs: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    scales: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         strategies = tuple(self.strategies)
@@ -172,6 +178,7 @@ class Game:
         object.__setattr__(self, "strategies", tuple(tuple(s) for s in strategies))
         payoffs = []
         scaled = []
+        scales = []
         # One Fraction per distinct value, shared by every table of the game.
         shared: dict[int | Fraction, Fraction] = {}
         for table in self.payoffs:
@@ -183,12 +190,14 @@ class Game:
                     shared[value] = Fraction(value)
                 payoffs.append(tuple(map(shared.__getitem__, table)))
                 scaled.append(table)
+                scales.append(1)
                 continue
             table = tuple(map(_coerce_payoff, table))
             table = tuple(map(shared.setdefault, table, table))
             scale = lcm(*{x.denominator for x in table})
             payoffs.append(table)
             scaled.append(tuple(x.numerator * (scale // x.denominator) for x in table))
+            scales.append(scale)
         object.__setattr__(self, "payoffs", tuple(payoffs))
         n = len(self.players)
         if n < 2:
@@ -223,6 +232,7 @@ class Game:
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "strides", tuple(strides))
         object.__setattr__(self, "scaled_payoffs", tuple(scaled))
+        object.__setattr__(self, "scales", tuple(scales))
 
     @property
     def player_count(self) -> int:

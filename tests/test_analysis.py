@@ -1,8 +1,11 @@
 import dataclasses
 import json
 import math
+import random
+import re
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from itertools import product
 from types import SimpleNamespace
 
@@ -62,18 +65,36 @@ def big_flat_game():
     return Game.from_tables(["P1", "P2"], [rows, cols], table)
 
 
+def _opp_masks(game, player, packed):
+    """The opponents' masks of a packed GS context, which has opponent 0 in its highest field."""
+    masks = []
+    for n in reversed(game.shape[:player] + game.shape[player + 1 :]):
+        masks.append(packed & (1 << n) - 1)
+        packed >>= n
+    assert packed == 0
+    return tuple(reversed(masks))
+
+
 def _count_gs_decisions(monkeypatch):
-    """Count GS's bit-set tables, per player, and its decisions, per (player, opponent masks)."""
+    """Count GS's bit-set tables, per player, and its decisions, per (player, opponent masks).
+
+    Also asserts that each check decides a player's contexts in decreasing
+    lexicographic order of their masks.
+    """
     tables, decisions = Counter(), Counter()
     contexts = analysis._pure_strict_contexts
 
     def counted_contexts(game, player):
         tables[player] += 1
         decide = contexts(game, player)
+        asked = []
 
-        def counted(opp_masks):
+        def counted(packed):
+            opp_masks = _opp_masks(game, player, packed)
+            assert not asked or opp_masks < asked[-1], (asked[-1], opp_masks)
+            asked.append(opp_masks)
             decisions[player, opp_masks] += 1
-            return decide(opp_masks)
+            return decide(packed)
 
         return counted
 
@@ -151,6 +172,40 @@ class TestBudgets:
         # not a count.
         with pytest.raises(ValueError, match="cap must be an int"):
             Exhaustive(cap=value)
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda g, bad: check_monotonic(bad, g, Exhaustive()), "kind"),
+            (lambda g, bad: check_monotonic(GS, g, bad), "budget"),
+            (lambda g, bad: pointwise_inclusion(bad, LW, g, Exhaustive()), "left"),
+            (lambda g, bad: pointwise_inclusion(MLW, bad, g, Exhaustive()), "right"),
+            (lambda g, bad: pointwise_inclusion(MLW, LW, g, bad), "budget"),
+            (lambda g, bad: compare_fixpoints(bad, LW, g), "left"),
+            (lambda g, bad: compare_fixpoints(MLW, bad, g), "right"),
+        ],
+        ids=[
+            "check_monotonic-kind", "check_monotonic-budget", "pointwise_inclusion-left",
+            "pointwise_inclusion-right", "pointwise_inclusion-budget", "compare_fixpoints-left",
+            "compare_fixpoints-right",
+        ],
+    )
+    @pytest.mark.parametrize("bad", ["GS", None, Mode.STRICT, 1 << 16], ids=repr)
+    def test_a_wrong_argument_is_named_before_any_work(self, call, name, bad, g2, monkeypatch):
+        # An operator must be an OperatorKind and a budget an Exhaustive;
+        # each is refused by name before an engine, a walk or a bit-set
+        # table is built.
+        def fail(*args):
+            raise AssertionError("the check did some work")
+
+        for target, attribute in [
+            (EliminationEngine, "__init__"), (analysis, "_ranks"),
+            (analysis, "_pure_strict_contexts"),
+        ]:
+            monkeypatch.setattr(target, attribute, fail)
+        kind = "an OperatorKind" if name != "budget" else "an Exhaustive"
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be {kind}, got {bad!r}")):
+            call(g2, bad)
 
     def test_the_smallest_budgets_still_scan(self, g1):
         assert pointwise_inclusion(MLW, LW, g1, Exhaustive(cap=8)).checked == 8
@@ -895,9 +950,10 @@ def _inject_dominance(monkeypatch):
         decide = contexts(game, player)
         others = (1 << game.shape[player]) - 2
 
-        def injected_decide(opp_masks):
+        def injected_decide(packed):
             seen["decisions"] += 1
-            found = decide(opp_masks)
+            found = decide(packed)
+            opp_masks = _opp_masks(game, player, packed)
             if all(opp_masks) and _rank(opp_masks) >= 3:
                 return found | others
             return found
@@ -951,7 +1007,8 @@ class TestBitSetDecision:
     """GS decides each opponent context on bit sets exactly as the engine does."""
 
     def test_every_context_is_decided_as_the_engine_decides_it(self):
-        # Each context is asked after its covers, in the walk's order, so a
+        # Each context is asked after its covers, in the walk's order of
+        # descending packed ints, skipping those with an empty field, so a
         # decision that answered from a cover's answer would be seen.
         seen = Counter()
         for i, game in enumerate(BIT_SET_GAMES):
@@ -960,10 +1017,14 @@ class TestBitSetDecision:
             for k in range(game.player_count):
                 decide = analysis._pure_strict_contexts(game, k)
                 opp_full = full[:k] + full[k + 1 :]
+                top = (1 << sum(game.shape) - game.shape[k]) - 1
                 answers = {}
-                for opp in product(*(range(f, 0, -1) for f in opp_full)):
+                for packed in range(top, 0, -1):
+                    opp = _opp_masks(game, k, packed)
+                    if not all(opp):
+                        continue
                     answer = answers[opp] = engine.dominated(GS, k, opp)
-                    assert decide(opp) == answer, (i, k, opp)
+                    assert decide(packed) == answer, (i, k, opp)
                     seen["some dominated" if answer else "none dominated"] += 1
                     if any(answers[cover] != answer for cover in _covers(opp, opp_full)):
                         seen["unlike a cover"] += 1
@@ -974,6 +1035,146 @@ class TestBitSetDecision:
         assert {len(shape) for shape in shapes} == {2, 3, 4}
         assert any(1 in shape for shape in shapes)
         assert any(_is_trivial(game) for game in BIT_SET_GAMES)
+
+
+def _random_game(shape, seed, values=range(-2, 3)):
+    """A seeded game of ``shape`` with payoffs drawn from ``values``, many of them tied."""
+    rng = random.Random(seed)
+    size = math.prod(shape)
+    strategies = [[f"S{j}" for j in range(count)] for count in shape]
+    tables = [[rng.choice(values) for _ in range(size)] for _ in shape]
+    return Game([f"P{i + 1}" for i in range(len(shape))], strategies, tables)
+
+
+def _staircase_game(shape):
+    """Each player is paid its strategy index: every strategy strictly beats each lower one.
+
+    So field ``(t, s)`` of the packed misses is all ones for ``s <= t`` and
+    zero for ``s > t``: an all-ones field beside a zero field, where a carry
+    that left its field would be seen.
+    """
+    size = math.prod(shape)
+    strides = [math.prod(shape[i + 1 :]) for i in range(len(shape))]
+    strategies = [[f"S{j}" for j in range(count)] for count in shape]
+    tables = [
+        [index // stride % count for index in range(size)]
+        for stride, count in zip(strides, shape)
+    ]
+    return Game([f"P{i + 1}" for i in range(len(shape))], strategies, tables)
+
+
+def _explicit_gs(game, player, opp):
+    """The targets some strategy strictly beats at every listed opponent profile.
+
+    The rule ``all(u(s, c) > u(t, c))``, read from the Fraction payoffs
+    over the profiles the opponents' masks ``opp`` keep.
+    """
+    table, count = game.payoffs[player], game.shape[player]
+    profiles = list(product(*map(indices_of, opp)))
+
+    def paid(s, c):
+        return table[game.flat_index(c[:player] + (s,) + c[player:])]
+
+    return sum(
+        1 << t
+        for t in range(count)
+        if any(all(paid(s, c) > paid(t, c) for c in profiles) for s in range(count))
+    )
+
+
+# Shapes with a 1-strategy player, 8x8 (64 fields of 9 bits), 2x12 and 12x2
+# (144 fields for the 12-strategy player) and 4x4x4x4 (R = 64 opponent
+# profiles, so fields 65 bits wide).
+PACKED_SHAPES = [(1, 3), (3, 1, 2), (2, 2, 1, 3), (8, 8), (2, 12), (12, 2), (4, 4, 4, 4)]
+
+
+class TestPackedDecision:
+    """GS's packed-int decision is the explicit strict rule at every context asked."""
+
+    @staticmethod
+    def _contexts(game, player, rng, sample):
+        """Descending packed ints with no empty field: all of them, or a seeded sample."""
+        top = (1 << sum(game.shape) - game.shape[player]) - 1
+        packed = [p for p in range(top, 0, -1) if all(_opp_masks(game, player, p))]
+        if len(packed) > sample:
+            packed = [top, *rng.sample(packed, sample)]
+        return packed
+
+    @pytest.mark.parametrize("shape", PACKED_SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_the_packed_decision_is_the_explicit_rule(self, shape):
+        rng = random.Random(0)
+        games = [_random_game(shape, seed) for seed in range(3)]
+        games += [_random_game(shape, 10, values=[Fraction(1, 2), 1, Fraction(3, 2)])]
+        games += [_staircase_game(shape), zero_game(shape)]
+        dominated = 0
+        for i, game in enumerate(games):
+            for k in range(len(shape)):
+                decide = analysis._pure_strict_contexts(game, k)
+                for packed in self._contexts(game, k, rng, 150):
+                    opp = _opp_masks(game, k, packed)
+                    answer = decide(packed)
+                    assert answer == _explicit_gs(game, k, opp), (i, k, opp)
+                    dominated += answer != 0
+        assert dominated
+
+    def test_an_all_ones_field_beside_a_zero_field_carries_only_into_its_guard(self):
+        # In the staircase game every strategy but the highest is dominated
+        # at every context, and the highest is not: field (t, t) is all ones
+        # and field (t, t + 1) zero, at 65-bit fields on 4x4x4x4.
+        game = _staircase_game((4, 4, 4, 4))
+        for k in range(4):
+            decide = analysis._pure_strict_contexts(game, k)
+            for packed in (0xFFF, 0x111, 0x888, 0xF1F):
+                assert decide(packed) == 0b0111, (k, hex(packed))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 2, 3)], ids=lambda s: "x".join(map(str, s)))
+    def test_every_cover_bit_is_compared(self, shape, monkeypatch):
+        # Player 0's decisions are injected at two contexts that differ in
+        # one opponent field: O keeps c there and Y keeps b, every other
+        # opponent keeping its strategy 0.  Y dominates target 1 and their
+        # join X = O | Y targets 1 and 2; everything else dominates nothing.
+        # Then O, whose one nonzero cover is X through bit b, is the least
+        # candidate, keeping {1}; Y, through bit c, keeps {2}.  A walk that
+        # skipped bit b's cover would answer Y's node.
+        game = zero_game(shape)
+        opp_shape = shape[1:]
+        shifts = [sum(opp_shape[j + 1 :]) for j in range(len(opp_shape))]
+        contexts = analysis._pure_strict_contexts
+        cases = 0
+        for f, n in enumerate(opp_shape):
+            rest = sum(1 << shift for g, shift in enumerate(shifts) if g != f)
+            for b, c in product(range(n), repeat=2):
+                if b == c:
+                    continue
+                here, there = rest | 1 << shifts[f] + c, rest | 1 << shifts[f] + b
+                answers = {here | there: 0b110, there: 0b010}
+
+                def injected(game, player, answers=answers):
+                    if player:
+                        return contexts(game, player)
+                    return lambda packed: answers.get(packed, 0)
+
+                monkeypatch.setattr(analysis, "_pure_strict_contexts", injected)
+                node = analysis._first_strict_global_violation(game, GS, None)
+                assert node == (0b010, *_opp_masks(game, 0, here)), (f, b, c)
+                cases += 1
+        assert cases == sum(n * (n - 1) for n in opp_shape)
+
+    @pytest.mark.parametrize("kind", [GS, MGS], ids=str)
+    def test_one_strategy_opponents_add_no_contexts(self, kind):
+        # A one-strategy opponent has a 1-bit field that is always set, so
+        # of the up to 2^41 ints below a player's full context, at most 3
+        # are contexts: the tables and decisions are keyed by context, and
+        # the check stays as small as its 1 + 40 * 3 contexts.
+        game = _random_game((2,) + (1,) * 40, 0)
+        assert _monotonicity_work(kind, game.shape) == (121, "opponent contexts")
+        tracemalloc.start()
+        try:
+            assert check_monotonic(kind, game, Exhaustive()) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestOpponentLatticeMatchesTheNodeScan:

@@ -26,6 +26,8 @@ from dominance_lab.game_model import indices_of, parse_rational
 from dominance_lab.random_games import GeneratorConfig, generate
 
 HALF = Fraction(1, 2)
+# A 2x1 game whose row player's table (1/2, 1) is (1, 2) over scale 2.
+HALF_PAIR = (("P", "Q"), (("A", "B"), ("X",)), ((HALF, Fraction(1)), (0, 0)))
 
 
 class TestPayoff:
@@ -306,7 +308,7 @@ class TestGameConstruction:
 
     def test_derived_tables_are_fields_outside_eq_hash_and_repr(self, g1):
         fields = {f.name: f for f in dataclasses.fields(Game)}
-        for name in ("shape", "strides", "scaled_payoffs"):
+        for name in ("shape", "strides", "scaled_payoffs", "scales"):
             assert (fields[name].init, fields[name].compare, fields[name].repr) == (
                 False, False, False,
             )
@@ -333,6 +335,32 @@ class TestGameConstruction:
         assert repr(from_ints) == repr(from_fractions)
         assert all(type(x) is Fraction for table in from_ints.payoffs for x in table)
         assert all(type(x) is int for table in from_ints.scaled_payoffs for x in table)
+
+    def test_the_suite_game_key_is_equal_exactly_when_the_games_are(self):
+        # The theorem suite counts distinct games by a key of strings and
+        # ints.  Games differing only by one player's payoff scale have the
+        # same scaled tables but not the same scales; a game built from int
+        # tables and from Fraction tables has one key.
+        from dominance_lab.suites import _game_key
+
+        games = []
+        for seed in range(6):
+            game = generate(GeneratorConfig(seed=seed % 4, players=(2, 3), strategies=(1, 3)))
+            ints = tuple(tuple(int(x) for x in table) for table in game.payoffs)
+            games.append(Game(game.players, game.strategies, ints))
+            games.append(Game(game.players, game.strategies, tuple(map(tuple, game.payoffs))))
+            for scale in (2, 3):
+                halved = (tuple(x / scale for x in game.payoffs[0]), *game.payoffs[1:])
+                games.append(Game(game.players, game.strategies, halved))
+        keys = [_game_key(game) for game in games]
+        assert len(set(games)) == len(set(keys)) < len(games)
+        for a, b in itertools.product(range(len(games)), repeat=2):
+            assert (keys[a] == keys[b]) == (games[a] == games[b]), (a, b)
+        base, half = Game(*HALF_PAIR[:2], ((1, 2), (0, 0))), Game(*HALF_PAIR)
+        assert base.scaled_payoffs == half.scaled_payoffs and base != half
+        assert (base.scales, half.scales) == ((1, 1), (2, 1))
+        assert _game_key(base) != _game_key(half)
+        assert all(type(x) is int for x in _game_key(half)[3])
 
     @pytest.mark.parametrize("entry", [True, 1.0], ids=["bool", "float"])
     def test_bool_and_float_entries_are_rejected(self, entry):
