@@ -21,13 +21,14 @@ when the game is non-trivial: some player strictly prefers one strategy
 to another at some opponent profile.  GS and MGS, monotone by the paper's
 theorem, decide every opponent context of each player once, packed into
 one int, and compare each with its covers by mask arithmetic
-(:func:`_first_strict_global_violation`).  MGS decides a context on the
-engine's LP.  GS decides it with no elimination engine, for every pair
-of a target ``t`` and a dominator ``s`` in one packed-int test
-(:func:`_pure_strict_contexts`): field ``(t, s)`` holds the opponent
-profiles where ``s`` does not strictly beat ``t`` under a guard bit, and
-``t`` is dominated exactly when some field of its block meets none of
-the context's profiles.
+(:func:`_first_strict_global_violation`), with no elimination engine.
+GS decides a context for every pair of a target ``t`` and a dominator
+``s`` in one packed-int test (:func:`_pure_strict_contexts`): field ``(t,
+s)`` holds the opponent profiles where ``s`` does not strictly beat ``t``
+under a guard bit, and ``t`` is dominated exactly when some field of its
+block meets none of the context's profiles.  MGS builds a context's
+columns once and asks the mixed kernel, whose LP is exact, about each
+target (:func:`_mixed_strict_contexts`).
 
 One lemma prunes every scan: with no opponent profile, a strict kind
 eliminates every kept strategy (each strict comparison holds vacuously) and
@@ -45,13 +46,13 @@ assert on their JSON form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain, combinations, compress, islice, product
 from math import comb, prod
 from operator import le, mul
 from typing import Callable, Iterator
 
-from .dominance import Mode, Pool, _opponent_bases
+from .dominance import _STRICT, Mode, Pool, _columns, _mixed_dominator, _opponent_bases
 from .game_model import Game, Restriction, _is_index, indices_of
 from .operators import EliminationEngine, Mixing, OperatorKind, _lone_empty
 
@@ -165,11 +166,13 @@ def _monotonicity_work(kind: OperatorKind, shape: tuple[int, ...]) -> tuple[int,
     return sum(prod(kept[:k] + kept[k + 1 :]) for k in range(players)), "opponent contexts"
 
 
-def _require_kinds(**operators: object) -> None:
-    """Raise ValueError naming the first argument that is not an :class:`OperatorKind`."""
+def _require_arguments(game: object, **operators: object) -> None:
+    """Raise ValueError naming the first operator that is not an OperatorKind, or else a non-Game."""
     for name, operator in operators.items():
         if not isinstance(operator, OperatorKind):
             raise ValueError(f"{name} must be an OperatorKind, got {operator!r}")
+    if not isinstance(game, Game):
+        raise ValueError(f"game must be a Game, got {game!r}")
 
 
 def _require_within(budget: Exhaustive, work: int, unit: str) -> None:
@@ -367,9 +370,7 @@ def _pure_strict_contexts(game: Game, player: int) -> Callable[[int], int]:
     shape = game.shape
     opp_shape = shape[:player] + shape[player + 1 :]
     bases = _opponent_bases(game, player, [(1 << n) - 1 for n in opp_shape])
-    table, stride, n = game.scaled_payoffs[player], game.strides[player], shape[player]
-    columns = [[table[b + s * stride] for b in bases] for s in range(n)]
-    width = len(bases)
+    columns, n, width = _columns(game, player, bases), shape[player], len(bases)
     rep, fill, guards, blocks = _guarded_fields(n, width)
     powers = [1 << p for p in range(width)]
     misses = 0
@@ -388,9 +389,29 @@ def _pure_strict_contexts(game: Game, player: int) -> Callable[[int], int]:
     return decide
 
 
-def _first_strict_global_violation(
-    game: Game, kind: OperatorKind, engine: EliminationEngine | None
-) -> tuple[int, ...] | None:
+def _mixed_strict_contexts(game: Game, player: int) -> Callable[[int], int]:
+    """MGS's decision at ``player``'s opponent contexts, with :func:`_pure_strict_contexts`' contract.
+
+    ``decide(packed)`` builds the context's columns once and asks
+    :func:`~dominance_lab.dominance._mixed_dominator` about each target,
+    ascending, over the global pool: an elimination engine's kernel calls
+    there, in its order, so the LPs and their weights are the same.  Each
+    context is decided from its own columns, never from another's answer.
+    """
+    shape = game.shape
+    fields = _context_fields(shape[:player] + shape[player + 1 :])
+    pool = indices_of((1 << shape[player]) - 1)
+
+    def decide(packed: int) -> int:
+        columns = _columns(game, player, _opponent_bases(game, player, _unpack(packed, fields)))
+        return sum(
+            1 << t for t in pool if _mixed_dominator(player, t, pool, columns, _STRICT) is not None
+        )
+
+    return decide
+
+
+def _first_strict_global_violation(game: Game, kind: OperatorKind) -> tuple[int, ...] | None:
     """The first node in (rank, kept) order with a cover that GS or MGS fails, or None.
 
     A global pool is the player's full strategy set, so player ``k``'s
@@ -404,11 +425,11 @@ def _first_strict_global_violation(
 
     Each opponent context ``O`` where every opponent keeps something is
     packed into one int (:func:`_context_fields`, opponent 0 highest) and
-    decided once, for all of player ``k``'s strategies: by
-    :meth:`EliminationEngine.dominated` for MGS, on the unpacked masks,
-    whose LP reads the context's columns, and for GS, with ``engine``
-    None, on packed bit sets over the opponent profiles
-    (:func:`_pure_strict_contexts`).  ``dominated`` is keyed by the
+    decided once, for all of player ``k``'s strategies, with no
+    elimination engine: for GS on packed bit sets over the opponent
+    profiles (:func:`_pure_strict_contexts`), and for MGS by the mixed
+    kernel on the context's columns (:func:`_mixed_strict_contexts`), the
+    decider picked by ``kind.mixing``.  ``dominated`` is keyed by the
     packed int.  The covers of ``O`` are ``O | bit`` for each bit of ``top
     & ~O``, ``top`` the packed full masks, and its candidates ``b`` are
     ``newly = (OR of D_k(O') over the covers O') & ~D_k(O)``.  The contexts
@@ -427,13 +448,11 @@ def _first_strict_global_violation(
     pairs.
     """
     shape = game.shape
+    deciders = _pure_strict_contexts if kind.mixing is Mixing.PURE else _mixed_strict_contexts
     candidates = []
     for k in range(len(shape)):
         fields = _context_fields(shape[:k] + shape[k + 1 :])
-        if engine is None:
-            decide = _pure_strict_contexts(game, k)
-        else:
-            decide = partial(_engine_decision, engine, kind, k, fields)
+        decide = deciders(game, k)
         top = sum(full << shift for shift, full in fields)
         dominated: dict[int, int] = {}
         contexts = product(*([m << shift for m in range(full, 0, -1)] for shift, full in fields))
@@ -454,14 +473,6 @@ def _first_strict_global_violation(
         key=lambda node: (sum(map(int.bit_count, node)), _order_in_rank(node)),
         default=None,
     )
-
-
-def _engine_decision(
-    engine: EliminationEngine, kind: OperatorKind, player: int,
-    fields: tuple[tuple[int, int], ...], packed: int,
-) -> int:
-    """MGS's decision at a packed opponent context: the engine's, on the unpacked masks."""
-    return engine.dominated(kind, player, _unpack(packed, fields))
 
 
 def _cover(masks: tuple[int, ...], player: int, strategy: int) -> tuple[int, ...]:
@@ -563,8 +574,8 @@ def check_monotonic(
     the first failing pair of a scan of every node in (rank, kept) order.
     Raises :class:`BudgetExceededError`, before any scan, when the work
     (:func:`_monotonicity_work`) is above ``budget.cap``, and ValueError,
-    before any work, when ``kind`` is not an :class:`OperatorKind` or
-    ``budget`` not an :class:`Exhaustive`.
+    before any work, when ``kind`` is not an :class:`OperatorKind`,
+    ``game`` not a :class:`Game` or ``budget`` not an :class:`Exhaustive`.
 
     LS, MLS, LW and MLW fail first at a node of rank ``P``, the number of
     players, and build no engine (:func:`_first_local_violation`).  If
@@ -616,23 +627,21 @@ def check_monotonic(
     something once, for every target, and compare it with its covers by
     mask arithmetic (:func:`_first_strict_global_violation`); the lemma
     rules out every other context, and so the first failing node keeps
-    something for every player.  MGS decides on an engine, whose LP reads
-    each context's columns.  GS decides on bit sets over the opponent
-    profiles, and builds an engine only to ask a candidate node's covers,
-    which on a real game it never finds.
+    something for every player.  GS decides on bit sets over the opponent
+    profiles and MGS by the mixed kernel on each context's columns, both
+    with no engine.  Either builds one only to ask a candidate node's
+    covers, which on a real game it never finds.
     """
-    _require_kinds(kind=kind)
+    _require_arguments(game, kind=kind)
     _require_within(budget, *_monotonicity_work(kind, game.shape))
     if kind.pool is Pool.LOCAL:
         return _first_local_violation(kind, game)
     if kind.mode is Mode.WEAK:
         return _first_weak_global_violation(kind, game)
-    engine = EliminationEngine(game) if kind.mixing is Mixing.MIXED else None
-    masks = _first_strict_global_violation(game, kind, engine)
+    masks = _first_strict_global_violation(game, kind)
     if masks is None:
         return None
-    if engine is None:
-        engine = EliminationEngine(game)
+    engine = EliminationEngine(game)
     small = engine.survivors(kind, masks)
     for player in range(len(masks)):
         for strategy in indices_of(engine.full_masks[player] & ~masks[player]):
@@ -664,10 +673,10 @@ def pointwise_inclusion(
 
     Raises :class:`BudgetExceededError` when the ``2^N`` restrictions are
     more than ``budget.cap``, and ValueError, before any work, when ``left``
-    or ``right`` is not an :class:`OperatorKind` or ``budget`` not an
-    :class:`Exhaustive`.
+    or ``right`` is not an :class:`OperatorKind`, ``game`` not a
+    :class:`Game` or ``budget`` not an :class:`Exhaustive`.
     """
-    _require_kinds(left=left, right=right)
+    _require_arguments(game, left=left, right=right)
     _require_within(budget, lattice_size(game), "restrictions")
     engine = EliminationEngine(game)
     violations = []
@@ -723,9 +732,10 @@ def compare_fixpoints(
 ) -> FixpointRelationReport:
     """Compute both fixpoints from the top and classify their relation.
 
-    Raises ValueError when ``left`` or ``right`` is not an :class:`OperatorKind`.
+    Raises ValueError, before any work, when ``left`` or ``right`` is not
+    an :class:`OperatorKind` or ``game`` not a :class:`Game`.
     """
-    _require_kinds(left=left, right=right)
+    _require_arguments(game, left=left, right=right)
     engine = EliminationEngine(game)
     lfix = engine.iterate(left).fixpoint
     rfix = engine.iterate(right).fixpoint

@@ -15,8 +15,8 @@ players' masks allow, as flat payoff-tensor offsets in lexicographic
 order.  The one-off queries and certificate replay call both; the
 elimination engine and the oracle suite call :func:`_opponent_bases`, and
 read a global pool from full masks: the engine from those it computes
-once, the suite from the full restriction's.  The exact GS check numbers
-a player's opponent profiles by it too.
+once, the suite from the full restriction's.  The exact GS and MGS
+checks call it too.
 
 The two kernels, :func:`_pure_dominator` and :func:`_mixed_dominator`,
 read a context's columns: the scaled payoffs of each of the player's
@@ -24,12 +24,15 @@ strategies against its opponent profiles, indexed by strategy
 (:func:`_columns`).  The elimination engine builds them once per (player,
 opponent masks) and hands the same columns to every target it decides
 there, calling a kernel once per target and context and never again for a
-decision its records hold.  The oracle suite builds each player's columns
-once per game, for its grid, and calls :func:`_mixed_dominator` on them
-for every target and mode.  :func:`find_mixed_dominator` builds its own
-per query, and :func:`dominates` (and so certificate replay) reads only
-the columns it compares, so that no check depends on the engine's cache
-or the suite's columns.
+decision its records hold.  The exact MGS check does the same at each
+opponent context, with no engine, and the exact GS check builds each
+player's columns once, over the full opponent masks, for its bit-set
+tables.  The oracle suite builds each player's columns once per game, for
+its grid, and calls :func:`_mixed_dominator` on them for every target and
+mode.  :func:`find_mixed_dominator` builds its own per query, and
+:func:`dominates` (and so certificate replay) reads only the columns it
+compares, so that no check depends on the engine's cache or the suite's
+columns.
 
 Every decision reads :attr:`Game.scaled_payoffs`: each player's payoffs
 times one least common denominator, as ints.  A positive factor changes no

@@ -191,15 +191,14 @@ class EliminationEngine:
     pool_mask, opp_masks)`` on which a decision depends.  Each record holds
     the mask of targets decided there, the mask of those found dominated,
     and their dominators; a global kind shares records with its local twin
-    wherever their pools coincide.  ``survivors``, for a kept set's
-    contexts, and ``dominated``, for every strategy at one global context,
-    read and fill the records through ``_record``, which decides only the
-    targets a record has not decided; ``step`` reads its certificates'
-    dominators from the same records.  Every target is decided at most
-    once per context, and only when some query asks: each undecided target
-    goes through ``dominator`` and one kernel call, and nothing else
-    decides.  ``dominator`` reads the column cache directly, calling
-    ``columns`` only on a miss.
+    wherever their pools coincide.  ``survivors`` reads and fills the
+    records of a kept set's contexts, deciding only the kept targets a
+    record has not decided; ``step`` reads its certificates' dominators
+    from the same records.  Every target is decided at most once per
+    context, and only when some query asks: each undecided target goes
+    through ``dominator`` and one kernel call, and nothing else decides.
+    ``dominator`` reads the column cache directly, calling ``columns`` only
+    on a miss.
 
     Columns: ``columns`` keeps each player's scaled payoff columns per
     ``(player, opp_masks)``, built on the first query there from
@@ -251,35 +250,6 @@ class EliminationEngine:
         kernel = _pure_dominator if mixing is _PURE else _mixed_dominator
         return kernel(player, target, indices_of(pool_mask), columns, mode)
 
-    def _record(
-        self,
-        contexts: dict[tuple, list],
-        context: tuple[int, int, tuple[int, ...]],
-        targets: int,
-        mode: Mode,
-        mixing: Mixing,
-    ) -> list:
-        """The record of ``context`` once it has decided every target in ``targets``.
-
-        ``context`` is ``(player, pool_mask, opp_masks)`` and ``contexts``
-        the records of ``mode`` and ``mixing``.  Only the targets the record
-        has not decided are decided, each once.
-        """
-        record = contexts.get(context)
-        if record is None:
-            record = contexts[context] = [0, 0, {}]
-        undecided = targets & ~record[0]
-        if undecided:
-            player, pool_mask, opp_masks = context
-            dominator = self.dominator
-            for target in indices_of(undecided):
-                found = dominator(player, target, pool_mask, opp_masks, mode, mixing)
-                if found is not None:
-                    record[1] |= 1 << target
-                    record[2][target] = found
-            record[0] |= undecided
-        return record
-
     def survivors(self, kind: OperatorKind, masks: tuple[int, ...]) -> tuple[int, ...]:
         """Kept-set masks after one application of ``kind``."""
         pools = masks if kind.pool is _LOCAL else self.full_masks
@@ -287,20 +257,22 @@ class EliminationEngine:
         mode, mixing = kind.mode, kind.mixing
         out = []
         for player, kept in enumerate(masks):
-            context = (player, pools[player], masks[:player] + masks[player + 1 :])
-            out.append(kept & ~self._record(contexts, context, kept, mode, mixing)[1])
+            pool_mask, opp_masks = pools[player], masks[:player] + masks[player + 1 :]
+            context = (player, pool_mask, opp_masks)
+            record = contexts.get(context)
+            if record is None:
+                record = contexts[context] = [0, 0, {}]
+            undecided = kept & ~record[0]
+            if undecided:
+                dominator = self.dominator
+                for target in indices_of(undecided):
+                    found = dominator(player, target, pool_mask, opp_masks, mode, mixing)
+                    if found is not None:
+                        record[1] |= 1 << target
+                        record[2][target] = found
+                record[0] |= undecided
+            out.append(kept & ~record[1])
         return tuple(out)
-
-    def dominated(self, kind: OperatorKind, player: int, opp_masks: tuple[int, ...]) -> int:
-        """The mask of ``player``'s strategies that a global ``kind`` eliminates at ``opp_masks``.
-
-        Decides every strategy the context's record has not: the exact
-        MGS check asks each opponent context once.  (The exact GS check
-        decides its contexts on bit sets over the opponent profiles.)
-        """
-        pool = self.full_masks[player]
-        contexts = self._contexts[kind.mode is not _STRICT][kind.mixing is not _PURE]
-        return self._record(contexts, (player, pool, opp_masks), pool, kind.mode, kind.mixing)[1]
 
     def step(self, kind: OperatorKind, restriction: Restriction) -> EliminationStep:
         if restriction.game != self.game:

@@ -30,7 +30,7 @@ from dominance_lab import (
     lattice_size,
     pointwise_inclusion,
 )
-from dominance_lab import analysis, operators
+from dominance_lab import analysis, dominance, operators
 from dominance_lab.analysis import (
     MonotonicityWitness,
     _first_excess,
@@ -100,6 +100,56 @@ def _count_gs_decisions(monkeypatch):
 
     monkeypatch.setattr(analysis, "_pure_strict_contexts", counted_contexts)
     return tables, decisions
+
+
+def _count_mgs_decisions(monkeypatch):
+    """Count the column sets the exact checks build, per (player, opponent
+    masks), and MGS's kernel calls, per (player, pool mask, opponent masks,
+    target), at the names the checks look up.
+
+    GS builds one column set per player, over the full opponent masks; MGS
+    one per opponent context it decides.  (``_count_gs_decisions`` checks
+    the order of the walk both share.)
+    """
+    built, decided = Counter(), Counter()
+    # id of a bases or column tuple -> (the tuple, (player, opponent masks));
+    # the tuple is held here, so its id is never reused for another.
+    held = {}
+    bases, columns, kernel = analysis._opponent_bases, analysis._columns, analysis._mixed_dominator
+
+    def noted_bases(game, player, opp_masks):
+        found = bases(game, player, opp_masks)
+        held[id(found)] = (found, (player, tuple(opp_masks)))
+        return found
+
+    def counted_columns(game, player, found_bases):
+        found = columns(game, player, found_bases)
+        context = held[id(found_bases)][1]
+        built[context] += 1
+        held[id(found)] = (found, context)
+        return found
+
+    def counted_kernel(player, target, pool, cols, mode):
+        owner, opp_masks = held[id(cols)][1]
+        assert owner == player and mode is Mode.STRICT
+        decided[player, sum(1 << s for s in pool), opp_masks, target] += 1
+        return kernel(player, target, pool, cols, mode)
+
+    monkeypatch.setattr(analysis, "_opponent_bases", noted_bases)
+    monkeypatch.setattr(analysis, "_columns", counted_columns)
+    monkeypatch.setattr(analysis, "_mixed_dominator", counted_kernel)
+    return built, decided
+
+
+def _every_mgs_decision(game):
+    """Each (player, pool mask, opponent masks, target) that an exact MGS
+    check on a monotone ``game`` asks the kernel once: every target, over
+    the full pool, at each context where every opponent keeps something."""
+    return Counter(
+        (k, (1 << game.shape[k]) - 1, opp, target)
+        for k, opp in _opponent_contexts(game)
+        for target in range(game.shape[k])
+    )
 
 
 def _opponent_contexts(game):
@@ -177,35 +227,51 @@ class TestBudgets:
         "call, name",
         [
             (lambda g, bad: check_monotonic(bad, g, Exhaustive()), "kind"),
+            (lambda g, bad: check_monotonic(GS, bad, Exhaustive()), "game"),
             (lambda g, bad: check_monotonic(GS, g, bad), "budget"),
             (lambda g, bad: pointwise_inclusion(bad, LW, g, Exhaustive()), "left"),
             (lambda g, bad: pointwise_inclusion(MLW, bad, g, Exhaustive()), "right"),
+            (lambda g, bad: pointwise_inclusion(MLW, LW, bad, Exhaustive()), "game"),
             (lambda g, bad: pointwise_inclusion(MLW, LW, g, bad), "budget"),
             (lambda g, bad: compare_fixpoints(bad, LW, g), "left"),
             (lambda g, bad: compare_fixpoints(MLW, bad, g), "right"),
+            (lambda g, bad: compare_fixpoints(MLW, LW, bad), "game"),
         ],
         ids=[
-            "check_monotonic-kind", "check_monotonic-budget", "pointwise_inclusion-left",
-            "pointwise_inclusion-right", "pointwise_inclusion-budget", "compare_fixpoints-left",
-            "compare_fixpoints-right",
+            "check_monotonic-kind", "check_monotonic-game", "check_monotonic-budget",
+            "pointwise_inclusion-left", "pointwise_inclusion-right", "pointwise_inclusion-game",
+            "pointwise_inclusion-budget", "compare_fixpoints-left", "compare_fixpoints-right",
+            "compare_fixpoints-game",
         ],
     )
     @pytest.mark.parametrize("bad", ["GS", None, Mode.STRICT, 1 << 16], ids=repr)
     def test_a_wrong_argument_is_named_before_any_work(self, call, name, bad, g2, monkeypatch):
-        # An operator must be an OperatorKind and a budget an Exhaustive;
-        # each is refused by name before an engine, a walk or a bit-set
-        # table is built.
+        # An operator must be an OperatorKind, a game a Game and a budget an
+        # Exhaustive; each is refused by name, in signature order, before an
+        # engine, a walk or a decider is built.
         def fail(*args):
             raise AssertionError("the check did some work")
 
         for target, attribute in [
             (EliminationEngine, "__init__"), (analysis, "_ranks"),
-            (analysis, "_pure_strict_contexts"),
+            (analysis, "_pure_strict_contexts"), (analysis, "_mixed_strict_contexts"),
         ]:
             monkeypatch.setattr(target, attribute, fail)
-        kind = "an OperatorKind" if name != "budget" else "an Exhaustive"
+        kind = {"game": "a Game", "budget": "an Exhaustive"}.get(name, "an OperatorKind")
         with pytest.raises(ValueError, match=re.escape(f"{name} must be {kind}, got {bad!r}")):
             call(g2, bad)
+
+    def test_the_first_wrong_argument_in_signature_order_is_named(self):
+        with pytest.raises(ValueError, match="kind must be"):
+            check_monotonic(None, None, None)
+        with pytest.raises(ValueError, match="game must be"):
+            check_monotonic(GS, None, None)
+        with pytest.raises(ValueError, match="right must be"):
+            pointwise_inclusion(MLW, None, None, None)
+        with pytest.raises(ValueError, match="game must be"):
+            pointwise_inclusion(MLW, LW, None, None)
+        with pytest.raises(ValueError, match="right must be"):
+            compare_fixpoints(MLW, None, None)
 
     def test_the_smallest_budgets_still_scan(self, g1):
         assert pointwise_inclusion(MLW, LW, g1, Exhaustive(cap=8)).checked == 8
@@ -257,76 +323,82 @@ class TestOneDecisionPerContext:
         monkeypatch.setattr(EliminationEngine, "opponent_bases", counted_bases)
         walked, engines = _spy_walk(monkeypatch)
         _, decisions = _count_gs_decisions(monkeypatch)
+        built, decided = _count_mgs_decisions(monkeypatch)
         witness = check_monotonic(kind, game, Exhaustive())
+        # No check builds an engine on these games: none asks the engine's
+        # records, kernels or column sets.
+        assert not engines and not queries and not scans and not builds
         if kind in TRUNCATED_KINDS:
-            # A local, GW or MGW check compares payoffs: it builds no
-            # engine, so it decides no target and builds no column set, it
-            # walks the nodes of its one rank in scan order up to its
-            # witness, and its answer is the full scan's.
-            assert not engines and not queries and not scans and not builds
-            assert not decisions
+            # A local, GW or MGW check compares payoffs: it decides no
+            # target and builds no column set, it walks the nodes of its one
+            # rank in scan order up to its witness, and its answer is the
+            # full scan's.
+            assert not decisions and not built and not decided
             assert walked == _walk_of(kind, game, witness)
             assert witness == _memo_free_witness(kind, game)
             return
         if kind == GS:
-            # GS decides on bit sets over the opponent profiles.  It is
-            # monotone on these games, so it builds no engine, and it asks
-            # its decision once at each of the 2 * 15 contexts where the
-            # opponent keeps something, for all 4 targets at once.
+            # GS decides on bit sets over the opponent profiles, read from
+            # one column set per player.  It is monotone on these games, and
+            # it asks its decision once at each of the 2 * 15 contexts where
+            # the opponent keeps something, for all 4 targets at once.
             assert witness is None
-            assert not engines and not queries and not scans and not builds
             assert decisions == Counter(_opponent_contexts(game))
             assert len(decisions) == 2 * ((1 << 4) - 1)
+            assert built == Counter({(0, (0b1111,)): 1, (1, (0b1111,)): 1})
+            assert not decided
             return
         assert not decisions
-        assert engines == {"built": 1}
-        # Every (player, pool mask, opponent mask, target) that some kept set
-        # asks about is decided, and scanned, exactly once.
-        assert queries and scans == queries
-        assert set(queries.values()) == {1}
+        # MGS is monotone on these games, so the walk runs to the end and,
+        # with the one global pool, asks the mixed kernel about every
+        # (player, opponent mask, target) but the empty opponent mask, where
+        # every target is dominated vacuously, exactly once: 2 players, 15
+        # opponent masks, 4 targets.
+        assert witness is None
+        assert decided == _every_mgs_decision(game)
+        assert len(decided) == 2 * ((1 << 4) - 1) * 4
+        assert all(opp != (0,) for _, _, opp, _ in decided)
         # Each (player, opponent masks) column set is built exactly once, and
         # only where some target is decided.
-        assert set(builds.values()) == {1}
-        assert set(builds) == {context for context, _, _ in queries}
-        # MGS is monotone on these games, so the scan runs to the end and,
-        # with the one global pool, asks about every context but the empty
-        # opponent mask, where every target is dominated vacuously: 2
-        # players, 15 opponent masks, 4 targets.
-        assert witness is None
-        assert len(queries) == 2 * ((1 << 4) - 1) * 4
-        assert all(opp != (0,) for (_, opp), _, _ in queries)
+        assert set(built.values()) == {1}
+        assert set(built) == {(k, opp) for k, _, opp, _ in decided}
 
     @pytest.mark.parametrize("kind", [GS, MGS], ids=str)
     def test_a_strict_walk_decides_each_3_player_context_once(self, kind, monkeypatch):
         # GS and MGS decide every target at every opponent context where each
-        # opponent keeps something, once, and nothing anywhere else.  MGS
-        # makes sum_k n_k * prod_{j != k} (2^n_j - 1) = 3 * 3 * 7 * 7 engine
-        # decisions, on 3 * 7 * 7 column sets; GS asks its bit-set decision
-        # once at each of the 3 * 7 * 7 contexts, for all 3 targets at once,
-        # on one pair of tables per player, and asks the engine nothing.
+        # opponent keeps something, once, and nothing anywhere else, with no
+        # engine.  MGS makes sum_k n_k * prod_{j != k} (2^n_j - 1) = 3 * 3 *
+        # 7 * 7 mixed-kernel calls, on 3 * 7 * 7 column sets; GS asks its
+        # bit-set decision once at each of the 3 * 7 * 7 contexts, for all 3
+        # targets at once, on one pair of tables and one column set per
+        # player.
         game = generate(GeneratorConfig(seed=0, players=(3, 3), strategies=(3, 3), tie_bias=0.3))
         assert game.shape == (3, 3, 3)
-        decided, built = Counter(), Counter()
+        queried, engine_bases = Counter(), Counter()
         dominator, bases = EliminationEngine.dominator, EliminationEngine.opponent_bases
 
         def counted_query(engine, player, target, pool_mask, opp_masks, mode, mixing):
-            decided[player, pool_mask, opp_masks, target] += 1
+            queried[player, pool_mask, opp_masks, target] += 1
             return dominator(engine, player, target, pool_mask, opp_masks, mode, mixing)
 
         def counted_bases(engine, player, opp_masks):
-            built[player, opp_masks] += 1
+            engine_bases[player, opp_masks] += 1
             return bases(engine, player, opp_masks)
 
         monkeypatch.setattr(EliminationEngine, "dominator", counted_query)
         monkeypatch.setattr(EliminationEngine, "opponent_bases", counted_bases)
+        _, engines = _spy_walk(monkeypatch)
         tables, decisions = _count_gs_decisions(monkeypatch)
+        built, decided = _count_mgs_decisions(monkeypatch)
         assert check_monotonic(kind, game, Exhaustive()) is None
+        assert not engines and not queried and not engine_bases
         contexts = [(k, opp) for k in range(3) for opp in product(range(1, 8), repeat=2)]
         assert len(contexts) == 147
         if kind == GS:
             assert tables == Counter(range(3))
             assert decisions == Counter(contexts)
-            assert not built and not decided
+            assert built == Counter((k, (0b111, 0b111)) for k in range(3))
+            assert not decided
             return
         assert not tables and not decisions
         assert built == Counter(contexts)
@@ -540,10 +612,12 @@ class TestTruncatedScans:
     def test_all_zero_games_above_the_old_cap_need_no_witness(self, shape, kind, monkeypatch):
         # 2^16 and 2^12 nodes: the local kinds compare payoffs at the nodes
         # of rank P, and GW and MGW at those of rank P - 1, each node once in
-        # scan order, and build no engine, and neither does GS, which decides
-        # on bit sets over the opponent profiles; MGS builds one and asks it
-        # for no survivors.  A game without a strict preference has no
-        # witness (TestNonTrivialGames), so None is the full scan's answer.
+        # scan order, and build no engine, and neither do GS, which decides
+        # on bit sets over the opponent profiles, and MGS, which asks the
+        # mixed kernel once per context and target where every opponent
+        # keeps something, on columns built once per context.  A game
+        # without a strict preference has no witness (TestNonTrivialGames),
+        # so None is the full scan's answer.
         game = zero_game(shape)
         asked = Counter()
         survivors = EliminationEngine.survivors
@@ -554,11 +628,17 @@ class TestTruncatedScans:
 
         monkeypatch.setattr(EliminationEngine, "survivors", counted)
         walked, engines = _spy_walk(monkeypatch)
+        built, decided = _count_mgs_decisions(monkeypatch)
         assert check_monotonic(kind, game, Exhaustive()) is None
         assert not asked
-        assert engines == ({"built": 1} if kind == MGS else {})
+        assert not engines
         if kind in TRUNCATED_KINDS:
             assert walked == _walk_of(kind, game, None)
+        if kind == MGS:
+            assert decided == _every_mgs_decision(game)
+            assert built == Counter(_opponent_contexts(game))
+        else:
+            assert not decided
 
     @pytest.mark.parametrize("kind", ALL_OPERATORS, ids=str)
     @pytest.mark.parametrize(
@@ -713,6 +793,7 @@ class TestEmptyPlayerLemma:
         monkeypatch.setattr(EliminationEngine, "dominator", noted_dominator)
         walked, engines = _spy_walk(monkeypatch)
         _, decisions = _count_gs_decisions(monkeypatch)
+        _, mixed = _count_mgs_decisions(monkeypatch)
         empty_witnesses = 0
         for i, game in enumerate(games):
             asked.clear()
@@ -721,8 +802,9 @@ class TestEmptyPlayerLemma:
             assert witness == expected[i], i
             assert all(map(all, asked)) and all(map(all, decided)), i
             assert all(all(opp) for _, opp in decisions), i
+            assert all(all(opp) for _, _, opp, _ in mixed), i
             if kind in TRUNCATED_KINDS:
-                assert not asked and not decided and not engines, i
+                assert not asked and not decided and not mixed and not engines, i
                 assert walked == _walk_of(kind, game, witness), i
             if witness is not None and not all(witness.smaller.masks):
                 empty_witnesses += 1
@@ -836,38 +918,45 @@ class TestOpponentLatticeScan:
     def test_each_context_and_target_is_decided_at_most_once(self, shape, kind, monkeypatch):
         games = _seeded_games_of_shape(shape, 6)
         expected = [_memo_free_witness(kind, game) for _, game in games]
-        decided = Counter()
+        queried = Counter()
         dominator = EliminationEngine.dominator
 
         def counted(engine, player, target, pool_mask, opp_masks, mode, mixing):
-            decided[player, pool_mask, opp_masks, target] += 1
+            queried[player, pool_mask, opp_masks, target] += 1
             return dominator(engine, player, target, pool_mask, opp_masks, mode, mixing)
 
         monkeypatch.setattr(EliminationEngine, "dominator", counted)
         walked, engines = _spy_walk(monkeypatch)
         _, decisions = _count_gs_decisions(monkeypatch)
+        built, decided = _count_mgs_decisions(monkeypatch)
         for (seed, game), want in zip(games, expected):
-            decided.clear()
+            queried.clear()
             decisions.clear()
+            built.clear()
+            decided.clear()
             walked.clear()
             witness = check_monotonic(kind, game, Exhaustive())
+            # No kind builds an engine on these games, so none asks it.
+            assert not queried and not engines, seed
             if kind in (GW, MGW):
                 # GW and MGW compare payoffs at the nodes of rank P - 1 up to
-                # the witness, decide nothing and build no engine.
-                assert not decided and not decisions and not engines, seed
+                # the witness and decide nothing.
+                assert not decisions and not decided, seed
                 assert walked == _walk_of(kind, game, witness), seed
                 assert witness == want, seed
                 continue
+            assert witness is None, seed
             if kind == GS:
                 # GS decides every context where each opponent keeps
-                # something exactly once, all targets at once, on bit sets:
-                # no target goes to the engine on these monotone games.
-                assert witness is None, seed
+                # something exactly once, all targets at once, on bit sets.
                 assert decisions == Counter(_opponent_contexts(game)), seed
                 assert not decided, seed
                 continue
-            assert not decisions
-            assert decided and set(decided.values()) == {1}
+            # MGS asks the mixed kernel about every target at every such
+            # context exactly once, on columns built once per context.
+            assert not decisions, seed
+            assert decided == _every_mgs_decision(game), seed
+            assert built == Counter(_opponent_contexts(game)), seed
 
     @pytest.mark.parametrize("kind", GLOBAL_KINDS, ids=str)
     def test_survivors_are_asked_only_at_the_witness_node_and_its_covers(self, kind, monkeypatch):
@@ -924,20 +1013,19 @@ class TestOpponentLatticeScan:
 
 
 def _inject_dominance(monkeypatch):
-    """Patch the engine and GS's bit-set decision so that strategy 0
-    dominates every other strategy the kernel leaves undominated, at
-    contexts where every opponent keeps something and the opponents keep 3
-    strategies or more.
+    """Patch the engine and the GS and MGS decisions of the exact walk so
+    that strategy 0 dominates every other strategy the kernel leaves
+    undominated, at contexts where every opponent keeps something and the
+    opponents keep 3 strategies or more.
 
     A strict kind's lemma still holds, as contexts where an opponent keeps
     nothing are left alone, but GS and MGS now fail: a strategy the kernel
     leaves undominated at a 2-strategy context is dominated at its covers.
-    GS walks on the bit-set decision and replays the failing node's covers
-    on the engine, so both must agree.  Returns the count of bit-set
-    decisions the patch saw.
+    The walk decides on the GS or MGS decider and replays the failing
+    node's covers on the engine, so both must agree.  Returns the count of
+    walk decisions the patch saw.
     """
     dominator = EliminationEngine.dominator
-    contexts = analysis._pure_strict_contexts
     seen = Counter()
 
     def injected(engine, player, target, pool_mask, opp_masks, mode, mixing):
@@ -946,22 +1034,26 @@ def _inject_dominance(monkeypatch):
             return 0 if mixing is Mixing.PURE else MixedStrategy.point_mass(player, 0)
         return found
 
-    def injected_contexts(game, player):
-        decide = contexts(game, player)
-        others = (1 << game.shape[player]) - 2
+    def injecting(contexts):
+        def injected_contexts(game, player):
+            decide = contexts(game, player)
+            others = (1 << game.shape[player]) - 2
 
-        def injected_decide(packed):
-            seen["decisions"] += 1
-            found = decide(packed)
-            opp_masks = _opp_masks(game, player, packed)
-            if all(opp_masks) and _rank(opp_masks) >= 3:
-                return found | others
-            return found
+            def injected_decide(packed):
+                seen["decisions"] += 1
+                found = decide(packed)
+                opp_masks = _opp_masks(game, player, packed)
+                if all(opp_masks) and _rank(opp_masks) >= 3:
+                    return found | others
+                return found
 
-        return injected_decide
+            return injected_decide
+
+        return injected_contexts
 
     monkeypatch.setattr(EliminationEngine, "dominator", injected)
-    monkeypatch.setattr(analysis, "_pure_strict_contexts", injected_contexts)
+    for name in ("_pure_strict_contexts", "_mixed_strict_contexts"):
+        monkeypatch.setattr(analysis, name, injecting(getattr(analysis, name)))
     return seen
 
 
@@ -981,8 +1073,10 @@ class TestStrictWalkFailingBranch:
             witness = check_monotonic(kind, game, Exhaustive())
             assert witness == expected, seed
             assert json.dumps(witness.to_dict()) == json.dumps(expected.to_dict()), seed
-            # GS found its candidate on the bit-set decision; MGS asks none.
-            assert bool(seen) == (kind == GS), seed
+            # Both found their candidate on the injected walk decision,
+            # asked once at each context where every opponent keeps
+            # something.
+            assert seen == Counter(decisions=len(_opponent_contexts(game))), seed
 
 
 # Seeded games, tie-heavy 2-4 player games, all-zero games, games with a
@@ -1003,32 +1097,68 @@ BIT_SET_GAMES = (
 )
 
 
+def _assert_decided_as_the_engine_decides(kind, deciders, games):
+    """Each context's decision is what an engine's ``survivors`` eliminates
+    there, where the player keeps everything.
+
+    Each context is asked after its covers, in the walk's order of
+    descending packed ints, skipping those with an empty field, so a
+    decision that answered from a cover's answer would be seen.
+    """
+    seen = Counter()
+    for i, game in enumerate(games):
+        engine = EliminationEngine(game)
+        full = engine.full_masks
+        for k in range(game.player_count):
+            decide = deciders(game, k)
+            opp_full = full[:k] + full[k + 1 :]
+            top = (1 << sum(game.shape) - game.shape[k]) - 1
+            answers = {}
+            for packed in range(top, 0, -1):
+                opp = _opp_masks(game, k, packed)
+                if not all(opp):
+                    continue
+                node = opp[:k] + (full[k],) + opp[k:]
+                answer = answers[opp] = full[k] & ~engine.survivors(kind, node)[k]
+                assert decide(packed) == answer, (i, k, opp)
+                seen["some dominated" if answer else "none dominated"] += 1
+                if any(answers[cover] != answer for cover in _covers(opp, opp_full)):
+                    seen["unlike a cover"] += 1
+    assert seen["some dominated"] and seen["none dominated"] and seen["unlike a cover"]
+
+
 class TestBitSetDecision:
-    """GS decides each opponent context on bit sets exactly as the engine does."""
+    """GS decides each opponent context on bit sets, and MGS by the mixed
+    kernel on its columns, exactly as the engine does."""
 
     def test_every_context_is_decided_as_the_engine_decides_it(self):
-        # Each context is asked after its covers, in the walk's order of
-        # descending packed ints, skipping those with an empty field, so a
-        # decision that answered from a cover's answer would be seen.
-        seen = Counter()
-        for i, game in enumerate(BIT_SET_GAMES):
-            engine = EliminationEngine(game)
-            full = engine.full_masks
-            for k in range(game.player_count):
-                decide = analysis._pure_strict_contexts(game, k)
-                opp_full = full[:k] + full[k + 1 :]
-                top = (1 << sum(game.shape) - game.shape[k]) - 1
-                answers = {}
-                for packed in range(top, 0, -1):
-                    opp = _opp_masks(game, k, packed)
-                    if not all(opp):
-                        continue
-                    answer = answers[opp] = engine.dominated(GS, k, opp)
-                    assert decide(packed) == answer, (i, k, opp)
-                    seen["some dominated" if answer else "none dominated"] += 1
-                    if any(answers[cover] != answer for cover in _covers(opp, opp_full)):
-                        seen["unlike a cover"] += 1
-        assert seen["some dominated"] and seen["none dominated"] and seen["unlike a cover"]
+        _assert_decided_as_the_engine_decides(GS, analysis._pure_strict_contexts, BIT_SET_GAMES)
+
+    def test_every_mgs_context_is_decided_as_the_engine_decides_it(self):
+        games = [game for game in BIT_SET_GAMES if game.player_count <= 3]
+        assert {game.player_count for game in games} == {2, 3}
+        _assert_decided_as_the_engine_decides(MGS, analysis._mixed_strict_contexts, games)
+
+    @pytest.mark.parametrize(
+        "players, strategies, lps", [((3, 3), (3, 3), 24), ((2, 2), (8, 8), 775)],
+        ids=["3x3x3", "8x8"],
+    )
+    def test_mgs_solves_the_engines_lps(self, players, strategies, lps, monkeypatch):
+        # The LPs an engine solved for MGS's walk on these seeded games: the
+        # same kernel calls, in the same order, solve the same programs.
+        game = generate(
+            GeneratorConfig(seed=0, players=players, strategies=strategies, payoff_range=(-5, 5))
+        )
+        solved = Counter()
+        solve_lp = dominance.solve_lp
+
+        def counted(margins, strict):
+            solved["lps"] += 1
+            return solve_lp(margins, strict)
+
+        monkeypatch.setattr(dominance, "solve_lp", counted)
+        assert check_monotonic(MGS, game, Exhaustive()) is None
+        assert solved["lps"] == lps
 
     def test_the_games_cover_each_case(self):
         shapes = {game.shape for game in BIT_SET_GAMES}
@@ -1155,7 +1285,7 @@ class TestPackedDecision:
                     return lambda packed: answers.get(packed, 0)
 
                 monkeypatch.setattr(analysis, "_pure_strict_contexts", injected)
-                node = analysis._first_strict_global_violation(game, GS, None)
+                node = analysis._first_strict_global_violation(game, GS)
                 assert node == (0b010, *_opp_masks(game, 0, here)), (f, b, c)
                 cases += 1
         assert cases == sum(n * (n - 1) for n in opp_shape)
