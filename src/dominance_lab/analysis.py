@@ -19,16 +19,17 @@ when some other player's kept strategy is paid less than another at the
 one profile the cover leaves.  So each of the six has a witness exactly
 when the game is non-trivial: some player strictly prefers one strategy
 to another at some opponent profile.  GS and MGS, monotone by the paper's
-theorem, decide every opponent context of each player once, packed into
-one int, and compare each with its covers by mask arithmetic
-(:func:`_first_strict_global_violation`), with no elimination engine.
-GS decides a context for every pair of a target ``t`` and a dominator
-``s`` in one packed-int test (:func:`_pure_strict_contexts`): field ``(t,
-s)`` holds the opponent profiles where ``s`` does not strictly beat ``t``
-under a guard bit, and ``t`` is dominated exactly when some field of its
-block meets none of the context's profiles.  MGS builds a context's
-columns once and asks the mixed kernel, whose LP is exact, about each
-target (:func:`_mixed_strict_contexts`).
+theorem, decide every opponent context of each player once, with no
+elimination engine, into one bit set ``D_t`` per target over a dense
+index of the contexts (:func:`_context_index`), and test every context's
+covers at once, one shift per (opponent, strategy)
+(:func:`_first_strict_global_violation`).  GS fills ``D_t`` from the
+payoffs with a few big-int operations per (target, dominator) pair
+(:func:`_pure_strict_dominated`): ``s`` beats ``t`` at exactly the
+contexts that hold none of the opponent profiles where ``s`` does not
+strictly beat ``t``.  MGS builds each context's columns once and asks
+the mixed kernel, whose LP is exact, about each target
+(:func:`_mixed_strict_dominated`).
 
 One lemma prunes every scan: with no opponent profile, a strict kind
 eliminates every kept strategy (each strict comparison holds vacuously) and
@@ -46,11 +47,11 @@ assert on their JSON form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, combinations, compress, islice, product
+from functools import lru_cache, reduce
+from itertools import chain, combinations, compress, islice
 from math import comb, prod
-from operator import le, mul
-from typing import Callable, Iterator
+from operator import le, mul, or_
+from typing import Iterator
 
 from .dominance import _STRICT, Mode, Pool, _columns, _mixed_dominator, _opponent_bases
 from .game_model import Game, Restriction, _is_index, indices_of
@@ -281,134 +282,117 @@ def _order_in_rank(masks: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(map(indices_of, masks))
 
 
-def _context_fields(opp_shape: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """Per opponent, the ``(shift, full mask)`` of its field in a packed opponent context.
+def _repeat(pattern: int, period: int, total: int) -> int:
+    """``pattern``, which fits in ``period`` bits, repeated to fill ``total`` bits.
 
-    Opponent 0 sits in the highest field, so descending int order is
-    decreasing lexicographic order of the mask tuples.
+    By doubling, ``pattern |= pattern << period``: a product or quotient
+    of big ints would take time quadratic in ``total``.
     """
-    shifts = [sum(opp_shape[j + 1 :]) for j in range(len(opp_shape))]
-    return tuple((shift, (1 << n) - 1) for shift, n in zip(shifts, opp_shape))
-
-
-def _unpack(packed: int, fields: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
-    """The opponents' masks of a packed context."""
-    return tuple(packed >> shift & full for shift, full in fields)
+    while period < total:
+        pattern |= pattern << period
+        period <<= 1
+    return pattern & (1 << total) - 1
 
 
 @lru_cache(maxsize=8)
-def _profile_sets(opp_shape: tuple[int, ...]) -> dict[int, int]:
-    """Per packed opponent context (:func:`_context_fields`) with no empty field, its profiles.
+def _context_index(opp_shape: tuple[int, ...]) -> tuple:
+    """``(count, strides, holding, covers)``: a dense index of ``opp_shape``'s opponent contexts.
 
-    Each is a bit set over the opponent profiles, numbered as
+    A context where every opponent ``j`` keeps something, mask ``m_j``,
+    sits at ``sum_j (m_j - 1) * strides[j]``, radix ``2^(n_j) - 1`` per
+    opponent and the last opponent fastest, so ascending index is ascending
+    lexicographic order of the mask tuples and a one-strategy opponent
+    adds nothing: ``count`` is the number of contexts, which the cap
+    bounds.  ``holding[j][x]`` is the bit set of the contexts whose ``m_j``
+    keeps ``x``.  Over ``m_j`` in ``0..2^(n_j) - 1``, each ``strides[j]``
+    bits wide, those keeping ``x`` form runs of ``2^x`` repeated every
+    ``2^(x + 1)``; dropping ``m_j = 0`` leaves one period of opponent
+    ``j``'s digit, repeated over the opponents before it.  ``covers`` pairs
+    ``2^x * strides[j]``, the shift from a context to its cover that adds
+    ``x`` to opponent ``j``, with ``lacking``, the contexts that have that
+    cover: the complement of ``holding[j][x]``, when not empty.
+    """
+    radices = [(1 << n) - 1 for n in opp_shape]
+    count = prod(radices)
+    strides = tuple(prod(radices[j + 1 :]) for j in range(len(radices)))
+    holding = []
+    for n, radix, stride in zip(opp_shape, radices, strides):
+        holds = []
+        for run in (stride << x for x in range(n)):
+            digit = _repeat(~(-1 << run) << run, run << 1, stride << n) >> stride
+            holds.append(_repeat(digit, radix * stride, count))
+        holding.append(tuple(holds))
+    full = (1 << count) - 1
+    covers = tuple(
+        (stride << x, full ^ hold)
+        for stride, holds in zip(strides, holding)
+        for x, hold in enumerate(holds)
+        if hold != full
+    )
+    return count, strides, tuple(holding), covers
+
+
+def _context_at(at: int, strides: tuple[int, ...], opp_shape: tuple[int, ...]) -> tuple[int, ...]:
+    """The opponents' masks of the context at ``at`` of :func:`_context_index`."""
+    return tuple(at // stride % ((1 << n) - 1) + 1 for stride, n in zip(strides, opp_shape))
+
+
+def _pure_strict_dominated(game: Game, player: int, index: tuple) -> list[int]:
+    """GS's ``D_t`` per strategy ``t`` of ``player``: the contexts where ``t`` is dominated.
+
+    Bit sets over ``index`` (:func:`_context_index`).  ``sets[c]``, the
+    contexts whose profile set holds opponent profile ``c``, is the AND of
+    ``holding[j][c_j]``, the profiles numbered as
     :func:`~dominance_lab.dominance._opponent_bases` lists them over the
-    full opponent masks, the last opponent fastest.  Keyed by context, not
-    by every int up to the full one, so that its size is the number of
-    contexts, which the cap bounds: an opponent with one strategy would
-    otherwise double it.
-    """
-    sets = {0: -1}
-    inner = count = prod(opp_shape)
-    for (shift, full), n in zip(_context_fields(opp_shape), opp_shape):
-        # The opponent's strategy x holds the profiles whose index in the
-        # run of n * inner profiles, inner those of the opponents after it,
-        # is in [x * inner, (x + 1) * inner): a run of ones repeated every
-        # n * inner.
-        inner //= n
-        starts = sum(1 << p for p in range(0, count, n * inner))
-        single = [(((1 << inner) - 1) << x * inner) * starts for x in range(n)]
-        selects = [0] * (1 << n)
-        for mask in range(1, 1 << n):
-            low = mask & -mask
-            selects[mask] = selects[mask ^ low] | single[low.bit_length() - 1]
-        sets = {
-            packed | mask << shift: profiles & selects[mask]
-            for packed, profiles in sets.items()
-            for mask in range(1, full + 1)
-        }
-    return sets
-
-
-@lru_cache(maxsize=64)
-def _guarded_fields(n: int, width: int) -> tuple[int, int, int, tuple[int, ...]]:
-    """``(rep, fill, guards, blocks)`` for ``n * n`` fields of ``width`` bits and a guard.
-
-    Field ``(t, s)`` sits at offset ``(t * n + s) * (width + 1)``.  ``rep``
-    has a 1 at each field's base, ``fill`` is ``width`` ones in each field,
-    ``guards`` each field's guard bit, and ``blocks[t]`` the guards of the
-    fields ``(t, 0..n-1)``.
-    """
-    step = width + 1
-    rep = sum(1 << f * step for f in range(n * n))
-    block = sum(1 << s * step for s in range(n)) << width
-    blocks = tuple(block << t * n * step for t in range(n))
-    return rep, rep * ((1 << width) - 1), rep << width, blocks
-
-
-def _pure_strict_contexts(game: Game, player: int) -> Callable[[int], int]:
-    """GS's decision at ``player``'s opponent contexts, on packed bit sets over opponent profiles.
-
-    Returns ``decide(packed)``, the mask of ``player``'s strategies that GS
-    eliminates at the opponent context packed as :func:`_context_fields`
-    lays it out, every opponent keeping something.  The ``R`` opponent
-    profiles are numbered as in :func:`_profile_sets`, and the misses are
-    read from ``game.scaled_payoffs``: ``misses[t][s]``, the profiles
-    where ``s`` does not strictly beat ``t``, ``u(s, c) <= u(t, c)``, sits
-    in field ``(t, s)`` of one int laid out by :func:`_guarded_fields`,
-    whose guard bit stays 0.
-
-    At a context with profile set ``P``, ``(misses & P * rep) + fill``
-    carries into field ``(t, s)``'s guard exactly when ``s`` misses some
-    profile of ``P``, and no further, so ``zero = guards & ~(...)`` holds
-    the guards of the pairs where ``s`` misses none of ``P``, and ``t`` is
-    dominated exactly when its block of guards meets ``zero``:
+    full opponent masks, the last opponent fastest.  ``s`` strictly beats
+    ``t`` at exactly the contexts that hold none of the profiles where
+    ``u(s, c) <= u(t, c)``, read from ``game.scaled_payoffs``, so
     :func:`~dominance_lab.dominance._pure_dominator`'s strict rule over the
-    global pool, for all ``n * n`` pairs at once.  Each context is decided
-    from its own profile set and the tables alone, never from another
-    context's answer, which would presume the monotonicity the check tests.
+    global pool is ``D_t = OR_s ~(OR of sets[c] over those c)``.  Each bit
+    is decided from its own context's profile set and the payoffs alone,
+    never from another context's answer, which would presume the
+    monotonicity the check tests.  (``s = t`` misses every profile, and
+    every context holds one.)
+    """
+    count, _, holding, _ = index
+    full = (1 << count) - 1
+    sets = [full]
+    for holds in holding:
+        sets = [held & hold for held in sets for hold in holds]
+    opp_full = [(1 << n) - 1 for n in game.shape[:player] + game.shape[player + 1 :]]
+    columns = _columns(game, player, _opponent_bases(game, player, opp_full))
+    dominated = []
+    for t, target in enumerate(columns):
+        beaten = 0
+        for s, column in enumerate(columns):
+            if s != t:
+                beaten |= full ^ reduce(or_, compress(sets, map(le, column, target)), 0)
+        dominated.append(beaten)
+    return dominated
+
+
+def _mixed_strict_dominated(game: Game, player: int, index: tuple) -> list[int]:
+    """MGS's ``D_t`` per strategy of ``player``, with :func:`_pure_strict_dominated`'s contract.
+
+    Each context, unpacked from ``index`` in ascending order, builds its
+    columns once and asks :func:`~dominance_lab.dominance._mixed_dominator`
+    about each target, ascending, over the global pool: an elimination
+    engine's kernel calls there, in its order, so the LPs and their
+    weights are the same.  Each context is decided from its own columns,
+    never from another's answer.
     """
     shape = game.shape
-    opp_shape = shape[:player] + shape[player + 1 :]
-    bases = _opponent_bases(game, player, [(1 << n) - 1 for n in opp_shape])
-    columns, n, width = _columns(game, player, bases), shape[player], len(bases)
-    rep, fill, guards, blocks = _guarded_fields(n, width)
-    powers = [1 << p for p in range(width)]
-    misses = 0
-    for t, s in product(range(n), repeat=2):
-        missed = sum(compress(powers, map(le, columns[s], columns[t])))
-        misses |= missed << (t * n + s) * (width + 1)
-    profile_sets = _profile_sets(opp_shape)
-    bits = [1 << t for t in range(n)]
-
-    def decide(packed: int) -> int:
-        zero = guards & ~((misses & profile_sets[packed] * rep) + fill)
-        if not zero:
-            return 0
-        return sum(compress(bits, map(zero.__and__, blocks)))
-
-    return decide
-
-
-def _mixed_strict_contexts(game: Game, player: int) -> Callable[[int], int]:
-    """MGS's decision at ``player``'s opponent contexts, with :func:`_pure_strict_contexts`' contract.
-
-    ``decide(packed)`` builds the context's columns once and asks
-    :func:`~dominance_lab.dominance._mixed_dominator` about each target,
-    ascending, over the global pool: an elimination engine's kernel calls
-    there, in its order, so the LPs and their weights are the same.  Each
-    context is decided from its own columns, never from another's answer.
-    """
-    shape = game.shape
-    fields = _context_fields(shape[:player] + shape[player + 1 :])
-    pool = indices_of((1 << shape[player]) - 1)
-
-    def decide(packed: int) -> int:
-        columns = _columns(game, player, _opponent_bases(game, player, _unpack(packed, fields)))
-        return sum(
+    opp_shape, pool = shape[:player] + shape[player + 1 :], indices_of((1 << shape[player]) - 1)
+    count, strides, _, _ = index
+    decided = []
+    for at in range(count):
+        opp = _context_at(at, strides, opp_shape)
+        columns = _columns(game, player, _opponent_bases(game, player, opp))
+        decided.append(sum(
             1 << t for t in pool if _mixed_dominator(player, t, pool, columns, _STRICT) is not None
-        )
-
-    return decide
+        ))
+    # Bit i of D_t is context i's answer: a binary numeral, highest index first.
+    return [int("".join("1" if d >> t & 1 else "0" for d in reversed(decided)), 2) for t in pool]
 
 
 def _first_strict_global_violation(game: Game, kind: OperatorKind) -> tuple[int, ...] | None:
@@ -419,55 +403,46 @@ def _first_strict_global_violation(game: Game, kind: OperatorKind) -> tuple[int,
     is dominated at the other players' masks ``O``.  A cover that adds to
     ``k`` leaves ``D_k`` as it is, and one that grows ``O`` to ``O'`` fails
     exactly when ``kept_k`` meets ``D_k(O')`` outside ``D_k(O)``.  Such a
-    node still fails when ``kept_k`` shrinks to one such strategy ``b``,
-    and that lowers its rank unless ``kept_k`` is ``{b}`` already.  So the
-    first failing node keeps some ``O`` and one ``b`` for some ``k``.
+    node still fails when ``kept_k`` shrinks to one such strategy ``t``,
+    and that lowers its rank unless ``kept_k`` is ``{t}`` already.  So the
+    first failing node keeps some ``O`` and one ``t`` for some ``k``.
 
-    Each opponent context ``O`` where every opponent keeps something is
-    packed into one int (:func:`_context_fields`, opponent 0 highest) and
-    decided once, for all of player ``k``'s strategies, with no
-    elimination engine: for GS on packed bit sets over the opponent
-    profiles (:func:`_pure_strict_contexts`), and for MGS by the mixed
-    kernel on the context's columns (:func:`_mixed_strict_contexts`), the
-    decider picked by ``kind.mixing``.  ``dominated`` is keyed by the
-    packed int.  The covers of ``O`` are ``O | bit`` for each bit of ``top
-    & ~O``, ``top`` the packed full masks, and its candidates ``b`` are
-    ``newly = (OR of D_k(O') over the covers O') & ~D_k(O)``.  The contexts
-    run in descending int order, which is decreasing lexicographic order,
-    so each cover, a larger int, is decided before ``O``.  A context where
-    an opponent keeps nothing, a packed int with an empty field, is never
-    asked: there a strict kind eliminates every strategy
+    Every opponent context ``O`` where every opponent keeps something has
+    a place in the dense index of :func:`_context_index`, and each target
+    ``t`` one bit set ``D_t`` over it, with no elimination engine: for GS
+    from the payoffs (:func:`_pure_strict_dominated`), and for MGS by the
+    mixed kernel at each context (:func:`_mixed_strict_dominated`), the
+    decider picked by ``kind.mixing``.  The index is linear in each mask,
+    so the cover that adds strategy ``x`` to opponent ``j`` is the same
+    shift ``2^x * strides[j]`` at every context that lacks ``x``, and one
+    expression tests every cover of every context: ``F_t = OR_{j, x} (D_t
+    >> 2^x * strides[j]) & lacking_{j, x} & ~D_t`` over the index's
+    ``covers``.  A context where an opponent keeps nothing has no place:
+    there a strict kind eliminates every strategy
     (:func:`~dominance_lab.operators._lone_empty`), so nothing is newly
-    dominated above it, and no context asked has it as a cover.
+    dominated above it, and no context has it as a cover.
 
-    The answer is the least candidate node, ``O`` with ``k`` keeping the
-    least ``b``, by rank and then order in rank.  No rank order or
-    least-first asking is needed: GS and MGS are monotone by the paper's
-    theorem, so no context of a real game fails, and a walk that stopped
-    at the first failing rank would decide the same (context, target)
-    pairs.
+    The answer is the least candidate node, ``O`` for each set bit of
+    ``F_t`` with ``k`` keeping ``{t}``, by rank and then order in rank.  No
+    rank order or least-first asking is needed: GS and MGS are monotone by
+    the paper's theorem, so no context of a real game fails, and a walk
+    that stopped at the first failing rank would decide the same (context,
+    target) pairs.
     """
     shape = game.shape
-    deciders = _pure_strict_contexts if kind.mixing is Mixing.PURE else _mixed_strict_contexts
+    decider = _pure_strict_dominated if kind.mixing is Mixing.PURE else _mixed_strict_dominated
     candidates = []
     for k in range(len(shape)):
-        fields = _context_fields(shape[:k] + shape[k + 1 :])
-        decide = deciders(game, k)
-        top = sum(full << shift for shift, full in fields)
-        dominated: dict[int, int] = {}
-        contexts = product(*([m << shift for m in range(full, 0, -1)] for shift, full in fields))
-        for packed in map(sum, contexts):
-            here = dominated[packed] = decide(packed)
+        opp_shape = shape[:k] + shape[k + 1 :]
+        index = _context_index(opp_shape)
+        _, strides, _, covers = index
+        for t, here in enumerate(decider(game, k, index)):
             newly = 0
-            missing = top & ~packed
-            while missing:
-                bit = missing & -missing
-                missing ^= bit
-                newly |= dominated[packed | bit]
-            newly &= ~here
-            if newly:
-                opp = _unpack(packed, fields)
-                candidates.append(opp[:k] + (newly & -newly,) + opp[k:])
+            for shift, lacking in covers:
+                newly |= here >> shift & lacking
+            for at in indices_of(newly & ~here):
+                opp = _context_at(at, strides, opp_shape)
+                candidates.append(opp[:k] + (1 << t,) + opp[k:])
     return min(
         candidates,
         key=lambda node: (sum(map(int.bit_count, node)), _order_in_rank(node)),
@@ -624,13 +599,15 @@ def check_monotonic(
     :class:`EliminationEngine` in the full scan's order, so it returns the
     same pair and evidence, :func:`_first_excess` of the two survivor sets.
     GS and MGS decide each opponent context where every opponent keeps
-    something once, for every target, and compare it with its covers by
-    mask arithmetic (:func:`_first_strict_global_violation`); the lemma
-    rules out every other context, and so the first failing node keeps
-    something for every player.  GS decides on bit sets over the opponent
-    profiles and MGS by the mixed kernel on each context's columns, both
-    with no engine.  Either builds one only to ask a candidate node's
-    covers, which on a real game it never finds.
+    something once, for every target, into one bit set per target over a
+    dense index of those contexts, and compare every context with all its
+    covers at once, one shift per (opponent, strategy)
+    (:func:`_first_strict_global_violation`); the lemma rules out every
+    other context, and so the first failing node keeps something for every
+    player.  GS fills the bit sets from the payoffs and MGS by the mixed
+    kernel on each context's columns, both with no engine.  Either builds
+    one only to ask a candidate node's covers, which on a real game it
+    never finds.
     """
     _require_arguments(game, kind=kind)
     _require_within(budget, *_monotonicity_work(kind, game.shape))

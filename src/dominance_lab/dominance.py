@@ -26,8 +26,9 @@ opponent masks) and hands the same columns to every target it decides
 there, calling a kernel once per target and context and never again for a
 decision its records hold.  The exact MGS check does the same at each
 opponent context, with no engine, and the exact GS check builds each
-player's columns once, over the full opponent masks, for its bit-set
-tables.  The oracle suite builds each player's columns once per game, for
+player's columns once, over the full opponent masks, and reads from them,
+for each (target, dominator) pair, the profiles where the dominator misses.
+The oracle suite builds each player's columns once per game, for
 its grid, and calls :func:`_mixed_dominator` on them for every target and
 mode.  :func:`find_mixed_dominator` builds its own per query, and
 :func:`dominates` (and so certificate replay) reads only the columns it
@@ -195,11 +196,10 @@ def _beats(candidate: tuple[int, ...], target: tuple[int, ...], mode: Mode) -> b
     The rule is stated three times: here, for :func:`dominates` (and so
     replay and the oracle grid); inline in :func:`_pure_dominator`, which
     applies it once per pool strategy; and, strict only, in the exact GS
-    check, for all (target, dominator) pairs at once on one int of guarded
-    fields, field ``(t, s)`` holding the opponent profiles where ``s``
-    does not beat ``t``: ``t`` is dominated at a set of profiles exactly
-    when some field of its block has none of them
-    (:func:`dominance_lab.analysis._pure_strict_contexts`).
+    check, for every opponent context at once on bit sets over a dense
+    index of the contexts: ``s`` beats ``t`` at exactly the contexts that
+    hold none of the opponent profiles where ``s`` does not beat ``t``
+    (:func:`dominance_lab.analysis._pure_strict_dominated`).
     """
     if mode is _STRICT:
         return all(map(gt, candidate, target))

@@ -6,7 +6,9 @@ import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from itertools import product
+from operator import and_
 from types import SimpleNamespace
 
 import pytest
@@ -65,40 +67,63 @@ def big_flat_game():
     return Game.from_tables(["P1", "P2"], [rows, cols], table)
 
 
-def _opp_masks(game, player, packed):
-    """The opponents' masks of a packed GS context, which has opponent 0 in its highest field."""
-    masks = []
-    for n in reversed(game.shape[:player] + game.shape[player + 1 :]):
-        masks.append(packed & (1 << n) - 1)
-        packed >>= n
-    assert packed == 0
-    return tuple(reversed(masks))
+def _contexts_of(opp_shape):
+    """The opponent contexts where every opponent keeps something, ascending lexicographically."""
+    return list(product(*(range(1, 1 << n) for n in opp_shape)))
+
+
+def _opp_shape(game, player):
+    return game.shape[:player] + game.shape[player + 1 :]
+
+
+def _assert_the_index_lists(opp_shape):
+    """``analysis._context_index(opp_shape)`` places the i-th context of
+    :func:`_contexts_of` at bit i, ``holding[j][x]`` holds exactly the
+    contexts whose opponent ``j`` keeps ``x``, and each cover that adds
+    ``x`` to ``j`` is one shift, over exactly the contexts that lack ``x``.
+    Returns the contexts."""
+    count, strides, holding, covers = analysis._context_index(opp_shape)
+    contexts = _contexts_of(opp_shape)
+    assert count == len(contexts)
+    for at, opp in enumerate(contexts):
+        assert [at // stride % ((1 << n) - 1) + 1 for stride, n in zip(strides, opp_shape)] == list(opp)
+    for j, holds in enumerate(holding):
+        assert len(holds) == opp_shape[j]
+        for x, hold in enumerate(holds):
+            assert hold == sum(1 << at for at, opp in enumerate(contexts) if opp[j] >> x & 1), (j, x)
+    # Each cover's shift and the contexts that have it, read from the masks.
+    position = {opp: at for at, opp in enumerate(contexts)}
+    expected = Counter()
+    for at, opp in enumerate(contexts):
+        for j, n in enumerate(opp_shape):
+            for x in indices_of((1 << n) - 1 & ~opp[j]):
+                cover = opp[:j] + (opp[j] | 1 << x,) + opp[j + 1 :]
+                expected[position[cover] - at, j, x] |= 1 << at
+    assert sorted(covers) == sorted((shift, lacking) for (shift, _, _), lacking in expected.items())
+    return contexts
 
 
 def _count_gs_decisions(monkeypatch):
     """Count GS's bit-set tables, per player, and its decisions, per (player, opponent masks).
 
-    Also asserts that each check decides a player's contexts in decreasing
-    lexicographic order of their masks.
+    Also asserts that each table is read over the dense context index, bit
+    ``i`` the ``i``-th context in ascending lexicographic order of the
+    masks, and that no ``D_t`` has a bit past the last context.
     """
     tables, decisions = Counter(), Counter()
-    contexts = analysis._pure_strict_contexts
+    dominated = analysis._pure_strict_dominated
 
-    def counted_contexts(game, player):
+    def counted_dominated(game, player, index):
         tables[player] += 1
-        decide = contexts(game, player)
-        asked = []
+        contexts = _assert_the_index_lists(_opp_shape(game, player))
+        assert index == analysis._context_index(_opp_shape(game, player))
+        found = dominated(game, player, index)
+        assert len(found) == game.shape[player]
+        assert all(0 <= d < 1 << len(contexts) for d in found)
+        decisions.update((player, opp) for opp in contexts)
+        return found
 
-        def counted(packed):
-            opp_masks = _opp_masks(game, player, packed)
-            assert not asked or opp_masks < asked[-1], (asked[-1], opp_masks)
-            asked.append(opp_masks)
-            decisions[player, opp_masks] += 1
-            return decide(packed)
-
-        return counted
-
-    monkeypatch.setattr(analysis, "_pure_strict_contexts", counted_contexts)
+    monkeypatch.setattr(analysis, "_pure_strict_dominated", counted_dominated)
     return tables, decisions
 
 
@@ -109,7 +134,7 @@ def _count_mgs_decisions(monkeypatch):
 
     GS builds one column set per player, over the full opponent masks; MGS
     one per opponent context it decides.  (``_count_gs_decisions`` checks
-    the order of the walk both share.)
+    the context index both fill.)
     """
     built, decided = Counter(), Counter()
     # id of a bases or column tuple -> (the tuple, (player, opponent masks));
@@ -254,7 +279,8 @@ class TestBudgets:
 
         for target, attribute in [
             (EliminationEngine, "__init__"), (analysis, "_ranks"),
-            (analysis, "_pure_strict_contexts"), (analysis, "_mixed_strict_contexts"),
+            (analysis, "_context_index"), (analysis, "_pure_strict_dominated"),
+            (analysis, "_mixed_strict_dominated"),
         ]:
             monkeypatch.setattr(target, attribute, fail)
         kind = {"game": "a Game", "budget": "an Exhaustive"}.get(name, "an OperatorKind")
@@ -340,8 +366,8 @@ class TestOneDecisionPerContext:
         if kind == GS:
             # GS decides on bit sets over the opponent profiles, read from
             # one column set per player.  It is monotone on these games, and
-            # it asks its decision once at each of the 2 * 15 contexts where
-            # the opponent keeps something, for all 4 targets at once.
+            # it decides each of the 2 * 15 contexts where the opponent keeps
+            # something once, for all 4 targets at once.
             assert witness is None
             assert decisions == Counter(_opponent_contexts(game))
             assert len(decisions) == 2 * ((1 << 4) - 1)
@@ -368,10 +394,9 @@ class TestOneDecisionPerContext:
         # GS and MGS decide every target at every opponent context where each
         # opponent keeps something, once, and nothing anywhere else, with no
         # engine.  MGS makes sum_k n_k * prod_{j != k} (2^n_j - 1) = 3 * 3 *
-        # 7 * 7 mixed-kernel calls, on 3 * 7 * 7 column sets; GS asks its
-        # bit-set decision once at each of the 3 * 7 * 7 contexts, for all 3
-        # targets at once, on one pair of tables and one column set per
-        # player.
+        # 7 * 7 mixed-kernel calls, on 3 * 7 * 7 column sets; GS decides
+        # each of the 3 * 7 * 7 contexts once, for all 3 targets at once, on
+        # one set of bit-set tables and one column set per player.
         game = generate(GeneratorConfig(seed=0, players=(3, 3), strategies=(3, 3), tie_bias=0.3))
         assert game.shape == (3, 3, 3)
         queried, engine_bases = Counter(), Counter()
@@ -666,7 +691,8 @@ class TestTruncatedScans:
             raise AssertionError("the check built an engine or a bit-set table")
 
         monkeypatch.setattr(EliminationEngine, "__init__", fail)
-        monkeypatch.setattr(analysis, "_pure_strict_contexts", fail)
+        monkeypatch.setattr(analysis, "_context_index", fail)
+        monkeypatch.setattr(analysis, "_pure_strict_dominated", fail)
         with pytest.raises(BudgetExceededError, match="262142 opponent contexts"):
             check_monotonic(GS, zero_game((17, 17)), Exhaustive())
 
@@ -1021,9 +1047,9 @@ def _inject_dominance(monkeypatch):
     A strict kind's lemma still holds, as contexts where an opponent keeps
     nothing are left alone, but GS and MGS now fail: a strategy the kernel
     leaves undominated at a 2-strategy context is dominated at its covers.
-    The walk decides on the GS or MGS decider and replays the failing
-    node's covers on the engine, so both must agree.  Returns the count of
-    walk decisions the patch saw.
+    The walk finds its candidates on the GS or MGS ``D_t`` and replays the
+    failing node's covers on the engine, so both must agree.  Returns the
+    count of context decisions the patch saw.
     """
     dominator = EliminationEngine.dominator
     seen = Counter()
@@ -1034,25 +1060,20 @@ def _inject_dominance(monkeypatch):
             return 0 if mixing is Mixing.PURE else MixedStrategy.point_mass(player, 0)
         return found
 
-    def injecting(contexts):
-        def injected_contexts(game, player):
-            decide = contexts(game, player)
-            others = (1 << game.shape[player]) - 2
-
-            def injected_decide(packed):
+    def injecting(decider):
+        def injected_dominated(game, player, index):
+            dominated = decider(game, player, index)
+            wide = 0
+            for at, opp in enumerate(_contexts_of(_opp_shape(game, player))):
                 seen["decisions"] += 1
-                found = decide(packed)
-                opp_masks = _opp_masks(game, player, packed)
-                if all(opp_masks) and _rank(opp_masks) >= 3:
-                    return found | others
-                return found
+                if _rank(opp) >= 3:
+                    wide |= 1 << at
+            return [dominated[0], *(d | wide for d in dominated[1:])]
 
-            return injected_decide
-
-        return injected_contexts
+        return injected_dominated
 
     monkeypatch.setattr(EliminationEngine, "dominator", injected)
-    for name in ("_pure_strict_contexts", "_mixed_strict_contexts"):
+    for name in ("_pure_strict_dominated", "_mixed_strict_dominated"):
         monkeypatch.setattr(analysis, name, injecting(getattr(analysis, name)))
     return seen
 
@@ -1073,9 +1094,8 @@ class TestStrictWalkFailingBranch:
             witness = check_monotonic(kind, game, Exhaustive())
             assert witness == expected, seed
             assert json.dumps(witness.to_dict()) == json.dumps(expected.to_dict()), seed
-            # Both found their candidate on the injected walk decision,
-            # asked once at each context where every opponent keeps
-            # something.
+            # Both found their candidate on the injected D_t, decided once
+            # at each context where every opponent keeps something.
             assert seen == Counter(decisions=len(_opponent_contexts(game))), seed
 
 
@@ -1097,55 +1117,59 @@ BIT_SET_GAMES = (
 )
 
 
-def _assert_decided_as_the_engine_decides(kind, deciders, games):
-    """Each context's decision is what an engine's ``survivors`` eliminates
-    there, where the player keeps everything.
+def _assert_decided_as_the_engine_decides(kind, decider, games):
+    """Each bit of each ``D_t`` is what an engine's ``survivors`` eliminates
+    at its context, where the player keeps everything.
 
-    Each context is asked after its covers, in the walk's order of
-    descending packed ints, skipping those with an empty field, so a
-    decision that answered from a cover's answer would be seen.
+    A decision that answered from a cover's answer would be seen at the
+    contexts whose answer differs from some cover's, and there are some.
     """
     seen = Counter()
     for i, game in enumerate(games):
         engine = EliminationEngine(game)
         full = engine.full_masks
         for k in range(game.player_count):
-            decide = deciders(game, k)
-            opp_full = full[:k] + full[k + 1 :]
-            top = (1 << sum(game.shape) - game.shape[k]) - 1
+            opp_shape, opp_full = _opp_shape(game, k), full[:k] + full[k + 1 :]
+            dominated = decider(game, k, analysis._context_index(opp_shape))
+            contexts = _contexts_of(opp_shape)
+            assert len(dominated) == game.shape[k], (i, k)
+            assert all(0 <= d < 1 << len(contexts) for d in dominated), (i, k)
             answers = {}
-            for packed in range(top, 0, -1):
-                opp = _opp_masks(game, k, packed)
-                if not all(opp):
-                    continue
+            for at, opp in enumerate(contexts):
                 node = opp[:k] + (full[k],) + opp[k:]
                 answer = answers[opp] = full[k] & ~engine.survivors(kind, node)[k]
-                assert decide(packed) == answer, (i, k, opp)
+                assert sum(1 << t for t, d in enumerate(dominated) if d >> at & 1) == answer, (i, k, opp)
                 seen["some dominated" if answer else "none dominated"] += 1
+            for opp, answer in answers.items():
                 if any(answers[cover] != answer for cover in _covers(opp, opp_full)):
                     seen["unlike a cover"] += 1
     assert seen["some dominated"] and seen["none dominated"] and seen["unlike a cover"]
 
 
 class TestBitSetDecision:
-    """GS decides each opponent context on bit sets, and MGS by the mixed
-    kernel on its columns, exactly as the engine does."""
+    """GS decides every opponent context on bit sets, and MGS by the mixed
+    kernel at each context, exactly as the engine does."""
 
     def test_every_context_is_decided_as_the_engine_decides_it(self):
-        _assert_decided_as_the_engine_decides(GS, analysis._pure_strict_contexts, BIT_SET_GAMES)
+        _assert_decided_as_the_engine_decides(GS, analysis._pure_strict_dominated, BIT_SET_GAMES)
 
     def test_every_mgs_context_is_decided_as_the_engine_decides_it(self):
         games = [game for game in BIT_SET_GAMES if game.player_count <= 3]
         assert {game.player_count for game in games} == {2, 3}
-        _assert_decided_as_the_engine_decides(MGS, analysis._mixed_strict_contexts, games)
+        _assert_decided_as_the_engine_decides(MGS, analysis._mixed_strict_dominated, games)
 
     @pytest.mark.parametrize(
-        "players, strategies, lps", [((3, 3), (3, 3), 24), ((2, 2), (8, 8), 775)],
-        ids=["3x3x3", "8x8"],
+        "players, strategies, lps",
+        [
+            ((3, 3), (3, 3), 24), ((2, 2), (8, 8), 775), ((3, 3), (5, 5), 1897),
+            ((4, 4), (4, 4), 3213),
+        ],
+        ids=["3x3x3", "8x8", "5x5x5", "4x4x4x4"],
     )
     def test_mgs_solves_the_engines_lps(self, players, strategies, lps, monkeypatch):
         # The LPs an engine solved for MGS's walk on these seeded games: the
-        # same kernel calls, in the same order, solve the same programs.
+        # same kernel calls at each context, targets ascending, solve the
+        # same programs.
         game = generate(
             GeneratorConfig(seed=0, players=players, strategies=strategies, payoff_range=(-5, 5))
         )
@@ -1179,9 +1203,8 @@ def _random_game(shape, seed, values=range(-2, 3)):
 def _staircase_game(shape):
     """Each player is paid its strategy index: every strategy strictly beats each lower one.
 
-    So field ``(t, s)`` of the packed misses is all ones for ``s <= t`` and
-    zero for ``s > t``: an all-ones field beside a zero field, where a carry
-    that left its field would be seen.
+    So every strategy but the highest is dominated at every context, and
+    the highest at none: an all-ones ``D_t`` beside an empty one.
     """
     size = math.prod(shape)
     strides = [math.prod(shape[i + 1 :]) for i in range(len(shape))]
@@ -1212,26 +1235,46 @@ def _explicit_gs(game, player, opp):
     )
 
 
-# Shapes with a 1-strategy player, 8x8 (64 fields of 9 bits), 2x12 and 12x2
-# (144 fields for the 12-strategy player) and 4x4x4x4 (R = 64 opponent
-# profiles, so fields 65 bits wide).
-PACKED_SHAPES = [(1, 3), (3, 1, 2), (2, 2, 1, 3), (8, 8), (2, 12), (12, 2), (4, 4, 4, 4)]
+# Shapes with a 1-strategy player, 8x8 (255 contexts), 2x12 and 12x2 (4,095
+# contexts of the 2-strategy player, 144 pairs of the 12-strategy one) and
+# 4x4x4x4 (3,375 contexts of R = 64 opponent profiles).
+INDEX_SHAPES = [(1, 3), (3, 1, 2), (2, 2, 1, 3), (8, 8), (2, 12), (12, 2), (4, 4, 4, 4)]
 
 
-class TestPackedDecision:
-    """GS's packed-int decision is the explicit strict rule at every context asked."""
+def _scanned_candidate(game, tables):
+    """The least candidate node of a per-context scan of every cover bit of every field.
 
-    @staticmethod
-    def _contexts(game, player, rng, sample):
-        """Descending packed ints with no empty field: all of them, or a seeded sample."""
-        top = (1 << sum(game.shape) - game.shape[player]) - 1
-        packed = [p for p in range(top, 0, -1) if all(_opp_masks(game, player, p))]
-        if len(packed) > sample:
-            packed = [top, *rng.sample(packed, sample)]
-        return packed
+    ``tables[k]`` is player ``k``'s ``D_t`` list, bit ``i`` the ``i``-th
+    context of :func:`_contexts_of`.  At each context, the targets
+    dominated at some cover and not there are newly dominated, and the
+    least of them, kept alone, with the context's masks is a candidate.
+    """
+    candidates = []
+    for k, dominated in enumerate(tables):
+        opp_shape = _opp_shape(game, k)
+        contexts = _contexts_of(opp_shape)
+        answers = {
+            opp: sum(1 << t for t, d in enumerate(dominated) if d >> at & 1)
+            for at, opp in enumerate(contexts)
+        }
+        for opp in contexts:
+            newly = 0
+            for cover in _covers(opp, [(1 << n) - 1 for n in opp_shape]):
+                newly |= answers[cover]
+            newly &= ~answers[opp]
+            if newly:
+                candidates.append(opp[:k] + (newly & -newly,) + opp[k:])
+    return min(candidates, key=lambda node: (_rank(node), tuple(map(indices_of, node))), default=None)
 
-    @pytest.mark.parametrize("shape", PACKED_SHAPES, ids=lambda s: "x".join(map(str, s)))
-    def test_the_packed_decision_is_the_explicit_rule(self, shape):
+
+class TestContextIndexDecision:
+    """GS's ``D_t`` over the dense context index is the explicit strict rule
+    at every context, and one shift per cover finds the scan's candidate."""
+
+    @pytest.mark.parametrize("shape", INDEX_SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_every_bit_is_the_explicit_rule(self, shape):
+        # Every context where there are at most 150, else the first, the
+        # last and a seeded sample of 150.
         rng = random.Random(0)
         games = [_random_game(shape, seed) for seed in range(3)]
         games += [_random_game(shape, 10, values=[Fraction(1, 2), 1, Fraction(3, 2)])]
@@ -1239,63 +1282,100 @@ class TestPackedDecision:
         dominated = 0
         for i, game in enumerate(games):
             for k in range(len(shape)):
-                decide = analysis._pure_strict_contexts(game, k)
-                for packed in self._contexts(game, k, rng, 150):
-                    opp = _opp_masks(game, k, packed)
-                    answer = decide(packed)
+                opp_shape = _opp_shape(game, k)
+                tables = analysis._pure_strict_dominated(game, k, analysis._context_index(opp_shape))
+                contexts = list(enumerate(_contexts_of(opp_shape)))
+                assert len(tables) == shape[k]
+                assert all(0 <= d < 1 << len(contexts) for d in tables), (i, k)
+                if len(contexts) > 150:
+                    contexts = [contexts[0], contexts[-1], *rng.sample(contexts, 150)]
+                for at, opp in contexts:
+                    answer = sum(1 << t for t, d in enumerate(tables) if d >> at & 1)
                     assert answer == _explicit_gs(game, k, opp), (i, k, opp)
                     dominated += answer != 0
         assert dominated
 
-    def test_an_all_ones_field_beside_a_zero_field_carries_only_into_its_guard(self):
-        # In the staircase game every strategy but the highest is dominated
-        # at every context, and the highest is not: field (t, t) is all ones
-        # and field (t, t + 1) zero, at 65-bit fields on 4x4x4x4.
-        game = _staircase_game((4, 4, 4, 4))
-        for k in range(4):
-            decide = analysis._pure_strict_contexts(game, k)
-            for packed in (0xFFF, 0x111, 0x888, 0xF1F):
-                assert decide(packed) == 0b0111, (k, hex(packed))
+    @pytest.mark.parametrize("shape", INDEX_SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_the_staircase_is_decided_at_every_context(self, shape):
+        # Every strategy but the highest strictly beats each lower one at
+        # every profile, so D_t is every context for t below the highest
+        # and none for the highest: all ones beside all zeros.
+        game = _staircase_game(shape)
+        for k, n in enumerate(shape):
+            index = analysis._context_index(_opp_shape(game, k))
+            every = (1 << len(_contexts_of(_opp_shape(game, k)))) - 1
+            assert analysis._pure_strict_dominated(game, k, index) == [every] * (n - 1) + [0], k
 
     @pytest.mark.parametrize("shape", [(3, 3), (3, 2, 3)], ids=lambda s: "x".join(map(str, s)))
     def test_every_cover_bit_is_compared(self, shape, monkeypatch):
-        # Player 0's decisions are injected at two contexts that differ in
-        # one opponent field: O keeps c there and Y keeps b, every other
+        # Player 0's D_t are injected at two contexts that differ in one
+        # opponent field: O keeps c there and Y keeps b, every other
         # opponent keeping its strategy 0.  Y dominates target 1 and their
         # join X = O | Y targets 1 and 2; everything else dominates nothing.
         # Then O, whose one nonzero cover is X through bit b, is the least
         # candidate, keeping {1}; Y, through bit c, keeps {2}.  A walk that
-        # skipped bit b's cover would answer Y's node.
+        # skipped bit b's cover, or shifted to another context, would not
+        # answer O's node.
         game = zero_game(shape)
         opp_shape = shape[1:]
-        shifts = [sum(opp_shape[j + 1 :]) for j in range(len(opp_shape))]
-        contexts = analysis._pure_strict_contexts
+        position = {opp: at for at, opp in enumerate(_contexts_of(opp_shape))}
+        dominated = analysis._pure_strict_dominated
         cases = 0
         for f, n in enumerate(opp_shape):
-            rest = sum(1 << shift for g, shift in enumerate(shifts) if g != f)
             for b, c in product(range(n), repeat=2):
                 if b == c:
                     continue
-                here, there = rest | 1 << shifts[f] + c, rest | 1 << shifts[f] + b
-                answers = {here | there: 0b110, there: 0b010}
+                here = tuple(1 << c if g == f else 1 for g in range(len(opp_shape)))
+                there = tuple(1 << b if g == f else 1 for g in range(len(opp_shape)))
+                join = tuple(map(int.__or__, here, there))
+                tables = [0, 1 << position[there] | 1 << position[join], 1 << position[join]]
 
-                def injected(game, player, answers=answers):
-                    if player:
-                        return contexts(game, player)
-                    return lambda packed: answers.get(packed, 0)
+                def injected(game, player, index, tables=tables):
+                    return tables if player == 0 else dominated(game, player, index)
 
-                monkeypatch.setattr(analysis, "_pure_strict_contexts", injected)
+                monkeypatch.setattr(analysis, "_pure_strict_dominated", injected)
                 node = analysis._first_strict_global_violation(game, GS)
-                assert node == (0b010, *_opp_masks(game, 0, here)), (f, b, c)
+                others = [[0] * n for n in shape[1:]]
+                assert node == (0b010, *here) == _scanned_candidate(game, [tables, *others]), (f, b, c)
                 cases += 1
         assert cases == sum(n * (n - 1) for n in opp_shape)
 
+    @pytest.mark.parametrize(
+        "shape", [(3, 3), (4, 2), (1, 3), (3, 1, 2), (2, 3, 2), (2, 2, 1, 3), (2, 2, 2, 2)],
+        ids=lambda s: "x".join(map(str, s)),
+    )
+    def test_injected_tables_give_the_scans_candidate(self, shape, monkeypatch):
+        # Seeded D_t tables, dense, sparse and empty, for every player:
+        # the shifted cover test finds the candidate a per-context scan of
+        # every cover bit of every field finds, or None with it.
+        game = zero_game(shape)
+        counts = [len(_contexts_of(_opp_shape(game, k))) for k in range(len(shape))]
+        rng = random.Random(len(shape) * 100 + sum(shape))
+        tables = []
+        monkeypatch.setattr(
+            analysis, "_pure_strict_dominated", lambda game, player, index: tables[player]
+        )
+        found = Counter()
+        for trial in range(400):
+            density = trial % 4
+            tables[:] = [
+                [
+                    reduce(and_, (rng.getrandbits(count) for _ in range(density)), -1) if density else 0
+                    for _ in range(n)
+                ]
+                for n, count in zip(shape, counts)
+            ]
+            expected = _scanned_candidate(game, tables)
+            assert analysis._first_strict_global_violation(game, GS) == expected, trial
+            found[expected is None] += 1
+        assert found[True] and found[False]
+
     @pytest.mark.parametrize("kind", [GS, MGS], ids=str)
     def test_one_strategy_opponents_add_no_contexts(self, kind):
-        # A one-strategy opponent has a 1-bit field that is always set, so
-        # of the up to 2^41 ints below a player's full context, at most 3
-        # are contexts: the tables and decisions are keyed by context, and
-        # the check stays as small as its 1 + 40 * 3 contexts.
+        # A one-strategy opponent has one mask, so it adds no contexts to
+        # the index: of the 2^41 mask tuples below a player's full context
+        # at most 3 are contexts, and the check stays as small as its
+        # 1 + 40 * 3 contexts.
         game = _random_game((2,) + (1,) * 40, 0)
         assert _monotonicity_work(kind, game.shape) == (121, "opponent contexts")
         tracemalloc.start()
@@ -1305,6 +1385,21 @@ class TestPackedDecision:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_a_2_to_the_11_check_keeps_little_once_it_returns(self):
+        # 11 * 3^10 = 649,539 contexts of 1,024 profiles each.  A table of
+        # every context's profile set, cached per opponent shape, kept about
+        # 11 MB alive after this check and peaked at about 16 MB; the index
+        # caches only its holding patterns, 20 ints of 3^10 bits.
+        game = _random_game((2,) * 11, 0)
+        tracemalloc.start()
+        try:
+            assert check_monotonic(GS, game, Exhaustive(cap=1 << 20)) is None
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < 1 << 20
+        assert peak < 14 << 20
 
 
 class TestOpponentLatticeMatchesTheNodeScan:

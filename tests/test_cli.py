@@ -167,7 +167,8 @@ class TestCheckMonotonic:
             raise AssertionError("the check built an engine or a bit-set table")
 
         monkeypatch.setattr(EliminationEngine, "__init__", fail)
-        monkeypatch.setattr(analysis, "_pure_strict_contexts", fail)
+        monkeypatch.setattr(analysis, "_context_index", fail)
+        monkeypatch.setattr(analysis, "_pure_strict_dominated", fail)
         path = self.zero_game_file(tmp_path, 17, 17)
         code, text, err = run_cli_stderr("check-monotonic", "--operator", "gs", path)
         assert (code, text) == (3, "")
