@@ -37,8 +37,8 @@ a weak kind none (no profile shows a strict gain).  Where a player keeps
 nothing, no kept strategy faces an opponent profile.  So a restriction
 that keeps nothing somewhere fails only for a weak kind, with exactly one
 player keeping nothing, on a cover that fills that player
-(:func:`dominance_lab.operators._lone_empty`), and GS and MGS never ask an
-opponent context where an opponent keeps nothing.
+(:func:`_lone_empty`), and GS and MGS never ask an opponent context where
+an opponent keeps nothing.
 
 All reports are plain data with stable field order, so suites and CI can
 assert on their JSON form.
@@ -55,7 +55,7 @@ from typing import Iterator
 
 from .dominance import _STRICT, Mode, Pool, _columns, _mixed_dominator, _opponent_bases
 from .game_model import Game, Restriction, _is_index, indices_of
-from .operators import EliminationEngine, Mixing, OperatorKind, _lone_empty
+from .operators import EliminationEngine, Mixing, OperatorKind
 
 __all__ = [
     "BudgetExceededError",
@@ -418,9 +418,9 @@ def _first_strict_global_violation(game: Game, kind: OperatorKind) -> tuple[int,
     expression tests every cover of every context: ``F_t = OR_{j, x} (D_t
     >> 2^x * strides[j]) & lacking_{j, x} & ~D_t`` over the index's
     ``covers``.  A context where an opponent keeps nothing has no place:
-    there a strict kind eliminates every strategy
-    (:func:`~dominance_lab.operators._lone_empty`), so nothing is newly
-    dominated above it, and no context has it as a cover.
+    there a strict kind eliminates every strategy (:func:`_lone_empty`),
+    so nothing is newly dominated above it, and no context has it as a
+    cover.
 
     The answer is the least candidate node, ``O`` for each set bit of
     ``F_t`` with ``k`` keeping ``{t}``, by rank and then order in rank.  No
@@ -453,6 +453,26 @@ def _first_strict_global_violation(game: Game, kind: OperatorKind) -> tuple[int,
 def _cover(masks: tuple[int, ...], player: int, strategy: int) -> tuple[int, ...]:
     """``masks`` with ``strategy`` added to ``player``'s kept set."""
     return masks[:player] + (masks[player] | 1 << strategy,) + masks[player + 1 :]
+
+
+def _lone_empty(mode: Mode, masks: tuple[int, ...]) -> int | None:
+    """The player a cover of ``masks`` must fill to eliminate more, or None if none can.
+
+    For a restriction's kept sets ``masks`` where some player keeps
+    nothing, as the exact monotonicity checks of the weak kinds read them.
+    A cover keeps one strategy more.
+
+    The lemma: with no opponent profile, a strict kind eliminates every
+    kept strategy, as each strict comparison holds vacuously, and a weak
+    kind eliminates none, as no profile shows a strict gain.  While a
+    player keeps nothing, no kept strategy faces an opponent profile.
+    So at ``masks`` a strict kind has eliminated everything already, and a
+    weak kind nothing, which a cover changes only if it leaves no player
+    empty: when exactly one player keeps nothing and the cover fills it.
+    """
+    if mode is _STRICT or masks.count(0) > 1:
+        return None
+    return masks.index(0)
 
 
 def _pair(
@@ -562,12 +582,12 @@ def check_monotonic(
     nothing is dominated where every player keeps a strategy, and
     elsewhere nothing is weakly dominated and every kept strategy strictly
     (vacuously), so no pair fails anywhere.  Below rank ``P`` some player
-    keeps nothing, and by the lemma of
-    :func:`~dominance_lab.operators._lone_empty` such a node fails only
-    for a weak kind, with one player empty, on a cover that fills it; below
-    rank ``P`` that cover is a pure profile or keeps nothing somewhere, and
-    eliminates nothing.  So two cases decide a check, each by payoff
-    comparisons, at the rank-``P`` nodes in scan order:
+    keeps nothing, and by the lemma of :func:`_lone_empty` such a node
+    fails only for a weak kind, with one player empty, on a cover that
+    fills it; below rank ``P`` that cover is a pure profile or keeps
+    nothing somewhere, and eliminates nothing.  So two cases decide a
+    check, each by payoff comparisons, at the rank-``P`` nodes in scan
+    order:
 
     - a pure profile, where ``i`` keeps ``{t}`` and the opponents ``c``:
       the cover adding ``s`` to ``i`` fails exactly when ``u_i(s, c) >

@@ -8,8 +8,9 @@ that has a dominator of the required flavor, evaluated against the current
 restriction's opponent profiles.  Each removal carries a replayable
 certificate.
 
-:class:`EliminationEngine` keeps two caches, so that repeated applications
-across a restriction lattice stay cheap: a decision record per context
+:class:`EliminationEngine` keeps two caches, so that one game's repeated
+applications (an iteration's steps, the eight kinds, and the suites' checks
+at the same restrictions) stay cheap: a decision record per context
 (player, pool mask, and the opponents' kept-set bitmasks that every
 :class:`Restriction` carries as ``masks``), shared by all eight kinds, so
 that each target is decided at most once there; and the payoff columns
@@ -63,7 +64,7 @@ class Mixing(Enum):
     MIXED = "mixed"
 
 
-# Read once per decision, like ``dominance._STRICT``.
+# Read once per decision, like ``dominance._STRICT`` (see the cost there).
 _PURE = Mixing.PURE
 
 
@@ -163,26 +164,6 @@ class IterationTrace:
         }
 
 
-def _lone_empty(mode: Mode, masks: tuple[int, ...]) -> int | None:
-    """The player a cover of ``masks`` must fill to eliminate more, or None if none can.
-
-    For a restriction's kept sets ``masks`` where some player keeps
-    nothing, as the exact monotonicity checks of the weak kinds read them.
-    A cover keeps one strategy more.
-
-    The lemma: with no opponent profile, a strict kind eliminates every
-    kept strategy, as each strict comparison holds vacuously, and a weak
-    kind eliminates none, as no profile shows a strict gain.  While a
-    player keeps nothing, no kept strategy faces an opponent profile.
-    So at ``masks`` a strict kind has eliminated everything already, and a
-    weak kind nothing, which a cover changes only if it leaves no player
-    empty: when exactly one player keeps nothing and the cover fills it.
-    """
-    if mode is _STRICT or masks.count(0) > 1:
-        return None
-    return masks.index(0)
-
-
 class EliminationEngine:
     """Per-game memo for dominance decisions, with two caches.
 
@@ -197,8 +178,6 @@ class EliminationEngine:
     from the same records.  Every target is decided at most once per
     context, and only when some query asks: each undecided target goes
     through ``dominator`` and one kernel call, and nothing else decides.
-    ``dominator`` reads the column cache directly, calling ``columns`` only
-    on a miss.
 
     Columns: ``columns`` keeps each player's scaled payoff columns per
     ``(player, opp_masks)``, built on the first query there from
@@ -244,9 +223,7 @@ class EliminationEngine:
         mixing: Mixing,
     ) -> int | MixedStrategy | None:
         """The dominator of ``target`` in the pool, or None; uncached."""
-        columns = self._columns.get((player, opp_masks))
-        if columns is None:
-            columns = self.columns(player, opp_masks)
+        columns = self.columns(player, opp_masks)
         kernel = _pure_dominator if mixing is _PURE else _mixed_dominator
         return kernel(player, target, indices_of(pool_mask), columns, mode)
 
@@ -264,9 +241,8 @@ class EliminationEngine:
                 record = contexts[context] = [0, 0, {}]
             undecided = kept & ~record[0]
             if undecided:
-                dominator = self.dominator
                 for target in indices_of(undecided):
-                    found = dominator(player, target, pool_mask, opp_masks, mode, mixing)
+                    found = self.dominator(player, target, pool_mask, opp_masks, mode, mixing)
                     if found is not None:
                         record[1] |= 1 << target
                         record[2][target] = found

@@ -36,13 +36,14 @@ from dominance_lab import analysis, dominance, operators
 from dominance_lab.analysis import (
     MonotonicityWitness,
     _first_excess,
+    _lone_empty,
     _monotonicity_work,
     enumerate_restriction_masks,
     relation_of,
 )
 from dominance_lab.dominance import Mode
 from dominance_lab.game_model import MixedStrategy, builtin_game, indices_of
-from dominance_lab.operators import EliminationEngine, Mixing, _lone_empty
+from dominance_lab.operators import EliminationEngine, Mixing
 from dominance_lab.random_games import GeneratorConfig, generate
 
 

@@ -155,8 +155,8 @@ class TestBeatsKernel:
         st.data(),
     )
     def test_the_pure_kernel_states_the_same_rule(self, columns, data):
-        # _pure_dominator writes _beats' rule out inline: its answer is the
-        # first pool strategy that _beats the target, in pool order.
+        # _pure_dominator's answer is the first pool strategy that _beats the
+        # target, in pool order, with columns of any length, zero included.
         columns = tuple(columns)
         target = data.draw(st.integers(0, len(columns) - 1))
         pool = data.draw(st.permutations(range(len(columns))))

@@ -37,3 +37,14 @@ def test_readme_library_example_runs(capsys):
     block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out.splitlines()[1] == "superset"
+
+
+def test_every_bench_trace_target_exists():
+    # bench/layers.py wraps each layer's entry point at the name its caller
+    # looks up, and a target that a move or an inline drops silently loses
+    # that layer's metrics.  Run from its source, so nothing is written
+    # under bench/; a Tracer only resolves its targets until it runs.
+    path = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+    layers = {"__name__": "layers"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), layers)
+    assert layers["Tracer"]().missing == []
