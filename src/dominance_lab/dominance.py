@@ -51,17 +51,25 @@ pool strategy ``j`` minus the target's at opponent profile ``c``.  It then
 tries, in order:
 
 - a pure dominator (a pool strategy whose margins already dominate);
-- the prefilter, on the columns themselves: a profile ``c`` at which the
-  largest pool payoff ``max_j col_j[c]`` is ``<= t[c]`` (strict), or
-  ``< t[c]`` (weak), rules out every mixture, and the query ends without an
-  LP.  Columns equal to the target's own ``t``, whose margins are all zero,
-  are left out of the maximum: weight on them changes no payoff sum.  This
-  is the test "every margin at ``c`` is ``<= 0`` (``< 0``)", read before
-  any margin is built, so the margins are built only for the LP;
+- the prefilter, a point belief, on the columns themselves: a profile
+  ``c`` at which the largest pool payoff ``max_j col_j[c]`` is ``<= t[c]``
+  (strict), or ``< t[c]`` (weak), rules out every mixture, and the query
+  ends without an LP.  Columns equal to the target's own ``t``, whose
+  margins are all zero, are left out of the maximum: weight on them
+  changes no payoff sum.  This is the test "every margin at ``c`` is
+  ``<= 0`` (``< 0``)", read before any margin is built;
+- a two-profile belief, on the margins (:func:`_two_profile_belief`): a
+  weight ``lam`` on profile ``c1`` and ``1 - lam`` on ``c2`` under which
+  every live row's expected margin is ``<= 0`` (strict) or ``< 0`` (weak)
+  also rules out every mixture, since a dominator's expected margin under
+  any belief is ``> 0`` (strict) or, with weight on some live row,
+  ``>= 0`` and so not ``< 0`` (weak).  By Pearce (1984) a target survives
+  exactly when some belief refutes every mixture, so the LP is left for the
+  queries that no belief on one or two profiles refutes;
 - an exact LP over the pool weights, :func:`dominance_lab.simplex.solve_lp`,
-  which states the strict and the weak program.  The target is dominated
-  exactly when the optimum is positive, and the optimal weights are then
-  the witness.
+  on the same margins, which states the strict and the weak program.  The
+  target is dominated exactly when the optimum is positive, and the
+  optimal weights are then the witness.
 
 Ties are semantically meaningful for weak dominance, so no float ever
 participates in a decision.
@@ -71,6 +79,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from math import lcm
 from operator import ge, gt, sub
 from typing import Sequence
@@ -232,6 +241,54 @@ def _pure_dominator(
     return None
 
 
+def _two_profile_belief(
+    margins: Sequence[tuple[int, ...]], strict: bool
+) -> tuple[int, int, Fraction] | None:
+    """A belief on two profiles that refutes every mixture of ``margins``' rows, or None.
+
+    ``margins`` holds the pool rows ``a_jc``; rows that are all zero, copies
+    of the target's column, are skipped, as weight on them changes no sum.
+    The belief ``(c1, c2, lam)``, with ``c1 < c2``, puts weight ``lam`` on
+    profile ``c1`` and ``1 - lam`` on ``c2``, and every live row's expected
+    margin under it is ``<= 0`` (strict) or ``< 0`` (weak).
+
+    A row wins at a profile where its margin is ``> 0`` (strict) or
+    ``>= 0`` (weak).  A row that wins at both profiles wins under every
+    ``lam`` too, so only a pair where no row wins twice can refute.
+    A row that wins at ``c1`` and loses at ``c2`` bounds ``lam`` above by
+    ``-a2 / (a1 - a2)``; let ``u`` be the least such bound, and ``v`` the
+    same with the profiles swapped, which bounds ``1 - lam``.  Some ``lam``
+    meets every bound exactly when ``u + v >= 1`` (strict; ``lam = u``) or
+    ``u + v > 1`` (weak, whose bounds are strict; ``lam`` is the midpoint
+    ``(u + 1 - v) / 2``).  Each bound is an int pair ``(num, den)`` with
+    ``den > 0``, compared by cross-multiplying.  ``u`` and ``v`` start at 1,
+    the bound that a weight already has, so a profile where no row wins
+    (which the prefilter settles first) bounds nothing.
+    """
+    live = [row for row in margins if any(row)]
+    floor = 1 if strict else 0
+    wins = [sum(1 << j for j, a in enumerate(col) if a >= floor) for col in zip(*live)]
+    for c1, mask in enumerate(wins):
+        for c2 in range(c1 + 1, len(wins)):
+            if mask & wins[c2]:
+                continue
+            nu = du = nv = dv = 1
+            for row in live:
+                a1 = row[c1]
+                a2 = row[c2]
+                if a1 >= floor:
+                    if -a2 * du < nu * (a1 - a2):
+                        nu, du = -a2, a1 - a2
+                elif a2 >= floor and -a1 * dv < nv * (a2 - a1):
+                    nv, dv = -a1, a2 - a1
+            excess = nu * dv + nv * du - du * dv  # u + v - 1, times du * dv
+            if strict and excess >= 0:
+                return c1, c2, Fraction(nu, du)
+            if excess > 0:
+                return c1, c2, Fraction(excess + 2 * (dv - nv) * du, 2 * du * dv)
+    return None
+
+
 def _mixed_dominator(
     player: int,
     target: int,
@@ -248,19 +305,23 @@ def _mixed_dominator(
     target_col = columns[target]
     if not target_col:
         return None  # weak: no profile can witness a strict gain
-    # Prefilter: a profile at which no pool column beats the target's (none
-    # is > in strict mode, none >= in weak mode) refutes every mixture, so
-    # no LP is needed.  Weight on a copy of the target's column changes no
-    # sum, so copies are left out; when every column is a copy, nothing is
-    # dominated.  ``live[0]`` is passed twice so that ``max`` always gets at
-    # least two arguments.
+    # Prefilter, a point belief: a profile at which no pool column beats the
+    # target's (none is > in strict mode, none >= in weak mode) refutes every
+    # mixture, so no LP is needed.  Weight on a copy of the target's column
+    # changes no sum, so copies are left out; when every column is a copy,
+    # nothing is dominated.  ``live[0]`` is passed twice so that ``max``
+    # always gets at least two arguments.
     live = [col for col in map(columns.__getitem__, pool) if col != target_col]
     if not live:
         return None
     strict = mode is _STRICT
     if not all(map(gt if strict else ge, map(max, live[0], *live), target_col)):
         return None
+    # A belief on two profiles refutes most of the queries the point beliefs
+    # above leave open; the LP decides the rest, on the same margin rows.
     margins = [tuple(map(sub, columns[s], target_col)) for s in pool]
+    if _two_profile_belief(margins, strict) is not None:
+        return None
     result = solve_lp(margins, strict)
     if result.value <= 0:
         return None

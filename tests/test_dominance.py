@@ -30,6 +30,7 @@ from dominance_lab.dominance import (
     _mixed_dominator,
     _opponent_bases,
     _pure_dominator,
+    _two_profile_belief,
 )
 from dominance_lab.operators import ALL_OPERATORS, GS, LS, EliminationEngine
 from dominance_lab.random_games import GeneratorConfig, generate
@@ -374,14 +375,45 @@ class TestFindMixedDominator:
             find_mixed_dominator(r, 0, 0, Pool.LOCAL, Mode.STRICT)
 
 
+def fraction_pair_belief(margins, mode):
+    """A belief on two profiles, over Fractions, under which no live row gains, or None.
+
+    For each pair ``c1 < c2`` it tries the weights ``lam`` on ``c1`` (and
+    ``1 - lam`` on ``c2``) at which some row's expected margin
+    ``lam * a1 + (1 - lam) * a2`` can change sign: 0, 1, every breakpoint
+    ``-a2 / (a1 - a2)`` in ``[0, 1]``, and each midpoint between neighbouring
+    ones.  Each expected margin is linear in ``lam``, so the weights that
+    refute form an interval whose ends are among these points, and when it
+    is open, a midpoint lies inside.  Refutation: every row that is not all
+    zero has an expected margin ``<= 0`` (strict) or ``< 0`` (weak).
+    """
+    live = [row for row in margins if any(row)]
+    profiles = len(margins[0]) if margins else 0
+    for c1 in range(profiles):
+        for c2 in range(c1 + 1, profiles):
+            points = {F(0), F(1)}
+            points.update(
+                F(-row[c2], row[c1] - row[c2]) for row in live if row[c1] != row[c2]
+            )
+            points = sorted(p for p in points if 0 <= p <= 1)
+            points += [(a + b) / 2 for a, b in zip(points, points[1:])]
+            for lam in points:
+                expected = [lam * row[c1] + (1 - lam) * row[c2] for row in live]
+                if all(e <= 0 if mode is Mode.STRICT else e < 0 for e in expected):
+                    return c1, c2, lam
+    return None
+
+
 def margin_rule(pool, columns, target, mode):
-    """The mixed query's prefilter stated on the margins, as an oracle.
+    """The mixed query's refutation stages stated on the margins, as an oracle.
 
     Returns ``("pure", s)`` for the first pure dominator ``s``, ``("none",
     None)`` when no profile is left or some profile refutes every mixture,
-    and ``("lp", margins)`` with the margin rows, in pool order, that the LP
-    must decide.  Refutation: a profile at which every margin is ``<= 0``
-    (strict) or ``< 0`` (weak), over the rows that are not all zero.
+    ``("pair", belief)`` when a belief on two profiles does
+    (:func:`fraction_pair_belief`), and ``("lp", margins)`` with the margin
+    rows, in pool order, that the LP must decide.  One-profile refutation:
+    a profile at which every margin is ``<= 0`` (strict) or ``< 0`` (weak),
+    over the rows that are not all zero.
     """
     target_col = columns[target]
     for s in pool:
@@ -395,6 +427,9 @@ def margin_rule(pool, columns, target, mode):
     for c in range(len(target_col)):
         if all(row[c] < bound for row in live):
             return "none", None
+    belief = fraction_pair_belief(margins, mode)
+    if belief is not None:
+        return "pair", belief
     return "lp", margins
 
 
@@ -417,8 +452,9 @@ def prefilter_queries(draw):
 
 def check_against_margin_rule(pool, columns, target, mode):
     """Assert that ``_mixed_dominator`` answers as :func:`margin_rule` says,
-    calling the LP exactly when the rule needs it, on the same rows in the
-    same order; return the rule's verdict."""
+    calling the LP exactly when neither the one-profile nor the two-profile
+    stage refutes, on the same rows in the same order; return the rule's
+    verdict."""
     calls = []
 
     def recording_lp(margins, strict):
@@ -431,7 +467,7 @@ def check_against_margin_rule(pool, columns, target, mode):
         got = _mixed_dominator(0, target, pool, columns, mode)
     if verdict == "pure":
         assert got == MixedStrategy.point_mass(0, detail)
-    elif verdict == "none":
+    elif verdict in ("none", "pair"):
         assert got is None
     else:
         result = solve_lp(detail, mode is Mode.STRICT)
@@ -451,24 +487,85 @@ class TestPrefilterDifferential:
 
     @pytest.mark.parametrize("mode", [Mode.STRICT, Mode.WEAK])
     @pytest.mark.parametrize(
-        "pool, target, verdict",
+        "pool, target, strict_verdict, weak_verdict",
         [
-            ((0, 1, 2, 3), 0, "lp"),  # the target and a copy of it in the pool
-            ((1, 2), 0, "lp"),
-            ((0, 3, 4), 0, "none"),  # only copies and a loser
-            ((0, 3), 0, "none"),  # only copies
-            ((4, 1, 0), 4, "pure"),
+            # The target and a copy of it in the pool.  Margins (1, -1) and
+            # (-1, 1): the even belief ties both, which refutes only strict.
+            ((0, 1, 2, 3), 0, "pair", "lp"),
+            ((1, 2), 0, "pair", "lp"),
+            ((0, 3, 4), 0, "none", "none"),  # only copies and a loser
+            ((0, 3), 0, "none", "none"),  # only copies
+            ((4, 1, 0), 4, "pure", "pure"),
         ],
     )
-    def test_each_verdict(self, pool, target, verdict, mode):
+    def test_each_verdict(self, pool, target, strict_verdict, weak_verdict, mode):
         columns = ((0, 0), (1, -1), (-1, 1), (0, 0), (-1, -1))
+        verdict = strict_verdict if mode is Mode.STRICT else weak_verdict
         assert check_against_margin_rule(pool, columns, target, mode) == verdict
 
-    @pytest.mark.parametrize("mode, verdict", [(Mode.STRICT, "none"), (Mode.WEAK, "lp")])
+    @pytest.mark.parametrize("mode, verdict", [(Mode.STRICT, "none"), (Mode.WEAK, "pair")])
     def test_a_tie_refutes_only_strict(self, mode, verdict):
-        # At the first profile the best pool payoff ties the target's.
+        # At the first profile the best pool payoff ties the target's, which
+        # refutes strict dominance there; weak dominance needs the second
+        # profile too.  Weight below 1 on the first (u = 1) and above 3/4
+        # (v = 1/4) makes both expected margins negative: the midpoint 7/8
+        # gives -1/8 and -1/2.
         columns = ((0, 0), (0, -1), (-1, 3))
         assert check_against_margin_rule((1, 2), columns, 0, mode) == verdict
+        if mode is Mode.WEAK:
+            assert _two_profile_belief([(0, -1), (-1, 3)], False) == (0, 1, F(7, 8))
+
+    @pytest.mark.parametrize("mode, verdict", [(Mode.STRICT, "pair"), (Mode.WEAK, "lp")])
+    def test_bounds_that_sum_to_one_refute_only_strict(self, mode, verdict):
+        # Margins (1, -1, 1) and (-1, 1, 1).  On the first two profiles each
+        # row bounds the weight by 1/2, so u + v = 1: the even belief makes
+        # both expected margins 0, which refutes strict dominance but not
+        # weak.  Every other pair has a row that wins at both profiles.  The
+        # even mixture's margins are (0, 0, 1), a weak dominator.
+        columns = ((0, 0, 0), (1, -1, 1), (-1, 1, 1))
+        assert check_against_margin_rule((1, 2), columns, 0, mode) == verdict
+        got = _mixed_dominator(0, 0, (1, 2), columns, mode)
+        if mode is Mode.STRICT:
+            assert _two_profile_belief([(1, -1, 1), (-1, 1, 1)], True) == (0, 1, HALF)
+            assert got is None
+        else:
+            assert got == MixedStrategy(0, ((1, HALF), (2, HALF)))
+
+
+@st.composite
+def margin_rows(draw):
+    """Int margin rows over 2 to 5 profiles, some of them all zero."""
+    profiles = draw(st.integers(2, 5))
+    row = st.one_of(
+        st.just((0,) * profiles), st.tuples(*[st.integers(-4, 4)] * profiles)
+    )
+    return draw(st.lists(row, min_size=1, max_size=5)), draw(st.sampled_from(Mode))
+
+
+class TestTwoProfileBelief:
+    @settings(max_examples=400, deadline=None)
+    @given(margin_rows())
+    def test_every_belief_replays_and_the_lp_agrees(self, query):
+        margins, mode = query
+        strict = mode is Mode.STRICT
+        belief = _two_profile_belief(margins, strict)
+        live = [row for row in margins if any(row)]
+        if not live:
+            assert belief is None
+            return
+        assert (belief is None) == (fraction_pair_belief(margins, mode) is None)
+        if belief is None:
+            return
+        c1, c2, lam = belief
+        assert 0 <= c1 < c2 < len(margins[0])
+        assert isinstance(lam, F) and 0 <= lam <= 1
+        for row in live:
+            expected = lam * row[c1] + (1 - lam) * row[c2]
+            assert expected <= 0 if strict else expected < 0
+        assert solve_lp(margins, strict).value <= 0
+
+    def test_a_single_profile_gives_no_belief(self):
+        assert _two_profile_belief([(-1,), (-2,)], True) is None
 
 
 def every_composition_dominated(columns, target_col, mode, max_denominator):

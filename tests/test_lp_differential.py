@@ -1,9 +1,11 @@
 """Mixed-dominance decisions against sympy's independent exact LP solver.
 
 For random small two-player games, every ``find_mixed_dominator`` answer
-(pure scan, prefilter and LP paths alike) must agree with the normalised
-dominance program solved by ``sympy.solvers.simplex.lpmax``: the same
-decision, the same positive optimum, and a witness that replays.
+(pure scan, one- and two-profile refutation and LP paths alike) must agree
+with the normalised dominance program solved by
+``sympy.solvers.simplex.lpmax``: the same decision and a witness that
+replays.  ``solve_lp`` itself is compared on every query, dominated or not,
+since the kernel sends few undominated queries to it.
 
 ``lpmax`` can return a point that breaks a constraint (sympy 1.14.0 gives
 ``w1 = 1`` and the value 1/2 on the weak program of the regression game
@@ -126,9 +128,14 @@ def check_against_sympy(table, cols, target, kept_rows, kept_cols, pool_kind, mo
     if dominated:
         assert set(witness.support) <= set(pool)
         assert dominates(witness, target, restriction, 0, mode)
-        scale = lcm(*(a.denominator for row in margins for a in row))
-        scaled = [tuple(int(a * scale) for a in row) for row in margins]
-        assert solve_lp(scaled, mode is Mode.STRICT).value / scale == expected
+    # The LP on every query, not only the dominated ones: the kernel's
+    # refutation stages settle most of the others before it.  Its weights
+    # are unnormalised, so its optimum is the normalised one when positive,
+    # and 0 otherwise (including when the normalised program is infeasible).
+    scale = lcm(*(a.denominator for row in margins for a in row))
+    scaled = [tuple(int(a * scale) for a in row) for row in margins]
+    reference = max(Fraction(0), expected) if expected is not None else 0
+    assert solve_lp(scaled, mode is Mode.STRICT).value / scale == reference
 
 
 @settings(max_examples=60, deadline=None)
