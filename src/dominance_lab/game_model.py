@@ -1,14 +1,15 @@
 """Finite strategic games with exact rational payoffs, and restrictions of them.
 
-Payoffs are ``fractions.Fraction`` throughout.  Every dominance decision in
-this package is an exact comparison, so no float may enter a payoff tensor;
-the JSON loader accepts integers, ``"p/q"`` strings and integral floats such
-as ``1.0``, which it reads as integers.  The loader flattens a well-formed
-payoff table in one pass per level; a recursive walk runs only on a table
-that fails those checks, to name its first fault in document order.  It
-passes int and ``Fraction`` entries through as they are and parses only the
-others; :class:`Game` alone turns entries into ``Fraction`` objects, one per
-distinct value of the game, and into each player's scaled ints.
+Payoffs are exact rationals.  Every dominance decision in this package is an
+exact comparison, so no float may enter a payoff tensor; the JSON loader
+accepts integers, ``"p/q"`` strings and integral floats such as ``1.0``,
+which it reads as integers.  The loader flattens a well-formed payoff table
+in one pass per level; a recursive walk runs only on a table that fails
+those checks, to name its first fault in document order.  It passes int and
+``Fraction`` entries through as they are and parses only the others.  A
+:class:`Game` stores each player's payoffs one way only: as ints times one
+common denominator per player (``scaled_payoffs`` over ``scales``).  Its
+``Fraction`` table ``payoffs`` is a view, built on first read.
 
 A :class:`Restriction` is a per-player subset of a fixed parent game's
 strategy indices.  Components may be empty; the set of all restrictions of a
@@ -26,10 +27,10 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 from importlib import resources
 from itertools import chain, repeat
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -122,7 +123,7 @@ def _coerce_payoff(value: object) -> Fraction:
     raise TypeError(f"payoff entries must be Fraction or int, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Game:
     """An n-player normal-form game with exact rational payoffs.
 
@@ -134,93 +135,85 @@ class Game:
             metadata only.
             Strategy identity everywhere else is (player index, strategy
             index) against this game.
-        payoffs: Per player, a flat payoff tensor over full profiles,
-            row-major in player order (the last player's index varies
-            fastest).
-        shape: Per player, the number of strategies.
-        strides: Row-major strides of the payoff tensors.
-        scaled_payoffs: Per player, the payoff tensor times its least
-            common denominator, as ints.  One positive factor per player
-            keeps every comparison between that player's payoffs, and the
-            sign of every difference, so dominance decisions can compare
-            these ints instead of the Fractions.
+        scaled_payoffs: Per player, a flat payoff tensor over full
+            profiles, row-major in player order (the last player's index
+            varies fastest), times its least common denominator, as ints.
+            One positive factor per player keeps every comparison between
+            that player's payoffs, and the sign of every difference, so
+            dominance decisions compare these ints.
         scales: Per player, that least common denominator (1 for an int
             table).  A table is its scaled table over its scale, so
             ``players``, ``strategies``, ``scaled_payoffs`` and ``scales``
-            are equal exactly when two games are, and hash as ints.
+            are equal exactly when two games are; ``==``, ``hash`` and
+            ``repr`` read these four fields only, all strings and ints.
+        shape: Per player, the number of strategies.
+        strides: Row-major strides of the payoff tensors.
 
-    ``__post_init__`` normalizes the three inputs to tuples and derives
-    ``shape``, ``strides``, ``scaled_payoffs`` and ``scales`` from them at
-    construction; the derived fields take no part in ``==``, ``hash`` or
-    ``repr``.  It is
-    the one place where payoff entries, ints or ``Fraction`` objects, become
-    exact: equal entries share one ``Fraction`` across all tables.  A table
-    of plain ``int`` entries is its own scaled table, so it is not coerced
-    entry by entry.
+    ``Game(players, strategies, payoffs)`` takes one flat payoff table per
+    player, of ints or ``Fraction`` objects, normalizes the labels to tuples
+    and derives every field.  A table of plain ``int`` entries is its own
+    scaled table; any other table is scaled by its entries' numerators and
+    denominators, so no ``Fraction`` is built or hashed.  The ``Fraction``
+    table ``payoffs`` is a view of the scaled tables.
     """
 
     players: tuple[str, ...]
     strategies: tuple[tuple[str, ...], ...]
-    payoffs: tuple[tuple[Fraction, ...], ...]
+    scaled_payoffs: tuple[tuple[int, ...], ...]
+    scales: tuple[int, ...]
     shape: tuple[int, ...] = field(init=False, repr=False, compare=False)
     strides: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    scaled_payoffs: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    scales: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        strategies = tuple(self.strategies)
+    def __init__(
+        self,
+        players: Sequence[str],
+        strategies: Iterable[Sequence[str]],
+        payoffs: Iterable[Iterable[int | Fraction]],
+    ) -> None:
+        strategies = tuple(strategies)
         # A string is a sequence of characters, not of labels.
-        if isinstance(self.players, str) or any(isinstance(s, str) for s in strategies):
+        if isinstance(players, str) or any(isinstance(s, str) for s in strategies):
             raise GameFormatError(
                 "players and each strategy list must be sequences of labels, not strings"
             )
-        object.__setattr__(self, "players", tuple(self.players))
-        object.__setattr__(self, "strategies", tuple(tuple(s) for s in strategies))
-        payoffs = []
+        players = tuple(players)
+        strategies = tuple(tuple(s) for s in strategies)
         scaled = []
         scales = []
-        # One Fraction per distinct value, shared by every table of the game.
-        shared: dict[int | Fraction, Fraction] = {}
-        for table in self.payoffs:
+        for table in payoffs:
             table = tuple(table)
             if set(map(type, table)) == _INT_ONLY:
-                # An int table is its own scaled table.  Keyed by int, so that
-                # the lookups compare ints rather than an int with a Fraction.
-                for value in set(table).difference(shared):
-                    shared[value] = Fraction(value)
-                payoffs.append(tuple(map(shared.__getitem__, table)))
                 scaled.append(table)
                 scales.append(1)
                 continue
-            table = tuple(map(_coerce_payoff, table))
-            table = tuple(map(shared.setdefault, table, table))
+            for value in table:
+                if type(value) is not int and type(value) is not Fraction:
+                    _coerce_payoff(value)  # raises TypeError unless an int or Fraction
             scale = lcm(*{x.denominator for x in table})
-            payoffs.append(table)
             scaled.append(tuple(x.numerator * (scale // x.denominator) for x in table))
             scales.append(scale)
-        object.__setattr__(self, "payoffs", tuple(payoffs))
-        n = len(self.players)
+        n = len(players)
         if n < 2:
             raise GameFormatError("a game needs at least 2 players")
-        for name in self.players:
+        for name in players:
             if not isinstance(name, str):
                 raise GameFormatError(f"player name {name!r} must be a string")
-        if len(set(self.players)) != n:
+        if len(set(players)) != n:
             raise GameFormatError("duplicate player name")
-        if len(self.strategies) != n:
+        if len(strategies) != n:
             raise GameFormatError("one strategy list required per player")
-        for name, labels in zip(self.players, self.strategies):
+        for name, labels in zip(players, strategies):
             if not labels:
                 raise GameFormatError(f"player {name!r} has no strategies")
             if not all(isinstance(label, str) for label in labels):
                 raise GameFormatError(f"strategy labels of player {name!r} must be strings")
             if len(set(labels)) != len(labels):
                 raise GameFormatError(f"duplicate strategy name for player {name!r}")
-        shape = tuple(len(labels) for labels in self.strategies)
+        shape = tuple(len(labels) for labels in strategies)
         size = prod(shape)
-        if len(self.payoffs) != n:
+        if len(scaled) != n:
             raise GameFormatError("one payoff tensor required per player")
-        for name, table in zip(self.players, self.payoffs):
+        for name, table in zip(players, scaled):
             if len(table) != size:
                 raise GameFormatError(
                     f"payoff tensor shape mismatch for player {name!r}: "
@@ -229,10 +222,33 @@ class Game:
         strides = [1] * n
         for k in range(n - 2, -1, -1):
             strides[k] = strides[k + 1] * shape[k + 1]
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "strides", tuple(strides))
+        object.__setattr__(self, "players", players)
+        object.__setattr__(self, "strategies", strategies)
         object.__setattr__(self, "scaled_payoffs", tuple(scaled))
         object.__setattr__(self, "scales", tuple(scales))
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "strides", tuple(strides))
+
+    @cached_property
+    def payoffs(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Per player, the payoff tensor as ``Fraction`` objects, laid out as ``scaled_payoffs``.
+
+        Built on first read and kept on the instance.  Equal payoffs share
+        one ``Fraction`` across all tables.  No decision reads this view;
+        :func:`payoff` and :func:`game_to_json_dict` do.
+        """
+        shared: dict[tuple[int, int], Fraction] = {}
+        tables = []
+        for table, scale in zip(self.scaled_payoffs, self.scales):
+            values = {}
+            for value in set(table):
+                common = gcd(value, scale)
+                key = (value // common, scale // common)
+                if key not in shared:
+                    shared[key] = Fraction(*key)
+                values[value] = shared[key]
+            tables.append(tuple(map(values.__getitem__, table)))
+        return tuple(tables)
 
     @property
     def player_count(self) -> int:
@@ -278,7 +294,7 @@ class Game:
         in document order, so that a table with several faults reports the
         first of them.  Int and ``Fraction`` entries are passed on as they
         are, and only the others go through :func:`parse_rational`; the
-        constructor makes every entry a shared ``Fraction``.
+        constructor scales each table to ints.
         """
         n = len(players)
         shape = tuple(len(s) for s in strategies)

@@ -341,15 +341,6 @@ def _check_one_game(game: Game) -> tuple[list[str], dict[str, IterationTrace]]:
     return failures, traces
 
 
-def _game_key(game: Game) -> tuple:
-    """A key of strings and ints, equal exactly when the games are equal.
-
-    Hashing it skips ``Fraction.__hash__``: the payoffs are fixed by the
-    scaled tables and each player's scale (:class:`Game`).
-    """
-    return game.players, game.strategies, game.scaled_payoffs, game.scales
-
-
 def theorem_suite(
     seed: int = DEFAULT_SEED,
     games: int = 500,
@@ -368,10 +359,10 @@ def theorem_suite(
         tie_bias=tie_bias,
     )
     failures: list[str] = []
-    seen: set[tuple] = set()
+    seen: set[Game] = set()
     for i in range(games):
         game = generate(config.with_seed(seed + i))
-        seen.add(_game_key(game))
+        seen.add(game)
         rows, traces = _check_one_game(game)
         if rows:
             failures.append(f"seed {seed + i}: " + "; ".join(rows))

@@ -15,7 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dominance_lab.cli import _emit, load_game, run
-from dominance_lab.game_model import GameFormatError
+from dominance_lab.game_model import GameFormatError, game_to_json_dict
+from dominance_lab.operators import ALL_OPERATORS, iterate
+from dominance_lab.random_games import GeneratorConfig, generate
 from dominance_lab import suites
 from dominance_lab.suites import SUITE_NAMES, SuiteReport, run_suite, suite_settings
 
@@ -56,6 +58,18 @@ class TestSolve:
         code, text = run_cli("solve", "--operator", "lw", g2_path, "--format", "table")
         assert code == 0
         assert "fixpoint: Row: A | Column: X" in text
+
+    def test_solving_an_int_game_never_builds_the_payoffs_view(self, g2_path, tmp_path):
+        # Every decision reads the scaled ints, so the Fraction view of a
+        # loaded int game stays unbuilt through iterate and its trace.
+        game = generate(GeneratorConfig(seed=3, players=(3, 3), strategies=(3, 3)))
+        path = tmp_path / "seeded.json"
+        path.write_text(json.dumps(game_to_json_dict(game)))
+        for game_path in (g2_path, str(path)):
+            for kind in ALL_OPERATORS:
+                loaded = load_game(game_path)
+                iterate(kind, loaded).to_dict()
+                assert "payoffs" not in vars(loaded), (game_path, kind.name)
 
 
 class TestApply:

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -306,21 +307,31 @@ class TestGameConstruction:
         game = Game(["P", "Q"], (label for label in (["A", "B"], ("X",))), ((1, 0), (0, 0)))
         assert (game.players, game.strategies) == (("P", "Q"), (("A", "B"), ("X",)))
 
-    def test_derived_tables_are_fields_outside_eq_hash_and_repr(self, g1):
+    def test_the_scaled_tables_are_stored_and_payoffs_is_a_view(self, g1):
         fields = {f.name: f for f in dataclasses.fields(Game)}
-        for name in ("shape", "strides", "scaled_payoffs", "scales"):
-            assert (fields[name].init, fields[name].compare, fields[name].repr) == (
-                False, False, False,
-            )
-            assert name not in repr(g1)
-        twin = Game(g1.players, g1.strategies, g1.payoffs)
-        object.__setattr__(twin, "scaled_payoffs", ())
-        assert twin == g1 and hash(twin) == hash(g1) and repr(twin) == repr(g1)
-        replaced = dataclasses.replace(
-            g1, payoffs=((HALF, Fraction(1, 3)), (Fraction(2), Fraction(0)))
-        )
-        assert (replaced.shape, replaced.strides) == ((2, 1), (1, 1))
-        assert replaced.scaled_payoffs == ((3, 2), (2, 0))
+        stored = ["players", "strategies", "scaled_payoffs", "scales"]
+        assert list(fields) == [*stored, "shape", "strides"]
+        assert [name for name, f in fields.items() if f.compare] == stored
+        assert [name for name, f in fields.items() if f.repr] == stored
+        for name in ("shape", "strides"):
+            assert not fields[name].init
+            assert f"{name}=" not in repr(g1)
+        game = Game(g1.players, g1.strategies, ((1, 0), (0, 0)))
+        twin = Game(g1.players, g1.strategies, ((Fraction(1), 0), (0, Fraction(0))))
+        object.__setattr__(twin, "shape", ())
+        object.__setattr__(twin, "strides", ())
+        assert twin == game and hash(twin) == hash(game) and repr(twin) == repr(game)
+        assert "Fraction" not in repr(game)
+        # Neither ==, hash nor repr builds the view.
+        assert "payoffs" not in vars(game) and "payoffs" not in vars(twin)
+        view = game.payoffs
+        assert view == ((1, 0), (0, 0)) and game.payoffs is view and vars(game)["payoffs"] is view
+        assert twin == game and hash(twin) == hash(game) and repr(twin) == repr(game)
+        object.__setattr__(twin, "scales", (2, 1))
+        assert twin != game
+        built = Game(*HALF_PAIR[:2], ((HALF, Fraction(1, 3)), (Fraction(2), Fraction(0))))
+        assert (built.shape, built.strides) == ((2, 1), (1, 1))
+        assert (built.scaled_payoffs, built.scales) == (((3, 2), (2, 0)), (6, 1))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_int_tables_make_the_game_fraction_tables_make(self, seed):
@@ -336,13 +347,11 @@ class TestGameConstruction:
         assert all(type(x) is Fraction for table in from_ints.payoffs for x in table)
         assert all(type(x) is int for table in from_ints.scaled_payoffs for x in table)
 
-    def test_the_suite_game_key_is_equal_exactly_when_the_games_are(self):
-        # The theorem suite counts distinct games by a key of strings and
+    def test_games_are_equal_exactly_when_their_payoffs_are(self):
+        # Games are equal, and hash, by their scaled tables and scales, all
         # ints.  Games differing only by one player's payoff scale have the
         # same scaled tables but not the same scales; a game built from int
-        # tables and from Fraction tables has one key.
-        from dominance_lab.suites import _game_key
-
+        # tables and from Fraction tables is one game.
         games = []
         for seed in range(6):
             game = generate(GeneratorConfig(seed=seed % 4, players=(2, 3), strategies=(1, 3)))
@@ -352,15 +361,16 @@ class TestGameConstruction:
             for scale in (2, 3):
                 halved = (tuple(x / scale for x in game.payoffs[0]), *game.payoffs[1:])
                 games.append(Game(game.players, game.strategies, halved))
-        keys = [_game_key(game) for game in games]
+        keys = [(game.players, game.strategies, game.payoffs) for game in games]
         assert len(set(games)) == len(set(keys)) < len(games)
         for a, b in itertools.product(range(len(games)), repeat=2):
             assert (keys[a] == keys[b]) == (games[a] == games[b]), (a, b)
+            if games[a] == games[b]:
+                assert hash(games[a]) == hash(games[b]), (a, b)
         base, half = Game(*HALF_PAIR[:2], ((1, 2), (0, 0))), Game(*HALF_PAIR)
         assert base.scaled_payoffs == half.scaled_payoffs and base != half
         assert (base.scales, half.scales) == ((1, 1), (2, 1))
-        assert _game_key(base) != _game_key(half)
-        assert all(type(x) is int for x in _game_key(half)[3])
+        assert all(type(x) is int for x in half.scales)
 
     @pytest.mark.parametrize("entry", [True, 1.0], ids=["bool", "float"])
     def test_bool_and_float_entries_are_rejected(self, entry):
@@ -595,7 +605,7 @@ class TestLoaderFaults:
 
 
 class TestEntriesBecomeExactInTheGame:
-    """The loader passes int and Fraction entries on; ``Game`` alone shares them."""
+    """The loader passes int and Fraction entries on; ``Game`` alone scales them."""
 
     def test_only_entries_that_are_not_ints_or_fractions_are_parsed(self, monkeypatch):
         parsed = []
@@ -655,7 +665,63 @@ class TestEntriesBecomeExactInTheGame:
             assert all(type(x) is Fraction for x in entries)
             assert len({id(x) for x in entries}) == len(set(entries))
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_every_writing_of_a_game_is_one_game(self, data):
+        shape = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=3).map(tuple))
+        players = ["Row", "Column", "Third"][: len(shape)]
+        strategies = [[f"s{j}" for j in range(count)] for count in shape]
+        size = math.prod(shape)
+        exact = tuple(
+            tuple(data.draw(st.lists(
+                data.draw(st.sampled_from([WHOLE_VALUES, RATIONAL_VALUES])),
+                min_size=size, max_size=size,
+            )))
+            for _ in shape
+        )
 
+        def write(x, form):
+            if form == "int":
+                return int(x) if x.denominator == 1 else x
+            if form == "string":
+                k = data.draw(st.integers(1, 3))
+                return f"{x.numerator * k}/{x.denominator * k}"
+            return x
+
+        def tables(pick_form):
+            return [[write(x, pick_form()) for x in table] for table in exact]
+
+        forms = st.sampled_from(["int", "fraction", "string"])
+        games = [
+            Game(players, strategies, tables(lambda: "fraction")),
+            Game(players, strategies, tables(lambda: "int")),
+            Game.from_tables(players, strategies, nested(tables(lambda: "string"), shape)),
+            Game.from_tables(players, strategies, nested(tables(lambda: data.draw(forms)), shape)),
+        ]
+        first = games[0]
+        for game in games:
+            assert game == first and hash(game) == hash(first) and repr(game) == repr(first)
+            assert game.payoffs == exact
+            entries = [x for table in game.payoffs for x in table]
+            assert all(type(x) is Fraction for x in entries)
+            assert len({id(x) for x in entries}) == len(set(entries))
+            doc = game_to_json_dict(game)
+            parsed = game_from_json_dict(doc)
+            assert parsed == game and parsed.payoffs == exact
+            assert game_to_json_dict(parsed) == doc
+
+
+def nested(tables, shape):
+    """Flat per-player tables as the nested leaves of the JSON layout for ``shape``."""
+    nodes = [list(leaf) for leaf in zip(*tables)]
+    for count in reversed(shape):
+        nodes = [nodes[j : j + count] for j in range(0, len(nodes), count)]
+    return nodes[0]
+
+
+# A player's payoffs: all whole, or with denominators up to 6.
+WHOLE_VALUES = st.integers(-6, 6).map(Fraction)
+RATIONAL_VALUES = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3, 4, 6)))
 # Entries that load: ints, integral floats, "p/q" strings and Fractions.
 EXACT_ENTRIES = (
     st.integers(-4, 4)
